@@ -20,6 +20,7 @@ from .funcs import (
     SaddleProblem,
     SmoothFn,
     finite_difference_grad,
+    partial_primal_dual_gap as check_pd_gap,
     precompose_prox,
 )
 from .linops import DenseOperator, LinearOperator, adjoint_consistency_check
@@ -171,21 +172,6 @@ def prox_contraction(fn: ProxFn, gamma: float, dim: int, trials: int = 1000,
             continue
         margins.append(target - np.linalg.norm(fn.prox(x, gamma) - fn.prox(y, gamma)) / dx)
     return _report_from_margins("prox_contraction", f"alpha={alpha}", margins)
-
-
-def check_pd_gap(prob: SaddleProblem, x, y, box1, box2) -> float:
-    """Partial primal-dual gap over bounded boxes B1 x B2.
-
-    G(x, y) = max_{y' in B2} [<Kx, y'> - f*(y')] + g(x)
-            - min_{x' in B1} [<K* y, x'> + g(x')] + f*(y)
-
-    Both inner problems are solved through the componentwise box-linear
-    minimization oracles of the shipped function family; functions without
-    that structure are rejected.
-    """
-    from .funcs import partial_primal_dual_gap
-
-    return partial_primal_dual_gap(prob, x, y, box1, box2)
 
 
 def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,

@@ -2,9 +2,9 @@
 
     proxsplit solve|certify|compare|generate <config.json> [--out DIR] [--seed N]
 
-Exit codes: 0 success, 1 config error, 2 divergence, 3 certification
-failure.  Every run writes the fully-resolved config next to its outputs so
-results are reproducible from the artifacts alone.
+Exit codes: 0 success, 1 config error, 2 divergence or numerical failure,
+3 certification failure.  Every run writes the fully-resolved config next to
+its outputs so results are reproducible from the artifacts alone.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from . import data as datamod
-from .problems import build_from_config
+from .linops import CGError, DenseOperator, ImageGrid
+from .problems import build_from_config, build_lasso, build_tv_denoise
 from .solvers import DIVERGED, SolverConfig
 from .suite import CHECKS, CONTROLS, run_checks
 
@@ -134,7 +135,8 @@ def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
         summary["objective_error"] = abs(summary["objective"]
                                          - summary["expected_objective"])
     _write_json(out / "summary.json", summary)
-    _resolved_config(config, cfg, out)
+    # recipes built by proxsplit.problems record the config they ran
+    _resolved_config(config, trace.meta.get("config", cfg), out)
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
 
 
@@ -222,31 +224,23 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
         return EXIT_OK
 
     # problem-level bundles additionally store a reference objective
+    if kind not in ("lasso", "tv_denoise"):
+        raise ConfigFileError(
+            f"unknown fixture kind {kind!r}; data kinds: {datamod.SYNTHETIC_KINDS} "
+            "plus problem bundles 'lasso' and 'tv_denoise'")
+    lam = float(config.get("lambda", 0.1))
     if kind == "lasso":
-        lam = float(config.get("lambda", 0.1))
         data = datamod.generate_synthetic("sparse_vector", dims, sigma=sigma, seed=seed)
-        from .linops import DenseOperator
-        from .problems import build_lasso
-        inst = build_lasso(DenseOperator(data["A"]), data["y"], lam)
-        trace, x = inst.run("fista", SolverConfig(max_iter=20_000))
-        data["lambda"] = lam
-        datamod.write_fixture(out, data, expected={"objective": inst.objective(x)})
-        print(f"wrote lasso fixture to {out}")
-        return EXIT_OK
-    if kind == "tv_denoise":
-        lam = float(config.get("lambda", 0.1))
+        inst, reference = build_lasso(DenseOperator(data["A"]), data["y"], lam), "fista"
+    else:
         data = datamod.generate_synthetic("step_image", dims, sigma=sigma, seed=seed)
-        from .linops import ImageGrid
-        from .problems import build_tv_denoise
-        inst = build_tv_denoise(ImageGrid(data["rows"], data["cols"], data["y"]), lam)
-        trace, x = inst.run("cp", SolverConfig(max_iter=20_000))
-        data["lambda"] = lam
-        datamod.write_fixture(out, data, expected={"objective": inst.objective(x)})
-        print(f"wrote tv_denoise fixture to {out}")
-        return EXIT_OK
-    raise ConfigFileError(
-        f"unknown fixture kind {kind!r}; data kinds: {datamod.SYNTHETIC_KINDS} "
-        "plus problem bundles 'lasso' and 'tv_denoise'")
+        grid = ImageGrid(data["rows"], data["cols"], data["y"])
+        inst, reference = build_tv_denoise(grid, lam), "cp"
+    trace, x = inst.run(reference, SolverConfig(max_iter=20_000))
+    data["lambda"] = lam
+    datamod.write_fixture(out, data, expected={"objective": inst.objective(x)})
+    print(f"wrote {kind} fixture to {out}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -273,6 +267,9 @@ def main(argv=None) -> int:
     except (ConfigFileError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CGError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

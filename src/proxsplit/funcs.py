@@ -169,12 +169,7 @@ class Quadratic(SmoothFn, ProxFn):
     def prox(self, x, gamma):
         x = as_vector(x, self.A.in_dim)
         w = gamma * self.scale
-        rhs = x + w * self.A.adjoint(self.b)
-        if self._diag is not None:
-            return rhs / (1.0 + w * self._diag)
-        return conjugate_gradient(
-            lambda p: p + w * self.A.adjoint(self.A.apply(p)), rhs
-        )
+        return self._solve_normal(x + w * self.A.adjoint(self.b), w, 1.0)
 
     def conjugate(self):
         # closed form only for the isotropic case f = (scale/2)||x||^2
@@ -484,8 +479,7 @@ class ConjugateProx(ProxFn):
         raise NotImplementedError("conjugate value has no general closed form")
 
     def prox(self, x, gamma):
-        x = np.asarray(x, dtype=float)
-        return x - gamma * self.base.prox(x / gamma, 1.0 / gamma)
+        return prox_conjugate(self.base, x, gamma)
 
 
 def prox_conjugate(f: ProxFn, x, gamma: float) -> np.ndarray:

@@ -29,13 +29,14 @@ from .funcs import (
 from .linops import (
     AdjointOperator,
     ComposedOperator,
-    DenseOperator,
     Grad2D,
     IdentityOperator,
     ImageGrid,
     LinearOperator,
     MaskOperator,
+    StackOperator,
     as_vector,
+    construct_operator,
 )
 from .solvers import (
     SolverConfig,
@@ -73,6 +74,36 @@ def _merge_cfg(cfg: SolverConfig | None, **defaults) -> SolverConfig:
     return dataclasses.replace(cfg, **updates)
 
 
+def _recipe(solve, extract=None, **defaults):
+    """Recipe ``run(cfg=None) -> (trace, x)``: ``solve`` runs on ``cfg`` merged
+    with ``defaults``, ``extract`` recovers x from the trace (default trace.x).
+
+    A callable default is evaluated when the recipe runs, so a norm-derived
+    stepsize costs nothing until used.  ``trace.meta["config"]`` keeps the
+    merged config, the one that ran.
+    """
+    def run(cfg=None):
+        merged = _merge_cfg(cfg, **{k: v() if callable(v) else v
+                                    for k, v in defaults.items()})
+        trace = solve(merged)
+        trace.meta["config"] = merged
+        return trace, trace.x if extract is None else extract(trace)
+
+    return run
+
+
+# inertia mode of each forward-backward recipe
+_FB_INERTIA = {"fb": "none", "fista": "fista_t", "fista_beta": "fista_beta",
+               "vfista": "vfista"}
+
+
+def _fb_recipes(f, g, x0, gamma, names) -> dict:
+    """Forward-backward recipes on f + g from x0, at stepsize ``gamma``."""
+    fb = lambda cfg: forward_backward(f, g, x0, cfg)
+    return {name: _recipe(fb, gamma=gamma, inertia=_FB_INERTIA[name], max_iter=2000)
+            for name in names}
+
+
 def build_lasso(A: LinearOperator, y, lam: float,
                 strong_convexity: float | None = None) -> ProblemInstance:
     """min 0.5 ||Ax - y||^2 + lam ||x||_1."""
@@ -85,33 +116,10 @@ def build_lasso(A: LinearOperator, y, lam: float,
     x0 = np.zeros(A.in_dim)
     L = f.lipschitz
 
-    def fb(cfg=None):
-        trace = forward_backward(f, g, x0, _merge_cfg(cfg, gamma=1.0 / L, max_iter=2000))
-        return trace, trace.x
-
-    def fista(cfg=None):
-        trace = forward_backward(
-            f, g, x0, _merge_cfg(cfg, gamma=1.0 / L, inertia="fista_t", max_iter=2000))
-        return trace, trace.x
-
-    def fista_beta(cfg=None):
-        trace = forward_backward(
-            f, g, x0, _merge_cfg(cfg, gamma=1.0 / L, inertia="fista_beta", max_iter=2000))
-        return trace, trace.x
-
-    def dr(cfg=None):
-        trace = douglas_rachford(f, g, x0, _merge_cfg(cfg, gamma=1.0, max_iter=2000))
-        return trace, trace.x
-
-    recipes = {"fb": fb, "fista": fista, "fista_beta": fista_beta, "dr": dr}
-    if f.strong_convexity > 0:
-
-        def vfista(cfg=None):
-            trace = forward_backward(
-                f, g, x0, _merge_cfg(cfg, gamma=1.0 / L, inertia="vfista", max_iter=2000))
-            return trace, trace.x
-
-        recipes["vfista"] = vfista
+    names = ["fb", "fista", "fista_beta"] + (["vfista"] if f.strong_convexity > 0 else [])
+    recipes = _fb_recipes(f, g, x0, 1.0 / L, names)
+    recipes["dr"] = _recipe(lambda cfg: douglas_rachford(f, g, x0, cfg),
+                            gamma=1.0, max_iter=2000)
 
     ground_truth = None
     if f._diag is not None and np.all(f._diag > 0):
@@ -129,11 +137,24 @@ def build_lasso(A: LinearOperator, y, lam: float,
     )
 
 
-def _tv_pieces(grid: ImageGrid, lam: float):
-    n = grid.rows * grid.cols
-    grad = Grad2D(grid.rows, grid.cols, grid.boundary)
-    y = grid.to_vector()
-    return n, grad, y
+def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int):
+    """Recipes shared by the TV models with a prox-capable data term:
+    ``dr_split`` on the extended variable (x, z) with z = grad x, and the
+    saddle-point form ``cp``.  Returns the recipes and the saddle problem."""
+    n = grad.in_dim
+    split_fn = SeparableProx([(data_fit, np.arange(n)), (tv, np.arange(n, 3 * n))], 3 * n)
+    graph = AffineGraphIndicator(grad)
+    saddle = SaddleProblem(K=grad, g=data_fit, f_conj=tv.conjugate(),
+                           f_primal=tv, primal_objective=objective)
+    recipes = {
+        "dr_split": _recipe(
+            lambda cfg: douglas_rachford(split_fn, graph,
+                                         np.concatenate([y, grad.apply(y)]), cfg),
+            lambda trace: trace.x[:n], gamma=1.0, max_iter=max_iter),
+        "cp": _recipe(lambda cfg: chambolle_pock(saddle, y, np.zeros(grad.out_dim), cfg),
+                      max_iter=max_iter),
+    }
+    return recipes, saddle
 
 
 def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
@@ -146,58 +167,37 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     """
     if lam < 0:
         raise ValueError("the TV weight must be nonnegative")
-    n, grad, y = _tv_pieces(y_img, lam)
+    n = y_img.rows * y_img.cols
+    grad = Grad2D(y_img.rows, y_img.cols, y_img.boundary)
+    y = y_img.to_vector()
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
     objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
 
-    idx_x = np.arange(n)
-    idx_z = np.arange(n, 3 * n)
-    split_fn = SeparableProx([(data_fit, idx_x), (tv, idx_z)], 3 * n)
-    graph = AffineGraphIndicator(grad)
-
-    def dr_split(cfg=None):
-        v0 = np.concatenate([y, grad.apply(y)])
-        trace = douglas_rachford(split_fn, graph, v0,
-                                 _merge_cfg(cfg, gamma=1.0, max_iter=3000))
-        return trace, trace.x[:n]
-
-    def ppxa_split(cfg=None):
-        trace = ppxa([(data_fit, None), (tv, grad)], y,
-                     _merge_cfg(cfg, gamma=1.0, max_iter=3000))
-        return trace, trace.x
-
-    saddle = SaddleProblem(K=grad, g=data_fit, f_conj=LinfBallIndicator(lam),
-                           f_primal=tv, primal_objective=objective)
-
-    def cp(cfg=None):
-        trace = chambolle_pock(saddle, y, np.zeros(grad.out_dim),
-                               _merge_cfg(cfg, max_iter=3000))
-        return trace, trace.x
-
+    recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 3000)
     dual_quad = Quadratic(AdjointOperator(grad), -y)
     ball = LinfBallIndicator(lam)
-
-    def dual_fb(cfg=None):
+    recipes.update({
+        "ppxa": _recipe(lambda cfg: ppxa([(data_fit, None), (tv, grad)], y, cfg),
+                        gamma=1.0, max_iter=3000),
         # minimizes the dual projection problem but reports the primal
         # objective of the recovered point, keeping curves comparable
-        trace = forward_backward(dual_quad, ball, np.zeros(grad.out_dim),
-                                 _merge_cfg(cfg, gamma=1.0 / dual_quad.lipschitz,
-                                            inertia="fista_t", max_iter=3000),
-                                 objective=lambda p: objective(y + grad.adjoint(p)))
-        p = trace.x
-        return trace, y + grad.adjoint(p)
-
-    def condat_recipe(cfg=None):
-        trace = condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)], y,
-                       cfg=_merge_cfg(cfg, max_iter=3000), objective=objective)
-        return trace, trace.x
+        "dual_fb": _recipe(
+            lambda cfg: forward_backward(
+                dual_quad, ball, np.zeros(grad.out_dim), cfg,
+                objective=lambda p: objective(y + grad.adjoint(p))),
+            lambda trace: y + grad.adjoint(trace.x),
+            gamma=lambda: 1.0 / dual_quad.lipschitz, inertia="fista_t", max_iter=3000),
+        "condat": _recipe(
+            lambda cfg: condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)], y,
+                               cfg=cfg, objective=objective),
+            max_iter=3000),
+    })
 
     return ProblemInstance(
         name="tv_denoise",
         objective=objective,
-        recipes={"dr_split": dr_split, "ppxa": ppxa_split, "cp": cp,
-                 "dual_fb": dual_fb, "condat": condat_recipe},
+        recipes=recipes,
         metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
                   "grad": grad, "saddle": saddle, "y": y},
     )
@@ -222,14 +222,6 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
     tv = L1Norm(lam)
     objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
 
-    def condat_recipe(cfg=None):
-        trace = condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)],
-                       np.zeros(n), cfg=_merge_cfg(cfg, max_iter=4000),
-                       objective=objective)
-        return trace, trace.x
-
-    from .linops import StackOperator
-
     K = StackOperator([A, grad])
     conj_parts = SeparableProx(
         [(Quadratic(IdentityOperator(A.out_dim), -y), np.arange(A.out_dim)),
@@ -237,16 +229,20 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
         K.out_dim)
     saddle = SaddleProblem(K=K, g=ZeroFn(), f_conj=conj_parts,
                            primal_objective=objective)
-
-    def cp2(cfg=None):
-        trace = chambolle_pock(saddle, np.zeros(n), np.zeros(K.out_dim),
-                               _merge_cfg(cfg, max_iter=4000))
-        return trace, trace.x
+    recipes = {
+        "condat": _recipe(
+            lambda cfg: condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)],
+                               np.zeros(n), cfg=cfg, objective=objective),
+            max_iter=4000),
+        "cp2": _recipe(
+            lambda cfg: chambolle_pock(saddle, np.zeros(n), np.zeros(K.out_dim), cfg),
+            max_iter=4000),
+    }
 
     return ProblemInstance(
         name="tv_inverse",
         objective=objective,
-        recipes={"condat": condat_recipe, "cp2": cp2},
+        recipes=recipes,
         metadata={"lambda": lam, "rows": rows, "cols": cols, "grad": grad,
                   "A": A, "saddle": saddle},
     )
@@ -256,34 +252,18 @@ def build_tvl1(y_img: ImageGrid, lam: float) -> ProblemInstance:
     """min ||x - y||_1 + lam ||grad x||_1, the impulsive-noise variant."""
     if lam < 0:
         raise ValueError("the TV weight must be nonnegative")
-    n, grad, y = _tv_pieces(y_img, lam)
+    grad = Grad2D(y_img.rows, y_img.cols, y_img.boundary)
+    y = y_img.to_vector()
     data_fit = L1Residual(y)
     tv = L1Norm(lam)
     objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
 
-    saddle = SaddleProblem(K=grad, g=data_fit, f_conj=LinfBallIndicator(lam),
-                           f_primal=tv, primal_objective=objective)
-
-    def cp(cfg=None):
-        trace = chambolle_pock(saddle, y, np.zeros(grad.out_dim),
-                               _merge_cfg(cfg, max_iter=4000))
-        return trace, trace.x
-
-    idx_x = np.arange(n)
-    idx_z = np.arange(n, 3 * n)
-    split_fn = SeparableProx([(data_fit, idx_x), (tv, idx_z)], 3 * n)
-    graph = AffineGraphIndicator(grad)
-
-    def dr_split(cfg=None):
-        v0 = np.concatenate([y, grad.apply(y)])
-        trace = douglas_rachford(split_fn, graph, v0,
-                                 _merge_cfg(cfg, gamma=1.0, max_iter=4000))
-        return trace, trace.x[:n]
+    recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 4000)
 
     return ProblemInstance(
         name="tvl1",
         objective=objective,
-        recipes={"cp": cp, "dr_split": dr_split},
+        recipes=recipes,
         metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
                   "grad": grad, "saddle": saddle},
     )
@@ -329,11 +309,8 @@ def build_poisson_editing(source_grad, target: ImageGrid, omega) -> ProblemInsta
     proj = OverwriteOutside(omega, target.to_vector())
     objective = lambda x: smooth.value(x) + proj.value(x)
 
-    def pg(cfg=None):
-        L = max(smooth.lipschitz, 1e-12)
-        trace = projected_gradient(smooth, proj, target.to_vector(),
-                                   _merge_cfg(cfg, gamma=1.0 / L, max_iter=4000))
-        return trace, trace.x
+    pg = _recipe(lambda cfg: projected_gradient(smooth, proj, target.to_vector(), cfg),
+                 gamma=lambda: 1.0 / max(smooth.lipschitz, 1e-12), max_iter=4000)
 
     return ProblemInstance(
         name="poisson_editing",
@@ -353,21 +330,10 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
     objective = lambda x: f.value(x) + g.value(x)
     x0 = np.zeros(A.in_dim)
 
-    def fb(cfg=None):
-        trace = forward_backward(f, g, x0,
-                                 _merge_cfg(cfg, gamma=1.0 / f.lipschitz, max_iter=2000))
-        return trace, trace.x
-
-    def fista(cfg=None):
-        trace = forward_backward(f, g, x0,
-                                 _merge_cfg(cfg, gamma=1.0 / f.lipschitz,
-                                            inertia="fista_t", max_iter=2000))
-        return trace, trace.x
-
     return ProblemInstance(
         name="wavelet_reg",
         objective=objective,
-        recipes={"fb": fb, "fista": fista},
+        recipes=_fb_recipes(f, g, x0, lambda: 1.0 / f.lipschitz, ["fb", "fista"]),
         metadata={"lambda": lam, "f": f, "g": g},
     )
 
@@ -376,24 +342,15 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
 # config/fixture entry point used by the command-line front end
 # ---------------------------------------------------------------------------
 
-def _operator_from_config(spec, n: int | None = None) -> LinearOperator:
-    if spec in (None, "identity"):
-        if n is None:
-            raise ValueError("identity operator needs a known dimension")
-        return IdentityOperator(n)
-    kind = spec["kind"]
-    if kind == "identity":
-        return IdentityOperator(int(spec.get("dim", n)))
-    if kind == "dense_matrix":
-        return DenseOperator(np.asarray(spec["matrix"], dtype=float))
-    if kind == "mask":
-        return MaskOperator(np.asarray(spec["pattern"], dtype=bool))
-    if kind == "circular_conv":
-        from .linops import CircularConv
-        shape = tuple(spec["shape"]) if "shape" in spec else None
-        return CircularConv(np.asarray(spec["kernel"], dtype=float),
-                            dim=spec.get("dim", n), shape=shape)
-    raise ValueError(f"unsupported operator kind {kind!r} in problem config")
+def _operator_from_config(spec, n: int) -> LinearOperator:
+    # operator specs go through the linops registry; "dim" defaults to the
+    # problem dimension, and kinds built from operator objects have no JSON form
+    spec = {"kind": "identity"} if spec in (None, "identity") else spec
+    params = {"dim": n, **spec}
+    kind = params.pop("kind")
+    if kind in ("stack", "composition"):
+        raise ValueError(f"unsupported operator kind {kind!r} in problem config")
+    return construct_operator(kind, params)
 
 
 def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
@@ -416,14 +373,11 @@ def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
     if kind == "lasso":
         if bundle is not None:
             y = np.asarray(bundle["y"], dtype=float)
-            if "A" in bundle:
-                A = DenseOperator(np.asarray(bundle["A"], dtype=float))
-            else:
-                A = IdentityOperator(y.size)
+            A = {"kind": "dense_matrix", "matrix": bundle["A"]} if "A" in bundle else None
         else:
             y = np.asarray(spec["y"], dtype=float)
-            A = _operator_from_config(spec.get("A"), y.size)
-        inst = build_lasso(A, y, lam)
+            A = spec.get("A")
+        inst = build_lasso(_operator_from_config(A, y.size), y, lam)
         if bundle is not None and "expected" in bundle:
             inst.ground_truth = inst.ground_truth or {}
             inst.ground_truth.update(bundle["expected"])
@@ -446,12 +400,9 @@ def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
         return inst
 
     if kind == "tv_inverse":
-        if bundle is not None:
-            rows, cols = int(bundle["rows"]), int(bundle["cols"])
-            y_clean = np.asarray(bundle["y"], dtype=float)
-        else:
-            rows, cols = int(spec["rows"]), int(spec["cols"])
-            y_clean = np.asarray(spec["y"], dtype=float)
+        source = spec if bundle is None else bundle
+        rows, cols = int(source["rows"]), int(source["cols"])
+        y_clean = np.asarray(source["y"], dtype=float)
         A = _operator_from_config(spec.get("A"), rows * cols)
         y_obs = A.apply(y_clean) if y_clean.size == A.in_dim else y_clean
         return build_tv_inverse(A, y_obs, lam, rows, cols)

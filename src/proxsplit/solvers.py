@@ -8,6 +8,7 @@ diverged}.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import numpy as np
 
 from .funcs import ProxFn, Quadratic, SaddleProblem, SmoothFn
@@ -249,21 +250,9 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
 
 def projected_gradient(f: SmoothFn, projection: ProxFn, x0,
                        cfg: SolverConfig | None = None) -> SolverTrace:
-    """Gradient step followed by projection; gamma < 2/L."""
-    cfg = cfg or SolverConfig()
-    x = as_vector(x0)
-    gamma = _default_gamma(cfg, f.lipschitz)
-    if f.lipschitz > 0 and gamma >= 2.0 / f.lipschitz:
-        raise ConfigError(f"stepsize {gamma} violates gamma < 2/L")
-    objective = lambda z: f.value(z) + projection.value(z)
-    rec = _Recorder(x, objective(x), cfg)
-    for n in range(1, cfg.max_iter + 1):
-        x_new = projection.prox(x - gamma * f.grad(x), gamma)
-        stop = rec.record(n, x_new, x, objective(x_new))
-        x = x_new
-        if stop:
-            break
-    return rec.finish(x)
+    """Gradient step then projection: forward-backward without inertia; gamma < 2/L."""
+    cfg = dataclasses.replace(cfg or SolverConfig(), inertia="none")
+    return forward_backward(f, projection, x0, cfg)
 
 
 def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrace:
@@ -290,24 +279,36 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
     return rec.finish(x)
 
 
-def _fista_coef_t(t):
-    return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+def _fista_t_coefs():
+    t = 1.0
+    while True:
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        yield (t - 1.0) / t_next
+        t = t_next
 
 
 def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
-                        gamma: float, monitor: bool,
+                        gamma: float, coefs=None, monitor: bool = False,
                         objective=None) -> SolverTrace:
-    # shared inner loop of the plain and monitored proximal-gradient methods;
-    # the decrease monitors always watch f+g, whatever is reported
+    # x+ = prox_{gamma g}(y - gamma grad f(y)) with y = x + coef (x - x_prev),
+    # coef drawn from ``coefs``; without coefs y = x and f + g is tracked for
+    # the decrease monitor, whatever ``objective`` reports
     x = as_vector(x0)
+    x_prev = x
     inner = lambda z: f.value(z) + g.value(z)
     report = objective if objective is not None else inner
     rec = _Recorder(x, report(x), cfg)
-    j_prev = inner(x)
+    j_prev = inner(x) if coefs is None else None
+    extras = None
     for n in range(1, cfg.max_iter + 1):
-        x_new = g.prox(x - gamma * f.grad(x), gamma)
-        j_new = inner(x_new)
-        extras = None
+        if coefs is None:
+            y = x
+        else:
+            coef = next(coefs)
+            y = x + coef * (x - x_prev)
+            extras = {"inertia_coef": coef}
+        x_new = g.prox(y - gamma * f.grad(y), gamma)
+        j_new = inner(x_new) if coefs is None else None
         if monitor:
             sq = float(np.sum((x_new - x) ** 2))
             a = 1.0 / (2.0 * gamma) - f.lipschitz / 2.0
@@ -320,10 +321,9 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
                 "h1_margin": margin,
                 "h2_witness_norm": np.sqrt(sq) / gamma,
             }
-        stop = rec.record(n, x_new, x,
-                          j_new if objective is None else report(x_new), extras)
-        x = x_new
-        j_prev = j_new
+        value = j_new if j_new is not None and objective is None else report(x_new)
+        stop = rec.record(n, x_new, x, value, extras)
+        x_prev, x, j_prev = x, x_new, j_new
         if stop:
             break
     return rec.finish(x)
@@ -347,46 +347,23 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     if cfg.inertia == "none":
         if L > 0 and gamma >= 2.0 / L:
             raise ConfigError(f"stepsize {gamma} violates gamma < 2/L")
-        return _prox_gradient_loop(f, g, x0, cfg, gamma, monitor=False,
-                                   objective=objective)
+        return _prox_gradient_loop(f, g, x0, cfg, gamma, objective=objective)
 
     if L > 0 and gamma > 1.0 / L * (1 + 1e-12):
         raise ConfigError(f"inertial modes require gamma <= 1/L, got {gamma}")
-
-    if cfg.inertia == "vfista":
-        # moduli add across the sum f + g
+    if cfg.inertia == "fista_t":
+        coefs = _fista_t_coefs()
+    elif cfg.inertia == "fista_beta":
+        coefs = ((n - 1.0) / (n - 1.0 + cfg.beta) for n in itertools.count(1))
+    else:
+        # vfista; moduli add across the sum f + g
         alpha = f.strong_convexity + getattr(g, "strong_convexity", 0.0)
         if alpha <= 0:
             raise ConfigError("vfista needs a known strong-convexity modulus")
         if abs(gamma - 1.0 / L) > 1e-12 / L:
             raise ConfigError("vfista runs at gamma = 1/L")
-        coef_const = (np.sqrt(L) - np.sqrt(alpha)) / (np.sqrt(L) + np.sqrt(alpha))
-
-    x = as_vector(x0)
-    x_prev = x.copy()
-    if objective is None:
-        objective = lambda z: f.value(z) + g.value(z)
-    rec = _Recorder(x, objective(x), cfg)
-    t = 1.0
-    for n in range(1, cfg.max_iter + 1):
-        if cfg.inertia == "fista_t":
-            t_next = _fista_coef_t(t)
-            coef = (t - 1.0) / t_next
-        elif cfg.inertia == "fista_beta":
-            coef = (n - 1.0) / (n - 1.0 + cfg.beta)
-        else:
-            coef = coef_const
-        y = x + coef * (x - x_prev)
-        x_new = g.prox(y - gamma * f.grad(y), gamma)
-        stop = rec.record(n, x_new, x, objective(x_new),
-                          {"inertia_coef": coef})
-        x_prev = x
-        x = x_new
-        if cfg.inertia == "fista_t":
-            t = t_next
-        if stop:
-            break
-    return rec.finish(x)
+        coefs = itertools.repeat((np.sqrt(L) - np.sqrt(alpha)) / (np.sqrt(L) + np.sqrt(alpha)))
+    return _prox_gradient_loop(f, g, x0, cfg, gamma, coefs, objective=objective)
 
 
 def nonconvex_forward_backward(f: SmoothFn, g: ProxFn, x0,
@@ -640,25 +617,15 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
     return sigma, tau
 
 
-def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
-                   ergodic_at=(), gap_boxes=None) -> SolverTrace:
-    """Primal-dual iteration with over-relaxed primal extrapolation.
-
-        y_{n+1} = prox_{sigma f*}(y_n + sigma K xbar_n)
-        x_{n+1} = prox_{tau g}(x_n - tau K* y_{n+1})
-        xbar_{n+1} = 2 x_{n+1} - x_n
-
-    Requires tau*sigma*||K||^2 < 1.  Running ergodic averages are snapshotted
-    at the iteration counts in ``ergodic_at`` (and at the final iteration);
-    the thinned trace stores both primal and dual iterates.  When
-    ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual gap of
-    the running ergodic pair is recorded each iteration.
-    """
+def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
+                      extrapolate: bool, ergodic_at=(), gap_boxes=None) -> SolverTrace:
+    # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
+    # members of the primal-dual family
     cfg = cfg or SolverConfig()
     sigma, tau = _validate_pd_steps(cfg, prob.K)
     x = as_vector(x0, prob.K.in_dim)
     y = as_vector(y0, prob.K.out_dim)
-    xbar = x.copy()
+    xbar = x
     obj = prob.primal_objective if prob._primal_objective is not None else lambda z: None
     obj0 = obj(x)
     rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg)
@@ -671,7 +638,7 @@ def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
     for n in range(1, cfg.max_iter + 1):
         y_new = prob.f_conj.prox(y + sigma * prob.K.apply(xbar), sigma)
         x_new = prob.g.prox(x - tau * prob.K.adjoint(y_new), tau)
-        xbar = 2.0 * x_new - x
+        xbar = 2.0 * x_new - x if extrapolate else x_new
         sum_x += x_new
         sum_y += y_new
         if n in ergodic_at:
@@ -698,25 +665,27 @@ def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
     })
 
 
+def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
+                   ergodic_at=(), gap_boxes=None) -> SolverTrace:
+    """Primal-dual iteration with over-relaxed primal extrapolation.
+
+        y_{n+1} = prox_{sigma f*}(y_n + sigma K xbar_n)
+        x_{n+1} = prox_{tau g}(x_n - tau K* y_{n+1})
+        xbar_{n+1} = 2 x_{n+1} - x_n
+
+    Requires tau*sigma*||K||^2 < 1.  Running ergodic averages are snapshotted
+    at the iteration counts in ``ergodic_at`` (and at the final iteration);
+    the thinned trace stores both primal and dual iterates.  When
+    ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual gap of
+    the running ergodic pair is recorded each iteration.
+    """
+    return _primal_dual_loop(prob, x0, y0, cfg, True, ergodic_at, gap_boxes)
+
+
 def arrow_hurwicz(prob: SaddleProblem, x0, y0,
                   cfg: SolverConfig | None = None) -> SolverTrace:
     """Plain primal-dual alternation without extrapolation (xbar = x)."""
-    cfg = cfg or SolverConfig()
-    sigma, tau = _validate_pd_steps(cfg, prob.K)
-    x = as_vector(x0, prob.K.in_dim)
-    y = as_vector(y0, prob.K.out_dim)
-    obj = prob.primal_objective if prob._primal_objective is not None else lambda z: None
-    obj0 = obj(x)
-    rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg)
-    for n in range(1, cfg.max_iter + 1):
-        y_new = prob.f_conj.prox(y + sigma * prob.K.apply(x), sigma)
-        x_new = prob.g.prox(x - tau * prob.K.adjoint(y_new), tau)
-        stop = rec.record(n, x_new, x, obj(x_new),
-                          {"dual_residual": float(np.linalg.norm(y_new - y))})
-        x, y = x_new, y_new
-        if stop:
-            break
-    return rec.finish(x, meta={"y": y, "sigma": sigma, "tau": tau})
+    return _primal_dual_loop(prob, x0, y0, cfg, False)
 
 
 def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,

@@ -167,12 +167,24 @@ def haar4_operator():
 # named checks
 # ---------------------------------------------------------------------------
 
+def _rate_fit(series, model: str, theorem: float) -> dict:
+    # informational detail, outside pass/fail: the fitted rate next to the
+    # theorem's (a C/n constant, or the ratio r of C r^n)
+    value, r2 = fit_rate(series, model)
+    name = "ratio" if model == "geometric" else "constant"
+    return {f"fitted_{model}_{name}": value, "fit_r2": r2,
+            f"theorem_{name}": float(theorem)}
+
+
 def _check_gd_sublinear(seed: int) -> CheckReport:
     f, x0, x_star, f_star = singular_quadratic_fixture()
     cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=10_000, thin_every=1)
     trace = gradient_descent(f, x0, cfg)
-    return check_lyapunov_gd(trace, f.lipschitz, x_star, f_star,
-                             instance="singular_quadratic")
+    rep = check_lyapunov_gd(trace, f.lipschitz, x_star, f_star,
+                            instance="singular_quadratic")
+    rep.details.append(_rate_fit(np.maximum(trace.objective - f_star, 0.0), "inv_n",
+                                 0.5 * f.lipschitz * float(np.sum((x0 - x_star) ** 2))))
+    return rep
 
 
 def _check_gd_linear(seed: int) -> CheckReport:
@@ -180,8 +192,10 @@ def _check_gd_linear(seed: int) -> CheckReport:
     cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=500)
     trace = gradient_descent(f, np.array([1.0, 1.0]), cfg)
     ratio = 1.0 - f.strong_convexity / f.lipschitz
-    return check_linear_rate(trace.objective_path(), 0.0, ratio,
-                             instance="anisotropic_quadratic")
+    rep = check_linear_rate(trace.objective_path(), 0.0, ratio,
+                            instance="anisotropic_quadratic")
+    rep.details.append(_rate_fit(trace.objective, "geometric", ratio))
+    return rep
 
 
 def _check_contraction_gradient(seed: int) -> CheckReport:
@@ -222,8 +236,11 @@ def _check_vfista_rate(seed: int) -> CheckReport:
     trace, _ = inst.run("vfista", SolverConfig(max_iter=400))
     j_star = inst.ground_truth["objective"]
     ratio = 1.0 - np.sqrt(f.strong_convexity / f.lipschitz)
-    return check_linear_rate(trace.objective_path(), j_star, ratio,
-                             instance="lasso_diag_vfista")
+    rep = check_linear_rate(trace.objective_path(), j_star, ratio,
+                            instance="lasso_diag_vfista")
+    rep.details.append(_rate_fit(np.maximum(trace.objective - j_star, 0.0), "geometric",
+                                 ratio))
+    return rep
 
 
 def _property_checks(seed: int) -> list[CheckReport]:
@@ -303,36 +320,27 @@ def _check_gap_tv(seed: int) -> CheckReport:
 
 
 def _check_admm_consensus(seed: int) -> list[CheckReport]:
-    reports = []
-    # scalar: |x| + (x-3)^2/2 has its minimum 2.5 at x = 2
-    cfg = SolverConfig(gamma=1.0, max_iter=5000)
-    trace = admm(L1Norm(1.0), Quadratic(IdentityOperator(1), np.array([3.0])),
-                 IdentityOperator(1), ScaleOperator(-1.0, 1), np.zeros(1), cfg=cfg)
-    res = trace.extras["primal_residual"]
-    hit = np.where(res <= 1e-6)[0]
-    obj_err = abs(trace.objective[-1] - 2.5)
-    ok = hit.size > 0 and obj_err <= 1e-6
-    reports.append(CheckReport(
-        "admm_consensus", "scalar_lasso", bool(ok),
-        1e-6 - float(res[-1]), 0 if ok else 1,
-        [{"first_hit": int(hit[0]) + 1 if hit.size else None,
-          "objective_error": float(obj_err)}]))
-    # vector consensus against the componentwise closed form
-    y = np.array([3.0, -0.5, 2.0])
+    # ||x||_1 + ||x - y||^2/2 split as x - z = 0, against the componentwise
+    # closed form; the scalar case has its minimum 2.5 at x = 2
     from .funcs import soft_threshold
-    x_star = soft_threshold(y, 1.0)
-    j_star = float(np.sum(np.abs(x_star)) + 0.5 * np.sum((x_star - y) ** 2))
-    trace = admm(L1Norm(1.0), Quadratic(IdentityOperator(3), y),
-                 IdentityOperator(3), ScaleOperator(-1.0, 3), np.zeros(3), cfg=cfg)
-    res = trace.extras["primal_residual"]
-    hit = np.where(res <= 1e-6)[0]
-    obj_err = abs(trace.objective[-1] - j_star)
-    ok = hit.size > 0 and obj_err <= 1e-6
-    reports.append(CheckReport(
-        "admm_consensus", "vector_lasso", bool(ok),
-        1e-6 - float(res[-1]), 0 if ok else 1,
-        [{"first_hit": int(hit[0]) + 1 if hit.size else None,
-          "objective_error": float(obj_err)}]))
+    cfg = SolverConfig(gamma=1.0, max_iter=5000)
+    reports = []
+    for instance, y in (("scalar_lasso", np.array([3.0])),
+                        ("vector_lasso", np.array([3.0, -0.5, 2.0]))):
+        d = y.size
+        x_star = soft_threshold(y, 1.0)
+        j_star = float(np.sum(np.abs(x_star)) + 0.5 * np.sum((x_star - y) ** 2))
+        trace = admm(L1Norm(1.0), Quadratic(IdentityOperator(d), y),
+                     IdentityOperator(d), ScaleOperator(-1.0, d), np.zeros(d), cfg=cfg)
+        res = trace.extras["primal_residual"]
+        hit = np.where(res <= 1e-6)[0]
+        obj_err = abs(trace.objective[-1] - j_star)
+        ok = hit.size > 0 and obj_err <= 1e-6
+        reports.append(CheckReport(
+            "admm_consensus", instance, bool(ok),
+            1e-6 - float(res[-1]), 0 if ok else 1,
+            [{"first_hit": int(hit[0]) + 1 if hit.size else None,
+              "objective_error": float(obj_err)}]))
     return reports
 
 
@@ -366,29 +374,24 @@ def _check_recipes_tv_inverse(seed: int) -> CheckReport:
                                       "cp2": SolverConfig(max_iter=8000)})
 
 
-def _check_nonconvex_double_well(seed: int) -> list[CheckReport]:
-    f = double_well()
-    gamma = 0.1
+def _nonconvex_reports(f, g, x0, gamma: float, instance: str) -> list[CheckReport]:
     cfg = SolverConfig(gamma=gamma, max_iter=10_000)
-    trace = nonconvex_forward_backward(f, ZeroFn(), np.array([0.5]), cfg)
+    trace = nonconvex_forward_backward(f, g, x0, cfg)
     return [
-        kl_monitor(trace, gamma, f.lipschitz, instance="double_well"),
-        sqrt_decay_certificate(trace, gamma, f.lipschitz,
-                               instance="double_well"),
+        kl_monitor(trace, gamma, f.lipschitz, instance=instance),
+        sqrt_decay_certificate(trace, gamma, f.lipschitz, instance=instance),
     ]
+
+
+def _check_nonconvex_double_well(seed: int) -> list[CheckReport]:
+    return _nonconvex_reports(double_well(), ZeroFn(), np.array([0.5]), 0.1,
+                              "double_well")
 
 
 def _check_nonconvex_hard_threshold(seed: int) -> list[CheckReport]:
-    f = Quadratic(IdentityOperator(1), np.array([3.0]))
-    g = HardThreshold(1.0)
-    gamma = 0.5
-    cfg = SolverConfig(gamma=gamma, max_iter=10_000)
-    trace = nonconvex_forward_backward(f, g, np.zeros(1), cfg)
-    return [
-        kl_monitor(trace, gamma, f.lipschitz, instance="hard_threshold_lasso"),
-        sqrt_decay_certificate(trace, gamma, f.lipschitz,
-                               instance="hard_threshold_lasso"),
-    ]
+    return _nonconvex_reports(Quadratic(IdentityOperator(1), np.array([3.0])),
+                              HardThreshold(1.0), np.zeros(1), 0.5,
+                              "hard_threshold_lasso")
 
 
 def _check_km_rotation(seed: int) -> CheckReport:

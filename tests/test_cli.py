@@ -64,6 +64,19 @@ class TestSolve:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("operator", [
+        {"kind": "stack", "ops": [{"kind": "identity"}]},
+        {"kind": "composition", "outer": {"kind": "identity"},
+         "inner": {"kind": "identity"}},
+        {"kind": "no_such_kind"},
+    ])
+    def test_unsupported_operator_spec_is_config_error(self, tmp_path, operator):
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "y": [1.0, 2.0], "A": operator},
+            "recipe": "fb",
+        })
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
+
     def test_unknown_solver_field_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "lasso", "y": [1.0], "lambda": 0.1},
@@ -213,6 +226,45 @@ class TestDivergenceExitCode:
         assert main(["solve", cfg, "--out", str(out)]) == 2
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "diverged"
+
+
+class TestNumericalFailureExitCode:
+    def test_cg_failure_exits_two_without_traceback(self, tmp_path, monkeypatch,
+                                                    capsys):
+        import proxsplit.funcs as funcs
+        from proxsplit.linops import CGError
+
+        def stalled(*args, **kwargs):
+            raise CGError(1.0, 7)
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", stalled)
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "y": [1.0, -0.5, 2.0], "lambda": 0.1,
+                        "A": {"kind": "dense_matrix",
+                              "matrix": [[1.0, 0.5], [0.0, 1.0], [0.3, 0.2]]}},
+            "recipe": "dr",
+        })
+        assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: conjugate gradient stalled")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestResolvedConfig:
+    def test_solve_records_recipe_defaults(self, tmp_path, lasso_fixture_dir):
+        from proxsplit.problems import build_from_config
+
+        problem = {"kind": "lasso", "fixture": str(lasso_fixture_dir)}
+        cfg = write_config(tmp_path / "solve.json",
+                           {"problem": problem, "recipe": "fb"})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        solver = json.loads((out / "resolved_config.json").read_text())["solver"]
+        lipschitz = build_from_config(problem).metadata["lipschitz"]
+        assert solver["max_iter"] == 2000
+        assert solver["gamma"] == 1.0 / lipschitz
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations"] == 2000
 
 
 class TestPgmInput:
