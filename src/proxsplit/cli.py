@@ -20,7 +20,7 @@ import numpy as np
 from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
 from .problems import build_from_config, build_lasso, build_tv_denoise
-from .solvers import DIVERGED, SolverConfig
+from .solvers import DIVERGED, DecreaseViolation, SolverConfig
 from .suite import CHECKS, CONTROLS, run_checks
 
 EXIT_OK = 0
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except (ConfigFileError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CGError as exc:
+    except (CGError, DecreaseViolation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

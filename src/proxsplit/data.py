@@ -11,7 +11,7 @@ import os
 import pathlib
 import numpy as np
 
-from .linops import ImageGrid, NEUMANN
+from .linops import NEUMANN, ImageGrid, read_csv_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -177,19 +177,8 @@ def write_csv_grid(path, grid: ImageGrid) -> None:
 
 
 def read_csv_grid(path, boundary: str = NEUMANN) -> ImageGrid:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise FixtureError(f"empty grid file: {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FixtureError(f"non-rectangular CSV grid: {path}")
-    return ImageGrid(len(rows), width, np.array(rows, dtype=float).ravel(), boundary)
+    rows = read_csv_rows(path, FixtureError)
+    return ImageGrid(rows.shape[0], rows.shape[1], rows.ravel(), boundary)
 
 
 def image_io(path, direction: str, grid: ImageGrid | None = None,
@@ -274,12 +263,7 @@ def load_fixture(bundle_dir) -> dict:
         if not (bundle / fname).exists():
             raise FixtureError(f"bundle {bundle} is missing payload {fname}")
         if key == "A":
-            rows = []
-            with open(bundle / fname, "r", encoding="ascii") as fh:
-                for line in fh:
-                    if line.strip():
-                        rows.append([float(t) for t in line.strip().split(",")])
-            data["A"] = np.array(rows)
+            data["A"] = read_csv_rows(bundle / fname, FixtureError)
         elif key == "pattern":
             data["pattern"] = _read_csv_vector(bundle / fname).astype(bool)
         else:

@@ -13,10 +13,10 @@ import numpy as np
 from .linops import (
     IdentityOperator,
     LinearOperator,
-    MaskOperator,
     ScaleOperator,
     as_vector,
     conjugate_gradient,
+    gram_diagonal,
 )
 
 FEAS_TOL = 1e-8
@@ -26,6 +26,42 @@ def soft_threshold(x, t):
     """Componentwise shrinkage toward zero by ``t`` (scalar or array)."""
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
+    """Solve (ridge*Id + sum_i w_i K_i* K_i) p = rhs for ``terms`` = [(w_i, K_i)]
+    with nonnegative ridge and weights.
+
+    Exact division when every K_i* K_i is diagonal and the system is
+    definite; conjugate gradient (absolute residual 1e-10) otherwise.
+    """
+    denom = ridge
+    for w, K in terms:
+        d = gram_diagonal(K)
+        if d is None:
+            break
+        denom = denom + w * d
+    else:
+        if ridge > 0 or np.all(denom > 0):
+            return rhs / denom
+
+    def gram(p):
+        # unit weights (graph projections, unit-scale quadratics) skip a pass
+        out = p if ridge == 1.0 else ridge * p if ridge else None
+        for w, K in terms:
+            t = K.adjoint(K.apply(p))
+            if w != 1.0:
+                t = w * t
+            out = t if out is None else out + t
+        return out
+
+    return conjugate_gradient(gram, rhs)
+
+
+def _linear_box_argmin(c, lo, hi):
+    # argmin of <c, z> over [lo, hi]: the bound c points away from, and the
+    # box point nearest 0 where c vanishes
+    return np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi)))
 
 
 class SmoothFn:
@@ -86,7 +122,7 @@ class ZeroFn(SmoothFn, ProxFn):
 
     def linearized_box_min(self, c, lo, hi):
         c = np.asarray(c, dtype=float)
-        z = np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi)))
+        z = _linear_box_argmin(c, lo, hi)
         return z, float(c @ z)
 
 
@@ -110,9 +146,9 @@ class CallableSmooth(SmoothFn):
 class Quadratic(SmoothFn, ProxFn):
     """f(x) = (scale/2) ||A x - b||^2, smooth and prox-capable.
 
-    The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b; the
-    system is diagonal for identity/scale/mask operators and otherwise goes
-    through conjugate gradient at absolute residual 1e-10.
+    The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b through
+    :func:`solve_gram`: exact for identity/scale/mask operators, conjugate
+    gradient otherwise.
     """
 
     def __init__(self, A: LinearOperator, b, scale: float = 1.0,
@@ -122,7 +158,7 @@ class Quadratic(SmoothFn, ProxFn):
         self.A = A
         self.b = as_vector(b, A.out_dim)
         self.scale = float(scale)
-        self._diag = self._diagonal_of_gram(A)
+        self._diag = gram_diagonal(A)
         if strong_convexity is not None:
             self.strong_convexity = float(strong_convexity)
         elif self._diag is not None:
@@ -131,19 +167,8 @@ class Quadratic(SmoothFn, ProxFn):
             self.strong_convexity = 0.0
         self._lip = None
         if self._diag is not None and np.min(self._diag) > 0:
-            self.minimizer = self._solve_normal(self.A.adjoint(self.b) * self.scale,
-                                                self.scale, 0.0)
-
-    @staticmethod
-    def _diagonal_of_gram(A):
-        # diagonal of A*A for the operator kinds where it is exact
-        if isinstance(A, IdentityOperator):
-            return np.ones(A.in_dim)
-        if isinstance(A, ScaleOperator):
-            return np.full(A.in_dim, A.factor ** 2)
-        if isinstance(A, MaskOperator):
-            return A.pattern.astype(float)
-        return None
+            self.minimizer = solve_gram(self.A.adjoint(self.b) * self.scale,
+                                        [(self.scale, A)], 0.0)
 
     @property
     def lipschitz(self):
@@ -158,18 +183,10 @@ class Quadratic(SmoothFn, ProxFn):
     def grad(self, x):
         return self.scale * self.A.adjoint(self.A.apply(x) - self.b)
 
-    def _solve_normal(self, rhs, weight, ridge):
-        # solve (ridge*Id + weight*A*A) p = rhs
-        if self._diag is not None:
-            return rhs / (ridge + weight * self._diag)
-        return conjugate_gradient(
-            lambda p: ridge * p + weight * self.A.adjoint(self.A.apply(p)), rhs
-        )
-
     def prox(self, x, gamma):
         x = as_vector(x, self.A.in_dim)
         w = gamma * self.scale
-        return self._solve_normal(x + w * self.A.adjoint(self.b), w, 1.0)
+        return solve_gram(x + w * self.A.adjoint(self.b), [(w, self.A)], 1.0)
 
     def conjugate(self):
         # closed form only for the isotropic case f = (scale/2)||x||^2
@@ -189,7 +206,7 @@ class Quadratic(SmoothFn, ProxFn):
             z_free = np.where(d > 0, (atb - c) / np.where(d > 0, d, 1.0), 0.0)
         z = np.clip(z_free, lo, hi)
         # where the quadratic part vanishes the objective is linear
-        z = np.where(d > 0, z, np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi))))
+        z = np.where(d > 0, z, _linear_box_argmin(c, lo, hi))
         return z, float(c @ z) + self.value(z)
 
 
@@ -274,7 +291,7 @@ class BoxIndicator(ProxFn):
         hi_eff = np.minimum(np.broadcast_to(np.asarray(hi, dtype=float), c.shape), self.hi)
         if np.any(lo_eff > hi_eff):
             raise ValueError("empty intersection of boxes")
-        z = np.where(c > 0, lo_eff, np.where(c < 0, hi_eff, np.clip(0.0, lo_eff, hi_eff)))
+        z = _linear_box_argmin(c, lo_eff, hi_eff)
         return z, float(c @ z)
 
 
@@ -304,15 +321,17 @@ class LinfBallIndicator(ProxFn):
         hi_eff = np.minimum(np.broadcast_to(np.asarray(hi, dtype=float), c.shape), self.radius)
         if np.any(lo_eff > hi_eff):
             raise ValueError("box does not intersect the ball")
-        z = np.where(c > 0, lo_eff, np.where(c < 0, hi_eff, np.clip(0.0, lo_eff, hi_eff)))
+        z = _linear_box_argmin(c, lo_eff, hi_eff)
         return z, float(c @ z)
 
 
 class AffineGraphIndicator(ProxFn):
     """Indicator of {(x1, x2): x2 = K x1}; prox is the graph projection.
 
-    The projection solves (Id + K*K) p1 = x1 + K* x2 by conjugate gradient
-    and sets p2 = K p1.
+    The projection solves (Id + K*K) p1 = x1 + K* x2 through
+    :func:`solve_gram` (exact for identity/scale/mask K, conjugate gradient
+    otherwise) and sets p2 = K p1.  With K a stack [L_1; ...; L_m] this is
+    the projection onto {(p, L_1 p, ..., L_m p)}.
     """
 
     def __init__(self, K: LinearOperator):
@@ -330,8 +349,7 @@ class AffineGraphIndicator(ProxFn):
 
     def prox(self, x, gamma):
         x1, x2 = self._split(x)
-        rhs = x1 + self.K.adjoint(x2)
-        p1 = conjugate_gradient(lambda p: p + self.K.adjoint(self.K.apply(p)), rhs)
+        p1 = solve_gram(x1 + self.K.adjoint(x2), [(1.0, self.K)], 1.0)
         return np.concatenate([p1, self.K.apply(p1)])
 
 

@@ -422,6 +422,19 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
     return ComposedOperator(outer, inner)
 
 
+def gram_diagonal(K: LinearOperator) -> np.ndarray | float | None:
+    """Diagonal of K*K for the operator kinds whose Gram matrix is diagonal:
+    a scalar for identity and scale (a multiple of Id), the pattern for a
+    mask; None for every other kind."""
+    if isinstance(K, IdentityOperator):
+        return 1.0
+    if isinstance(K, ScaleOperator):
+        return K.factor ** 2
+    if isinstance(K, MaskOperator):
+        return K.pattern.astype(float)
+    return None
+
+
 _KINDS = {
     "identity": lambda p: IdentityOperator(p["dim"]),
     "scale": lambda p: ScaleOperator(p["factor"], p["dim"]),
@@ -473,18 +486,22 @@ def adjoint_consistency_check(op: LinearOperator, trials: int = 100,
     return AdjointReport(op.kind, trials, worst, bool(worst <= ADJOINT_TOL))
 
 
+def read_csv_rows(path, error=ValueError) -> np.ndarray:
+    """Read a comma-separated file, one row per line, as a 2-d float array.
+
+    Blank lines are skipped; an empty file, rows of different widths or a
+    token that is not a number raise ``error`` naming the file.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise error(f"empty CSV file: {path}")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise error(f"malformed CSV file {path}: {exc}") from None
+
+
 def dense_from_csv(path) -> DenseOperator:
     """Load a dense matrix from a comma-separated file, one row per line."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"empty matrix file: {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in matrix file: {path}")
-    return DenseOperator(np.array(rows, dtype=float))
+    return DenseOperator(read_csv_rows(path))

@@ -37,6 +37,7 @@ from .linops import (
     StackOperator,
     as_vector,
     construct_operator,
+    gram_diagonal,
 )
 from .solvers import (
     SolverConfig,
@@ -69,9 +70,8 @@ class ProblemInstance:
 def _merge_cfg(cfg: SolverConfig | None, **defaults) -> SolverConfig:
     if cfg is None:
         return SolverConfig(**defaults)
-    updates = {k: v for k, v in defaults.items()
-               if getattr(cfg, k) == getattr(SolverConfig(), k)}
-    return dataclasses.replace(cfg, **updates)
+    unset = cfg.unset_fields()
+    return dataclasses.replace(cfg, **{k: v for k, v in defaults.items() if k in unset})
 
 
 def _recipe(solve, extract=None, **defaults):
@@ -122,9 +122,10 @@ def build_lasso(A: LinearOperator, y, lam: float,
                             gamma=1.0, max_iter=2000)
 
     ground_truth = None
-    if f._diag is not None and np.all(f._diag > 0):
+    diag = gram_diagonal(A)
+    if diag is not None and np.all(diag > 0):
         # separable closed form: soft threshold of the normal-equation data
-        x_star = soft_threshold(A.adjoint(y), lam) / f._diag
+        x_star = soft_threshold(A.adjoint(y), lam) / diag
         ground_truth = {"x": x_star, "objective": objective(x_star)}
 
     return ProblemInstance(
@@ -160,10 +161,12 @@ def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int
 def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     """min 0.5 ||x - y||^2 + lam ||grad x||_1, in four reformulations.
 
-    Recipes: splitting on the extended variable (x, z) with z = grad x
-    (``dr_split`` and its parallel variant ``ppxa``), the saddle-point form
-    (``cp``), the dual projection form recovered by x = y + grad* p
-    (``dual_fb``), and the explicit-gradient primal-dual form (``condat``).
+    Recipes: Douglas-Rachford on the extended variable (x, z) with
+    z = grad x (``dr_split``, and ``ppxa``, which builds the same split
+    from its two terms and drops the ``split_gap`` column), the
+    saddle-point form (``cp``), the dual projection form recovered by
+    x = y + grad* p (``dual_fb``), and the explicit-gradient primal-dual
+    form (``condat``).
     """
     if lam < 0:
         raise ValueError("the TV weight must be nonnegative")

@@ -11,7 +11,8 @@ import dataclasses
 import itertools
 import numpy as np
 
-from .funcs import ProxFn, Quadratic, SaddleProblem, SmoothFn
+from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
+                    SaddleProblem, SeparableProx, SmoothFn, solve_gram)
 from .linops import IdentityOperator, LinearOperator, ScaleOperator, StackOperator, as_vector
 
 TOL_REACHED = "tol_reached"
@@ -23,6 +24,11 @@ class ConfigError(ValueError):
     """Invalid solver configuration (stepsize bounds, missing constants...)."""
 
 
+class DecreaseViolation(RuntimeError):
+    """The nonconvex monitor saw a sufficient-decrease margin below -1e-8,
+    which signals a wrong Lipschitz constant or a broken oracle."""
+
+
 @dataclasses.dataclass
 class SolverConfig:
     """Shared solver knobs.
@@ -32,7 +38,8 @@ class SolverConfig:
     of the primal-dual schemes.  ``relaxation`` is the averaging parameter
     (mu for Douglas-Rachford, lambda for Krasnosel'skii-Mann): a constant, or
     ``"harmonic"`` for 1/(n+2).  ``residual_tol`` of 0 disables the
-    relative-residual stop, leaving the iteration cap in charge.
+    relative-residual stop, leaving the iteration cap in charge.  Recipe
+    defaults fill only :meth:`unset_fields`.
     """
 
     gamma: float | None = None
@@ -49,6 +56,17 @@ class SolverConfig:
     seed: int = 0
     thin_every: int = 1
     divergence_cap: float = 1e12
+
+    def __new__(cls, *args, **kwargs):
+        # remember the fields the caller passed, whatever their values
+        self = super().__new__(cls)
+        self._passed = {f.name for f in dataclasses.fields(cls)[:len(args)]}.union(kwargs)
+        return self
+
+    def unset_fields(self) -> set:
+        """Fields not passed to the constructor and still at their default."""
+        return {f.name for f in dataclasses.fields(self)
+                if f.name not in self._passed and getattr(self, f.name) == f.default}
 
     def __post_init__(self):
         if self.max_iter < 0:
@@ -314,7 +332,7 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
             a = 1.0 / (2.0 * gamma) - f.lipschitz / 2.0
             margin = j_prev - j_new - a * sq
             if margin < -1e-8:
-                raise RuntimeError(
+                raise DecreaseViolation(
                     f"sufficient-decrease violated at iteration {n}: margin {margin:.3e}"
                 )
             extras = {
@@ -374,8 +392,8 @@ def nonconvex_forward_backward(f: SmoothFn, g: ProxFn, x0,
     Stepsize bound gamma < 1/L, relaxed to gamma < 2/(L + a) when g is
     declared a-weakly convex.  The trace carries the sufficient-decrease
     margin (H1) and the subgradient witness norm ||x_{n+1}-x_n||/gamma (H2);
-    a negative H1 margin beyond -1e-8 aborts, since it signals a broken
-    oracle rather than a modelling choice.
+    a negative H1 margin beyond -1e-8 raises :class:`DecreaseViolation`,
+    since it signals a broken oracle rather than a modelling choice.
     """
     cfg = cfg or SolverConfig()
     L = f.lipschitz
@@ -445,84 +463,35 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
 def ppxa(parts, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     """Parallel proximal algorithm over M >= 2 prox-capable terms.
 
-    ``parts`` entries are either a prox function (acting on the base
-    variable) or a pair ``(fn, L)`` composing it with a linear operator.
-    Block proxes within one iteration are independent and could run in
-    parallel; the consensus projection inverts Id + sum_i L_i* L_i by
-    conjugate gradient when operators are present, and reduces to the block
-    mean otherwise.
+    ``parts`` entries are either a prox function of the base variable or a
+    pair ``(fn, L)`` composing it with a linear operator (None: identity).
+    PPXA is Douglas-Rachford on the product space (Combettes & Pesquet,
+    2008): the separable prox of the terms against the projection onto
+    {(p, L_2 p, ..., L_M p)}, a block mean without operators and a graph
+    projection otherwise.  ``trace.x`` is the base block of the shadow
+    point; the trace has no extras column.
     """
-    cfg = cfg or SolverConfig()
-    gamma = cfg.gamma if cfg.gamma is not None else 1.0
-    if gamma <= 0:
-        raise ConfigError("ppxa needs gamma > 0")
-    mu = _relaxation_sequence(cfg.relaxation, 1.0, 0.0, 2.0, "mu")
-    norm_parts = []
-    for entry in parts:
-        if isinstance(entry, tuple):
-            norm_parts.append(entry)
-        else:
-            norm_parts.append((entry, None))
+    norm_parts = [entry if isinstance(entry, tuple) else (entry, None) for entry in parts]
     if len(norm_parts) < 2:
         raise ConfigError("ppxa needs at least two terms")
     first_op = norm_parts[0][1]
     if first_op is not None and not isinstance(first_op, IdentityOperator):
         raise ConfigError("the first ppxa term must act on the base variable")
 
-    x_base = as_vector(x0)
-    d = x_base.size
-    ops = [op for _, op in norm_parts[1:]]
-    with_ops = any(op is not None for op in ops)
-    dims = [d] + [d if op is None else op.out_dim for op in ops]
-    offsets = np.cumsum([0] + dims)
-
-    def split(X):
-        return [X[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-
-    def project(X):
-        blocks = split(X)
-        if not with_ops:
-            p1 = np.mean(blocks, axis=0)
-            return np.concatenate([p1] * len(blocks)), p1
-        rhs = blocks[0].copy()
-        for op, blk in zip(ops, blocks[1:]):
-            rhs += blk if op is None else op.adjoint(blk)
-
-        def gram(p):
-            out = p.copy()
-            for op in ops:
-                out += p if op is None else op.adjoint(op.apply(p))
-            return out
-
-        from .linops import conjugate_gradient
-
-        p1 = conjugate_gradient(gram, rhs)
-        pieces = [p1] + [p1 if op is None else op.apply(p1) for op in ops]
-        return np.concatenate(pieces), p1
-
-    def objective_at(p1):
-        total = norm_parts[0][0].value(p1)
-        for fn, op in norm_parts[1:]:
-            arg = p1 if op is None else op.apply(p1)
-            total += fn.value(arg)
-        return float(total)
-
-    X = np.concatenate([x_base] + [x_base if op is None else op.apply(x_base) for op in ops])
-    _, p1 = project(X)
-    rec = _Recorder(X, objective_at(p1), cfg)
-    for n in range(1, cfg.max_iter + 1):
-        Y, p1 = project(X)
-        refl = 2.0 * Y - X
-        z_blocks = [fn.prox(blk, gamma)
-                    for (fn, _), blk in zip(norm_parts, split(refl))]
-        Z = np.concatenate(z_blocks)
-        X_new = X + mu(n - 1) * (Z - Y)
-        stop = rec.record(n, X_new, X, objective_at(p1))
-        X = X_new
-        if stop:
-            break
-    _, p1 = project(X)
-    trace = rec.finish(p1, meta={"governing": X})
+    x = as_vector(x0)
+    d = x.size
+    ops = [IdentityOperator(d) if op is None else op for _, op in norm_parts[1:]]
+    if all(op is None for _, op in norm_parts[1:]):
+        link = ConsensusIndicator(len(norm_parts), d)
+    else:
+        link = AffineGraphIndicator(ops[0] if len(ops) == 1 else StackOperator(ops))
+    X0 = np.concatenate([x] + [op.apply(x) for op in ops])
+    offsets = np.cumsum([0, d] + [op.out_dim for op in ops])
+    terms = SeparableProx([(fn, np.arange(a, b)) for (fn, _), a, b
+                           in zip(norm_parts, offsets[:-1], offsets[1:])], offsets[-1])
+    trace = douglas_rachford(terms, link, X0, cfg)
+    trace.extras.pop("split_gap", None)
+    trace.x = trace.x[:d].copy()
     return trace
 
 
@@ -538,15 +507,8 @@ def _augmented_argmin(fn, op: LinearOperator, c, gamma, subsolver):
             raise ConfigError("degenerate zero operator in the coupling constraint")
         return fn.prox(c / s, 1.0 / (gamma * s * s))
     if isinstance(fn, Quadratic):
-        from .linops import conjugate_gradient
-
-        lam = fn.scale
-
-        def system(p):
-            return lam * fn.A.adjoint(fn.A.apply(p)) + gamma * op.adjoint(op.apply(p))
-
-        rhs = lam * fn.A.adjoint(fn.b) + gamma * op.adjoint(np.asarray(c, dtype=float))
-        return conjugate_gradient(system, rhs)
+        rhs = fn.scale * fn.A.adjoint(fn.b) + gamma * op.adjoint(np.asarray(c, dtype=float))
+        return solve_gram(rhs, [(fn.scale, fn.A), (gamma, op)], 0.0)
     raise ConfigError(
         "the alternating-direction subproblem needs an identity/scale coupling, "
         "a quadratic term, or an explicit subsolver"

@@ -250,6 +250,27 @@ class TestNumericalFailureExitCode:
         assert len(err.strip().splitlines()) == 1
 
 
+    def test_decrease_violation_exits_two_without_traceback(self, tmp_path,
+                                                            monkeypatch, capsys):
+        # the double well declared with L = 0.1 instead of 6: the default
+        # step 1/(2L) overshoots and the monitor stops the run
+        import proxsplit.suite as suite
+        from proxsplit.funcs import ZeroFn
+        from proxsplit.solvers import SolverConfig, nonconvex_forward_backward
+
+        def understated(seed):
+            nonconvex_forward_backward(suite.double_well(lipschitz=0.1), ZeroFn(),
+                                       np.array([0.5]), SolverConfig(max_iter=50))
+            return []
+
+        monkeypatch.setitem(suite.CHECKS, "nonconvex:double_well", understated)
+        cfg = write_config(tmp_path / "cert.json", {"checks": ["nonconvex:double_well"]})
+        assert main(["certify", cfg, "--out", str(tmp_path / "cert")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: sufficient-decrease violated")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestResolvedConfig:
     def test_solve_records_recipe_defaults(self, tmp_path, lasso_fixture_dir):
         from proxsplit.problems import build_from_config

@@ -21,8 +21,15 @@ from proxsplit.funcs import (
     precompose_prox,
     prox_conjugate,
     soft_threshold,
+    solve_gram,
 )
-from proxsplit.linops import DenseOperator, IdentityOperator
+from proxsplit.linops import (
+    ComposedOperator,
+    DenseOperator,
+    IdentityOperator,
+    MaskOperator,
+    ScaleOperator,
+)
 
 
 def scalar_prox_oracle(value_fn, x, gamma, lo=-20.0, hi=20.0):
@@ -78,6 +85,38 @@ class TestQuadratic:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             make_quadratic(IdentityOperator(2), np.zeros(2), 0.0)
+
+
+class TestSolveGram:
+    DIM = 6
+
+    @staticmethod
+    def _diagonal_term(kind, n):
+        return {"identity": IdentityOperator(n),
+                "scale": ScaleOperator(-1.5, n),
+                "mask": MaskOperator(np.arange(n) % 2 == 0)}[kind]
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["identity", "scale", "mask"])
+    def test_diagonal_path_matches_cg_and_skips_it(self, kind, ridge, monkeypatch):
+        import proxsplit.funcs as funcs
+
+        n = self.DIM
+        rhs = np.random.default_rng(4).standard_normal(n)
+        # a second, definite scale term keeps ridge 0 solvable for the mask
+        terms = [(0.7, self._diagonal_term(kind, n)), (1.3, ScaleOperator(0.5, n))]
+        # a composition with the identity hides the diagonal: CG path
+        hidden = [(w, ComposedOperator(K, IdentityOperator(n))) for w, K in terms]
+        via_cg = solve_gram(rhs, hidden, ridge)
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("the diagonal path called conjugate gradient")
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", no_cg)
+        exact = solve_gram(rhs, terms, ridge)
+        assert np.max(np.abs(exact - via_cg)) <= 1e-10
+        with pytest.raises(AssertionError):
+            solve_gram(rhs, hidden, ridge)
 
 
 class TestSoftThreshold:

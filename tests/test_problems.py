@@ -77,6 +77,17 @@ class TestLasso:
                             rng.standard_normal(3), 0.1)
         assert "vfista" not in inst2.recipes
 
+    def test_explicit_default_max_iter_is_kept(self):
+        # 1000 is the SolverConfig default but an explicit request, not unset
+        rng = np.random.default_rng(5)
+        inst = build_lasso(DenseOperator(rng.standard_normal((4, 6))),
+                           rng.standard_normal(4), 0.1)
+        for max_iter in (999, 1000):
+            trace, _ = inst.run("fb", SolverConfig(max_iter=max_iter))
+            assert trace.n_iter == max_iter
+        trace, _ = inst.run("fb")
+        assert trace.n_iter == 2000
+
     def test_unknown_recipe_raises(self):
         inst = build_lasso(IdentityOperator(2), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(KeyError):
@@ -100,6 +111,16 @@ class TestTVDenoise:
         best = min(vals.values())
         for name, v in vals.items():
             assert (v - best) / max(abs(best), 1e-12) <= 1e-4, (name, vals)
+
+    def test_explicit_no_inertia_is_kept(self):
+        # "none" is the SolverConfig default; dual_fb defaults to fista_t
+        data = generate_synthetic("step_image", (4, 4), sigma=0.1, seed=1)
+        inst = build_tv_denoise(ImageGrid(4, 4, data["y"]), 0.1)
+        trace, _ = inst.run("dual_fb", SolverConfig(inertia="none", max_iter=20))
+        assert trace.meta["config"].inertia == "none"
+        assert "inertia_coef" not in trace.extras
+        trace, _ = inst.run("dual_fb", SolverConfig(max_iter=20))
+        assert "inertia_coef" in trace.extras
 
     def test_huge_weight_flattens_to_mean(self):
         rng = np.random.default_rng(3)
@@ -379,6 +400,13 @@ class TestFixtureBundles:
         assert np.array_equal(back["y"], data["y"])
         assert np.array_equal(back["A"], data["A"])
         assert back["expected"]["objective"] == 1.25
+
+    def test_ragged_matrix_payload_names_the_file(self, tmp_path):
+        data = generate_synthetic("sparse_vector", (3, 4), sigma=0.0, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        (out / "A.csv").write_text("1.0,2.0,3.0,4.0\n5.0,6.0\n1.0,1.0,1.0,1.0\n")
+        with pytest.raises(FixtureError, match="A.csv"):
+            load_fixture(out)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FixtureError):

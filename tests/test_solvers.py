@@ -397,6 +397,31 @@ class TestPPXA:
         vals = 0.5 * (zs - 3.0) ** 2 + np.abs(2.0 * zs)
         assert abs(trace.x[0] - zs[np.argmin(vals)]) <= 1e-4
 
+    @pytest.mark.parametrize("second_op", ["dense", "identity"])
+    def test_two_operator_terms_match_normal_equations(self, second_op):
+        # sum_i 0.5 ||L_i x - b_i||^2 with L_0 = Id: the projection runs on
+        # the stack [L_1; L_2]; the oracle is the dense normal equations
+        rng = np.random.default_rng(7)
+        d = 4
+        mats = [np.eye(d), rng.standard_normal((3, d)),
+                rng.standard_normal((5, d)) if second_op == "dense" else np.eye(d)]
+        bs = [rng.standard_normal(m.shape[0]) for m in mats]
+        parts = [make_quadratic(IdentityOperator(d), bs[0])]
+        parts.append((make_quadratic(IdentityOperator(3), bs[1]), DenseOperator(mats[1])))
+        parts.append((make_quadratic(IdentityOperator(mats[2].shape[0]), bs[2]),
+                      DenseOperator(mats[2]) if second_op == "dense" else None))
+        trace = ppxa(parts, np.zeros(d), SolverConfig(gamma=1.0, max_iter=600))
+        oracle = np.linalg.solve(sum(m.T @ m for m in mats),
+                                 sum(m.T @ b for m, b in zip(mats, bs)))
+        assert np.max(np.abs(trace.x - oracle)) <= 1e-8
+        assert list(trace.extras) == []
+
+    def test_zero_iterations_return_the_start(self):
+        q = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        trace = ppxa([q, L1Norm(1.0)], [1.0], SolverConfig(max_iter=0))
+        assert trace.n_iter == 0 and trace.extras == {}
+        assert trace.x == pytest.approx([1.0])
+
     def test_needs_two_terms(self):
         with pytest.raises(ConfigError):
             ppxa([L1Norm(1.0)], [0.0])
