@@ -1,8 +1,13 @@
 """Finite-dimensional vectors, image grids, and linear operators.
 
 Every operator carries a matching ``apply``/``adjoint`` pair and a cached
-spectral-norm estimate obtained by power iteration on ``K*K``.  Operators are
-immutable after construction and safe to share between solver runs.
+spectral norm.  Every built-in kind has that norm in closed form, exact or a
+guaranteed upper bound, so stepsize guards are never checked against an
+underestimate; seeded power iteration on ``K*K`` remains only as the fallback
+for an operator class without one.  Kinds whose Gram matrix ``K*K`` is
+diagonal in the DFT of the input grid, or bounded by such a matrix, expose its
+eigenvalues as ``gram_symbol()``.  Operators are immutable after construction
+and safe to share between solver runs.
 """
 from __future__ import annotations
 
@@ -145,12 +150,33 @@ class LinearOperator:
         return self.apply(x)
 
     def norm(self, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
-        """Spectral norm sqrt(||K*K||) by seeded power iteration (cached)."""
+        """Spectral norm sqrt(||K*K||), cached.
+
+        Returns the class's closed form, which is exact or a guaranteed upper
+        bound, with ``norm_converged`` True.  Only a class without one falls
+        back to seeded power iteration (``tol``, ``max_iter``, ``seed``); its
+        Rayleigh quotient can sit below the true norm, and
+        ``norm_converged`` records whether it converged.
+        """
         if self.cached_norm is None:
-            est, converged = _power_iteration(self, tol, max_iter, seed)
-            self.cached_norm = est
+            bound = self._norm_bound()
+            converged = True
+            if bound is None:
+                bound, converged = _power_iteration(self, tol, max_iter, seed)
+            self.cached_norm = float(bound)
             self.norm_converged = converged
         return self.cached_norm
+
+    def _norm_bound(self) -> float | None:
+        # closed-form norm, exact or an upper bound; None selects power iteration
+        symbol = self.gram_symbol()
+        return None if symbol is None else float(np.sqrt(np.max(symbol)))
+
+    def gram_symbol(self) -> np.ndarray | float | None:
+        """Eigenvalues of K*K on the DFT grid of the input, or an upper bound
+        on them in the Loewner order: an array shaped like the grid, a float
+        when K*K is bounded by a multiple of Id, None when there is neither."""
+        return None
 
     @property
     def T(self) -> "LinearOperator":
@@ -202,6 +228,9 @@ class IdentityOperator(LinearOperator):
     def _adjoint(self, y):
         return y.copy()
 
+    def gram_symbol(self):
+        return 1.0
+
 
 class ScaleOperator(LinearOperator):
     kind = "scale"
@@ -215,6 +244,12 @@ class ScaleOperator(LinearOperator):
 
     def _adjoint(self, y):
         return self.factor * y
+
+    def _norm_bound(self):
+        return abs(self.factor)
+
+    def gram_symbol(self):
+        return self.factor ** 2
 
 
 class DenseOperator(LinearOperator):
@@ -235,6 +270,12 @@ class DenseOperator(LinearOperator):
     def _adjoint(self, y):
         return self.matrix.T @ y
 
+    def _norm_bound(self):
+        # largest eigenvalue of the smaller of M M^T and M^T M
+        m = self.matrix
+        gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
 
 class MaskOperator(LinearOperator):
     """Diagonal 0/1 operator; its own adjoint and idempotent."""
@@ -253,6 +294,10 @@ class MaskOperator(LinearOperator):
 
     def _adjoint(self, y):
         return np.where(self.pattern, y, 0.0)
+
+    def gram_symbol(self):
+        # mask <= Id
+        return float(self.pattern.any())
 
 
 class Grad2D(LinearOperator):
@@ -299,6 +344,21 @@ class Grad2D(LinearOperator):
             ax = np.roll(yx, 1, axis=1) - yx
             ay = np.roll(yy, 1, axis=0) - yy
         return (ax + ay).ravel()
+
+    def _norm_bound(self):
+        if self.boundary == PERIODIC:
+            return super()._norm_bound()
+        # path-Laplacian spectra 4 sin^2(pi k / 2n), largest at k = n - 1
+        r, c = self.rows, self.cols
+        return float(np.sqrt(4.0 * np.sin(np.pi * (r - 1) / (2 * r)) ** 2
+                             + 4.0 * np.sin(np.pi * (c - 1) / (2 * c)) ** 2))
+
+    def gram_symbol(self):
+        # exact for periodic boundaries; for Neumann an upper bound, since a
+        # path Laplacian is below the cycle Laplacian in the Loewner order
+        def cycle(n):
+            return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        return cycle(self.rows)[:, None] + cycle(self.cols)[None, :]
 
 
 class CircularConv(LinearOperator):
@@ -354,6 +414,14 @@ class CircularConv(LinearOperator):
                     out += c * np.roll(np.roll(img, -a, axis=0), -b, axis=1)
         return out.ravel()
 
+    def gram_symbol(self):
+        # |DFT|^2 of the kernel wrapped circularly onto the grid
+        grid = self.shape if self.shape is not None else (self.in_dim,)
+        index = np.ix_(*(np.arange(k) % n for k, n in zip(self.kernel.shape, grid)))
+        wrapped = np.zeros(grid)
+        np.add.at(wrapped, index, self.kernel)
+        return np.abs(np.fft.fftn(wrapped)) ** 2
+
 
 class StackOperator(LinearOperator):
     """Vertical stack [K1; K2; ...]; adjoint sums the component adjoints."""
@@ -384,6 +452,20 @@ class StackOperator(LinearOperator):
             out += op._adjoint(y[a:b])
         return out
 
+    def _norm_bound(self):
+        bound = np.sqrt(sum(op.norm() ** 2 for op in self.ops))
+        symbol = self.gram_symbol()
+        if symbol is not None:
+            bound = min(bound, np.sqrt(np.max(symbol)))
+        return float(bound)
+
+    def gram_symbol(self):
+        # sum of the block symbols when they all live on one grid
+        symbols = [op.gram_symbol() for op in self.ops]
+        if any(s is None for s in symbols) or len({np.shape(s) for s in symbols} - {()}) > 1:
+            return None
+        return sum(symbols)
+
 
 class ComposedOperator(LinearOperator):
     kind = "composition"
@@ -403,6 +485,9 @@ class ComposedOperator(LinearOperator):
     def _adjoint(self, y):
         return self.inner._adjoint(self.outer._adjoint(y))
 
+    def _norm_bound(self):
+        return self.outer.norm() * self.inner.norm()
+
 
 class AdjointOperator(LinearOperator):
     kind = "adjoint"
@@ -416,6 +501,9 @@ class AdjointOperator(LinearOperator):
 
     def _adjoint(self, y):
         return self.base._apply(y)
+
+    def _norm_bound(self):
+        return self.base.norm()
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:

@@ -576,7 +576,7 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
             f"stepsize product tau*sigma*||K||^2 = {tau * sigma * L * L:.6f} >= 1 "
             f"(operator norm estimate {L:.6f})"
         )
-    return sigma, tau
+    return sigma, tau, {"operator_norm": L, "norm_converged": K.norm_converged}
 
 
 def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
@@ -584,7 +584,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
     # members of the primal-dual family
     cfg = cfg or SolverConfig()
-    sigma, tau = _validate_pd_steps(cfg, prob.K)
+    sigma, tau, norm_meta = _validate_pd_steps(cfg, prob.K)
     x = as_vector(x0, prob.K.in_dim)
     y = as_vector(y0, prob.K.out_dim)
     xbar = x
@@ -622,6 +622,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         "y": y,
         "sigma": sigma,
         "tau": tau,
+        **norm_meta,
         "dual_iterates": dual_iterates,
         "ergodic": ergodic,
     })
@@ -664,10 +665,9 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     terms = list(terms)
     x = as_vector(x0)
     L = f.lipschitz
-    if terms:
-        gram_norm = StackOperator([op for _, op in terms]).norm() ** 2
-    else:
-        gram_norm = 0.0
+    # without terms the coupling is the zero operator
+    stack = StackOperator([op for _, op in terms]) if terms else ScaleOperator(0.0, x.size)
+    gram_norm = stack.norm() ** 2
     sigma = cfg.sigma
     tau = cfg.tau if cfg.tau is not None else cfg.gamma
     if sigma is None or tau is None:
@@ -712,4 +712,6 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         us = us_new
         if stop:
             break
-    return rec.finish(x, meta={"duals": us, "sigma": sigma, "tau": tau})
+    return rec.finish(x, meta={"duals": us, "sigma": sigma, "tau": tau,
+                               "operator_norm": stack.norm(),
+                               "norm_converged": stack.norm_converged})

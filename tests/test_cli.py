@@ -288,6 +288,24 @@ class TestResolvedConfig:
         assert summary["iterations"] == 2000
 
 
+class TestStepsizeSummary:
+    def test_cp_summary_records_steps_and_norm(self, tmp_path):
+        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+            "recipe": "cp",
+            "solver": {"max_iter": 5},
+        })
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["norm_converged"] is True
+        product = summary["tau"] * summary["sigma"] * summary["operator_norm"] ** 2
+        assert 0.0 < product < 1.0
+        header = (out / "trace.csv").read_text().splitlines()[0]
+        assert header == "n,objective,residual,dual_residual"
+
+
 class TestPgmInput:
     def test_solve_from_pgm_image(self, tmp_path):
         from proxsplit.data import write_pgm

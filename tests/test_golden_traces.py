@@ -134,8 +134,8 @@ CASES = {
 # (sha256 of trace.csv, sha256 of trace.x.tobytes())
 GOLDEN = {
     "arrow_hurwicz/tv8": (
-        "3572eacacabab1819322933cca1a4bf5521441fed0d30c840e6c4ef4ff1e6bb6",
-        "a94434211cac7cf40e24ada23306fede40ac3e4b51397958acaeb2dc9d6e51bb"),
+        "c19b7d9c76a61bee27579bf19810c25728b200cd126645a0365503f2687eda4f",
+        "249b4d1b35f7fa7c3732684d3aac3056d81edb99620dbba597ff94ffc28c3a30"),
     "chambolle_pock/gap_scalar": (
         "6a0297bb1f5a205a59fc71157ccde778a233c2ad7e780c3bc8eb77ef90f41e01",
         "27ea28c4d43eb8fe9a0808ca58f9dc8c1c37238e9eb1685de4da54215abd926f"),
@@ -143,17 +143,17 @@ GOLDEN = {
         "6789fb79c3e01dfb70372217ecfd03f7e3c6407260f048d56eb3793fb8fa578f",
         "0dec9f8cb18c45d0297e78b5ba67e692aafde2c881d26d4ac582bca9dd20542e"),
     "lasso/fb": (
-        "c5d891678becea3ca7697591e592ecc869aa1dfb35ae8f5ee02e97e6c52e6636",
-        "689c9de690b08075cddc3ab871d57c3712dc97dbb252c86c01a54894a9f963a6"),
+        "a47d8842d79c0a99464d85d6122f8c245486386b4f9ac57583a897ac19c70023",
+        "46302bf76bdb00a8f11fa9a02abdda89ed51c7f87bd6738646ce6cc941dcab29"),
     "lasso/fista": (
-        "c298b583ffc6cf952c894d1635717804678620fd45783a2222a8938d6793f591",
-        "9bde1da31ce3f8107a37d7dd4b1e8e33acee08f6d1f3efd98ce1fb4cb9297b34"),
+        "8b2a5889c5f4ad7231b0e1dac2b87a664ff7b43e8c98b0f0f623a6b649b147a2",
+        "27649b924b505398ae52bd53e8fac417907a7f284881d42bb17e18ecf8358221"),
     "lasso/fista_beta": (
-        "b84d6382fbc1e59584cc17c42a7a1eb25f46644f50074d984ddc195979c1c993",
-        "aaa51ace4f45858827edd50d28fcb46e09c0999ef5b8113f4fe2059cdd0a4984"),
+        "dfe75a10e77c15a5236696921fe7b4ed7b17358fc969ed3e76567a14280b9ddf",
+        "5b2dc655f5d07f69f3d08a1e4e1f6610d2addce88c5647c807114aec2ee39a57"),
     "lasso/vfista": (
-        "10bc1a3bcced8a3a7a97e2db022adaee01dd633cbe22b256a0622f9213f0c2f2",
-        "7322e5bdafb36c81851f595a167b145ad1f606ee5b71c82b61a3d15c2c074833"),
+        "aa348fa72c6687f762e77233a728323ead436994b3173c0e7f4f3c7528b6a663",
+        "44a6c7682128ff0788baa0e12d8de377a85c36c23a06fb00ac9f16511635c7bf"),
     "nonconvex/double_well": (
         "a5f8b96b795fb276606ae3dbc461996031d1cd0e0317304a7eb6dc1678dfe449",
         "86a1df26e123ded0411c700bbd64622f89b4b3e2f8676a7b38c3e9f4517bc0a0"),
@@ -161,44 +161,44 @@ GOLDEN = {
         "5379c8928606fdff6b6b3eeed20b033234b038c1019fd1bcd3634eeb7a15fd6e",
         "99ef37e78136c7a61e344e17440a0dd1b8aa2c75c36a31e9409195971b2b0633"),
     "poisson_editing/projected_gradient": (
-        "7e3203d77cb4a9e9fae43acad4808ad710c14fab093163a1c0fe55cedd8be553",
-        "32d125f218c5055900f8b1f5274ce59d574f02f5f33bd1e4388163b55c36effb"),
+        "61f2577041fa6e62bac5b75afbfdcaad0ea2153c142bea0ff9535c290e1bcfcf",
+        "db59abacc73c1bf12e77ffef545e4ab35b3908062bb876aa10c06a74858fe7a3"),
     "projected_gradient/box": (
-        "820c75ceeed44a3f6a48c0a0e441f25d2daad2ff875911057ad0ea14c0215d3a",
-        "e66188e49f47de3b0d7b91a08cf01ee2e213e1534b9f20c439579c4b8b1f2f21"),
+        "9bfcf65c740cb85d6a214db616daff925976b382667d6c9aa677886e1d6cc96f",
+        "f6260c5abbe43b2b3d5b505a090d19beea77bda0b1c7ca2329ae8160cdcbe4e3"),
     "tv_denoise/condat": (
-        "52b300e4038491ba79f7cbdb4fe5d138a7f0987e026e94a866d2ec52bc05da3b",
-        "083795c71fa8624f4c88facaa2d2d82045643be38fa1ed5dd7ef0e67c407b3ae"),
+        "5eef9832ae46773d522da64caf5959a6df1b464236584f57ca26ef007ad33d6a",
+        "5ec713b8db53cca956627eafc890ff33e9d615682ba2e7fba0831d0bd30bee19"),
     "tv_denoise/cp": (
-        "ecc0a3147c2a3b1d6622d9c5c7bc5027aec2d1d9d4908ac3769fe48bac7e2c0b",
-        "f0bd6eefaf38cac51dae3e90dc002766b48a08bd58a6c8804fac1e4b2189f9c2"),
+        "c03b4f217cb16428a4e13d47d5d35d51a1a4cc054a2ac816ee018fe1a738553a",
+        "c55d83f5093748d46c48f67cc99ccb765922639cea58c1d6d27f11b9d70ffdfd"),
     "tv_denoise/dr_split": (
         "890eb23b3413a802fe6b8e24948fbbeca0c0eeae564db4a74ff26e46e81a7942",
         "dd0ea1497d81fe75aa5886ffc278cfaa219ef129cb5b6d855170e7e6ff6b5a91"),
     "tv_denoise/dual_fb": (
-        "194feeb0fad4fd6a5938b96be53f52ac11b2e82efe42616234c7094867bb3887",
-        "dd925f127a737e802f26e528f6acefd87b2202777bbc85ce48741358fd80963e"),
+        "c03a7ffff915f8b984c28be0709a0891e0d711f6785d14c799d1869ccc4f6012",
+        "c560b588067a1349c25a6d8647915229e5a1364bc3a40af3571b157db14d8d82"),
     "tv_denoise/ppxa": (
         "9ded42d5d92dba790bd4ff03580e09006e40087e6e97466ed9b47e295a8bf439",
         "dbe89bcf08faa815dd010084931ead5380963e7ef03edce7cbee3daa4e9636cb"),
     "tv_inverse_conv/condat": (
-        "60214aef1afc9cba89ebd803f2f99e63235e685b625613b2b42f070ac64a6bec",
-        "8f388f991fda792b85caae5eb58e008d92a68122e3c3e678362534382415981a"),
+        "d6d53ca643e0ccbb3569ee9a8295989cf8101dfee1c602d1fc97e737e23f9576",
+        "b9b11dad9422c7ab81c47d7c0faf0ced80090897f4695ead23677f064b3cd3ac"),
     "tv_inverse_conv/cp2": (
-        "e509d6ffe1918db55238399284f9de1fe481286e03bbc9b7fbfe8f037e0d37b5",
-        "d8a5f7adc83944f63a5f9206ed53cb04ae8120584f89e9bcb7e24ab3b4413100"),
+        "25fc532c4a099027037bc96de8ae7e1284fe8589e33d422442fc268acf67ad96",
+        "447853e4b0d82142ee6a5e690d4f7984b4647834ea8f7e518d4f44dc58d952d3"),
     "tvl1/cp": (
-        "f30e296c149b44d2ebd9dd3c10facc752d828504a5bbbc3c04e6d3c10b5a99df",
-        "b616f54f1278833550a82dc93a9d4d4f4230e5201d05b5dbf0a451441e6c8cbe"),
+        "5c953bf9bba30ca4eecc8afa309f1199375e3e14b6077a0b165577ee729430dd",
+        "afde628b4cd0d71987153b56316db7e93e4aea3e1126c567be09b999cc23d6ec"),
     "tvl1/dr_split": (
         "54a6b4145b04783dcac43897bc1ddfae04c2605021042d4698659abdcb6edb23",
         "ff93715a4d079801086a18d7235eec96ddb212a52262b49d6342739b5a8308a4"),
     "wavelet_reg/fb": (
-        "60beb48d69b88bd12727f85c9ef1bca986546fdaacc7b46b265a18252bde4b01",
-        "7e85ed2258c1fc21dceadc00987a89dff1e756c2a316b581b7c2f8e04a21178f"),
+        "9cf7ba0ad94b3dba8d678b721bea29abc49e96e1b279b3a701770e4687aa23a5",
+        "357227a383a249afef4833a79d7c053061b6a04e4b908ab8048edc2413425e70"),
     "wavelet_reg/fista": (
-        "0aa6af961f61e3ffe210e175d56a79529720829f2913d7f3721ff04340acc8d3",
-        "3fceb95d26b63d2494a453955a2bc778f6837d8c3a09056118a3e8e1b94adfa8"),
+        "d85c77c4a4b3e09064d7cf71c2efcda13498cea90ce90d91f5cc8b8da4e48f26",
+        "4a1e8f36206872bedbb1fe527d395adf504e9d455808b238f74795f9e31784ab"),
 }
 
 

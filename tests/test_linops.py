@@ -197,6 +197,84 @@ class TestOperatorNorm:
         assert MaskOperator(np.zeros(4, dtype=bool)).norm() == 0.0
 
 
+def explicit_matrix(op):
+    return np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+
+
+def gaussian_deblur_stack(n):
+    from proxsplit.data import generate_synthetic
+
+    k = generate_synthetic("blur_kernel", 7)["kernel"]
+    return StackOperator([CircularConv(np.outer(k, k), shape=(n, n)), Grad2D(n, n)])
+
+
+def closed_form_cases():
+    return all_operator_kinds(0) + [
+        Grad2D(5, 6, "neumann"),
+        Grad2D(5, 6, "periodic"),
+        CircularConv(np.arange(1.0, 21.0).reshape(4, 5) / 10.0, shape=(3, 4)),
+        gaussian_deblur_stack(16),
+    ]
+
+
+class TestClosedFormNorms:
+    # the periodic symbol bounds the Neumann gradient's Gram matrix, 8 against
+    # 8 sin^2(15 pi / 32) at 16x16, so the deblur stack bound is 4.8e-3 loose
+    LOOSENESS = {"stack": 5e-3}
+
+    @pytest.mark.parametrize("op", closed_form_cases(), ids=lambda op: op.kind)
+    def test_bound_is_sound_and_tight(self, op):
+        exact = np.linalg.norm(explicit_matrix(op), 2)
+        bound = op.norm()
+        assert op.norm_converged
+        assert bound >= exact * (1 - 1e-12)
+        if op.kind != "composition":
+            assert bound <= exact * (1 + self.LOOSENESS.get(op.kind, 1e-12))
+
+    def test_deblur_stack_symbol_beats_block_sum(self):
+        op = gaussian_deblur_stack(16)
+        block_sum = np.sqrt(sum(o.norm() ** 2 for o in op.ops))
+        assert op.norm() < 0.95 * block_sum
+
+    def test_no_power_iteration_for_builtin_kinds(self, monkeypatch):
+        from proxsplit import linops as L
+
+        def refuse(*args):
+            raise AssertionError("power iteration called")
+
+        monkeypatch.setattr(L, "_power_iteration", refuse)
+        for op in closed_form_cases() + [IdentityOperator(3).T, Grad2D(3, 4).T]:
+            assert op.norm() >= 0.0
+
+    def test_fallback_for_class_without_closed_form(self):
+        class Opaque(DenseOperator):
+            def _norm_bound(self):
+                return None
+
+        op = Opaque(np.diag([2.0, 3.0]))
+        assert abs(op.norm() - 3.0) <= 1e-6
+        assert op.norm_converged
+
+    @pytest.mark.parametrize("op", [
+        Grad2D(3, 5, "periodic"),
+        CircularConv(np.array([0.5, 0.3, 0.2]), dim=6),
+        CircularConv(np.arange(1.0, 21.0).reshape(4, 5), shape=(3, 4)),
+    ], ids=["grad2d_periodic", "conv_1d", "conv_2d_wrapped"])
+    def test_gram_symbol_is_the_gram_spectrum(self, op):
+        m = explicit_matrix(op)
+        eig = np.linalg.eigvalsh(m.T @ m)
+        assert np.allclose(np.sort(op.gram_symbol().ravel()), eig,
+                           atol=1e-12 * max(eig[-1], 1.0))
+
+    def test_neumann_gram_below_its_symbol(self):
+        op = Grad2D(4, 5, "neumann")
+        m = explicit_matrix(op)
+        # the DFT-diagonal matrix of the symbol minus the Gram matrix is PSD
+        f = np.kron(np.fft.fft(np.eye(4)), np.fft.fft(np.eye(5))) / np.sqrt(20)
+        upper = (f.conj().T @ np.diag(op.gram_symbol().ravel()) @ f).real
+        assert np.linalg.eigvalsh(upper - m.T @ m)[0] >= -1e-12
+
+
 class TestAdjointConsistencyCheck:
     def test_identity_defect_zero(self):
         rep = adjoint_consistency_check(IdentityOperator(4), trials=10, seed=1)

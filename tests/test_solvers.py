@@ -558,6 +558,46 @@ class TestChambollePock:
         assert gaps[-1] < gaps[0]  # the ergodic gap shrinks
 
 
+def tv8_just_above_power_estimate():
+    # tau*sigma*L^2 = (1 - 1e-9)^2 for the power-iteration estimate L of the
+    # 8x8 gradient norm; L sits 4e-8 below the true norm, so the true product
+    # is about 1 + 7.7e-8
+    from proxsplit import linops
+    from proxsplit.suite import tv_denoise_fixture
+
+    inst = tv_denoise_fixture()
+    estimate = linops._power_iteration(inst.metadata["grad"], 1e-8, 10_000, 0)[0]
+    step = (1 - 1e-9) / estimate
+    return inst, SolverConfig(sigma=step, tau=step, max_iter=1)
+
+
+class TestSoundStepsizeGuards:
+    def test_chambolle_pock_rejects_steps_valid_only_for_the_estimate(self):
+        inst, cfg = tv8_just_above_power_estimate()
+        with pytest.raises(ConfigError):
+            chambolle_pock(inst.metadata["saddle"], np.zeros(64), np.zeros(128), cfg)
+
+    def test_condat_rejects_steps_valid_only_for_the_estimate(self):
+        inst, cfg = tv8_just_above_power_estimate()
+        terms = [(LinfBallIndicator(inst.metadata["lambda"]), inst.metadata["grad"])]
+        with pytest.raises(ConfigError):
+            condat(ZeroFn(), ZeroFn(), terms, np.zeros(64), cfg=cfg)
+
+    def test_steps_and_norm_recorded(self):
+        from proxsplit.suite import tv_denoise_fixture
+
+        inst = tv_denoise_fixture()
+        grad = inst.metadata["grad"]
+        cp = chambolle_pock(inst.metadata["saddle"], np.zeros(64), np.zeros(128),
+                            SolverConfig(max_iter=1))
+        cd = condat(ZeroFn(), ZeroFn(), [(LinfBallIndicator(0.1), grad)], np.zeros(64),
+                    cfg=SolverConfig(max_iter=1))
+        for trace in (cp, cd):
+            assert trace.meta["operator_norm"] == grad.norm()
+            assert trace.meta["norm_converged"] is True
+        assert cp.meta["sigma"] * cp.meta["tau"] * grad.norm() ** 2 < 1.0
+
+
 class TestArrowHurwicz:
     def test_converges_with_strong_convexity(self):
         prob = scalar_saddle()  # the primal side is strongly convex
