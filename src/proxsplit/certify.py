@@ -95,9 +95,9 @@ def check_descent_inequality(trace: SolverTrace, L: float, gamma: float,
 def check_lyapunov_gd(trace: SolverTrace, L: float, x_star, f_star: float,
                       instance: str = "") -> CheckReport:
     """Monotonicity of S_n = n (f(x_n) - f*) + (L/2)||x_n - x*||^2, plus the
-    implied O(1/n) objective bound, on a full (unthinned) trace."""
-    if trace.iterate_steps != list(range(len(trace.iterates))):
-        raise ValueError("lyapunov check needs an unthinned trace (thin_every=1)")
+    implied O(1/n) objective bound, on a trace that kept its iterates."""
+    if not trace.iterates:
+        raise ValueError("lyapunov check needs the iterates (keep_iterates=True)")
     x_star = np.asarray(x_star, dtype=float)
     path = trace.objective_path()
     s_vals = []
@@ -186,7 +186,7 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
     of its initial value at every iteration.
     """
     horizons = sorted(horizons)
-    cfg = dataclasses.replace(cfg, max_iter=max(horizons), thin_every=1)
+    cfg = dataclasses.replace(cfg, max_iter=max(horizons), keep_iterates=True)
     trace = chambolle_pock(prob, x0, y0, cfg, ergodic_at=horizons)
     sigma, tau = trace.meta["sigma"], trace.meta["tau"]
     x_star, y_star = (np.asarray(saddle[0], dtype=float),
@@ -210,9 +210,7 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
     L = prob.K.norm()
     contraction = 1.0 / (1.0 - tau * sigma * L * L)
     init = float(dy0 @ dy0) / (2 * sigma) + float(dx0 @ dx0) / (2 * tau)
-    dual_its = trace.meta["dual_iterates"]
-    for k, xn in enumerate(trace.iterates):
-        yn = dual_its[min(k, len(dual_its) - 1)]
+    for xn, yn in zip(trace.iterates, trace.meta["dual_iterates"]):
         lhs = (float(np.sum((yn - y_star) ** 2)) / (2 * sigma)
                + float(np.sum((xn - x_star) ** 2)) / (2 * tau))
         margins.append(contraction * init - lhs + 1e-6 * (1.0 + init))
@@ -572,7 +570,6 @@ def ascending_trace(n: int = 20) -> SolverTrace:
         residual=np.full(n, 0.1),
         extras={},
         iterates=[np.zeros(1)] + [np.full(1, v) for v in obj],
-        iterate_steps=list(range(n + 1)),
         termination="iter_cap",
         x=np.full(1, obj[-1]),
     )

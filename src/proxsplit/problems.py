@@ -80,13 +80,15 @@ def _recipe(solve, extract=None, **defaults):
 
     A callable default is evaluated when the recipe runs, so a norm-derived
     stepsize costs nothing until used.  ``trace.meta["config"]`` keeps the
-    merged config, the one that ran.
+    merged config, the one that ran, with the primal-dual stepsizes the
+    solver chose.
     """
     def run(cfg=None):
         merged = _merge_cfg(cfg, **{k: v() if callable(v) else v
                                     for k, v in defaults.items()})
         trace = solve(merged)
-        trace.meta["config"] = merged
+        trace.meta["config"] = dataclasses.replace(
+            merged, **{k: trace.meta[k] for k in ("sigma", "tau") if k in trace.meta})
         return trace, trace.x if extract is None else extract(trace)
 
     return run

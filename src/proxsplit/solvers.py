@@ -1,9 +1,9 @@
 """Iterative first-order schemes producing uniform per-iteration traces.
 
 All solvers share the same contract: deterministic given the config seed,
-objective and residual recorded every iteration, iterates thinned to every
-``thin_every``-th step, and a termination reason in {tol_reached, iter_cap,
-diverged}.
+objective and residual recorded every iteration, iterates stored only on
+request (``keep_iterates``), and a termination reason in {tol_reached,
+iter_cap, diverged}.
 """
 from __future__ import annotations
 
@@ -38,8 +38,11 @@ class SolverConfig:
     of the primal-dual schemes.  ``relaxation`` is the averaging parameter
     (mu for Douglas-Rachford, lambda for Krasnosel'skii-Mann): a constant, or
     ``"harmonic"`` for 1/(n+2).  ``residual_tol`` of 0 disables the
-    relative-residual stop, leaving the iteration cap in charge.  Recipe
-    defaults fill only :meth:`unset_fields`.
+    relative-residual stop, leaving the iteration cap in charge.
+    ``keep_iterates`` stores the primal iterates x_0..x_n in
+    ``trace.iterates`` (and the dual ones of the primal-dual schemes in
+    ``meta["dual_iterates"]``); by default only the final point is kept.
+    Recipe defaults fill only :meth:`unset_fields`.
     """
 
     gamma: float | None = None
@@ -54,7 +57,7 @@ class SolverConfig:
     residual_tol: float = 0.0
     objective_tol: float = 0.0
     seed: int = 0
-    thin_every: int = 1
+    keep_iterates: bool = False
     divergence_cap: float = 1e12
 
     def __new__(cls, *args, **kwargs):
@@ -71,8 +74,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
-        if self.thin_every < 1:
-            raise ConfigError("thin_every must be at least 1")
         if self.inertia not in ("none", "fista_t", "fista_beta", "vfista"):
             raise ConfigError(f"unknown inertia mode {self.inertia!r}")
         if self.inertia == "fista_beta" and not self.beta > 3:
@@ -94,7 +95,6 @@ class SolverTrace:
     residual: np.ndarray
     extras: dict
     iterates: list
-    iterate_steps: list
     termination: str
     x: np.ndarray
     meta: dict = dataclasses.field(default_factory=dict)
@@ -131,8 +131,8 @@ class _Recorder:
         self.obj = []
         self.res = []
         self.extras: dict[str, list] = {}
-        self.iterates = [self.x0.copy()]
-        self.iterate_steps = [0]
+        # a kept history starts at x0, so an empty list means none is kept
+        self.iterates = [self.x0.copy()] if cfg.keep_iterates else []
         self.termination = ITER_CAP
 
     def record(self, n, x_new, x_prev, objective, extras=None) -> bool:
@@ -151,9 +151,8 @@ class _Recorder:
         if extras:
             for key, val in extras.items():
                 self.extras.setdefault(key, []).append(float(val))
-        if n % self.cfg.thin_every == 0:
+        if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
-            self.iterate_steps.append(n)
         if tracked:
             if not np.isfinite(objective) and not np.isposinf(objective):
                 self.termination = DIVERGED
@@ -177,11 +176,7 @@ class _Recorder:
         return False
 
     def finish(self, x_final, meta=None) -> SolverTrace:
-        x_final = np.array(x_final, dtype=float)
         k = len(self.obj)
-        if self.iterate_steps and self.iterate_steps[-1] != k and k > 0:
-            self.iterates.append(x_final.copy())
-            self.iterate_steps.append(k)
         return SolverTrace(
             x0=self.x0,
             objective0=self.objective0,
@@ -190,9 +185,8 @@ class _Recorder:
             residual=np.array(self.res),
             extras={k_: np.array(v) for k_, v in self.extras.items()},
             iterates=self.iterates,
-            iterate_steps=self.iterate_steps,
             termination=self.termination,
-            x=x_final,
+            x=np.array(x_final, dtype=float),
             meta=meta or {},
         )
 
@@ -449,14 +443,14 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     y = g.prox(x, gamma)
     rec = _Recorder(x, objective(y), cfg)
     for n in range(1, cfg.max_iter + 1):
-        y = g.prox(x, gamma)
         z = f.prox(2.0 * y - x, gamma)
         x_new = x + mu(n - 1) * (z - y)
         stop = rec.record(n, x_new, x, objective(y), {"split_gap": float(np.linalg.norm(z - y))})
         x = x_new
+        # the shadow point of x_{n+1}: next iteration's y, or the result
+        y = g.prox(x, gamma)
         if stop:
             break
-    y = g.prox(x, gamma)
     return rec.finish(y, meta={"governing": x})
 
 
@@ -591,7 +585,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     obj = prob.primal_objective if prob._primal_objective is not None else lambda z: None
     obj0 = obj(x)
     rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg)
-    dual_iterates = [y.copy()]
+    dual_iterates = [y.copy()] if cfg.keep_iterates else []
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
     ergodic = {}
@@ -610,7 +604,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
             extras["pd_gap"] = partial_primal_dual_gap(
                 prob, sum_x / n, sum_y / n, gap_boxes[0], gap_boxes[1])
         stop = rec.record(n, x_new, x, obj(x_new), extras)
-        if n % cfg.thin_every == 0:
+        if dual_iterates:
             dual_iterates.append(y_new.copy())
         x, y = x_new, y_new
         if stop:
@@ -638,9 +632,9 @@ def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
 
     Requires tau*sigma*||K||^2 < 1.  Running ergodic averages are snapshotted
     at the iteration counts in ``ergodic_at`` (and at the final iteration);
-    the thinned trace stores both primal and dual iterates.  When
-    ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual gap of
-    the running ergodic pair is recorded each iteration.
+    with ``keep_iterates`` the trace stores both primal and dual iterates.
+    When ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual
+    gap of the running ergodic pair is recorded each iteration.
     """
     return _primal_dual_loop(prob, x0, y0, cfg, True, ergodic_at, gap_boxes)
 

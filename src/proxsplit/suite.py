@@ -178,7 +178,7 @@ def _rate_fit(series, model: str, theorem: float) -> dict:
 
 def _check_gd_sublinear(seed: int) -> CheckReport:
     f, x0, x_star, f_star = singular_quadratic_fixture()
-    cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=10_000, thin_every=1)
+    cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=10_000, keep_iterates=True)
     trace = gradient_descent(f, x0, cfg)
     rep = check_lyapunov_gd(trace, f.lipschitz, x_star, f_star,
                             instance="singular_quadratic")
@@ -306,8 +306,7 @@ def _check_gap_tv(seed: int) -> CheckReport:
     grad = inst.metadata["grad"]
     lam = inst.metadata["lambda"]
     norm_k = grad.norm()
-    ref_cfg = SolverConfig(sigma=0.9 / norm_k, tau=0.9 / norm_k, max_iter=20_000,
-                           thin_every=20_000)
+    ref_cfg = SolverConfig(sigma=0.9 / norm_k, tau=0.9 / norm_k, max_iter=20_000)
     ref = chambolle_pock(prob, y, np.zeros(grad.out_dim), ref_cfg)
     saddle = (ref.x, ref.meta["y"])
     cfg = SolverConfig(sigma=0.7 / norm_k, tau=0.7 / norm_k)
@@ -361,7 +360,9 @@ def _recipe_agreement(inst, recipes, cfg_map=None, tol=1e-4) -> CheckReport:
 
 def _check_recipes_tv_denoise(seed: int) -> CheckReport:
     inst = tv_denoise_fixture()
-    return _recipe_agreement(inst, ["dr_split", "ppxa", "cp", "dual_fb", "condat"],
+    # ppxa is left out: on this instance it runs the dr_split iteration float
+    # for float
+    return _recipe_agreement(inst, ["dr_split", "cp", "dual_fb", "condat"],
                              cfg_map={"cp": SolverConfig(max_iter=6000),
                                       "condat": SolverConfig(max_iter=6000),
                                       "dual_fb": SolverConfig(max_iter=6000)})

@@ -70,7 +70,7 @@ class TestDescentInequality:
 class TestLyapunov:
     def test_monotone_on_quadratic(self):
         f = make_quadratic(DenseOperator(np.diag([1.0, 0.5])), np.zeros(2))
-        cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=1000, thin_every=1)
+        cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=1000, keep_iterates=True)
         trace = gradient_descent(f, [2.0, -1.0], cfg)
         rep = check_lyapunov_gd(trace, f.lipschitz, np.zeros(2), 0.0)
         assert rep.passed
@@ -78,7 +78,7 @@ class TestLyapunov:
     def test_initial_term_definition(self):
         # S_0 reduces to (L/2)||x0 - x*||^2: verified through the bound at n=1
         f = quad(2)
-        cfg = SolverConfig(gamma=1.0, max_iter=3, thin_every=1)
+        cfg = SolverConfig(gamma=1.0, max_iter=3, keep_iterates=True)
         x0 = np.array([1.0, 1.0])
         trace = gradient_descent(f, x0, cfg)
         rep = check_lyapunov_gd(trace, 1.0, np.zeros(2), 0.0)
@@ -89,15 +89,14 @@ class TestLyapunov:
     def test_strongly_convex_also_passes(self):
         f = make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
                            np.zeros(2), strong_convexity=1.0)
-        cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=500, thin_every=1)
+        cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=500, keep_iterates=True)
         trace = gradient_descent(f, [1.0, 1.0], cfg)
         rep = check_lyapunov_gd(trace, f.lipschitz, np.zeros(2), 0.0)
         assert rep.passed
 
     def test_requires_unthinned_trace(self):
         f = quad()
-        trace = gradient_descent(f, [1.0], SolverConfig(gamma=0.5, max_iter=10,
-                                                        thin_every=5))
+        trace = gradient_descent(f, [1.0], SolverConfig(gamma=0.5, max_iter=10))
         with pytest.raises(ValueError):
             check_lyapunov_gd(trace, 1.0, np.zeros(1), 0.0)
 

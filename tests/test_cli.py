@@ -287,6 +287,24 @@ class TestResolvedConfig:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] == 2000
 
+    def test_cp_records_the_stepsizes_that_ran(self, tmp_path):
+        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+            "recipe": "cp",
+            "solver": {"max_iter": 20},
+        })
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert resolved["solver"]["sigma"] == summary["sigma"]
+        assert resolved["solver"]["tau"] == summary["tau"]
+        # the resolved config reproduces the run
+        again = tmp_path / "again"
+        assert main(["solve", str(out / "resolved_config.json"), "--out", str(again)]) == 0
+        assert (again / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
+
 
 class TestStepsizeSummary:
     def test_cp_summary_records_steps_and_norm(self, tmp_path):

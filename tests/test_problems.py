@@ -31,6 +31,7 @@ from proxsplit.problems import (
     build_wavelet_reg,
 )
 from proxsplit.solvers import SolverConfig
+from proxsplit.suite import tv_denoise_fixture
 
 
 class TestLasso:
@@ -140,6 +141,17 @@ class TestTVDenoise:
             vals[name] = inst.objective(x)
         best = min(vals.values())
         assert all((v - best) / abs(best) <= 1e-4 for v in vals.values())
+
+    def test_ppxa_runs_the_dr_split_iteration(self):
+        # ppxa builds the dr_split product space from its two terms, so the
+        # recipe agreement check need not run both
+        inst = tv_denoise_fixture()
+        cfg = SolverConfig(max_iter=300)
+        dr, x_dr = inst.run("dr_split", cfg)
+        pp, x_pp = inst.run("ppxa", cfg)
+        assert np.array_equal(dr.objective, pp.objective)
+        assert np.array_equal(dr.residual, pp.residual)
+        assert np.array_equal(x_dr, x_pp)
 
     def test_dual_recovery_matches_primal(self):
         data = generate_synthetic("step_image", (6, 6), sigma=0.05, seed=2)

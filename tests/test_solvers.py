@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from proxsplit.solvers import (
     projected_gradient,
     proximal_point,
 )
+from proxsplit.suite import tv_denoise_fixture
 
 
 def half_square(dim=1):
@@ -50,7 +53,8 @@ class TestGradientDescent:
 
     def test_hand_step_and_linear_bound(self):
         f = anisotropic()
-        trace = gradient_descent(f, [1.0, 1.0], SolverConfig(gamma=0.1, max_iter=1))
+        trace = gradient_descent(f, [1.0, 1.0], SolverConfig(gamma=0.1, max_iter=1,
+                                                            keep_iterates=True))
         assert np.allclose(trace.iterates[1], [0.9, 0.0])
         assert trace.objective[0] == pytest.approx(0.405)
         assert trace.objective[0] <= 0.9 * f.value(np.array([1.0, 1.0]))
@@ -146,7 +150,7 @@ class TestProjectedGradient:
 class TestProximalPoint:
     def test_l1_walk(self):
         trace = proximal_point(L1Norm(1.0), [10.0],
-                               SolverConfig(gamma=1.0, max_iter=15, thin_every=1))
+                               SolverConfig(gamma=1.0, max_iter=15, keep_iterates=True))
         vals = [float(it[0]) for it in trace.iterates]
         assert vals[:11] == pytest.approx([10.0 - k for k in range(11)])
         assert vals[-1] == pytest.approx(0.0)
@@ -157,7 +161,7 @@ class TestProximalPoint:
 
     def test_quadratic_halving(self):
         trace = proximal_point(half_square(), [8.0],
-                               SolverConfig(gamma=1.0, max_iter=3, thin_every=1))
+                               SolverConfig(gamma=1.0, max_iter=3, keep_iterates=True))
         assert [float(v[0]) for v in trace.iterates] == pytest.approx([8, 4, 2, 1])
 
     def test_decrease_margin_nonnegative(self):
@@ -344,7 +348,7 @@ class TestDouglasRachford:
             ys.append(y.copy())
             xs.append(xv.copy())
         trace = douglas_rachford(f, g, x, SolverConfig(gamma=gamma, max_iter=30,
-                                                       thin_every=1))
+                                                       keep_iterates=True))
         # identical up to float association order in the relaxation update
         govern = trace.meta["governing"]
         assert np.allclose(govern, xs[-1], atol=1e-12, rtol=0)
@@ -649,12 +653,12 @@ class TestCondat:
         y0 = np.array([0.2])
         cp = chambolle_pock(prob, x0, y0,
                             SolverConfig(sigma=sigma, tau=tau, max_iter=40,
-                                         thin_every=1))
+                                         keep_iterates=True))
         y1 = LinfBallIndicator(lam).prox(y0 + sigma * x0, sigma)
         cd = condat(ZeroFn(), ZeroFn(), [(LinfBallIndicator(lam), IdentityOperator(1))],
                     x0, u0s=[y1],
                     cfg=SolverConfig(sigma=sigma, tau=tau, rho=1.0, max_iter=40,
-                                     thin_every=1))
+                                     keep_iterates=True))
         for a, b in zip(cp.iterates, cd.iterates):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -712,13 +716,55 @@ class TestTraceContract:
         assert np.all(trace.residual >= 0.0)
         assert trace.termination in ("tol_reached", "iter_cap", "diverged")
 
-    def test_thinning(self):
-        trace = gradient_descent(half_square(), [1.0],
-                                 SolverConfig(gamma=0.5, max_iter=10, thin_every=5))
-        assert trace.iterate_steps[0] == 0
-        assert trace.iterate_steps[1:] == [5, 10]
-        # objective still recorded every iteration
-        assert len(trace.objective) == 10
+    @staticmethod
+    def _storage_runs(keep):
+        # one run each of gradient descent, Douglas-Rachford and Chambolle-Pock
+        f = half_square(2)
+        saddle = SaddleProblem(K=IdentityOperator(1), g=ZeroFn(),
+                               f_conj=LinfBallIndicator(1.0))
+        return (
+            gradient_descent(f, [1.0, -1.0],
+                             SolverConfig(gamma=0.5, max_iter=10, keep_iterates=keep)),
+            douglas_rachford(L1Norm(0.3), f, [1.0, -1.0],
+                             SolverConfig(max_iter=10, keep_iterates=keep)),
+            chambolle_pock(saddle, [1.3], [0.2],
+                           SolverConfig(sigma=0.9, tau=0.9, max_iter=10,
+                                        keep_iterates=keep)),
+        )
+
+    def test_iterates_not_stored_by_default(self):
+        gd, dr, cp = self._storage_runs(False)
+        for trace in (gd, dr, cp):
+            assert trace.iterates == []
+            # the scalars are still recorded every iteration
+            assert len(trace.objective) == 10
+        assert cp.meta["dual_iterates"] == []
+
+    def test_kept_iterates_span_the_run(self):
+        gd, dr, cp = self._storage_runs(True)
+        for trace, x0 in ((gd, [1.0, -1.0]), (dr, [1.0, -1.0]), (cp, [1.3])):
+            assert len(trace.iterates) == trace.n_iter + 1 == 11
+            assert np.array_equal(trace.iterates[0], x0)
+        assert np.array_equal(gd.iterates[-1], gd.x)
+        assert np.array_equal(cp.iterates[-1], cp.x)
+        # Douglas-Rachford keeps the governing sequence, not the shadow x
+        assert np.array_equal(dr.iterates[-1], dr.meta["governing"])
+        duals = cp.meta["dual_iterates"]
+        assert len(duals) == cp.n_iter + 1
+        assert np.array_equal(duals[0], [0.2])
+        assert np.array_equal(duals[-1], cp.meta["y"])
+
+    def test_default_cp_run_memory_is_bounded(self):
+        # 2000 stored primal and dual iterates at 32x32 would take 47 MiB
+        inst = tv_denoise_fixture(rows=32)
+        tracemalloc.start()
+        try:
+            trace, _ = inst.run("cp", SolverConfig(max_iter=2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_iter == 2000
+        assert peak < 4 * 2 ** 20
 
     def test_objective_path_includes_start(self):
         trace = gradient_descent(half_square(), [2.0],
