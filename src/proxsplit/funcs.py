@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linops import (
+    IDENTITY_BASIS,
     IdentityOperator,
     LinearOperator,
     ScaleOperator,
     as_vector,
     conjugate_gradient,
-    gram_diagonal,
+    gram_spectrum_sum,
 )
 
 FEAS_TOL = 1e-8
@@ -32,18 +33,16 @@ def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
     """Solve (ridge*Id + sum_i w_i K_i* K_i) p = rhs for ``terms`` = [(w_i, K_i)]
     with nonnegative ridge and weights.
 
-    Exact division when every K_i* K_i is diagonal and the system is
-    definite; conjugate gradient (absolute residual 1e-10) otherwise.
+    When every K_i* K_i is diagonal in one shared basis on one grid (the
+    identity, the DFT or the DCT-II; see ``linops.gram_spectrum_sum``) and
+    the system is definite, exact division in that transform domain;
+    conjugate gradient (absolute residual 1e-10) otherwise, for example for
+    a circular blur over a Neumann gradient, dense operators and
+    compositions.
     """
-    denom = ridge
-    for w, K in terms:
-        d = gram_diagonal(K)
-        if d is None:
-            break
-        denom = denom + w * d
-    else:
-        if ridge > 0 or np.all(denom > 0):
-            return rhs / denom
+    spectrum = gram_spectrum_sum(terms, ridge)
+    if spectrum is not None and (ridge > 0 or np.all(spectrum.eigenvalues > 0)):
+        return spectrum.solve(rhs)
 
     def gram(p):
         # unit weights (graph projections, unit-scale quadratics) skip a pass
@@ -94,6 +93,9 @@ class ProxFn:
     strong_convexity = 0.0
     #: known minimizer, used by fixed-point checks when available
     minimizer = None
+    #: True when value(prox(x)) is 0 for every x, as for an indicator whose
+    #: prox is the projection onto its set; solvers then skip that evaluation
+    feasible_prox = False
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -147,8 +149,10 @@ class Quadratic(SmoothFn, ProxFn):
     """f(x) = (scale/2) ||A x - b||^2, smooth and prox-capable.
 
     The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b through
-    :func:`solve_gram`: exact for identity/scale/mask operators, conjugate
-    gradient otherwise.
+    :func:`solve_gram`: exact division in the transform domain when A*A is
+    diagonal in the identity, DFT or DCT-II basis, conjugate gradient
+    otherwise.  Strong convexity, the minimizer and the box-linear oracle
+    use the closed forms of an A*A diagonal in the identity basis.
     """
 
     def __init__(self, A: LinearOperator, b, scale: float = 1.0,
@@ -158,7 +162,9 @@ class Quadratic(SmoothFn, ProxFn):
         self.A = A
         self.b = as_vector(b, A.out_dim)
         self.scale = float(scale)
-        self._diag = gram_diagonal(A)
+        spectrum = A.gram_spectrum()
+        self._diag = (spectrum.eigenvalues if spectrum is not None
+                      and spectrum.basis == IDENTITY_BASIS else None)
         if strong_convexity is not None:
             self.strong_convexity = float(strong_convexity)
         elif self._diag is not None:
@@ -329,10 +335,14 @@ class AffineGraphIndicator(ProxFn):
     """Indicator of {(x1, x2): x2 = K x1}; prox is the graph projection.
 
     The projection solves (Id + K*K) p1 = x1 + K* x2 through
-    :func:`solve_gram` (exact for identity/scale/mask K, conjugate gradient
-    otherwise) and sets p2 = K p1.  With K a stack [L_1; ...; L_m] this is
-    the projection onto {(p, L_1 p, ..., L_m p)}.
+    :func:`solve_gram` (exact division in the transform domain when K*K is
+    diagonal in the identity, DFT or DCT-II basis, conjugate gradient
+    otherwise) and sets p2 = K p1, so every point it returns is feasible.
+    With K a stack [L_1; ...; L_m] this is the projection onto
+    {(p, L_1 p, ..., L_m p)}.
     """
+
+    feasible_prox = True
 
     def __init__(self, K: LinearOperator):
         self.K = K

@@ -4,18 +4,35 @@ Every operator carries a matching ``apply``/``adjoint`` pair and a cached
 spectral norm.  Every built-in kind has that norm in closed form, exact or a
 guaranteed upper bound, so stepsize guards are never checked against an
 underestimate; seeded power iteration on ``K*K`` remains only as the fallback
-for an operator class without one.  Kinds whose Gram matrix ``K*K`` is
-diagonal in the DFT of the input grid, or bounded by such a matrix, expose its
-eigenvalues as ``gram_symbol()``.  Operators are immutable after construction
-and safe to share between solver runs.
+for an operator class without one.  Two spectral hooks describe the Gram
+matrix ``K*K``:
+
+- ``gram_spectrum()`` gives it exactly, as eigenvalues in a transform that
+  diagonalises it: the identity (identity, scale, mask), the DFT of the grid
+  (circular convolution, periodic gradient) or the DCT-II of the grid
+  (Neumann gradient), summed over the blocks of a stack that share one.
+  :func:`proxsplit.funcs.solve_gram` divides by it.
+- ``gram_symbol()`` gives eigenvalues on the DFT grid that bound ``K*K`` from
+  above in the Loewner order, exact for periodic kinds; norms are read off it
+  and nothing divides by it.
+
+Operators are immutable after construction and safe to share between solver
+runs.
 """
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
+
 import numpy as np
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
+
+# transforms in which a Gram matrix can be diagonal
+IDENTITY_BASIS = "identity"
+DFT = "dft"
+DCT = "dct"
 
 ADJOINT_TOL = 1e-10
 
@@ -120,6 +137,78 @@ def conjugate_gradient(apply_fn, rhs: np.ndarray, tol: float = 1e-10,
     raise CGError(float(np.sqrt(rs)), max_iter)
 
 
+def _dct(x: np.ndarray) -> np.ndarray:
+    # unnormalised DCT-II along the last axis, X_k = sum_n x_n cos(pi k (2n+1) / 2N),
+    # through one real FFT (Makhoul 1980): the even samples, then the odd ones
+    # reversed, and a quarter-sample twiddle W_k; X_k = Re W_k, X_{N-k} = -Im W_k
+    n = x.shape[-1]
+    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
+    W = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n) * np.fft.rfft(v, axis=-1)
+    return np.concatenate([W.real, -W.imag[..., (n + 1) // 2 - 1:0:-1]], axis=-1)
+
+
+def _idct(X: np.ndarray) -> np.ndarray:
+    # exact inverse of _dct: the real FFT of the reordered signal is
+    # exp(i pi k / 2N) (X_k - i X_{N-k}) for k <= N/2, with X_N = 0
+    n = X.shape[-1]
+    mirrored = np.concatenate([np.zeros_like(X[..., :1]), X[..., ::-1][..., : n // 2]], axis=-1)
+    V = np.exp(0.5j * np.pi * np.arange(n // 2 + 1) / n) * (X[..., : n // 2 + 1] - 1j * mirrored)
+    v = np.fft.irfft(V, n, axis=-1)
+    x = np.empty_like(v)
+    half = (n + 1) // 2
+    x[..., ::2] = v[..., :half]
+    x[..., 1::2] = v[..., half:][..., ::-1]
+    return x
+
+
+class GramSpectrum(NamedTuple):
+    """K*K = T^-1 diag(eigenvalues) T for the transform T of ``basis`` on the
+    row-major ``grid`` of the input.
+
+    ``IDENTITY_BASIS``: eigenvalues shaped like the input, or a float for a
+    multiple of Id, which is diagonal in every basis.  ``DFT``: the real
+    ``rfftn`` of the grid, eigenvalues on its half grid (last axis
+    ``n // 2 + 1``).  ``DCT``: the DCT-II along both axes of a 2-d grid.
+    """
+
+    basis: str
+    grid: tuple
+    eigenvalues: np.ndarray | float
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The exact solution of K*K p = rhs: T^-1 (T rhs / eigenvalues)."""
+        if self.basis == IDENTITY_BASIS:
+            return rhs / self.eigenvalues
+        x = rhs.reshape(self.grid)
+        if self.basis == DFT:
+            axes = tuple(range(x.ndim))
+            p = np.fft.irfftn(np.fft.rfftn(x, s=self.grid, axes=axes) / self.eigenvalues,
+                              s=self.grid, axes=axes)
+        else:
+            # along axis 0 (the last axis of the transpose), then axis 1
+            X = _dct(_dct(x.T).T) / self.eigenvalues
+            p = _idct(_idct(X.T).T)
+        return p.ravel()
+
+
+def gram_spectrum_sum(terms, ridge: float = 0.0) -> GramSpectrum | None:
+    """Spectrum of ridge*Id + sum_i w_i K_i* K_i for ``terms`` = [(w_i, K_i)]
+    on one input space, when every K_i* K_i is diagonal in one shared basis
+    on one grid; None otherwise."""
+    shared, total = None, ridge
+    for w, K in terms:
+        spectrum = K.gram_spectrum()
+        if spectrum is None:
+            return None
+        if isinstance(spectrum.eigenvalues, np.ndarray):
+            if shared is not None and shared != spectrum[:2]:
+                return None
+            shared = spectrum[:2]
+        total = total + w * spectrum.eigenvalues
+    basis, grid = shared or (IDENTITY_BASIS, (terms[0][1].in_dim,))
+    return GramSpectrum(basis, grid, total)
+
+
 class LinearOperator:
     """Base class: an apply/adjoint pair between fixed-dimension spaces."""
 
@@ -175,7 +264,14 @@ class LinearOperator:
     def gram_symbol(self) -> np.ndarray | float | None:
         """Eigenvalues of K*K on the DFT grid of the input, or an upper bound
         on them in the Loewner order: an array shaped like the grid, a float
-        when K*K is bounded by a multiple of Id, None when there is neither."""
+        when K*K is bounded by a multiple of Id, None when there is neither.
+        A norm bound only: for a mask or a Neumann gradient it is not the
+        spectrum, so nothing may divide by it."""
+        return None
+
+    def gram_spectrum(self) -> GramSpectrum | None:
+        """The exact spectrum of K*K in a transform that diagonalises it, or
+        None when the kind has none."""
         return None
 
     @property
@@ -231,6 +327,9 @@ class IdentityOperator(LinearOperator):
     def gram_symbol(self):
         return 1.0
 
+    def gram_spectrum(self):
+        return GramSpectrum(IDENTITY_BASIS, (self.in_dim,), 1.0)
+
 
 class ScaleOperator(LinearOperator):
     kind = "scale"
@@ -250,6 +349,9 @@ class ScaleOperator(LinearOperator):
 
     def gram_symbol(self):
         return self.factor ** 2
+
+    def gram_spectrum(self):
+        return GramSpectrum(IDENTITY_BASIS, (self.in_dim,), self.factor ** 2)
 
 
 class DenseOperator(LinearOperator):
@@ -298,6 +400,9 @@ class MaskOperator(LinearOperator):
     def gram_symbol(self):
         # mask <= Id
         return float(self.pattern.any())
+
+    def gram_spectrum(self):
+        return GramSpectrum(IDENTITY_BASIS, (self.in_dim,), self.pattern.astype(float))
 
 
 class Grad2D(LinearOperator):
@@ -356,71 +461,74 @@ class Grad2D(LinearOperator):
     def gram_symbol(self):
         # exact for periodic boundaries; for Neumann an upper bound, since a
         # path Laplacian is below the cycle Laplacian in the Loewner order
-        def cycle(n):
-            return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
-        return cycle(self.rows)[:, None] + cycle(self.cols)[None, :]
+        return _cycle(self.rows)[:, None] + _cycle(self.cols)[None, :]
+
+    def gram_spectrum(self):
+        grid = (self.rows, self.cols)
+        if self.boundary == PERIODIC:
+            # the symbol on the rfftn half grid
+            half = _cycle(self.cols)[: self.cols // 2 + 1]
+            return GramSpectrum(DFT, grid, _cycle(self.rows)[:, None] + half[None, :])
+        # path Laplacians, diagonal in the DCT-II (Strang 1999)
+        def path(n):
+            return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        return GramSpectrum(DCT, grid, path(self.rows)[:, None] + path(self.cols)[None, :])
+
+
+def _cycle(n: int) -> np.ndarray:
+    # eigenvalues of the cycle Laplacian on n points, in DFT order
+    return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 class CircularConv(LinearOperator):
-    """Direct circular convolution, 1-d or 2-d depending on ``shape``."""
+    """Circular convolution, 1-d or 2-d depending on ``shape``: the kernel,
+    wrapped circularly onto the grid, filters through the real FFT."""
 
     kind = "circular_conv"
 
     def __init__(self, kernel, dim: int | None = None, shape: tuple[int, int] | None = None):
         k = np.asarray(kernel, dtype=float)
         if shape is not None:
-            if k.ndim != 2:
-                raise DimensionError("2-d convolution needs a 2-d kernel")
-            n = shape[0] * shape[1]
+            if k.ndim != 2 or len(shape) != 2:
+                raise DimensionError("2-d convolution needs a 2-d kernel and a 2-d shape")
+            grid = tuple(int(n) for n in shape)
         else:
             if k.ndim != 1:
                 raise DimensionError("1-d convolution needs a 1-d kernel")
             if dim is None:
                 raise DimensionError("1-d convolution needs the signal length")
-            n = dim
-        super().__init__(n, n)
+            grid = (int(dim),)
+        if k.size == 0:
+            raise ValueError("convolution kernel is empty")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("kernel entries must be finite")
+        super().__init__(int(np.prod(grid)), int(np.prod(grid)))
         self.kernel = k
         self.shape = shape
+        self.grid = grid
+        self._axes = tuple(range(len(grid)))
+        index = np.ix_(*(np.arange(m) % n for m, n in zip(k.shape, grid)))
+        self._wrapped = np.zeros(grid)
+        np.add.at(self._wrapped, index, k)
+        self._transfer = np.fft.rfftn(self._wrapped, axes=self._axes)
+
+    def _filter(self, x, transfer):
+        # an explicit s spares rfftn from looking up the shape on every call
+        spectrum = transfer * np.fft.rfftn(x.reshape(self.grid), s=self.grid, axes=self._axes)
+        return np.fft.irfftn(spectrum, s=self.grid, axes=self._axes).ravel()
 
     def _apply(self, x):
-        if self.shape is None:
-            out = np.zeros_like(x)
-            for k, c in enumerate(self.kernel):
-                if c != 0.0:
-                    out += c * np.roll(x, k)
-            return out
-        img = x.reshape(self.shape)
-        out = np.zeros_like(img)
-        for a in range(self.kernel.shape[0]):
-            for b in range(self.kernel.shape[1]):
-                c = self.kernel[a, b]
-                if c != 0.0:
-                    out += c * np.roll(np.roll(img, a, axis=0), b, axis=1)
-        return out.ravel()
+        return self._filter(x, self._transfer)
 
     def _adjoint(self, y):
-        if self.shape is None:
-            out = np.zeros_like(y)
-            for k, c in enumerate(self.kernel):
-                if c != 0.0:
-                    out += c * np.roll(y, -k)
-            return out
-        img = y.reshape(self.shape)
-        out = np.zeros_like(img)
-        for a in range(self.kernel.shape[0]):
-            for b in range(self.kernel.shape[1]):
-                c = self.kernel[a, b]
-                if c != 0.0:
-                    out += c * np.roll(np.roll(img, -a, axis=0), -b, axis=1)
-        return out.ravel()
+        return self._filter(y, self._transfer.conj())
 
     def gram_symbol(self):
-        # |DFT|^2 of the kernel wrapped circularly onto the grid
-        grid = self.shape if self.shape is not None else (self.in_dim,)
-        index = np.ix_(*(np.arange(k) % n for k, n in zip(self.kernel.shape, grid)))
-        wrapped = np.zeros(grid)
-        np.add.at(wrapped, index, self.kernel)
-        return np.abs(np.fft.fftn(wrapped)) ** 2
+        # |DFT|^2 of the wrapped kernel on the full grid
+        return np.abs(np.fft.fftn(self._wrapped)) ** 2
+
+    def gram_spectrum(self):
+        return GramSpectrum(DFT, self.grid, np.abs(self._transfer) ** 2)
 
 
 class StackOperator(LinearOperator):
@@ -466,6 +574,9 @@ class StackOperator(LinearOperator):
             return None
         return sum(symbols)
 
+    def gram_spectrum(self):
+        return gram_spectrum_sum([(1.0, op) for op in self.ops])
+
 
 class ComposedOperator(LinearOperator):
     kind = "composition"
@@ -508,19 +619,6 @@ class AdjointOperator(LinearOperator):
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
     return ComposedOperator(outer, inner)
-
-
-def gram_diagonal(K: LinearOperator) -> np.ndarray | float | None:
-    """Diagonal of K*K for the operator kinds whose Gram matrix is diagonal:
-    a scalar for identity and scale (a multiple of Id), the pattern for a
-    mask; None for every other kind."""
-    if isinstance(K, IdentityOperator):
-        return 1.0
-    if isinstance(K, ScaleOperator):
-        return K.factor ** 2
-    if isinstance(K, MaskOperator):
-        return K.pattern.astype(float)
-    return None
 
 
 _KINDS = {

@@ -27,6 +27,7 @@ from .funcs import (
     soft_threshold,
 )
 from .linops import (
+    IDENTITY_BASIS,
     AdjointOperator,
     ComposedOperator,
     Grad2D,
@@ -37,7 +38,6 @@ from .linops import (
     StackOperator,
     as_vector,
     construct_operator,
-    gram_diagonal,
 )
 from .solvers import (
     SolverConfig,
@@ -124,10 +124,11 @@ def build_lasso(A: LinearOperator, y, lam: float,
                             gamma=1.0, max_iter=2000)
 
     ground_truth = None
-    diag = gram_diagonal(A)
-    if diag is not None and np.all(diag > 0):
+    spectrum = A.gram_spectrum()
+    if (spectrum is not None and spectrum.basis == IDENTITY_BASIS
+            and np.all(spectrum.eigenvalues > 0)):
         # separable closed form: soft threshold of the normal-equation data
-        x_star = soft_threshold(A.adjoint(y), lam) / diag
+        x_star = soft_threshold(A.adjoint(y), lam) / spectrum.eigenvalues
         ground_truth = {"x": x_star, "objective": objective(x_star)}
 
     return ProblemInstance(

@@ -439,7 +439,9 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         raise ConfigError("douglas_rachford needs gamma > 0")
     mu = _relaxation_sequence(cfg.relaxation, 1.0, 0.0, 2.0, "mu")
     x = as_vector(x0)
-    objective = lambda z: f.value(z) + g.value(z)
+    # y is always a g-prox point, where a feasible prox makes g vanish
+    g_value = (lambda z: 0.0) if g.feasible_prox else g.value
+    objective = lambda z: f.value(z) + g_value(z)
     y = g.prox(x, gamma)
     rec = _Recorder(x, objective(y), cfg)
     for n in range(1, cfg.max_iter + 1):

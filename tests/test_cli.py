@@ -77,6 +77,19 @@ class TestSolve:
         })
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("kernel", [[[]], [[float("nan")]]], ids=["empty", "nan"])
+    def test_invalid_convolution_kernel_is_config_error(self, tmp_path, capsys, kernel):
+        # an empty kernel used to build a zero operator and solve silently
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "tv_inverse", "rows": 2, "cols": 2, "lambda": 0.1,
+                        "y": [1.0, 2.0, 0.5, 0.0],
+                        "A": {"kind": "circular_conv", "kernel": kernel, "shape": [2, 2]}},
+            "recipe": "cp2",
+            "solver": {"max_iter": 5},
+        })
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "kernel" in capsys.readouterr().err
+
     def test_unknown_solver_field_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "lasso", "y": [1.0], "lambda": 0.1},

@@ -24,11 +24,15 @@ from proxsplit.funcs import (
     solve_gram,
 )
 from proxsplit.linops import (
+    CircularConv,
     ComposedOperator,
     DenseOperator,
+    Grad2D,
     IdentityOperator,
     MaskOperator,
     ScaleOperator,
+    StackOperator,
+    conjugate_gradient,
 )
 
 
@@ -87,36 +91,82 @@ class TestQuadratic:
             make_quadratic(IdentityOperator(2), np.zeros(2), 0.0)
 
 
+def _kernel(shape, seed=5):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
 class TestSolveGram:
-    DIM = 6
+    # operators whose Gram matrix is diagonal in one transform: the identity
+    # basis, the DFT (periodic gradients, circular convolutions) or the
+    # DCT-II (Neumann gradients), on odd, even and non-square grids
+    SPECTRAL = {
+        "identity": lambda: [IdentityOperator(6)],
+        "scale": lambda: [ScaleOperator(-1.5, 6)],
+        "mask": lambda: [MaskOperator(np.arange(6) % 2 == 0)],
+        "grad_neumann_5x7": lambda: [Grad2D(5, 7)],
+        "grad_neumann_8x8": lambda: [Grad2D(8, 8)],
+        "grad_periodic_5x7": lambda: [Grad2D(5, 7, "periodic")],
+        "grad_periodic_8x8": lambda: [Grad2D(8, 8, "periodic")],
+        "conv_1d": lambda: [CircularConv(_kernel(3), dim=6)],
+        "conv_1d_wrapped": lambda: [CircularConv(_kernel(9), dim=6)],
+        "conv_2d": lambda: [CircularConv(_kernel((3, 3)), shape=(5, 7))],
+        "conv_2d_wrapped": lambda: [CircularConv(_kernel((4, 5)), shape=(3, 4))],
+        "stack_periodic_grad_conv": lambda: [StackOperator([
+            Grad2D(5, 7, "periodic"), CircularConv(_kernel((3, 3)), shape=(5, 7))])],
+        "scale_plus_grad": lambda: [ScaleOperator(2.0, 35), Grad2D(5, 7)],
+    }
+    # no shared basis: a blur over a Neumann gradient, dense, composed
+    NO_BASIS = {
+        "stack_conv_neumann_grad": lambda: StackOperator([
+            CircularConv(_kernel((3, 3)), shape=(5, 7)), Grad2D(5, 7)]),
+        "dense": lambda: DenseOperator(_kernel((4, 6))),
+        "composition": lambda: ComposedOperator(Grad2D(2, 3), IdentityOperator(6)),
+    }
 
     @staticmethod
-    def _diagonal_term(kind, n):
-        return {"identity": IdentityOperator(n),
-                "scale": ScaleOperator(-1.5, n),
-                "mask": MaskOperator(np.arange(n) % 2 == 0)}[kind]
+    def _terms(ops):
+        # a second, definite scale term keeps ridge 0 solvable for the
+        # singular kinds (mask, gradients)
+        n = ops[0].in_dim
+        return [(0.7, K) for K in ops] + [(1.3, ScaleOperator(0.5, n))]
 
     @pytest.mark.parametrize("ridge", [0.0, 1.0])
-    @pytest.mark.parametrize("kind", ["identity", "scale", "mask"])
+    @pytest.mark.parametrize("kind", sorted(SPECTRAL))
     def test_diagonal_path_matches_cg_and_skips_it(self, kind, ridge, monkeypatch):
         import proxsplit.funcs as funcs
 
-        n = self.DIM
+        terms = self._terms(self.SPECTRAL[kind]())
+        n = terms[0][1].in_dim
         rhs = np.random.default_rng(4).standard_normal(n)
-        # a second, definite scale term keeps ridge 0 solvable for the mask
-        terms = [(0.7, self._diagonal_term(kind, n)), (1.3, ScaleOperator(0.5, n))]
-        # a composition with the identity hides the diagonal: CG path
+        # a composition with the identity hides the spectrum: CG path
         hidden = [(w, ComposedOperator(K, IdentityOperator(n))) for w, K in terms]
         via_cg = solve_gram(rhs, hidden, ridge)
 
         def no_cg(*args, **kwargs):
-            raise AssertionError("the diagonal path called conjugate gradient")
+            raise AssertionError("the spectral path called conjugate gradient")
 
         monkeypatch.setattr(funcs, "conjugate_gradient", no_cg)
         exact = solve_gram(rhs, terms, ridge)
         assert np.max(np.abs(exact - via_cg)) <= 1e-10
         with pytest.raises(AssertionError):
             solve_gram(rhs, hidden, ridge)
+
+    @pytest.mark.parametrize("kind", sorted(NO_BASIS))
+    def test_without_a_shared_basis_runs_cg(self, kind, monkeypatch):
+        import proxsplit.funcs as funcs
+
+        calls = []
+
+        def counted_cg(*args, **kwargs):
+            calls.append(1)
+            return conjugate_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", counted_cg)
+        K = self.NO_BASIS[kind]()
+        rhs = np.random.default_rng(4).standard_normal(K.in_dim)
+        p = solve_gram(rhs, [(0.7, K)], 1.0)
+        assert calls == [1]
+        assert np.linalg.norm(p + 0.7 * K.adjoint(K.apply(p)) - rhs) <= 1e-10
 
 
 class TestSoftThreshold:

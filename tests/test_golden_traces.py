@@ -7,6 +7,11 @@ loops, recipe defaults and operator construction: a refactor of those must
 leave every hash unchanged.  If a deliberate behaviour change requires new
 hashes, regenerate them from the commit before that change, never from the
 change itself.
+
+The dense cases depend on BLAS/LAPACK.  The FFT-backed cases depend on
+NumPy's pocketfft in the same way: the circular convolution of
+``tv_inverse_conv/*`` and the DCT graph projection of ``tv_denoise/dr_split``,
+``tv_denoise/ppxa`` and ``tvl1/dr_split``.
 """
 import hashlib
 
@@ -173,26 +178,26 @@ GOLDEN = {
         "c03b4f217cb16428a4e13d47d5d35d51a1a4cc054a2ac816ee018fe1a738553a",
         "c55d83f5093748d46c48f67cc99ccb765922639cea58c1d6d27f11b9d70ffdfd"),
     "tv_denoise/dr_split": (
-        "890eb23b3413a802fe6b8e24948fbbeca0c0eeae564db4a74ff26e46e81a7942",
-        "dd0ea1497d81fe75aa5886ffc278cfaa219ef129cb5b6d855170e7e6ff6b5a91"),
+        "47e0dd9caee44696385347b80bbd4139ad84478b9c140028475e3eb04879d328",
+        "c1d505365bd45c242888ec4bd1428120710fa636e64e6f16f58a27a49376e034"),
     "tv_denoise/dual_fb": (
         "c03a7ffff915f8b984c28be0709a0891e0d711f6785d14c799d1869ccc4f6012",
         "c560b588067a1349c25a6d8647915229e5a1364bc3a40af3571b157db14d8d82"),
     "tv_denoise/ppxa": (
-        "9ded42d5d92dba790bd4ff03580e09006e40087e6e97466ed9b47e295a8bf439",
-        "dbe89bcf08faa815dd010084931ead5380963e7ef03edce7cbee3daa4e9636cb"),
+        "339a85f03fae8d4486c966c9e48a314c71345a88d6ad154e907c06ba243e076d",
+        "3f67f1dec9084df97362385b118c67ab302fa848432df61b10da2e95230d6d56"),
     "tv_inverse_conv/condat": (
-        "d6d53ca643e0ccbb3569ee9a8295989cf8101dfee1c602d1fc97e737e23f9576",
-        "b9b11dad9422c7ab81c47d7c0faf0ced80090897f4695ead23677f064b3cd3ac"),
+        "c672544679a7820605c5b69abd2dc595e9eba3e18dc479aa85f945c4a9af6bed",
+        "2618192f0d5e449eccb53d82cd73741520d7caec1468b1e38fda0a77da955202"),
     "tv_inverse_conv/cp2": (
-        "25fc532c4a099027037bc96de8ae7e1284fe8589e33d422442fc268acf67ad96",
-        "447853e4b0d82142ee6a5e690d4f7984b4647834ea8f7e518d4f44dc58d952d3"),
+        "4b2600adb90785ed65a4fa0c7501d50351ce1acd4556b67edf65d3f2e77be485",
+        "8e45263dd75da718f885f38eb6978b303e786361d2bf789d2b4a431c85217b19"),
     "tvl1/cp": (
         "5c953bf9bba30ca4eecc8afa309f1199375e3e14b6077a0b165577ee729430dd",
         "afde628b4cd0d71987153b56316db7e93e4aea3e1126c567be09b999cc23d6ec"),
     "tvl1/dr_split": (
-        "54a6b4145b04783dcac43897bc1ddfae04c2605021042d4698659abdcb6edb23",
-        "ff93715a4d079801086a18d7235eec96ddb212a52262b49d6342739b5a8308a4"),
+        "51030286bba3609f0f1ba0aa126f14753095f9beb349ebd24e18db5f479481ee",
+        "69e61fd42bc7c4a61dc673385e0d907ac7685492658dda29d6a9860d636bbc49"),
     "wavelet_reg/fb": (
         "9cf7ba0ad94b3dba8d678b721bea29abc49e96e1b279b3a701770e4687aa23a5",
         "357227a383a249afef4833a79d7c053061b6a04e4b908ab8048edc2413425e70"),

@@ -117,6 +117,54 @@ class TestApply:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
 
 
+def roll_convolution(kernel, x, shape=None, sign=1):
+    """Circular convolution as a sum of shifted copies (sign -1: its
+    adjoint), the reference for the FFT implementation."""
+    if shape is None:
+        return sum(c * np.roll(x, sign * k) for k, c in enumerate(kernel))
+    img = x.reshape(shape)
+    out = np.zeros_like(img)
+    for a in range(kernel.shape[0]):
+        for b in range(kernel.shape[1]):
+            out += kernel[a, b] * np.roll(img, (sign * a, sign * b), axis=(0, 1))
+    return out.ravel()
+
+
+class TestCircularConv:
+    CASES = {
+        "1d": (7, 12, None),
+        "1d_wrapped": (9, 6, None),
+        "2d": ((3, 3), None, (5, 7)),
+        "2d_wrapped": ((4, 5), None, (3, 4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fft_matches_roll_reference(self, case):
+        kshape, dim, shape = self.CASES[case]
+        rng = np.random.default_rng(11)
+        kernel = rng.standard_normal(kshape)
+        op = CircularConv(kernel, dim=dim, shape=shape)
+        for _ in range(5):
+            x = rng.standard_normal(op.in_dim)
+            for got, sign in ((op.apply(x), 1), (op.adjoint(x), -1)):
+                ref = roll_convolution(kernel, x, shape, sign)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+        assert adjoint_consistency_check(op, trials=50, seed=3).passed
+
+    @pytest.mark.parametrize("kernel, grid", [
+        ([[np.nan]], {"shape": (4, 4)}),
+        ([[1.0, np.inf]], {"shape": (4, 4)}),
+        ([[]], {"shape": (4, 4)}),
+        (np.zeros((0, 2)), {"shape": (4, 4)}),
+        ([], {"dim": 4}),
+        ([[1.0]], {"shape": (2, 2, 2)}),
+    ], ids=["nan", "inf", "empty_row", "empty_2d", "empty_1d", "3d_shape"])
+    def test_rejects_invalid_kernel_or_shape(self, kernel, grid):
+        # DimensionError is a ValueError: the CLI reports both as config errors
+        with pytest.raises(ValueError):
+            CircularConv(kernel, **grid)
+
+
 class TestAdjoint:
     def test_dense_transpose(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])

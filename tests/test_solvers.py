@@ -370,6 +370,18 @@ class TestDouglasRachford:
         assert trace.x == pytest.approx([1.0], abs=1e-6)
         assert np.isfinite(trace.objective[-1])
 
+    def test_feasible_prox_value_is_not_evaluated(self, monkeypatch):
+        # the graph projection is feasible by construction, so its indicator
+        # is 0 at every shadow point and dr_split does not evaluate it
+        from proxsplit.funcs import AffineGraphIndicator
+
+        def refuse(self, x):
+            raise AssertionError("graph indicator evaluated")
+
+        monkeypatch.setattr(AffineGraphIndicator, "value", refuse)
+        trace, _ = tv_denoise_fixture().run("dr_split", SolverConfig(max_iter=5))
+        assert trace.n_iter == 5 and np.all(np.isfinite(trace.objective))
+
 
 class TestPPXA:
     def test_identical_terms_consensus(self):
