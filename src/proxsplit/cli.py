@@ -3,8 +3,9 @@
     proxsplit solve|certify|compare|generate <config.json> [--out DIR] [--seed N]
 
 Exit codes: 0 success, 1 config error, 2 divergence or numerical failure,
-3 certification failure.  Every run writes the fully-resolved config next to
-its outputs so results are reproducible from the artifacts alone.
+3 certification failure.  Every command writes the config that ran, as
+``resolved_config.json`` next to its outputs, so running it again reproduces
+them.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
 from .problems import build_from_config, build_lasso, build_tv_denoise
 from .solvers import DIVERGED, DecreaseViolation, SolverConfig
-from .suite import CHECKS, CONTROLS, run_checks
+from .suite import CHECKS, CONTROLS, expand_checks, run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -95,10 +96,9 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _resolved_config(config, cfg: SolverConfig, out_dir) -> None:
-    resolved = dict(config)
-    resolved["solver"] = dataclasses.asdict(cfg)
-    _write_json(pathlib.Path(out_dir) / "resolved_config.json", resolved)
+def _write_resolved(out_dir, config: dict, resolved: dict) -> None:
+    # the config file with the settings that ran written over it
+    _write_json(pathlib.Path(out_dir) / "resolved_config.json", {**config, **resolved})
 
 
 def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
@@ -131,15 +131,15 @@ def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
         "wall_time_seconds": wall,
     }
     # primal-dual recipes: the stepsizes that ran and the norm bound behind them
-    summary.update({k: trace.meta[k] for k in
-                    ("sigma", "tau", "operator_norm", "norm_converged") if k in trace.meta})
+    summary.update({k: trace.meta[k] for k in ("sigma", "tau", "operator_norm")
+                    if k in trace.meta})
     if inst.ground_truth and "objective" in inst.ground_truth:
         summary["expected_objective"] = float(inst.ground_truth["objective"])
         summary["objective_error"] = abs(summary["objective"]
                                          - summary["expected_objective"])
     _write_json(out / "summary.json", summary)
     # recipes built by proxsplit.problems record the config they ran
-    _resolved_config(config, trace.meta.get("config", cfg), out)
+    _write_resolved(out, config, {"solver": dataclasses.asdict(trace.meta.get("config", cfg))})
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
 
 
@@ -153,16 +153,22 @@ def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
         if name not in inst.recipes:
             raise ConfigFileError(f"unknown recipe {name!r}; available: "
                                   f"{sorted(inst.recipes)}")
-    cfg = _solver_config(config.get("solver"), seed_override)
+    # "solver" is one config for every recipe, or an object keyed by recipe name
+    spec = dict(config.get("solver") or {})
+    per_recipe = bool(spec) and set(spec) <= set(recipes)
+    cfgs = {name: _solver_config(spec.get(name) if per_recipe else spec, seed_override)
+            for name in recipes}
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     columns = {}
     finals = {}
+    ran = {}
     for name in recipes:
-        trace, x = inst.run(name, cfg)
+        trace, x = inst.run(name, cfgs[name])
         columns[name] = trace.objective
         finals[name] = inst.objective(x)
+        ran[name] = dataclasses.asdict(trace.meta.get("config", cfgs[name]))
     best = min(finals.values())
     length = max(len(c) for c in columns.values())
 
@@ -180,7 +186,7 @@ def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
         fh.write("\n".join(lines) + "\n")
     _write_json(out / "summary.json",
                 {"problem": inst.name, "final_objectives": finals, "best": best})
-    _resolved_config(config, cfg, out)
+    _write_resolved(out, config, {"solver": ran})
     return EXIT_OK
 
 
@@ -191,12 +197,14 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
     seed = int(seed_override if seed_override is not None
                else config.get("seed", 0))
     try:
-        reports = run_checks(names, seed=seed)
+        names = expand_checks(names)
     except KeyError as exc:
         raise ConfigFileError(
             f"{exc.args[0]}; known checks: {sorted(CHECKS) + sorted(CONTROLS)}")
+    reports = run_checks(names, seed=seed)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _write_resolved(out, config, {"checks": names, "seed": seed})
     all_passed = all(r.passed for r in reports)
     payload = {
         "seed": seed,
@@ -219,10 +227,12 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     seed = int(seed_override if seed_override is not None
                else config.get("seed", 0))
     out = pathlib.Path(out_dir)
+    resolved = {"kind": kind, "dims": dims, "sigma": sigma, "seed": seed}
 
     if kind in datamod.SYNTHETIC_KINDS:
         data = datamod.generate_synthetic(kind, dims, sigma=sigma, seed=seed)
         datamod.write_fixture(out, data)
+        _write_resolved(out, config, resolved)
         print(f"wrote {kind} fixture to {out}")
         return EXIT_OK
 
@@ -242,6 +252,7 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     trace, x = inst.run(reference, SolverConfig(max_iter=20_000))
     data["lambda"] = lam
     datamod.write_fixture(out, data, expected={"objective": inst.objective(x)})
+    _write_resolved(out, config, {**resolved, "lambda": lam})
     print(f"wrote {kind} fixture to {out}")
     return EXIT_OK
 

@@ -169,9 +169,13 @@ def read_pgm(path, boundary: str = NEUMANN) -> ImageGrid:
     return ImageGrid(rows, cols, arr, boundary)
 
 
-def write_csv_grid(path, grid: ImageGrid) -> None:
-    arr = grid.to_array()
-    lines = [",".join(repr(float(v)) for v in row) for row in arr]
+def write_csv_rows(path, rows) -> None:
+    """Write a 2-d array one row per line, or a 1-d array one entry per line,
+    in shortest round-trip decimals."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -192,7 +196,7 @@ def image_io(path, direction: str, grid: ImageGrid | None = None,
     if direction == "write":
         if grid is None:
             raise ValueError("writing needs a grid")
-        write_pgm(path, grid) if is_pgm else write_csv_grid(path, grid)
+        write_pgm(path, grid) if is_pgm else write_csv_rows(path, grid.to_array())
         return None
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -200,22 +204,6 @@ def image_io(path, direction: str, grid: ImageGrid | None = None,
 # ---------------------------------------------------------------------------
 # fixture bundles: a directory with manifest.json plus CSV payloads
 # ---------------------------------------------------------------------------
-
-def _write_csv_vector(path, vec) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(repr(float(v)) for v in np.asarray(vec, dtype=float)) + "\n")
-
-
-def _read_csv_vector(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return np.array([float(line.strip()) for line in fh if line.strip()])
-
-
-def _write_csv_matrix(path, mat) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(mat, dtype=float)]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.Path:
     """Persist a synthetic-data dict as a fixture bundle.
@@ -234,13 +222,13 @@ def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.
     for key in ("x_true", "y", "kernel"):
         if key in data:
             fname = f"{key}.csv"
-            _write_csv_vector(out / fname, data[key])
+            write_csv_rows(out / fname, data[key])
             manifest["files"][key] = fname
     if "pattern" in data:
-        _write_csv_vector(out / "pattern.csv", data["pattern"].astype(float))
+        write_csv_rows(out / "pattern.csv", data["pattern"])
         manifest["files"]["pattern"] = "pattern.csv"
     if "A" in data:
-        _write_csv_matrix(out / "A.csv", data["A"])
+        write_csv_rows(out / "A.csv", data["A"])
         manifest["files"]["A"] = "A.csv"
     if expected:
         manifest["expected"] = expected
@@ -260,14 +248,16 @@ def load_fixture(bundle_dir) -> dict:
     data = dict(manifest)
     files = data.pop("files", {})
     for key, fname in files.items():
-        if not (bundle / fname).exists():
+        path = bundle / fname
+        if not path.exists():
             raise FixtureError(f"bundle {bundle} is missing payload {fname}")
-        if key == "A":
-            data["A"] = read_csv_rows(bundle / fname, FixtureError)
-        elif key == "pattern":
-            data["pattern"] = _read_csv_vector(bundle / fname).astype(bool)
-        else:
-            data[key] = _read_csv_vector(bundle / fname)
+        rows = read_csv_rows(path, FixtureError)
+        if key != "A":
+            # every other payload is a vector, one entry per line
+            if rows.shape[1] != 1:
+                raise FixtureError(f"vector file {path} has {rows.shape[1]} columns, not one")
+            rows = rows[:, 0].astype(bool) if key == "pattern" else rows[:, 0]
+        data[key] = rows
     return data
 
 

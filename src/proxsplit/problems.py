@@ -80,15 +80,14 @@ def _recipe(solve, extract=None, **defaults):
 
     A callable default is evaluated when the recipe runs, so a norm-derived
     stepsize costs nothing until used.  ``trace.meta["config"]`` keeps the
-    merged config, the one that ran, with the primal-dual stepsizes the
-    solver chose.
+    merged config, the one that ran, with the stepsizes the solver chose.
     """
     def run(cfg=None):
         merged = _merge_cfg(cfg, **{k: v() if callable(v) else v
                                     for k, v in defaults.items()})
         trace = solve(merged)
         trace.meta["config"] = dataclasses.replace(
-            merged, **{k: trace.meta[k] for k in ("sigma", "tau") if k in trace.meta})
+            merged, **{k: trace.meta[k] for k in ("gamma", "sigma", "tau") if k in trace.meta})
         return trace, trace.x if extract is None else extract(trace)
 
     return run
@@ -99,11 +98,11 @@ _FB_INERTIA = {"fb": "none", "fista": "fista_t", "fista_beta": "fista_beta",
                "vfista": "vfista"}
 
 
-def _fb_recipes(f, g, x0, gamma, names) -> dict:
-    """Forward-backward recipes on f + g from x0, at stepsize ``gamma``."""
+def _fb_recipes(f, g, x0, names) -> dict:
+    """Forward-backward recipes on f + g from x0; the solver derives the
+    stepsize 1/L when the recipe runs."""
     fb = lambda cfg: forward_backward(f, g, x0, cfg)
-    return {name: _recipe(fb, gamma=gamma, inertia=_FB_INERTIA[name], max_iter=2000)
-            for name in names}
+    return {name: _recipe(fb, inertia=_FB_INERTIA[name], max_iter=2000) for name in names}
 
 
 def build_lasso(A: LinearOperator, y, lam: float,
@@ -116,10 +115,9 @@ def build_lasso(A: LinearOperator, y, lam: float,
     g = L1Norm(lam)
     objective = lambda x: f.value(x) + g.value(x)
     x0 = np.zeros(A.in_dim)
-    L = f.lipschitz
 
     names = ["fb", "fista", "fista_beta"] + (["vfista"] if f.strong_convexity > 0 else [])
-    recipes = _fb_recipes(f, g, x0, 1.0 / L, names)
+    recipes = _fb_recipes(f, g, x0, names)
     recipes["dr"] = _recipe(lambda cfg: douglas_rachford(f, g, x0, cfg),
                             gamma=1.0, max_iter=2000)
 
@@ -136,7 +134,7 @@ def build_lasso(A: LinearOperator, y, lam: float,
         objective=objective,
         recipes=recipes,
         ground_truth=ground_truth,
-        metadata={"lambda": lam, "dim": A.in_dim, "lipschitz": L,
+        metadata={"lambda": lam, "dim": A.in_dim, "lipschitz": f.lipschitz,
                   "f": f, "g": g},
     )
 
@@ -192,8 +190,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
             lambda cfg: forward_backward(
                 dual_quad, ball, np.zeros(grad.out_dim), cfg,
                 objective=lambda p: objective(y + grad.adjoint(p))),
-            lambda trace: y + grad.adjoint(trace.x),
-            gamma=lambda: 1.0 / dual_quad.lipschitz, inertia="fista_t", max_iter=3000),
+            lambda trace: y + grad.adjoint(trace.x), inertia="fista_t", max_iter=3000),
         "condat": _recipe(
             lambda cfg: condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)], y,
                                cfg=cfg, objective=objective),
@@ -339,7 +336,7 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
     return ProblemInstance(
         name="wavelet_reg",
         objective=objective,
-        recipes=_fb_recipes(f, g, x0, lambda: 1.0 / f.lipschitz, ["fb", "fista"]),
+        recipes=_fb_recipes(f, g, x0, ["fb", "fista"]),
         metadata={"lambda": lam, "f": f, "g": g},
     )
 

@@ -338,7 +338,7 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
         x_prev, x, j_prev = x, x_new, j_new
         if stop:
             break
-    return rec.finish(x)
+    return rec.finish(x, meta={"gamma": gamma})
 
 
 def forward_backward(f: SmoothFn, g: ProxFn, x0,
@@ -572,7 +572,7 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
             f"stepsize product tau*sigma*||K||^2 = {tau * sigma * L * L:.6f} >= 1 "
             f"(operator norm estimate {L:.6f})"
         )
-    return sigma, tau, {"operator_norm": L, "norm_converged": K.norm_converged}
+    return sigma, tau, L
 
 
 def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
@@ -580,7 +580,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
     # members of the primal-dual family
     cfg = cfg or SolverConfig()
-    sigma, tau, norm_meta = _validate_pd_steps(cfg, prob.K)
+    sigma, tau, op_norm = _validate_pd_steps(cfg, prob.K)
     x = as_vector(x0, prob.K.in_dim)
     y = as_vector(y0, prob.K.out_dim)
     xbar = x
@@ -618,7 +618,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         "y": y,
         "sigma": sigma,
         "tau": tau,
-        **norm_meta,
+        "operator_norm": op_norm,
         "dual_iterates": dual_iterates,
         "ergodic": ergodic,
     })
@@ -709,5 +709,4 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         if stop:
             break
     return rec.finish(x, meta={"duals": us, "sigma": sigma, "tau": tau,
-                               "operator_norm": stack.norm(),
-                               "norm_converged": stack.norm_converged})
+                               "operator_norm": stack.norm()})

@@ -479,8 +479,9 @@ CONTROLS = {
 }
 
 
-def run_checks(names, seed: int = 0) -> list[CheckReport]:
-    """Run the named checks; ``all`` expands to the default suite."""
+def expand_checks(names) -> list[str]:
+    """Check names with ``all`` expanded to the default suite and
+    ``controls`` to the negative controls."""
     expanded = []
     for name in names:
         if name == "all":
@@ -491,8 +492,13 @@ def run_checks(names, seed: int = 0) -> list[CheckReport]:
             expanded.append(name)
         else:
             raise KeyError(f"unknown check {name!r}")
+    return expanded
+
+
+def run_checks(names, seed: int = 0) -> list[CheckReport]:
+    """Run the named checks; ``all`` expands to the default suite."""
     reports = []
-    for name in expanded:
+    for name in expand_checks(names):
         fn = CHECKS.get(name) or CONTROLS[name]
         out = fn(seed)
         if isinstance(out, CheckReport):

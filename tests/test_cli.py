@@ -167,6 +167,29 @@ class TestCompare:
         assert all((v - best) / max(abs(best), 1e-12) <= 1e-4
                    for v in finals.values())
 
+    def test_resolved_config_records_each_recipe_and_reruns(self, tmp_path):
+        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+        cfg = write_config(tmp_path / "cmp.json", {
+            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+            "recipes": ["cp", "dr_split", "dual_fb"],
+        })
+        out = tmp_path / "curves"
+        assert main(["compare", cfg, "--out", str(out)]) == 0
+        solver = json.loads((out / "resolved_config.json").read_text())["solver"]
+        # the recipe defaults that ran, not the SolverConfig defaults
+        assert {name: s["max_iter"] for name, s in solver.items()} == {
+            "cp": 3000, "dr_split": 3000, "dual_fb": 3000}
+        assert solver["cp"]["sigma"] > 0 and solver["cp"]["tau"] > 0
+        assert solver["dual_fb"]["gamma"] > 0 and solver["dual_fb"]["inertia"] == "fista_t"
+        csv = (out / "comparison.csv").read_bytes()
+        assert len(csv.splitlines()) == 3001
+        again = tmp_path / "again"
+        assert main(["compare", str(out / "resolved_config.json"),
+                     "--out", str(again)]) == 0
+        assert (again / "comparison.csv").read_bytes() == csv
+        assert (again / "resolved_config.json").read_bytes() == (
+            out / "resolved_config.json").read_bytes()
+
     def test_missing_recipes_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "cmp.json", {
             "problem": {"kind": "lasso", "y": [1.0], "lambda": 0.1}})
@@ -203,6 +226,20 @@ class TestCertify:
         cfg = write_config(tmp_path / "cert.json", {"checks": ["spectral:norm"]})
         assert main(["certify", cfg, "--out", str(tmp_path / "c")]) == 1
 
+    def test_resolved_config_expands_checks_and_reruns(self, tmp_path):
+        cfg = write_config(tmp_path / "cert.json", {"checks": ["km:rotation", "controls"]})
+        out = tmp_path / "cert"
+        assert main(["certify", cfg, "--out", str(out), "--seed", "4"]) == 3
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved == {"checks": ["km:rotation", "control:ascending_trace",
+                                       "control:broken_prox", "control:corrupted_adjoint",
+                                       "control:fake_convex"],
+                            "seed": 4}
+        again = tmp_path / "again"
+        assert main(["certify", str(out / "resolved_config.json"),
+                     "--out", str(again)]) == 3
+        assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
     def test_full_default_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path / "cert.json", {"checks": ["all"]})
         out = tmp_path / "cert"
@@ -210,6 +247,30 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
         assert report["failures"] == []
+
+
+@pytest.mark.parametrize("operator", [{"kind": "scale", "factor": 0.0},
+                                      {"kind": "mask", "pattern": [False, False]}],
+                         ids=["scale0", "empty_mask"])
+class TestZeroOperatorLasso:
+    def problem(self, operator):
+        return {"kind": "lasso", "y": [1.0, 2.0], "A": operator, "lambda": 0.1}
+
+    def test_fb_family_is_config_error(self, tmp_path, capsys, operator):
+        for recipe in ("fb", "fista"):
+            cfg = write_config(tmp_path / "solve.json",
+                               {"problem": self.problem(operator), "recipe": recipe})
+            assert main(["solve", cfg, "--out", str(tmp_path / recipe)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Lipschitz constant is zero" in err
+
+    def test_dr_solves(self, tmp_path, operator):
+        cfg = write_config(tmp_path / "solve.json",
+                           {"problem": self.problem(operator), "recipe": "dr"})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["objective"] == 2.5  # x = 0: 0.5 * ||y||^2
 
 
 class TestDivergenceExitCode:
@@ -330,7 +391,7 @@ class TestStepsizeSummary:
         out = tmp_path / "run"
         assert main(["solve", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["norm_converged"] is True
+        assert "norm_converged" not in summary
         product = summary["tau"] * summary["sigma"] * summary["operator_norm"] ** 2
         assert 0.0 < product < 1.0
         header = (out / "trace.csv").read_text().splitlines()[0]
@@ -405,6 +466,20 @@ class TestGenerate:
             "recipe": "fb",
         })
         assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 1
+
+    def test_resolved_config_fills_defaults_and_reruns(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.json", {"kind": "lasso", "dims": [4, 6]})
+        out = tmp_path / "g1"
+        assert main(["generate", cfg, "--out", str(out), "--seed", "2"]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved == {"kind": "lasso", "dims": [4, 6], "sigma": 0.0, "seed": 2,
+                            "lambda": 0.1}
+        again = tmp_path / "g2"
+        assert main(["generate", str(out / "resolved_config.json"),
+                     "--out", str(again)]) == 0
+        for name in ("manifest.json", "A.csv", "x_true.csv", "y.csv",
+                     "resolved_config.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "gen.json",

@@ -11,6 +11,7 @@ from proxsplit.linops import (
     DimensionError,
     Grad2D,
     IdentityOperator,
+    LinearOperator,
     MaskOperator,
     ScaleOperator,
     StackOperator,
@@ -19,7 +20,6 @@ from proxsplit.linops import (
     conjugate_gradient,
     construct_operator,
     dense_from_csv,
-    operator_norm,
 )
 
 
@@ -187,10 +187,20 @@ class TestAdjoint:
         assert rep.passed, f"{op.kind}: defect {rep.max_defect}"
 
 
+class NoClosedForm(LinearOperator):
+    """An operator class with neither ``_norm_bound`` nor ``gram_symbol``."""
+
+    def _apply(self, x):
+        return 2.0 * x
+
+    def _adjoint(self, y):
+        return 2.0 * y
+
+
 class TestOperatorNorm:
     def test_diagonal(self):
         op = DenseOperator(np.diag([2.0, 3.0]))
-        assert abs(operator_norm(op) - 3.0) <= 1e-6
+        assert abs(op.norm() - 3.0) <= 1e-6
         assert op.norm() == op.cached_norm
 
     def test_identity(self):
@@ -232,13 +242,13 @@ class TestOperatorNorm:
                 amplified = np.linalg.norm(op.apply(x))
                 assert amplified <= bound * np.linalg.norm(x) * (1 + 1e-6) + 1e-12
 
-    def test_nonconvergence_flagged(self):
-        from proxsplit import linops as L
-
-        op = DenseOperator(np.diag([1.0, 1.0 - 1e-12]))
-        est, converged = L._power_iteration(op, 1e-30, 5, 0)
-        assert not converged
-        assert est > 0
+    def test_wrappers_of_an_operator_without_closed_form_raise(self):
+        opaque = NoClosedForm(3, 3)
+        for op in (opaque.T, ComposedOperator(IdentityOperator(3), opaque),
+                   StackOperator([IdentityOperator(3), opaque])):
+            with pytest.raises(NotImplementedError, match="NoClosedForm"):
+                op.norm()
+            assert op.cached_norm is None
 
     def test_zero_operator_norm(self):
         assert ScaleOperator(0.0, 3).norm() == 0.0
@@ -274,7 +284,6 @@ class TestClosedFormNorms:
     def test_bound_is_sound_and_tight(self, op):
         exact = np.linalg.norm(explicit_matrix(op), 2)
         bound = op.norm()
-        assert op.norm_converged
         assert bound >= exact * (1 - 1e-12)
         if op.kind != "composition":
             assert bound <= exact * (1 + self.LOOSENESS.get(op.kind, 1e-12))
@@ -284,24 +293,15 @@ class TestClosedFormNorms:
         block_sum = np.sqrt(sum(o.norm() ** 2 for o in op.ops))
         assert op.norm() < 0.95 * block_sum
 
-    def test_no_power_iteration_for_builtin_kinds(self, monkeypatch):
-        from proxsplit import linops as L
-
-        def refuse(*args):
-            raise AssertionError("power iteration called")
-
-        monkeypatch.setattr(L, "_power_iteration", refuse)
+    def test_no_power_iteration_for_builtin_kinds(self):
+        # every built-in kind, and the adjoint of one, has a closed form
         for op in closed_form_cases() + [IdentityOperator(3).T, Grad2D(3, 4).T]:
             assert op.norm() >= 0.0
 
-    def test_fallback_for_class_without_closed_form(self):
-        class Opaque(DenseOperator):
-            def _norm_bound(self):
-                return None
-
-        op = Opaque(np.diag([2.0, 3.0]))
-        assert abs(op.norm() - 3.0) <= 1e-6
-        assert op.norm_converged
+    def test_class_without_closed_form_raises(self):
+        # no estimate stands in for a missing closed form
+        with pytest.raises(NotImplementedError, match="NoClosedForm"):
+            NoClosedForm(2, 2).norm()
 
     @pytest.mark.parametrize("op", [
         Grad2D(3, 5, "periodic"),

@@ -8,7 +8,7 @@ from proxsplit.data import (
     load_fixture,
     read_csv_grid,
     read_pgm,
-    write_csv_grid,
+    write_csv_rows,
     write_fixture,
     write_pgm,
 )
@@ -30,7 +30,7 @@ from proxsplit.problems import (
     build_tvl1,
     build_wavelet_reg,
 )
-from proxsplit.solvers import SolverConfig
+from proxsplit.solvers import ConfigError, SolverConfig
 from proxsplit.suite import tv_denoise_fixture
 
 
@@ -93,6 +93,21 @@ class TestLasso:
         inst = build_lasso(IdentityOperator(2), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(KeyError):
             inst.run("newton")
+
+    @pytest.mark.parametrize("A", [ScaleOperator(0.0, 2),
+                                   MaskOperator(np.zeros(2, dtype=bool))],
+                             ids=["scale0", "empty_mask"])
+    def test_zero_operator_builds_and_only_fb_needs_a_stepsize(self, A):
+        # L = 0: the fb family cannot derive 1/L, Douglas-Rachford needs none
+        inst = build_lasso(A, np.array([1.0, 2.0]), 0.1)
+        for name in ("fb", "fista", "fista_beta"):
+            with pytest.raises(ConfigError, match="Lipschitz constant is zero"):
+                inst.run(name)
+        _, x = inst.run("dr", SolverConfig(max_iter=50))
+        assert np.array_equal(x, np.zeros(2))
+        # an explicit stepsize runs the fb family too
+        _, x = inst.run("fb", SolverConfig(gamma=1.0, max_iter=5))
+        assert np.array_equal(x, np.zeros(2))
 
 
 class TestTVDenoise:
@@ -374,7 +389,7 @@ class TestImageIO:
         rng = np.random.default_rng(1)
         grid = ImageGrid.from_array(rng.random((3, 5)))
         path = tmp_path / "img.csv"
-        write_csv_grid(path, grid)
+        write_csv_rows(path, grid.to_array())
         back = read_csv_grid(path)
         assert np.array_equal(back.pixels, grid.pixels)
 
@@ -419,6 +434,29 @@ class TestFixtureBundles:
         (out / "A.csv").write_text("1.0,2.0,3.0,4.0\n5.0,6.0\n1.0,1.0,1.0,1.0\n")
         with pytest.raises(FixtureError, match="A.csv"):
             load_fixture(out)
+
+    def test_malformed_vector_payload_names_the_file(self, tmp_path):
+        data = generate_synthetic("sparse_vector", (3, 4), sigma=0.0, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        (out / "y.csv").write_text("1.0\nabc\n2.0\n")
+        with pytest.raises(FixtureError, match="y.csv"):
+            load_fixture(out)
+
+    def test_vector_payload_with_two_columns_rejected(self, tmp_path):
+        data = generate_synthetic("sparse_vector", (3, 4), sigma=0.0, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        (out / "y.csv").write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(FixtureError, match="y.csv"):
+            load_fixture(out)
+
+    def test_one_writer_for_vectors_and_matrices(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_csv_rows(path, np.array([1.0, 0.1, -3.0]))
+        assert path.read_text() == "1.0\n0.1\n-3.0\n"
+        write_csv_rows(path, np.array([True, False]))
+        assert path.read_text() == "1.0\n0.0\n"
+        write_csv_rows(path, np.array([[1.0, 2.5], [0.1, -3.0]]))
+        assert path.read_text() == "1.0,2.5\n0.1,-3.0\n"
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FixtureError):
