@@ -15,6 +15,7 @@ import json
 import pathlib
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -44,12 +45,32 @@ def _load_config(path) -> dict:
         raise ConfigFileError(f"invalid JSON in {path}: {exc}")
 
 
-def _solver_config(spec: dict | None, seed_override: int | None) -> SolverConfig:
-    spec = dict(spec or {})
-    allowed = {f.name for f in dataclasses.fields(SolverConfig)}
-    unknown = set(spec) - allowed
+def _solver_spec(spec, where: str = "solver") -> dict:
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ConfigFileError(f"{where} must be an object, got {json.dumps(spec)}")
+    return dict(spec)
+
+
+def _field_type_ok(value, hint) -> bool:
+    # JSON gives whole numbers as int, and true/false fill only bool fields
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
+
+
+def _solver_config(spec, seed_override: int | None, where: str = "solver") -> SolverConfig:
+    spec = _solver_spec(spec, where)
+    hints = typing.get_type_hints(SolverConfig)
+    unknown = set(spec) - set(hints)
     if unknown:
         raise ConfigFileError(f"unknown solver config fields: {sorted(unknown)}")
+    for name, value in spec.items():
+        if not _field_type_ok(value, hints[name]):
+            raise ConfigFileError(
+                f"solver field {name!r} must be {getattr(hints[name], '__name__', hints[name])}"
+                f", got {json.dumps(value)}")
     if seed_override is not None:
         spec["seed"] = seed_override
     return SolverConfig(**spec)
@@ -154,9 +175,10 @@ def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
             raise ConfigFileError(f"unknown recipe {name!r}; available: "
                                   f"{sorted(inst.recipes)}")
     # "solver" is one config for every recipe, or an object keyed by recipe name
-    spec = dict(config.get("solver") or {})
+    spec = _solver_spec(config.get("solver"))
     per_recipe = bool(spec) and set(spec) <= set(recipes)
-    cfgs = {name: _solver_config(spec.get(name) if per_recipe else spec, seed_override)
+    cfgs = {name: _solver_config(spec.get(name), seed_override, f"solver[{name!r}]")
+            if per_recipe else _solver_config(spec, seed_override)
             for name in recipes}
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
@@ -42,6 +43,15 @@ class SolverConfig:
     ``keep_iterates`` stores the primal iterates x_0..x_n in
     ``trace.iterates`` (and the dual ones of the primal-dual schemes in
     ``meta["dual_iterates"]``); by default only the final point is kept.
+    ``stop_at_fixed_point`` ends a run with ``tol_reached`` once everything
+    its next iteration reads is bitwise unchanged, since every later
+    iteration would repeat it: x for gradient descent, the proximal point
+    and plain prox-gradient loops; x and the previous iterate for inertial
+    prox-gradient; x, y and xbar for the primal-dual loop; x and every dual
+    block for :func:`condat`; y and z for ADMM.  Douglas-Rachford also needs
+    z = y, and Krasnosel'skii-Mann Tx = x, because an n-dependent relaxation
+    multiplies that difference.  The trace is then the full run's prefix, and
+    ``meta["ergodic"]`` is keyed at the stopping n.
     Recipe defaults fill only :meth:`unset_fields`.
     """
 
@@ -58,6 +68,7 @@ class SolverConfig:
     objective_tol: float = 0.0
     seed: int = 0
     keep_iterates: bool = False
+    stop_at_fixed_point: bool = False
     divergence_cap: float = 1e12
 
     def __new__(cls, *args, **kwargs):
@@ -123,6 +134,11 @@ def _relaxation_sequence(spec, default: float, lo: float, hi: float, name: str):
     return lambda n: val
 
 
+def _same_bytes(a, b) -> bool:
+    # bytes, not values: +0.0 == -0.0, and the sign of a zero can reach the output
+    return a.tobytes() == b.tobytes()
+
+
 class _Recorder:
     def __init__(self, x0, objective0, cfg: SolverConfig):
         self.cfg = cfg
@@ -153,13 +169,11 @@ class _Recorder:
                 self.extras.setdefault(key, []).append(float(val))
         if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
-        if tracked:
-            if not np.isfinite(objective) and not np.isposinf(objective):
-                self.termination = DIVERGED
-                return True
-            if np.isfinite(objective) and objective > self.cfg.divergence_cap:
-                self.termination = DIVERGED
-                return True
+        # NaN and -inf diverge, and so does a finite value past the cap
+        if tracked and (objective > self.cfg.divergence_cap if math.isfinite(objective)
+                        else not (math.isinf(objective) and objective > 0)):
+            self.termination = DIVERGED
+            return True
         if not np.all(np.isfinite(x_new)):
             self.termination = DIVERGED
             return True
@@ -171,6 +185,13 @@ class _Recorder:
         if otol > 0 and tracked and len(self.obj) >= 2 and abs(
             self.obj[-1] - self.obj[-2]
         ) <= otol * (1.0 + abs(self.obj[-2])):
+            self.termination = TOL_REACHED
+            return True
+        return False
+
+    def fixed_point(self, *pairs) -> bool:
+        """Stop with tol_reached when every (new, old) pair is bitwise equal."""
+        if all(_same_bytes(new, old) for new, old in pairs):
             self.termination = TOL_REACHED
             return True
         return False
@@ -253,7 +274,8 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
                 break
             step = float(g @ g) / denom
             x_new = x - step * g
-        stop = rec.record(n, x_new, x, f.value(x_new), {"step": step})
+        stop = rec.record(n, x_new, x, f.value(x_new), {"step": step}) or (
+            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
         x = x_new
         if stop:
             break
@@ -284,7 +306,8 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
         x_new = g.prox(x, gamma)
         val_old, val_new = g.value(x), g.value(x_new)
         margin = val_old - val_new - float(np.sum((x - x_new) ** 2)) / (2 * gamma)
-        stop = rec.record(n, x_new, x, val_new, {"prox_decrease_margin": margin})
+        stop = rec.record(n, x_new, x, val_new, {"prox_decrease_margin": margin}) or (
+            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
         x = x_new
         if stop:
             break
@@ -334,7 +357,11 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
                 "h2_witness_norm": np.sqrt(sq) / gamma,
             }
         value = j_new if j_new is not None and objective is None else report(x_new)
-        stop = rec.record(n, x_new, x, value, extras)
+        # inertia also reads x_prev; once x - x_prev is zero, its n-dependent
+        # coefficient multiplies zero
+        stop = rec.record(n, x_new, x, value, extras) or (
+            cfg.stop_at_fixed_point
+            and rec.fixed_point((x_new, x), (x, x if coefs is None else x_prev)))
         x_prev, x, j_prev = x, x_new, j_new
         if stop:
             break
@@ -415,8 +442,8 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
         tx = np.asarray(T(x), dtype=float)
         fp_res = float(np.linalg.norm(tx - x))
         x_new = x + lam(n - 1) * (tx - x)
-        stop = rec.record(n, x_new, x, None,
-                          {"fixed_point_residual": fp_res})
+        stop = rec.record(n, x_new, x, None, {"fixed_point_residual": fp_res}) or (
+            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (tx, x)))
         x = x_new
         if stop:
             break
@@ -448,6 +475,8 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         z = f.prox(2.0 * y - x, gamma)
         x_new = x + mu(n - 1) * (z - y)
         stop = rec.record(n, x_new, x, objective(y), {"split_gap": float(np.linalg.norm(z - y))})
+        # mu_n multiplies z - y, so x alone may stand still while z - y does not
+        stop = stop or (cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (z, y)))
         x = x_new
         # the shadow point of x_{n+1}: next iteration's y, or the result
         y = g.prox(x, gamma)
@@ -541,14 +570,15 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
         x_new = _augmented_argmin(f, A, c_x, gamma, x_solver)
         c_y = b - A.apply(x_new) - z / gamma
         y_new = _augmented_argmin(g, B, c_y, gamma, y_solver)
-        z = z + gamma * (A.apply(x_new) + B.apply(y_new) - b)
+        z_new = z + gamma * (A.apply(x_new) + B.apply(y_new) - b)
         primal_res = float(np.linalg.norm(A.apply(x_new) + B.apply(y_new) - b))
         state_new = np.concatenate([x_new, y_new])
         state_old = np.concatenate([x, y])
         stop = rec.record(n, state_new, state_old,
                           f.value(x_new) + g.value(y_new),
-                          {"primal_residual": primal_res})
-        x, y = x_new, y_new
+                          {"primal_residual": primal_res}) or (
+            cfg.stop_at_fixed_point and rec.fixed_point((y_new, y), (z_new, z)))
+        x, y, z = x_new, y_new, z_new
         if stop:
             break
     return rec.finish(x, meta={"y": y, "z": z})
@@ -570,7 +600,7 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
     if tau * sigma * L * L >= 1.0:
         raise ConfigError(
             f"stepsize product tau*sigma*||K||^2 = {tau * sigma * L * L:.6f} >= 1 "
-            f"(operator norm estimate {L:.6f})"
+            f"(operator norm bound {L:.6f})"
         )
     return sigma, tau, L
 
@@ -596,7 +626,12 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     for n in range(1, cfg.max_iter + 1):
         y_new = prob.f_conj.prox(y + sigma * prob.K.apply(xbar), sigma)
         x_new = prob.g.prox(x - tau * prob.K.adjoint(y_new), tau)
-        xbar = 2.0 * x_new - x if extrapolate else x_new
+        xbar_new = 2.0 * x_new - x if extrapolate else x_new
+        # compared at once, so the old xbar is freed as soon as it is replaced;
+        # holding it to the end of the iteration made a 256x256 cp run in a
+        # fresh process about 15% slower, through allocator churn
+        same_xbar = cfg.stop_at_fixed_point and _same_bytes(xbar_new, xbar)
+        xbar = xbar_new
         sum_x += x_new
         sum_y += y_new
         if n in ergodic_at:
@@ -605,7 +640,8 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         if gap_boxes is not None:
             extras["pd_gap"] = partial_primal_dual_gap(
                 prob, sum_x / n, sum_y / n, gap_boxes[0], gap_boxes[1])
-        stop = rec.record(n, x_new, x, obj(x_new), extras)
+        stop = rec.record(n, x_new, x, obj(x_new), extras) or (
+            same_xbar and rec.fixed_point((x_new, x), (y_new, y)))
         if dual_iterates:
             dual_iterates.append(y_new.copy())
         x, y = x_new, y_new
@@ -703,7 +739,8 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         for (h_conj, op), u in zip(terms, us):
             u_tilde = h_conj.prox(u + sigma * op.apply(2.0 * x_tilde - x), sigma)
             us_new.append(rho * u_tilde + (1.0 - rho) * u)
-        stop = rec.record(n, x_new, x, objective(x_new))
+        stop = rec.record(n, x_new, x, objective(x_new)) or (
+            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), *zip(us_new, us)))
         x = x_new
         us = us_new
         if stop:

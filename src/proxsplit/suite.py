@@ -306,7 +306,9 @@ def _check_gap_tv(seed: int) -> CheckReport:
     grad = inst.metadata["grad"]
     lam = inst.metadata["lambda"]
     norm_k = grad.norm()
-    ref_cfg = SolverConfig(sigma=0.9 / norm_k, tau=0.9 / norm_k, max_iter=20_000)
+    # only the reference's final point is read, so it may stop at a fixed point
+    ref_cfg = SolverConfig(sigma=0.9 / norm_k, tau=0.9 / norm_k, max_iter=20_000,
+                           stop_at_fixed_point=True)
     ref = chambolle_pock(prob, y, np.zeros(grad.out_dim), ref_cfg)
     saddle = (ref.x, ref.meta["y"])
     cfg = SolverConfig(sigma=0.7 / norm_k, tau=0.7 / norm_k)
@@ -343,10 +345,13 @@ def _check_admm_consensus(seed: int) -> list[CheckReport]:
     return reports
 
 
-def _recipe_agreement(inst, recipes, cfg_map=None, tol=1e-4) -> CheckReport:
+def _recipe_agreement(inst, max_iters: dict, tol=1e-4) -> CheckReport:
+    # ``max_iters`` maps each recipe to its cap, None for the recipe default;
+    # only final points are compared, so every run may stop at a fixed point
     values = {}
-    for name in recipes:
-        cfg = (cfg_map or {}).get(name)
+    for name, cap in max_iters.items():
+        cfg = (SolverConfig(stop_at_fixed_point=True) if cap is None
+               else SolverConfig(max_iter=cap, stop_at_fixed_point=True))
         _, x = inst.run(name, cfg)
         values[name] = inst.objective(x)
     best = min(values.values())
@@ -355,24 +360,20 @@ def _recipe_agreement(inst, recipes, cfg_map=None, tol=1e-4) -> CheckReport:
     details = [{"recipe": k, "objective": v, "rel_gap": (v - best) / scale}
                for k, v in sorted(values.items())]
     return certify._report_from_margins(f"cross_recipe_{inst.name}",
-                                        ",".join(recipes), margins, details)
+                                        ",".join(max_iters), margins, details)
 
 
 def _check_recipes_tv_denoise(seed: int) -> CheckReport:
     inst = tv_denoise_fixture()
     # ppxa is left out: on this instance it runs the dr_split iteration float
     # for float
-    return _recipe_agreement(inst, ["dr_split", "cp", "dual_fb", "condat"],
-                             cfg_map={"cp": SolverConfig(max_iter=6000),
-                                      "condat": SolverConfig(max_iter=6000),
-                                      "dual_fb": SolverConfig(max_iter=6000)})
+    return _recipe_agreement(inst, {"dr_split": None, "cp": 6000, "dual_fb": 6000,
+                                    "condat": 6000})
 
 
 def _check_recipes_tv_inverse(seed: int) -> CheckReport:
     inst = tv_inverse_fixture()
-    return _recipe_agreement(inst, ["condat", "cp2"],
-                             cfg_map={"condat": SolverConfig(max_iter=8000),
-                                      "cp2": SolverConfig(max_iter=8000)})
+    return _recipe_agreement(inst, {"condat": 8000, "cp2": 8000})
 
 
 def _nonconvex_reports(f, g, x0, gamma: float, instance: str) -> list[CheckReport]:

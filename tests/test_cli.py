@@ -98,6 +98,39 @@ class TestSolve:
         })
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("solver", [5, [], {"max_iter": "10"}, {"max_iter": 10.5},
+                                        {"gamma": "0.1"}, {"keep_iterates": 1}])
+    def test_malformed_solver_block_is_config_error(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "y": [1.0, 2.0], "lambda": 0.1},
+            "recipe": "dr",
+            "solver": solver,
+        })
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_stop_at_fixed_point_truncates_the_trace(self, tmp_path):
+        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+        outs = {}
+        for stop in (True, False):
+            cfg = write_config(tmp_path / f"solve_{stop}.json", {
+                "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+                "recipe": "cp",
+                "solver": {"max_iter": 4000, "stop_at_fixed_point": stop},
+            })
+            outs[stop] = tmp_path / f"run_{stop}"
+            assert main(["solve", cfg, "--out", str(outs[stop])]) == 0
+        stopped = (outs[True] / "trace.csv").read_bytes()
+        full = (outs[False] / "trace.csv").read_bytes()
+        assert len(stopped) < len(full) and full.startswith(stopped)
+        summaries = [json.loads((outs[s] / "summary.json").read_text()) for s in (True, False)]
+        assert summaries[0]["termination"] == "tol_reached"
+        assert summaries[0]["objective"] == summaries[1]["objective"]
+        resolved = json.loads((outs[True] / "resolved_config.json").read_text())
+        assert resolved["solver"]["stop_at_fixed_point"] is True
+
     def test_trace_columns_stable(self, tmp_path):
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "lasso", "y": [3.0, 0.5], "lambda": 1.0},
@@ -189,6 +222,18 @@ class TestCompare:
         assert (again / "comparison.csv").read_bytes() == csv
         assert (again / "resolved_config.json").read_bytes() == (
             out / "resolved_config.json").read_bytes()
+
+    @pytest.mark.parametrize("solver", [5, {"dr": 5, "fb": {}}, {"dr": {"max_iter": "10"}}])
+    def test_malformed_solver_block_is_config_error(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path / "cmp.json", {
+            "problem": {"kind": "lasso", "y": [1.0, 2.0], "lambda": 0.1},
+            "recipes": ["fb", "dr"],
+            "solver": solver,
+        })
+        assert main(["compare", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver")
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_recipes_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "cmp.json", {

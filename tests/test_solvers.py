@@ -17,8 +17,10 @@ from proxsplit.linops import DenseOperator, IdentityOperator, LinearOperator, Sc
 from proxsplit.solvers import (
     DIVERGED,
     ITER_CAP,
+    TOL_REACHED,
     ConfigError,
     SolverConfig,
+    _Recorder,
     admm,
     arrow_hurwicz,
     chambolle_pock,
@@ -32,7 +34,7 @@ from proxsplit.solvers import (
     projected_gradient,
     proximal_point,
 )
-from proxsplit.suite import tv_denoise_fixture
+from proxsplit.suite import tv_denoise_fixture, tv_inverse_fixture
 
 
 def half_square(dim=1):
@@ -544,12 +546,12 @@ class TestChambollePock:
         assert np.all(trace.residual == 0.0)
         assert np.all(trace.extras["dual_residual"] == 0.0)
 
-    def test_stepsize_product_guard_names_estimate(self):
+    def test_stepsize_product_guard_names_bound(self):
         prob = scalar_saddle()
         with pytest.raises(ConfigError) as err:
             chambolle_pock(prob, np.zeros(1), np.zeros(1),
                            SolverConfig(sigma=2.0, tau=2.0, max_iter=5))
-        assert "operator norm estimate" in str(err.value)
+        assert "operator norm bound" in str(err.value)
 
     def test_converges_on_scalar_saddle(self):
         prob = scalar_saddle()
@@ -810,3 +812,122 @@ class TestTraceContract:
         path = trace.objective_path()
         assert path[0] == pytest.approx(2.0)
         assert len(path) == 5
+
+
+def _assert_stopped_prefix(stopped, full, cap, varying=()):
+    # ``stopped`` ended at an exact fixed point and ``full`` ran to ``cap``:
+    # the stopped rows are the full run's first rows, and every later full row
+    # repeats the last stopped one, except in the n-dependent ``varying`` extras
+    k = stopped.n_iter
+    assert stopped.termination == TOL_REACHED and 0 < k < cap
+    assert full.termination == ITER_CAP and full.n_iter == cap
+    assert stopped.x.tobytes() == full.x.tobytes()
+    assert set(stopped.extras) == set(full.extras)
+    columns = {"objective": (stopped.objective, full.objective),
+               "residual": (stopped.residual, full.residual)}
+    columns.update({key: (stopped.extras[key], full.extras[key]) for key in full.extras})
+    for key, (short, long) in columns.items():
+        assert short.tobytes() == long[:k].tobytes(), key
+        if key not in varying:
+            assert long[k:].tobytes() == np.repeat(short[-1:], cap - k).tobytes(), key
+
+
+class TestStopAtFixedPoint:
+    @staticmethod
+    def _pair(run, **cfg):
+        return run(SolverConfig(stop_at_fixed_point=True, **cfg)), run(SolverConfig(**cfg))
+
+    @pytest.mark.parametrize("fixture,recipe", [
+        (tv_denoise_fixture, "cp"), (tv_denoise_fixture, "condat"),
+        (tv_inverse_fixture, "cp2"), (tv_inverse_fixture, "condat"),
+    ])
+    def test_tv_recipes_stop_on_the_full_run_point(self, fixture, recipe):
+        inst = fixture()
+        (stopped, x_stopped), (full, x_full) = self._pair(
+            lambda cfg: inst.run(recipe, cfg), max_iter=1000)
+        _assert_stopped_prefix(stopped, full, 1000)
+        assert x_stopped.tobytes() == x_full.tobytes()
+        if recipe == "condat":
+            duals = zip(stopped.meta["duals"], full.meta["duals"], strict=True)
+        else:
+            duals = [(stopped.meta["y"], full.meta["y"])]
+        for a, b in duals:
+            assert a.tobytes() == b.tobytes()
+        if "ergodic" in stopped.meta:
+            # the ergodic average is taken at the stopping n
+            assert list(stopped.meta["ergodic"]) == [stopped.n_iter]
+
+    def test_recipe_defaults_still_fill_in(self):
+        trace, _ = tv_denoise_fixture().run("cp", SolverConfig(stop_at_fixed_point=True))
+        assert trace.meta["config"].max_iter == 3000
+        assert trace.meta["config"].stop_at_fixed_point
+
+    def test_gradient_descent(self):
+        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        stopped, full = self._pair(
+            lambda cfg: gradient_descent(f, np.array([2.0, 2.0, 2.0]), cfg),
+            gamma=0.5, max_iter=200)
+        _assert_stopped_prefix(stopped, full, 200)
+
+    def test_proximal_point(self):
+        stopped, full = self._pair(
+            lambda cfg: proximal_point(L1Norm(0.3), np.array([2.0, -1.0, 0.5]), cfg),
+            gamma=1.0, max_iter=200)
+        _assert_stopped_prefix(stopped, full, 200)
+
+    @pytest.mark.parametrize("inertia", ["none", "fista_t"])
+    def test_prox_gradient(self, inertia):
+        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        stopped, full = self._pair(
+            lambda cfg: forward_backward(f, L1Norm(0.3), np.array([2.0, 2.0, 2.0]), cfg),
+            gamma=0.5, inertia=inertia, max_iter=400)
+        _assert_stopped_prefix(stopped, full, 400, varying=("inertia_coef",))
+
+    def test_admm(self):
+        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        stopped, full = self._pair(
+            lambda cfg: admm(L1Norm(1.0), f, IdentityOperator(3), ScaleOperator(-1.0, 3),
+                             np.zeros(3), cfg=cfg),
+            gamma=1.0, max_iter=400)
+        _assert_stopped_prefix(stopped, full, 400)
+        for key in ("y", "z"):
+            assert stopped.meta[key].tobytes() == full.meta[key].tobytes()
+
+    def test_douglas_rachford(self):
+        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        stopped, full = self._pair(
+            lambda cfg: douglas_rachford(L1Norm(0.3), f, np.array([2.0, 2.0, 2.0]), cfg),
+            gamma=1.0, max_iter=400)
+        _assert_stopped_prefix(stopped, full, 400)
+        assert stopped.meta["governing"].tobytes() == full.meta["governing"].tobytes()
+
+    def test_krasnoselskii_mann(self):
+        stopped, full = self._pair(
+            lambda cfg: krasnoselskii_mann(lambda v: 0.5 * (v + 1.0), [3.0, 0.0], cfg),
+            relaxation=1.0, max_iter=300)
+        _assert_stopped_prefix(stopped, full, 300)
+
+    def test_standing_x_with_moving_difference_does_not_stop(self):
+        # a relaxation of 0 leaves x bitwise unchanged while z - y (DR) and
+        # Tx - x (KM) are not zero, so the iteration goes on once it grows
+        late = lambda n: 0.0 if n < 5 else 1.0
+        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        runs = [
+            self._pair(lambda cfg: douglas_rachford(
+                L1Norm(0.3), f, np.array([2.0, 2.0, 2.0]), cfg),
+                relaxation=late, max_iter=400),
+            self._pair(lambda cfg: krasnoselskii_mann(
+                lambda v: 0.5 * (v + 1.0), [3.0, 0.0], cfg),
+                relaxation=late, max_iter=300),
+        ]
+        for (stopped, full), cap in zip(runs, (400, 300)):
+            assert stopped.residual[0] == 0.0
+            assert stopped.n_iter > 5
+            _assert_stopped_prefix(stopped, full, cap)
+
+    def test_signed_zeros_differ(self):
+        rec = _Recorder(np.zeros(1), 0.0, SolverConfig())
+        assert not rec.fixed_point((np.array([0.0]), np.array([-0.0])))
+        assert rec.termination == ITER_CAP
+        assert rec.fixed_point((np.array([-0.0]), np.array([-0.0])))
+        assert rec.termination == TOL_REACHED
