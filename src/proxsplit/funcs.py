@@ -33,12 +33,13 @@ def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
     """Solve (ridge*Id + sum_i w_i K_i* K_i) p = rhs for ``terms`` = [(w_i, K_i)]
     with nonnegative ridge and weights.
 
-    When every K_i* K_i is diagonal in one shared basis on one grid (the
-    identity, the DFT or the DCT-II; see ``linops.gram_spectrum_sum``) and
-    the system is definite, exact division in that transform domain;
-    conjugate gradient (absolute residual 1e-10) otherwise, for example for
-    a circular blur over a Neumann gradient, dense operators and
-    compositions.
+    When every K_i* K_i is diagonal in one shared basis (the identity, the
+    DFT or the DCT-II of one grid, or the eigenbasis of one dense matrix; see
+    ``linops.gram_spectrum_sum``) and the system is definite, the exact
+    solution by division in that basis; a dense matrix is factored once, on
+    its first solve.  Conjugate gradient (absolute residual 1e-10) otherwise:
+    for compositions, stacks without a shared basis such as a circular blur
+    over a Neumann gradient, and a singular system at ridge 0.
     """
     spectrum = gram_spectrum_sum(terms, ridge)
     if spectrum is not None and (ridge > 0 or np.all(spectrum.eigenvalues > 0)):
@@ -150,9 +151,11 @@ class Quadratic(SmoothFn, ProxFn):
 
     The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b through
     :func:`solve_gram`: exact division in the transform domain when A*A is
-    diagonal in the identity, DFT or DCT-II basis, conjugate gradient
-    otherwise.  Strong convexity, the minimizer and the box-linear oracle
-    use the closed forms of an A*A diagonal in the identity basis.
+    diagonal in the identity, DFT or DCT-II basis, exact through the cached
+    eigendecomposition of a dense A (factored on the first prox, never at
+    construction), conjugate gradient otherwise.  Strong convexity, the
+    minimizer and the box-linear oracle use the closed forms of an A*A
+    diagonal in the identity basis.
     """
 
     def __init__(self, A: LinearOperator, b, scale: float = 1.0,
@@ -336,8 +339,9 @@ class AffineGraphIndicator(ProxFn):
 
     The projection solves (Id + K*K) p1 = x1 + K* x2 through
     :func:`solve_gram` (exact division in the transform domain when K*K is
-    diagonal in the identity, DFT or DCT-II basis, conjugate gradient
-    otherwise) and sets p2 = K p1, so every point it returns is feasible.
+    diagonal in the identity, DFT or DCT-II basis or K is dense, conjugate
+    gradient otherwise) and sets p2 = K p1, so every point it returns is
+    feasible.
     With K a stack [L_1; ...; L_m] this is the projection onto
     {(p, L_1 p, ..., L_m p)}.
     """

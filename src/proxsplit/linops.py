@@ -8,9 +8,10 @@ a closed form has no norm.  Two spectral hooks describe the Gram matrix
 
 - ``gram_spectrum()`` gives it exactly, as eigenvalues in a transform that
   diagonalises it: the identity (identity, scale, mask), the DFT of the grid
-  (circular convolution, periodic gradient) or the DCT-II of the grid
-  (Neumann gradient), summed over the blocks of a stack that share one.
-  :func:`proxsplit.funcs.solve_gram` divides by it.
+  (circular convolution, periodic gradient), the DCT-II of the grid
+  (Neumann gradient) or a dense matrix's own eigenbasis, summed over the
+  blocks of a stack that share one.  :func:`proxsplit.funcs.solve_gram`
+  divides by it.
 - ``gram_symbol()`` gives eigenvalues on the DFT grid that bound ``K*K`` from
   above in the Loewner order, exact for periodic kinds; norms are read off it
   and nothing divides by it.
@@ -21,6 +22,8 @@ runs.
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +37,10 @@ DFT = "dft"
 DCT = "dct"
 
 ADJOINT_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
+# long double: a 64-bit significand on x86-64, the same as float elsewhere
+LONG = np.longdouble
+LONG_EPS = float(np.finfo(LONG).eps)
 
 
 class DimensionError(ValueError):
@@ -168,14 +175,18 @@ class GramSpectrum(NamedTuple):
     multiple of Id, which is diagonal in every basis.  ``DFT``: the real
     ``rfftn`` of the grid, eigenvalues on its half grid (last axis
     ``n // 2 + 1``).  ``DCT``: the DCT-II along both axes of a 2-d grid.
+    An :class:`Eigenbasis`: the eigenvectors of a dense matrix, factored on
+    first use, with one eigenvalue per eigenspace (see there).
     """
 
-    basis: str
+    basis: str | Eigenbasis
     grid: tuple
     eigenvalues: np.ndarray | float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The exact solution of K*K p = rhs: T^-1 (T rhs / eigenvalues)."""
+        if isinstance(self.basis, Eigenbasis):
+            return self.basis.solve(rhs, self.eigenvalues)
         if self.basis == IDENTITY_BASIS:
             return rhs / self.eigenvalues
         x = rhs.reshape(self.grid)
@@ -188,6 +199,69 @@ class GramSpectrum(NamedTuple):
             X = _dct(_dct(x.T).T) / self.eigenvalues
             p = _idct(_idct(X.T).T)
         return p.ravel()
+
+
+def _smaller_gram(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    # the smaller of M M^T and M^T M (M^T M when square), and whether it is M M^T
+    wide = m.shape[0] < m.shape[1]
+    return (m @ m.T if wide else m.T @ m), wide
+
+
+class Eigenbasis:
+    """The eigenbasis of M*M for a dense M, from one ``np.linalg.eigh`` of the
+    smaller of M*M and MM*, run on the first read of ``eigenvalues`` and kept.
+
+    Eigenvalues within the eigensolver's rounding of zero (at most
+    r * eps * lambda_max for an r x r Gram matrix) are set to 0, so a singular
+    Gram matrix reads as singular.  One eigenvalue per eigenspace:
+
+    - tall or square M (M*M = V diag(lam) V*): the n eigenvalues of M*M;
+    - wide M (MM* = Q diag(lam) Q*): the nonzero eigenvalues of MM*, each
+      with eigenvector M* q / sqrt(lam), then 0 for the null space of M,
+      which has dimension n - rank(M) >= 1.
+    """
+
+    def __init__(self, op: DenseOperator):
+        self.op = op
+        self._factors = None
+
+    def _factor(self):
+        if self._factors is None:
+            gram, wide = _smaller_gram(self.op.matrix)
+            lam, vectors = np.linalg.eigh(gram)
+            del gram
+            lam[lam <= lam[-1] * lam.size * EPS] = 0.0
+            if wide:
+                keep = lam > 0
+                lam, vectors = np.append(lam[keep], 0.0), vectors[:, keep]
+            self._factors = lam, vectors, wide
+        return self._factors
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._factor()[0]
+
+    def solve(self, rhs: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """p with (sum of the terms) p = rhs, for ``total`` the eigenvalues of
+        that sum in this basis, laid out as ``eigenvalues``."""
+        lam, vectors, wide = self._factor()
+        if not wide:
+            return vectors @ ((vectors.T @ rhs) / total)
+        # Woodbury through MM* (Boyd et al. 2011, sec. 4.2): with c the
+        # eigenvalue on the null space and t_i on M* q_i,
+        # p = rhs / c + sum_i (1/t_i - 1/c) / lam_i  M* q_i q_i* M rhs
+        c, t = total[-1], total[:-1]
+        coef = (1.0 / t - 1.0 / c) / lam[:-1]
+        return rhs / c + self.op._adjoint(vectors @ (coef * (vectors.T @ self.op._apply(rhs))))
+
+
+class _DenseSpectrum(GramSpectrum):
+    # reads its eigenvalues from the basis, so building one factors nothing
+    __slots__ = ()
+
+    @property
+    def eigenvalues(self):
+        return self.basis.eigenvalues
 
 
 def gram_spectrum_sum(terms, ridge: float = 0.0) -> GramSpectrum | None:
@@ -240,7 +314,8 @@ class LinearOperator:
 
     def norm(self) -> float:
         """Spectral norm sqrt(||K*K||) from the class's closed form, which is
-        exact or a guaranteed upper bound; cached."""
+        exact or a guaranteed upper bound, rounded toward +inf by
+        :func:`_ceil_sqrt` where its evaluation rounds; cached."""
         if self.cached_norm is None:
             self.cached_norm = float(self._norm_bound())
         return self.cached_norm
@@ -252,7 +327,7 @@ class LinearOperator:
             raise NotImplementedError(
                 f"{type(self).__name__} has no closed-form norm: "
                 "define _norm_bound or gram_symbol")
-        return float(np.sqrt(np.max(symbol)))
+        return _ceil_sqrt(np.max(symbol), _symbol_error(symbol))
 
     def gram_symbol(self) -> np.ndarray | float | None:
         """Eigenvalues of K*K on the DFT grid of the input, or an upper bound
@@ -286,6 +361,9 @@ class IdentityOperator(LinearOperator):
 
     def _adjoint(self, y):
         return y.copy()
+
+    def _norm_bound(self):
+        return 1.0
 
     def gram_symbol(self):
         return 1.0
@@ -328,6 +406,7 @@ class DenseOperator(LinearOperator):
             raise ValueError("matrix entries must be finite")
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
+        self._eigenbasis = Eigenbasis(self)
 
     def _apply(self, x):
         return self.matrix @ x
@@ -336,10 +415,20 @@ class DenseOperator(LinearOperator):
         return self.matrix.T @ y
 
     def _norm_bound(self):
-        # largest eigenvalue of the smaller of M M^T and M^T M
-        m = self.matrix
-        gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+        """sqrt(lambda_max(G) + (m + n) eps trace G) for the smaller Gram
+        matrix G (r x r) of the m x n matrix M, rounded toward +inf.
+
+        The pad covers the float error of lambda_max: forming G errs by at
+        most max(m, n) u ||M||_F^2 in the 2-norm and ``eigvalsh`` by about
+        r u ||G||, with u = eps / 2 and ||G|| <= ||M||_F^2 = trace G.
+        """
+        gram, _ = _smaller_gram(self.matrix)
+        pad = (self.in_dim + self.out_dim) * EPS * np.trace(gram)
+        return _ceil_sqrt(Fraction(max(np.linalg.eigvalsh(gram)[-1], 0.0)) + Fraction(pad))
+
+    def gram_spectrum(self):
+        # eigh runs when a solve first reads the eigenvalues, never here
+        return _DenseSpectrum(self._eigenbasis, (self.in_dim,), None)
 
 
 class MaskOperator(LinearOperator):
@@ -359,6 +448,9 @@ class MaskOperator(LinearOperator):
 
     def _adjoint(self, y):
         return np.where(self.pattern, y, 0.0)
+
+    def _norm_bound(self):
+        return float(self.pattern.any())
 
     def gram_symbol(self):
         # mask <= Id
@@ -414,12 +506,13 @@ class Grad2D(LinearOperator):
         return (ax + ay).ravel()
 
     def _norm_bound(self):
-        if self.boundary == PERIODIC:
-            return super()._norm_bound()
-        # path-Laplacian spectra 4 sin^2(pi k / 2n), largest at k = n - 1
-        r, c = self.rows, self.cols
-        return float(np.sqrt(4.0 * np.sin(np.pi * (r - 1) / (2 * r)) ** 2
-                             + 4.0 * np.sin(np.pi * (c - 1) / (2 * c)) ** 2))
+        # the largest eigenvalue of a path Laplacian (Neumann) is
+        # 4 sin^2(pi k / 2n) at k = n - 1, of a cycle Laplacian (periodic)
+        # 4 sin^2(pi k / n) at k = n // 2; evaluated in long double
+        def top(n):
+            k, period = (n - 1, 2 * n) if self.boundary == NEUMANN else (n // 2, n)
+            return 4 * np.sin(4 * np.arctan(LONG(1)) * k / period) ** 2
+        return _ceil_sqrt(top(self.rows) + top(self.cols), 8 * LONG_EPS)
 
     def gram_symbol(self):
         # exact for periodic boundaries; for Neumann an upper bound, since a
@@ -436,6 +529,29 @@ class Grad2D(LinearOperator):
         def path(n):
             return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
         return GramSpectrum(DCT, grid, path(self.rows)[:, None] + path(self.cols)[None, :])
+
+
+def _ceil_sqrt(square, rel_error: float = 0.0) -> float:
+    """sqrt(square) rounded to nearest, then raised ulp by ulp until
+    r^2 >= square * (1 + rel_error) in exact rational arithmetic.
+
+    ``square`` is a float, long double or Fraction, evaluated with a
+    relative error of at most ``rel_error``; the result is never below the
+    true root, at most about one ulp above the tightest such float, and
+    exact when the root is.
+    """
+    if not isinstance(square, Fraction):
+        square = Fraction(*LONG(square).as_integer_ratio())
+    square *= 1 + Fraction(rel_error)
+    r = math.sqrt(square)
+    while Fraction(r) ** 2 < square:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def _symbol_error(symbol) -> float:
+    # a symbol read off a float FFT errs by O(log2 N) eps relative
+    return 4.0 * max(1.0, np.log2(np.size(symbol))) * EPS
 
 
 def _cycle(n: int) -> np.ndarray:
@@ -524,11 +640,11 @@ class StackOperator(LinearOperator):
         return out
 
     def _norm_bound(self):
-        bound = np.sqrt(sum(op.norm() ** 2 for op in self.ops))
+        bound = _ceil_sqrt(sum(Fraction(op.norm()) ** 2 for op in self.ops))
         symbol = self.gram_symbol()
         if symbol is not None:
-            bound = min(bound, np.sqrt(np.max(symbol)))
-        return float(bound)
+            bound = min(bound, _ceil_sqrt(np.max(symbol), _symbol_error(symbol)))
+        return bound
 
     def gram_symbol(self):
         # sum of the block symbols when they all live on one grid
@@ -560,7 +676,7 @@ class ComposedOperator(LinearOperator):
         return self.inner._adjoint(self.outer._adjoint(y))
 
     def _norm_bound(self):
-        return self.outer.norm() * self.inner.norm()
+        return _ceil_sqrt((Fraction(self.outer.norm()) * Fraction(self.inner.norm())) ** 2)
 
 
 class AdjointOperator(LinearOperator):

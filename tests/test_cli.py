@@ -350,19 +350,23 @@ class TestDivergenceExitCode:
 class TestNumericalFailureExitCode:
     def test_cg_failure_exits_two_without_traceback(self, tmp_path, monkeypatch,
                                                     capsys):
+        import proxsplit.cli as cli
         import proxsplit.funcs as funcs
-        from proxsplit.linops import CGError
+        from proxsplit.linops import CGError, ComposedOperator, DenseOperator, IdentityOperator
+        from proxsplit.problems import build_lasso
 
         def stalled(*args, **kwargs):
             raise CGError(1.0, 7)
 
         monkeypatch.setattr(funcs, "conjugate_gradient", stalled)
-        cfg = write_config(tmp_path / "solve.json", {
-            "problem": {"kind": "lasso", "y": [1.0, -0.5, 2.0], "lambda": 0.1,
-                        "A": {"kind": "dense_matrix",
-                              "matrix": [[1.0, 0.5], [0.0, 1.0], [0.3, 0.2]]}},
-            "recipe": "dr",
-        })
+        # a dense operator is solved in its eigenbasis; composed, it has no
+        # spectrum, so the quadratic prox of dr runs CG
+        A = ComposedOperator(DenseOperator([[1.0, 0.5], [0.0, 1.0], [0.3, 0.2]]),
+                             IdentityOperator(2))
+        inst = build_lasso(A, np.array([1.0, -0.5, 2.0]), 0.1)
+        monkeypatch.setattr(cli, "build_from_config", lambda spec: inst)
+        cfg = write_config(tmp_path / "solve.json",
+                           {"problem": {"kind": "lasso"}, "recipe": "dr"})
         assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: conjugate gradient stalled")

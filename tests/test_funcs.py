@@ -114,13 +114,16 @@ class TestSolveGram:
         "stack_periodic_grad_conv": lambda: [StackOperator([
             Grad2D(5, 7, "periodic"), CircularConv(_kernel((3, 3)), shape=(5, 7))])],
         "scale_plus_grad": lambda: [ScaleOperator(2.0, 35), Grad2D(5, 7)],
+        # a dense matrix in its own eigenbasis
+        "dense": lambda: [DenseOperator(_kernel((4, 6)))],
     }
-    # no shared basis: a blur over a Neumann gradient, dense, composed
+    # no shared basis: a blur over a Neumann gradient, composed operators
     NO_BASIS = {
         "stack_conv_neumann_grad": lambda: StackOperator([
             CircularConv(_kernel((3, 3)), shape=(5, 7)), Grad2D(5, 7)]),
-        "dense": lambda: DenseOperator(_kernel((4, 6))),
         "composition": lambda: ComposedOperator(Grad2D(2, 3), IdentityOperator(6)),
+        "dense_composed": lambda: ComposedOperator(DenseOperator(_kernel((4, 6))),
+                                                   IdentityOperator(6)),
     }
 
     @staticmethod
@@ -167,6 +170,90 @@ class TestSolveGram:
         p = solve_gram(rhs, [(0.7, K)], 1.0)
         assert calls == [1]
         assert np.linalg.norm(p + 0.7 * K.adjoint(K.apply(p)) - rhs) <= 1e-10
+
+
+class TestDenseSpectralSolve:
+    # tall, wide, square and rank-deficient matrices
+    MATRICES = {
+        "tall": lambda: _kernel((7, 4)),
+        "wide": lambda: _kernel((4, 7)),
+        "square": lambda: _kernel((5, 5)),
+        "tall_rank2": lambda: _kernel((7, 2)) @ _kernel((2, 4), seed=6),
+        "wide_rank2": lambda: _kernel((4, 2)) @ _kernel((2, 7), seed=6),
+        "square_rank2": lambda: _kernel((5, 2)) @ _kernel((2, 5), seed=6),
+    }
+
+    @pytest.mark.parametrize("weight", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("ridge", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    def test_matches_cg_without_calling_it(self, kind, ridge, weight, monkeypatch):
+        import proxsplit.funcs as funcs
+
+        M = self.MATRICES[kind]()
+        n = M.shape[1]
+        rhs = np.random.default_rng(4).standard_normal(n)
+        via_cg = solve_gram(rhs, [(weight, ComposedOperator(DenseOperator(M),
+                                                            IdentityOperator(n)))], ridge)
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("the dense solve called conjugate gradient")
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", no_cg)
+        exact = solve_gram(rhs, [(weight, DenseOperator(M))], ridge)
+        tol = 1e-10 * (1.0 + np.linalg.norm(rhs))
+        assert np.linalg.norm(ridge * exact + weight * M.T @ (M @ exact) - rhs) <= tol
+        assert np.linalg.norm(exact - via_cg) <= tol / ridge
+
+    def test_singular_system_at_ridge_zero_runs_cg(self, monkeypatch):
+        import proxsplit.funcs as funcs
+
+        calls = []
+
+        def counted_cg(*args, **kwargs):
+            calls.append(1)
+            return conjugate_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", counted_cg)
+        M = self.MATRICES["tall"]()
+        rhs = M.T @ np.ones(7)
+        solve_gram(rhs, [(1.0, DenseOperator(M))], 0.0)  # definite: eigenbasis
+        assert calls == []
+        for singular in (self.MATRICES["wide"](), self.MATRICES["tall_rank2"]()):
+            rhs = singular.T @ np.ones(singular.shape[0])
+            p = solve_gram(rhs, [(1.0, DenseOperator(singular))], 0.0)
+            assert np.linalg.norm(singular.T @ (singular @ p) - rhs) <= 1e-10
+        assert calls == [1, 1]
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_factored_once_on_the_first_solve_and_never_at_build(self, monkeypatch):
+        from proxsplit.problems import build_lasso
+        from proxsplit.solvers import SolverConfig
+
+        calls = self._count_eigh(monkeypatch)
+        M, y = _kernel((12, 20)), _kernel(12, seed=6)
+        inst = build_lasso(DenseOperator(M), y, 0.1)
+        inst.run("dr", SolverConfig(max_iter=0))
+        inst.run("fista", SolverConfig(max_iter=5))
+        q = Quadratic(DenseOperator(M), y)
+        assert calls == []
+        x = np.zeros(20)
+        for _ in range(100):
+            x = q.prox(x, 0.7)
+        assert calls == [(12, 12)]
+        expected = np.linalg.solve(np.eye(20) + 0.7 * M.T @ M, x + 0.7 * M.T @ y)
+        assert np.allclose(q.prox(x, 0.7), expected, atol=1e-12)
+        assert calls == [(12, 12)]
 
 
 class TestSoftThreshold:

@@ -8,10 +8,12 @@ leave every hash unchanged.  If a deliberate behaviour change requires new
 hashes, regenerate them from the commit before that change, never from the
 change itself.
 
-The dense cases depend on BLAS/LAPACK.  The FFT-backed cases depend on
-NumPy's pocketfft in the same way: the circular convolution of
+The dense cases depend on BLAS/LAPACK: their norms on ``eigvalsh`` and the
+``lasso/dr`` prox on the ``eigh`` of its Gram matrix.  The FFT-backed cases
+depend on NumPy's pocketfft in the same way: the circular convolution of
 ``tv_inverse_conv/*`` and the DCT graph projection of ``tv_denoise/dr_split``,
-``tv_denoise/ppxa`` and ``tvl1/dr_split``.
+``tv_denoise/ppxa`` and ``tvl1/dr_split``.  The gradient norms are evaluated
+in long double, so the hashes assume the x86-64 extended format.
 """
 import hashlib
 
@@ -145,20 +147,20 @@ GOLDEN = {
         "6a0297bb1f5a205a59fc71157ccde778a233c2ad7e780c3bc8eb77ef90f41e01",
         "27ea28c4d43eb8fe9a0808ca58f9dc8c1c37238e9eb1685de4da54215abd926f"),
     "lasso/dr": (
-        "6789fb79c3e01dfb70372217ecfd03f7e3c6407260f048d56eb3793fb8fa578f",
-        "0dec9f8cb18c45d0297e78b5ba67e692aafde2c881d26d4ac582bca9dd20542e"),
+        "0017c5e5bbd416221d3a6244a04dbe3524922370b828c3bf776f1dc08197e39b",
+        "c9c413e047724dcbf78e49509cb94afe043629484fbb77de38a6519cbe5b7b70"),
     "lasso/fb": (
-        "a47d8842d79c0a99464d85d6122f8c245486386b4f9ac57583a897ac19c70023",
-        "46302bf76bdb00a8f11fa9a02abdda89ed51c7f87bd6738646ce6cc941dcab29"),
+        "91aec5e581915d779481d0feeccf688ade5ded52d3a56766423983deffe47d92",
+        "34bc84a85346c8eabab8f0f75ba7f3ebb36b9f431b39b3bbdfb35235caee9523"),
     "lasso/fista": (
-        "8b2a5889c5f4ad7231b0e1dac2b87a664ff7b43e8c98b0f0f623a6b649b147a2",
-        "27649b924b505398ae52bd53e8fac417907a7f284881d42bb17e18ecf8358221"),
+        "237bbd79a0c398b483dbe2be78becccb7f7b640effdaa8ba3d76ad6359aba522",
+        "e6ef8ff9275b55a453d444290d58fe1a9352b0f314c13482b29e486c825264df"),
     "lasso/fista_beta": (
-        "dfe75a10e77c15a5236696921fe7b4ed7b17358fc969ed3e76567a14280b9ddf",
-        "5b2dc655f5d07f69f3d08a1e4e1f6610d2addce88c5647c807114aec2ee39a57"),
+        "e8801a2bd4b687a8576f9c2a4d7261afbc551c5b36383ea4ea9299c6aa20ed8e",
+        "b479feead68037f50666048ae80aa587c3054b8caee9d5f7ae273f63fda38bb7"),
     "lasso/vfista": (
-        "aa348fa72c6687f762e77233a728323ead436994b3173c0e7f4f3c7528b6a663",
-        "44a6c7682128ff0788baa0e12d8de377a85c36c23a06fb00ac9f16511635c7bf"),
+        "239dfb43220d9655a3bc8dd0d9d324a94c353015892b7bac26da74b009b8457b",
+        "f3804ed379dcb1adc7952f569e89e27a3cc6584f29a99cb9e273c336ca1e898f"),
     "nonconvex/double_well": (
         "a5f8b96b795fb276606ae3dbc461996031d1cd0e0317304a7eb6dc1678dfe449",
         "86a1df26e123ded0411c700bbd64622f89b4b3e2f8676a7b38c3e9f4517bc0a0"),
@@ -169,8 +171,8 @@ GOLDEN = {
         "61f2577041fa6e62bac5b75afbfdcaad0ea2153c142bea0ff9535c290e1bcfcf",
         "db59abacc73c1bf12e77ffef545e4ab35b3908062bb876aa10c06a74858fe7a3"),
     "projected_gradient/box": (
-        "9bfcf65c740cb85d6a214db616daff925976b382667d6c9aa677886e1d6cc96f",
-        "f6260c5abbe43b2b3d5b505a090d19beea77bda0b1c7ca2329ae8160cdcbe4e3"),
+        "96069bd165f22a0a82b682fbff9d9f6209e92c373baf0a45c4bd407e0855b7f9",
+        "3a3068558c3a19341974fe2e8d0dadfc65fcc8a622e904f8326490474fe25697"),
     "tv_denoise/condat": (
         "5eef9832ae46773d522da64caf5959a6df1b464236584f57ca26ef007ad33d6a",
         "5ec713b8db53cca956627eafc890ff33e9d615682ba2e7fba0831d0bd30bee19"),
@@ -187,11 +189,11 @@ GOLDEN = {
         "339a85f03fae8d4486c966c9e48a314c71345a88d6ad154e907c06ba243e076d",
         "3f67f1dec9084df97362385b118c67ab302fa848432df61b10da2e95230d6d56"),
     "tv_inverse_conv/condat": (
-        "c672544679a7820605c5b69abd2dc595e9eba3e18dc479aa85f945c4a9af6bed",
-        "2618192f0d5e449eccb53d82cd73741520d7caec1468b1e38fda0a77da955202"),
+        "9b9bc104ed1ff56e78e78fbc9e935901c08d848dfa25f004dcc35f7118bdebbb",
+        "5be279ef8681359c26c6e4179481aebcef768115eaa8ba99dab4252403b17108"),
     "tv_inverse_conv/cp2": (
-        "4b2600adb90785ed65a4fa0c7501d50351ce1acd4556b67edf65d3f2e77be485",
-        "8e45263dd75da718f885f38eb6978b303e786361d2bf789d2b4a431c85217b19"),
+        "5055437822cc3efa9493928289a8e9ce621e2b9b47fd023a76a0eb64b6a79ad0",
+        "50a78076be26e3393f0d77aef0edba644aa8e0922364e3c0a9ac84edd35e7d44"),
     "tvl1/cp": (
         "5c953bf9bba30ca4eecc8afa309f1199375e3e14b6077a0b165577ee729430dd",
         "afde628b4cd0d71987153b56316db7e93e4aea3e1126c567be09b999cc23d6ec"),
@@ -199,11 +201,11 @@ GOLDEN = {
         "51030286bba3609f0f1ba0aa126f14753095f9beb349ebd24e18db5f479481ee",
         "69e61fd42bc7c4a61dc673385e0d907ac7685492658dda29d6a9860d636bbc49"),
     "wavelet_reg/fb": (
-        "9cf7ba0ad94b3dba8d678b721bea29abc49e96e1b279b3a701770e4687aa23a5",
-        "357227a383a249afef4833a79d7c053061b6a04e4b908ab8048edc2413425e70"),
+        "8736b490e3941cc73d81279b0637f2b706354c9e48791436a7abd97542ab514b",
+        "3c596a036816f68e88afbc4c436258550b55f41c8a4c2beff21712dd0c9db111"),
     "wavelet_reg/fista": (
-        "d85c77c4a4b3e09064d7cf71c2efcda13498cea90ce90d91f5cc8b8da4e48f26",
-        "4a1e8f36206872bedbb1fe527d395adf504e9d455808b238f74795f9e31784ab"),
+        "d5776e7b62ca42dd088f31ea76e238c1ee2662515e28cafe777d34c7aa5a7094",
+        "785dfcc5a9f2380d5c7e9d377ddd965ee5523c17689c267428c2c4a8c4d6f1af"),
 }
 
 

@@ -288,6 +288,40 @@ class TestClosedFormNorms:
         if op.kind != "composition":
             assert bound <= exact * (1 + self.LOOSENESS.get(op.kind, 1e-12))
 
+    @pytest.mark.parametrize("op, exact", [
+        (Grad2D(2, 2), 2.0),
+        (Grad2D(4, 1, "periodic"), 2.0),
+        (DenseOperator(np.ones((3, 3))), 3.0),
+        (DenseOperator(np.ones((2, 8))), 4.0),
+        (DenseOperator(np.ones((8, 2))), 4.0),
+        (ComposedOperator(Grad2D(2, 2), ScaleOperator(3.0, 4)), 6.0),
+        (StackOperator([Grad2D(2, 2), ScaleOperator(0.0, 4)]), 2.0),
+    ], ids=["grad2d_neumann", "grad2d_periodic", "dense_square", "dense_wide",
+            "dense_tall", "composition", "stack"])
+    def test_rounded_closed_forms_lie_above_the_true_norm(self, op, exact):
+        # exactly representable true norms, which a closed form that rounds
+        # must not undercut (Grad2D(2, 2) once gave 1.9999999999999998)
+        assert op.norm() >= exact
+        assert op.norm() <= exact * (1 + 1e-13)
+
+    def test_exact_closed_forms_stay_exact(self):
+        assert IdentityOperator(3).norm() == 1.0
+        assert ScaleOperator(-2.5, 3).norm() == 2.5
+        assert MaskOperator(np.array([True, False])).norm() == 1.0
+        assert IdentityOperator(3).T.norm() == 1.0
+
+    def test_dense_pad_covers_the_eigensolver(self):
+        # norm^2 >= lambda_max + (m + n) eps ||M||_F^2, compared exactly
+        from fractions import Fraction
+
+        m = np.random.default_rng(2).standard_normal((6, 9))
+        gram = m @ m.T
+        lam = np.linalg.eigvalsh(gram)[-1]
+        pad = 15 * np.finfo(float).eps * np.trace(gram)
+        norm = DenseOperator(m).norm()
+        assert Fraction(norm) ** 2 >= Fraction(lam) + Fraction(pad)
+        assert norm <= np.sqrt(lam) * (1 + 1e-12)
+
     def test_deblur_stack_symbol_beats_block_sum(self):
         op = gaussian_deblur_stack(16)
         block_sum = np.sqrt(sum(o.norm() ** 2 for o in op.ops))
@@ -321,6 +355,36 @@ class TestClosedFormNorms:
         f = np.kron(np.fft.fft(np.eye(4)), np.fft.fft(np.eye(5))) / np.sqrt(20)
         upper = (f.conj().T @ np.diag(op.gram_symbol().ravel()) @ f).real
         assert np.linalg.eigvalsh(upper - m.T @ m)[0] >= -1e-12
+
+
+class TestDenseGramSpectrum:
+    def test_eigenvalues_per_eigenspace(self):
+        rng = np.random.default_rng(8)
+        tall = rng.standard_normal((7, 4))
+        eig = DenseOperator(tall).gram_spectrum().eigenvalues
+        assert np.allclose(eig, np.linalg.eigvalsh(tall.T @ tall), atol=1e-12)
+        # wide: the eigenvalues of M M^T, then 0 for the null space of M
+        wide = tall.T
+        eig = DenseOperator(wide).gram_spectrum().eigenvalues
+        assert eig.shape == (5,) and eig[-1] == 0.0
+        assert np.allclose(eig[:-1], np.linalg.eigvalsh(wide @ wide.T), atol=1e-12)
+        # rank 1: the eigenvalues within rounding of zero are exactly zero
+        eig = DenseOperator(np.outer(np.arange(1.0, 5.0), np.ones(3))).gram_spectrum().eigenvalues
+        assert np.count_nonzero(eig) == 1
+
+    def test_spectrum_is_cached_on_the_operator(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        m = np.random.default_rng(8).standard_normal((5, 3))
+        op = DenseOperator(m)
+        spectrum = op.gram_spectrum()
+        assert calls == []
+        for _ in range(3):
+            p = op.gram_spectrum().solve(np.ones(3))
+            assert np.allclose(m.T @ (m @ p), np.ones(3), atol=1e-12)
+        assert calls == [1]
+        assert spectrum.eigenvalues.shape == (3,) and calls == [1]
 
 
 class TestAdjointConsistencyCheck:
