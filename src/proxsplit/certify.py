@@ -545,9 +545,9 @@ class BrokenL1Prox(L1Norm):
     """Soft threshold with a wrong threshold scaling; the subgradient witness
     and the Moreau identity both catch it."""
 
-    def prox(self, x, gamma):
+    def _prox(self, x, gamma):
         from .funcs import soft_threshold
-        return soft_threshold(np.asarray(x, dtype=float), 0.5 * self.weight * gamma)
+        return soft_threshold(x, 0.5 * self.weight * gamma)
 
 
 class CorruptedAdjoint(DenseOperator):

@@ -5,6 +5,15 @@ Lipschitz constant of the gradient, optional strong-convexity modulus) and
 prox-capable functions (value, possibly +inf, and the proximal map with an
 explicit stepsize).  The catalog below covers the quadratics, l1 penalties,
 indicator projections and nonconvex thresholds the solvers need.
+
+The public oracle methods validate: ``value``, ``grad`` and ``prox`` of the
+base classes pass their argument through :func:`~proxsplit.linops.as_vector`,
+pinned to the oracle's ``dim`` (None where any length goes), and hand it to
+the ``_``-prefixed ``_value``, ``_grad`` and ``_prox`` that each class
+implements.  Those take a finite, 1-d float64 array of the right length as
+given.  Solver loops and composite oracles call only the private methods, on
+arrays validated once at the solver's entry; a non-finite intermediate then
+reaches the iterate, and the recorder ends the run as ``diverged``.
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import numpy as np
 
 from .linops import (
     IDENTITY_BASIS,
+    DimensionError,
     IdentityOperator,
     LinearOperator,
     ScaleOperator,
@@ -49,7 +59,7 @@ def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
         # unit weights (graph projections, unit-scale quadratics) skip a pass
         out = p if ridge == 1.0 else ridge * p if ridge else None
         for w, K in terms:
-            t = K.adjoint(K.apply(p))
+            t = K._adjoint(K._apply(p))
             if w != 1.0:
                 t = w * t
             out = t if out is None else out + t
@@ -67,6 +77,9 @@ def _linear_box_argmin(c, lo, hi):
 class SmoothFn:
     """Differentiable function oracle.
 
+    Subclasses implement ``_value`` and ``_grad``; ``value`` and ``grad``
+    validate their argument against ``dim`` first.
+
     Attributes
     ----------
     lipschitz : Lipschitz constant of the gradient (may be 0 for the zero
@@ -74,21 +87,33 @@ class SmoothFn:
     strong_convexity : modulus alpha >= 0, 0 when unknown.
     convex : declared convexity flag, trusted by solvers and checked by the
         certification suite.
+    dim : input length, None when any length goes.
     """
 
     convex = True
     strong_convexity = 0.0
     lipschitz = None
+    dim = None
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self._value(as_vector(x, self.dim))
 
     def grad(self, x) -> np.ndarray:
+        return self._grad(as_vector(x, self.dim))
+
+    def _value(self, x) -> float:
+        raise NotImplementedError
+
+    def _grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
 
 class ProxFn:
-    """Proper l.s.c. function oracle: value (may be +inf) and prox."""
+    """Proper l.s.c. function oracle: value (may be +inf) and prox.
+
+    Subclasses implement ``_value`` and ``_prox``; ``value`` and ``prox``
+    validate their argument against ``dim`` first.
+    """
 
     convex = True
     strong_convexity = 0.0
@@ -97,11 +122,19 @@ class ProxFn:
     #: True when value(prox(x)) is 0 for every x, as for an indicator whose
     #: prox is the projection onto its set; solvers then skip that evaluation
     feasible_prox = False
+    #: input length, None when any length goes
+    dim = None
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self._value(as_vector(x, self.dim))
 
     def prox(self, x, gamma: float) -> np.ndarray:
+        return self._prox(as_vector(x, self.dim), gamma)
+
+    def _value(self, x) -> float:
+        raise NotImplementedError
+
+    def _prox(self, x, gamma: float) -> np.ndarray:
         raise NotImplementedError
 
     def conjugate(self) -> "ProxFn":
@@ -114,14 +147,14 @@ class ZeroFn(SmoothFn, ProxFn):
 
     lipschitz = 0.0
 
-    def value(self, x):
+    def _value(self, x):
         return 0.0
 
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def _grad(self, x):
+        return np.zeros_like(x)
 
-    def prox(self, x, gamma):
-        return np.array(x, dtype=float)
+    def _prox(self, x, gamma):
+        return x.copy()
 
     def linearized_box_min(self, c, lo, hi):
         c = np.asarray(c, dtype=float)
@@ -133,17 +166,17 @@ class CallableSmooth(SmoothFn):
     """Wrap explicit value/grad callables with declared constants."""
 
     def __init__(self, value_fn, grad_fn, lipschitz, strong_convexity=0.0, convex=True):
-        self._value = value_fn
-        self._grad = grad_fn
+        self._value_fn = value_fn
+        self._grad_fn = grad_fn
         self.lipschitz = float(lipschitz)
         self.strong_convexity = float(strong_convexity)
         self.convex = bool(convex)
 
-    def value(self, x):
-        return float(self._value(as_vector(x)))
+    def _value(self, x):
+        return float(self._value_fn(x))
 
-    def grad(self, x):
-        return np.asarray(self._grad(as_vector(x)), dtype=float)
+    def _grad(self, x):
+        return np.asarray(self._grad_fn(x), dtype=float)
 
 
 class Quadratic(SmoothFn, ProxFn):
@@ -163,6 +196,7 @@ class Quadratic(SmoothFn, ProxFn):
         if scale <= 0:
             raise ValueError("quadratic scale must be positive")
         self.A = A
+        self.dim = A.in_dim
         self.b = as_vector(b, A.out_dim)
         self.scale = float(scale)
         spectrum = A.gram_spectrum()
@@ -176,7 +210,7 @@ class Quadratic(SmoothFn, ProxFn):
             self.strong_convexity = 0.0
         self._lip = None
         if self._diag is not None and np.min(self._diag) > 0:
-            self.minimizer = solve_gram(self.A.adjoint(self.b) * self.scale,
+            self.minimizer = solve_gram(self.A._adjoint(self.b) * self.scale,
                                         [(self.scale, A)], 0.0)
 
     @property
@@ -185,17 +219,16 @@ class Quadratic(SmoothFn, ProxFn):
             self._lip = self.scale * self.A.norm() ** 2
         return self._lip
 
-    def value(self, x):
-        r = self.A.apply(x) - self.b
+    def _value(self, x):
+        r = self.A._apply(x) - self.b
         return 0.5 * self.scale * float(r @ r)
 
-    def grad(self, x):
-        return self.scale * self.A.adjoint(self.A.apply(x) - self.b)
+    def _grad(self, x):
+        return self.scale * self.A._adjoint(self.A._apply(x) - self.b)
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.A.in_dim)
+    def _prox(self, x, gamma):
         w = gamma * self.scale
-        return solve_gram(x + w * self.A.adjoint(self.b), [(w, self.A)], 1.0)
+        return solve_gram(x + w * self.A._adjoint(self.b), [(w, self.A)], 1.0)
 
     def conjugate(self):
         # closed form only for the isotropic case f = (scale/2)||x||^2
@@ -209,7 +242,7 @@ class Quadratic(SmoothFn, ProxFn):
             raise NotImplementedError("box-linear minimization needs a diagonal quadratic")
         c = np.asarray(c, dtype=float)
         d = self.scale * self._diag
-        atb = self.scale * self.A.adjoint(self.b)
+        atb = self.scale * self.A._adjoint(self.b)
         # stationary point of d/2 z^2 - (atb - c) z, clamped to the box
         with np.errstate(divide="ignore", invalid="ignore"):
             z_free = np.where(d > 0, (atb - c) / np.where(d > 0, d, 1.0), 0.0)
@@ -233,11 +266,11 @@ class L1Norm(ProxFn):
         self.weight = float(weight)
         self.minimizer = 0.0
 
-    def value(self, x):
+    def _value(self, x):
         return self.weight * float(np.sum(np.abs(x)))
 
-    def prox(self, x, gamma):
-        return soft_threshold(np.asarray(x, dtype=float), self.weight * gamma)
+    def _prox(self, x, gamma):
+        return soft_threshold(x, self.weight * gamma)
 
     def conjugate(self):
         return LinfBallIndicator(self.weight)
@@ -259,14 +292,14 @@ class L1Residual(ProxFn):
 
     def __init__(self, y, weight: float = 1.0):
         self.y = as_vector(y)
+        self.dim = self.y.size
         self.weight = float(weight)
         self.minimizer = self.y
 
-    def value(self, x):
-        return self.weight * float(np.sum(np.abs(as_vector(x, self.y.size) - self.y)))
+    def _value(self, x):
+        return self.weight * float(np.sum(np.abs(x - self.y)))
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.y.size)
+    def _prox(self, x, gamma):
         return self.y + soft_threshold(x - self.y, self.weight * gamma)
 
     def linearized_box_min(self, c, lo, hi):
@@ -283,16 +316,18 @@ class BoxIndicator(ProxFn):
         self.hi = np.asarray(hi, dtype=float)
         if np.any(self.lo > self.hi):
             raise ValueError("box lower bounds exceed upper bounds")
+        # vector bounds pin the length
+        shape = np.broadcast(self.lo, self.hi).shape
+        self.dim = shape[0] if len(shape) == 1 else None
         self.minimizer = np.clip(0.0, self.lo, self.hi)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _value(self, x):
         tol = FEAS_TOL * (1.0 + float(np.max(np.abs(x))))
         inside = np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol)
         return 0.0 if inside else np.inf
 
-    def prox(self, x, gamma):
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+    def _prox(self, x, gamma):
+        return np.clip(x, self.lo, self.hi)
 
     def linearized_box_min(self, c, lo, hi):
         c = np.asarray(c, dtype=float)
@@ -313,13 +348,12 @@ class LinfBallIndicator(ProxFn):
         self.radius = float(radius)
         self.minimizer = 0.0
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _value(self, x):
         tol = FEAS_TOL * (1.0 + float(np.max(np.abs(x))))
         return 0.0 if np.max(np.abs(x)) <= self.radius + tol else np.inf
 
-    def prox(self, x, gamma):
-        return np.clip(np.asarray(x, dtype=float), -self.radius, self.radius)
+    def _prox(self, x, gamma):
+        return np.clip(x, -self.radius, self.radius)
 
     def conjugate(self):
         return L1Norm(self.radius)
@@ -352,19 +386,15 @@ class AffineGraphIndicator(ProxFn):
         self.K = K
         self.dim = K.in_dim + K.out_dim
 
-    def _split(self, x):
-        x = as_vector(x, self.dim)
-        return x[: self.K.in_dim], x[self.K.in_dim:]
-
-    def value(self, x):
-        x1, x2 = self._split(x)
-        gap = np.linalg.norm(x2 - self.K.apply(x1))
+    def _value(self, x):
+        x1, x2 = x[: self.K.in_dim], x[self.K.in_dim:]
+        gap = np.linalg.norm(x2 - self.K._apply(x1))
         return 0.0 if gap <= FEAS_TOL * (1.0 + np.linalg.norm(x)) else np.inf
 
-    def prox(self, x, gamma):
-        x1, x2 = self._split(x)
-        p1 = solve_gram(x1 + self.K.adjoint(x2), [(1.0, self.K)], 1.0)
-        return np.concatenate([p1, self.K.apply(p1)])
+    def _prox(self, x, gamma):
+        x1, x2 = x[: self.K.in_dim], x[self.K.in_dim:]
+        p1 = solve_gram(x1 + self.K._adjoint(x2), [(1.0, self.K)], 1.0)
+        return np.concatenate([p1, self.K._apply(p1)])
 
 
 class ConsensusIndicator(ProxFn):
@@ -377,14 +407,13 @@ class ConsensusIndicator(ProxFn):
         self.block_dim = int(block_dim)
         self.dim = self.n_blocks * self.block_dim
 
-    def value(self, x):
-        blocks = as_vector(x, self.dim).reshape(self.n_blocks, self.block_dim)
+    def _value(self, x):
+        blocks = x.reshape(self.n_blocks, self.block_dim)
         dev = float(np.max(np.abs(blocks - blocks.mean(axis=0))))
         return 0.0 if dev <= FEAS_TOL * (1.0 + np.max(np.abs(blocks))) else np.inf
 
-    def prox(self, x, gamma):
-        blocks = as_vector(x, self.dim).reshape(self.n_blocks, self.block_dim)
-        mean = blocks.mean(axis=0)
+    def _prox(self, x, gamma):
+        mean = x.reshape(self.n_blocks, self.block_dim).mean(axis=0)
         return np.tile(mean, self.n_blocks)
 
 
@@ -414,21 +443,22 @@ class SeparableProx(ProxFn):
                 raise ValueError("each block needs a nonempty index list")
             if np.any(seen[idx]):
                 raise ValueError("overlapping blocks in separable prox")
+            if fn.dim not in (None, idx.size):
+                raise DimensionError(
+                    f"a block of {idx.size} indices holds a function of length {fn.dim}")
             seen[idx] = True
             self.parts.append((fn, idx))
         if not np.all(seen):
             raise ValueError("blocks do not cover all coordinates")
         self.convex = all(fn.convex for fn, _ in self.parts)
 
-    def value(self, x):
-        x = as_vector(x, self.dim)
-        return float(sum(fn.value(x[idx]) for fn, idx in self.parts))
+    def _value(self, x):
+        return float(sum(fn._value(x[idx]) for fn, idx in self.parts))
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.dim)
+    def _prox(self, x, gamma):
         out = np.empty_like(x)
         for fn, idx in self.parts:
-            out[idx] = fn.prox(x[idx], gamma)
+            out[idx] = fn._prox(x[idx], gamma)
         return out
 
     def linearized_box_min(self, c, lo, hi):
@@ -454,6 +484,9 @@ class OrthogonalComposition(ProxFn):
     def __init__(self, T: LinearOperator, inner: ProxFn, check_seed: int = 0):
         if T.in_dim != T.out_dim:
             raise ValueError("orthogonal transforms must be square")
+        if inner.dim not in (None, T.out_dim):
+            raise DimensionError(
+                f"transform of length {T.out_dim} under a function of length {inner.dim}")
         rng = np.random.default_rng(check_seed)
         for _ in range(20):
             v = rng.standard_normal(T.in_dim)
@@ -462,15 +495,15 @@ class OrthogonalComposition(ProxFn):
             if max(d1, d2) > 1e-8 * (1.0 + np.linalg.norm(v)):
                 raise ValueError("transform failed the orthogonality check")
         self.T = T
+        self.dim = T.in_dim
         self.inner = inner
         self.convex = inner.convex
 
-    def value(self, x):
-        return self.inner.value(self.T.apply(x))
+    def _value(self, x):
+        return self.inner._value(self.T._apply(x))
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.T.in_dim)
-        return self.T.adjoint(self.inner.prox(self.T.apply(x), gamma))
+    def _prox(self, x, gamma):
+        return self.T._adjoint(self.inner._prox(self.T._apply(x), gamma))
 
 
 class HardThreshold(ProxFn):
@@ -488,11 +521,10 @@ class HardThreshold(ProxFn):
         self.weight = float(weight)
         self.minimizer = 0.0
 
-    def value(self, x):
-        return self.weight * float(np.count_nonzero(np.asarray(x)))
+    def _value(self, x):
+        return self.weight * float(np.count_nonzero(x))
 
-    def prox(self, x, gamma):
-        x = np.asarray(x, dtype=float)
+    def _prox(self, x, gamma):
         return np.where(x * x > 2.0 * self.weight * gamma, x, 0.0)
 
 
@@ -506,12 +538,13 @@ class ConjugateProx(ProxFn):
         if not base.convex:
             raise ValueError("conjugate prox requires a convex base function")
         self.base = base
+        self.dim = base.dim
 
-    def value(self, x):
+    def _value(self, x):
         raise NotImplementedError("conjugate value has no general closed form")
 
-    def prox(self, x, gamma):
-        return prox_conjugate(self.base, x, gamma)
+    def _prox(self, x, gamma):
+        return x - gamma * self.base._prox(x / gamma, 1.0 / gamma)
 
 
 def prox_conjugate(f: ProxFn, x, gamma: float) -> np.ndarray:
@@ -539,14 +572,14 @@ class SaddleProblem:
         if primal_objective is not None:
             self._primal_objective = primal_objective
         elif f_primal is not None:
-            self._primal_objective = lambda x: g.value(x) + f_primal.value(K.apply(x))
+            self._primal_objective = lambda x: g._value(x) + f_primal._value(K._apply(x))
         else:
             self._primal_objective = None
 
     def primal_objective(self, x) -> float:
         if self._primal_objective is None:
             return float("nan")
-        return float(self._primal_objective(x))
+        return float(self._primal_objective(as_vector(x, self.K.in_dim)))
 
 
 def partial_primal_dual_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
@@ -556,19 +589,23 @@ def partial_primal_dual_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
     the catalog functions; functions without that structure are rejected
     rather than approximated.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _partial_gap(prob, as_vector(x, prob.K.in_dim), as_vector(y, prob.K.out_dim),
+                        box1, box2)
+
+
+def _partial_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
+    # partial_primal_dual_gap on validated x and y
     for fn in (prob.g, prob.f_conj):
         if not hasattr(fn, "linearized_box_min"):
             raise ValueError(
                 f"{type(fn).__name__} has no box-linear oracle; the partial "
                 "gap is only evaluated for the catalog function family"
             )
-    kx = prob.K.apply(x)
+    kx = prob.K._apply(x)
     _, neg_max = prob.f_conj.linearized_box_min(-kx, box2[0], box2[1])
-    max_term = -neg_max + prob.g.value(x)
-    _, min_term = prob.g.linearized_box_min(prob.K.adjoint(y), box1[0], box1[1])
-    min_side = min_term - prob.f_conj.value(y)
+    max_term = -neg_max + prob.g._value(x)
+    _, min_term = prob.g.linearized_box_min(prob.K._adjoint(y), box1[0], box1[1])
+    min_side = min_term - prob.f_conj._value(y)
     return float(max_term - min_side)
 
 
@@ -610,18 +647,22 @@ class _DiagonalPrecomposition(ProxFn):
     """
 
     def __init__(self, f: ProxFn, diag: np.ndarray):
+        if f.dim not in (None, 1):
+            raise DimensionError(
+                f"the substitution rule applies f to one coordinate at a time; "
+                f"f has length {f.dim}")
         self.f = f
         self.diag = np.asarray(diag, dtype=float)
+        self.dim = self.diag.size
         self.convex = f.convex
 
-    def value(self, x):
-        return self.f.value(self.diag * as_vector(x, self.diag.size))
+    def _value(self, x):
+        return self.f._value(self.diag * x)
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.diag.size)
+    def _prox(self, x, gamma):
         out = np.empty_like(x)
         for i, d in enumerate(self.diag):
-            u = self.f.prox(np.array([d * x[i]]), gamma * d * d)
+            u = self.f._prox(np.array([d * x[i]]), gamma * d * d)
             out[i] = u[0] / d
         return out
 

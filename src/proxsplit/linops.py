@@ -18,6 +18,14 @@ a closed form has no norm.  Two spectral hooks describe the Gram matrix
 
 Operators are immutable after construction and safe to share between solver
 runs.
+
+Inputs are validated where they enter the library.  The public ``apply`` and
+``adjoint`` pass their argument through :func:`as_vector` (a finite, 1-d
+float64 array of the operator's length); the ``_``-prefixed ``_apply`` and
+``_adjoint`` take such an array as given and check nothing.  Code inside the
+library, solver loops included, calls the private pair on arrays it already
+holds: each solver validates its start points once, and its recorder turns
+any non-finite iterate into a ``diverged`` run.
 """
 from __future__ import annotations
 
@@ -264,22 +272,44 @@ class _DenseSpectrum(GramSpectrum):
         return self.basis.eigenvalues
 
 
+def _shared_basis(spectra, dim: int) -> tuple | None:
+    # the one (basis, grid) in which every spectrum is diagonal, or None; a
+    # multiple of Id (a float eigenvalue) is diagonal in every basis.  Reads
+    # no eigenvalues, so no dense block factors here
+    if any(s is None for s in spectra):
+        return None
+    bases = {s[:2] for s in spectra if not isinstance(s[2], float)}
+    if len(bases) > 1:
+        return None
+    return bases.pop() if bases else (IDENTITY_BASIS, (dim,))
+
+
+def _sum_spectra(terms, spectra, ridge: float) -> GramSpectrum | None:
+    # gram_spectrum_sum from the spectra of the terms' operators
+    shared = _shared_basis(spectra, terms[0][1].in_dim)
+    if shared is None:
+        return None
+    total = ridge
+    for (w, _), spectrum in zip(terms, spectra):
+        total = total + w * spectrum.eigenvalues
+    return GramSpectrum(*shared, total)
+
+
 def gram_spectrum_sum(terms, ridge: float = 0.0) -> GramSpectrum | None:
     """Spectrum of ridge*Id + sum_i w_i K_i* K_i for ``terms`` = [(w_i, K_i)]
     on one input space, when every K_i* K_i is diagonal in one shared basis
     on one grid; None otherwise."""
-    shared, total = None, ridge
-    for w, K in terms:
-        spectrum = K.gram_spectrum()
-        if spectrum is None:
-            return None
-        if isinstance(spectrum.eigenvalues, np.ndarray):
-            if shared is not None and shared != spectrum[:2]:
-                return None
-            shared = spectrum[:2]
-        total = total + w * spectrum.eigenvalues
-    basis, grid = shared or (IDENTITY_BASIS, (terms[0][1].in_dim,))
-    return GramSpectrum(basis, grid, total)
+    return _sum_spectra(terms, [K.gram_spectrum() for _, K in terms], ridge)
+
+
+class _StackSpectrum(GramSpectrum):
+    # holds the stack's [(1, K_i)] in place of eigenvalues and sums theirs on
+    # each read, so building one factors no dense block
+    __slots__ = ()
+
+    @property
+    def eigenvalues(self):
+        return gram_spectrum_sum(self[2]).eigenvalues
 
 
 class LinearOperator:
@@ -654,7 +684,13 @@ class StackOperator(LinearOperator):
         return sum(symbols)
 
     def gram_spectrum(self):
-        return gram_spectrum_sum([(1.0, op) for op in self.ops])
+        terms = [(1.0, op) for op in self.ops]
+        spectra = [op.gram_spectrum() for op in self.ops]
+        shared = _shared_basis(spectra, self.in_dim)
+        if shared is not None and isinstance(shared[0], Eigenbasis):
+            # a dense block factors when a solve first reads the eigenvalues
+            return _StackSpectrum(*shared, terms)
+        return _sum_spectra(terms, spectra, 0.0)
 
 
 class ComposedOperator(LinearOperator):

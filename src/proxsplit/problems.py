@@ -5,6 +5,8 @@ A recipe is a callable ``run(cfg=None) -> (trace, x)`` where ``x`` is the
 primal solution extracted from that formulation (shadow point, dual
 recovery, consensus block...).  All recipes of one instance evaluate the
 same objective, which is what the cross-recipe agreement checks compare.
+The solvers evaluate it on the private oracle paths; ``instance.objective``
+validates its argument first.
 """
 from __future__ import annotations
 
@@ -67,6 +69,11 @@ class ProblemInstance:
         return self.recipes[recipe](cfg)
 
 
+def _checked(objective, dim: int):
+    # the instance's public objective: the recipes' one behind a length check
+    return lambda x: objective(as_vector(x, dim))
+
+
 def _merge_cfg(cfg: SolverConfig | None, **defaults) -> SolverConfig:
     if cfg is None:
         return SolverConfig(**defaults)
@@ -113,7 +120,7 @@ def build_lasso(A: LinearOperator, y, lam: float,
     y = as_vector(y, A.out_dim)
     f = Quadratic(A, y, 1.0, strong_convexity)
     g = L1Norm(lam)
-    objective = lambda x: f.value(x) + g.value(x)
+    objective = lambda x: f._value(x) + g._value(x)
     x0 = np.zeros(A.in_dim)
 
     names = ["fb", "fista", "fista_beta"] + (["vfista"] if f.strong_convexity > 0 else [])
@@ -131,7 +138,7 @@ def build_lasso(A: LinearOperator, y, lam: float,
 
     return ProblemInstance(
         name="lasso",
-        objective=objective,
+        objective=_checked(objective, A.in_dim),
         recipes=recipes,
         ground_truth=ground_truth,
         metadata={"lambda": lam, "dim": A.in_dim, "lipschitz": f.lipschitz,
@@ -176,7 +183,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     y = y_img.to_vector()
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
-    objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
+    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
 
     recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 3000)
     dual_quad = Quadratic(AdjointOperator(grad), -y)
@@ -189,7 +196,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
         "dual_fb": _recipe(
             lambda cfg: forward_backward(
                 dual_quad, ball, np.zeros(grad.out_dim), cfg,
-                objective=lambda p: objective(y + grad.adjoint(p))),
+                objective=lambda p: objective(y + grad._adjoint(p))),
             lambda trace: y + grad.adjoint(trace.x), inertia="fista_t", max_iter=3000),
         "condat": _recipe(
             lambda cfg: condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)], y,
@@ -199,7 +206,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
 
     return ProblemInstance(
         name="tv_denoise",
-        objective=objective,
+        objective=_checked(objective, n),
         recipes=recipes,
         metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
                   "grad": grad, "saddle": saddle, "y": y},
@@ -223,7 +230,7 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
     grad = Grad2D(rows, cols, boundary)
     data_fit = Quadratic(A, y)
     tv = L1Norm(lam)
-    objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
+    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
 
     K = StackOperator([A, grad])
     conj_parts = SeparableProx(
@@ -244,7 +251,7 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
 
     return ProblemInstance(
         name="tv_inverse",
-        objective=objective,
+        objective=_checked(objective, n),
         recipes=recipes,
         metadata={"lambda": lam, "rows": rows, "cols": cols, "grad": grad,
                   "A": A, "saddle": saddle},
@@ -259,13 +266,13 @@ def build_tvl1(y_img: ImageGrid, lam: float) -> ProblemInstance:
     y = y_img.to_vector()
     data_fit = L1Residual(y)
     tv = L1Norm(lam)
-    objective = lambda x: data_fit.value(x) + tv.value(grad.apply(x))
+    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
 
     recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 4000)
 
     return ProblemInstance(
         name="tvl1",
-        objective=objective,
+        objective=_checked(objective, grad.in_dim),
         recipes=recipes,
         metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
                   "grad": grad, "saddle": saddle},
@@ -277,17 +284,16 @@ class OverwriteOutside(ProxFn):
 
     def __init__(self, inside: np.ndarray, target: np.ndarray):
         self.inside = np.asarray(inside, dtype=bool)
-        self.target = as_vector(target, self.inside.size)
+        self.dim = self.inside.size
+        self.target = as_vector(target, self.dim)
         self.minimizer = self.target
 
-    def value(self, x):
-        x = as_vector(x, self.inside.size)
+    def _value(self, x):
         dev = np.abs(np.where(self.inside, 0.0, x - self.target))
         tol = 1e-8 * (1.0 + float(np.max(np.abs(x))))
         return 0.0 if float(np.max(dev, initial=0.0)) <= tol else np.inf
 
-    def prox(self, x, gamma):
-        x = as_vector(x, self.inside.size)
+    def _prox(self, x, gamma):
         return np.where(self.inside, x, self.target)
 
 
@@ -310,14 +316,14 @@ def build_poisson_editing(source_grad, target: ImageGrid, omega) -> ProblemInsta
     mask2 = MaskOperator(np.concatenate([omega, omega]))
     smooth = Quadratic(ComposedOperator(mask2, grad), mask2.apply(source_grad))
     proj = OverwriteOutside(omega, target.to_vector())
-    objective = lambda x: smooth.value(x) + proj.value(x)
+    objective = lambda x: smooth._value(x) + proj._value(x)
 
     pg = _recipe(lambda cfg: projected_gradient(smooth, proj, target.to_vector(), cfg),
                  gamma=lambda: 1.0 / max(smooth.lipschitz, 1e-12), max_iter=4000)
 
     return ProblemInstance(
         name="poisson_editing",
-        objective=objective,
+        objective=_checked(objective, n),
         recipes={"projected_gradient": pg},
         metadata={"rows": target.rows, "cols": target.cols, "omega": omega,
                   "smooth": smooth, "projection": proj},
@@ -330,12 +336,12 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
     y = as_vector(y, A.out_dim)
     f = Quadratic(A, y)
     g = OrthogonalComposition(T, L1Norm(lam))
-    objective = lambda x: f.value(x) + g.value(x)
+    objective = lambda x: f._value(x) + g._value(x)
     x0 = np.zeros(A.in_dim)
 
     return ProblemInstance(
         name="wavelet_reg",
-        objective=objective,
+        objective=_checked(objective, A.in_dim),
         recipes=_fb_recipes(f, g, x0, ["fb", "fista"]),
         metadata={"lambda": lam, "f": f, "g": g},
     )

@@ -3,7 +3,10 @@
 All solvers share the same contract: deterministic given the config seed,
 objective and residual recorded every iteration, iterates stored only on
 request (``keep_iterates``), and a termination reason in {tol_reached,
-iter_cap, diverged}.
+iter_cap, diverged}.  Start points are validated once, at entry, against
+the length every oracle and operator pins; the loops then call only the
+unvalidated ``_``-prefixed oracle and operator methods, and a non-finite
+iterate ends the run as ``diverged``.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ import math
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
-                    SaddleProblem, SeparableProx, SmoothFn, solve_gram)
-from .linops import IdentityOperator, LinearOperator, ScaleOperator, StackOperator, as_vector
+                    SaddleProblem, SeparableProx, SmoothFn, _partial_gap, solve_gram)
+from .linops import (DimensionError, IdentityOperator, LinearOperator, ScaleOperator,
+                     StackOperator, as_vector)
 
 TOL_REACHED = "tol_reached"
 ITER_CAP = "iter_cap"
@@ -134,6 +138,16 @@ def _relaxation_sequence(spec, default: float, lo: float, hi: float, name: str):
     return lambda n: val
 
 
+def _start(x0, *dims) -> np.ndarray:
+    """``x0`` validated as a vector whose length matches every dimension in
+    ``dims`` that is not None: the ``dim`` of an oracle, a side of an operator."""
+    x = as_vector(x0)
+    for dim in dims:
+        if dim is not None and dim != x.size:
+            raise DimensionError(f"expected length {dim}, got {x.size}")
+    return x
+
+
 def _same_bytes(a, b) -> bool:
     # bytes, not values: +0.0 == -0.0, and the sign of a zero can reach the output
     return a.tobytes() == b.tobytes()
@@ -159,7 +173,9 @@ class _Recorder:
         the iterates.  A +inf objective is a legal infeasible iterate, not
         divergence.
         """
-        residual = float(np.linalg.norm(np.asarray(x_new) - np.asarray(x_prev)))
+        # the float np.linalg.norm computes for a 1-d array, without its overhead
+        d = np.asarray(x_new) - np.asarray(x_prev)
+        residual = math.sqrt(float(d @ d))
         tracked = objective is not None
         objective = float(objective) if tracked else float("nan")
         self.obj.append(objective)
@@ -174,7 +190,7 @@ class _Recorder:
                         else not (math.isinf(objective) and objective > 0)):
             self.termination = DIVERGED
             return True
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             self.termination = DIVERGED
             return True
         rtol = self.cfg.residual_tol
@@ -231,7 +247,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
     gamma_n = ||g||^2 / (scale * ||A g||^2).
     """
     cfg = cfg or SolverConfig()
-    x = as_vector(x0)
+    x = _start(x0, f.dim)
     if mode not in ("fixed", "backtracking", "optimal_quadratic"):
         raise ConfigError(f"unknown gradient-descent mode {mode!r}")
     if mode == "fixed":
@@ -248,33 +264,33 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
         if not isinstance(f, Quadratic):
             raise ConfigError("optimal_quadratic mode needs a quadratic objective")
 
-    rec = _Recorder(x, f.value(x), cfg)
+    rec = _Recorder(x, f._value(x), cfg)
     for n in range(1, cfg.max_iter + 1):
-        g = f.grad(x)
+        g = f._grad(x)
         if mode == "fixed":
             step = gamma
             x_new = x - step * g
         elif mode == "backtracking":
             step = gamma0
-            fx = f.value(x)
+            fx = f._value(x)
             gg = float(g @ g)
             if gg == 0.0:
                 rec.termination = TOL_REACHED
                 break
-            while f.value(x - step * g) >= fx - 0.5 * step * gg:
+            while f._value(x - step * g) >= fx - 0.5 * step * gg:
                 step *= cfg.bt_shrink
                 if step < 1e-20:
                     raise ConfigError("backtracking shrank the stepsize to zero")
             x_new = x - step * g
         else:
-            Ag = f.A.apply(g)
+            Ag = f.A._apply(g)
             denom = f.scale * float(Ag @ Ag)
             if denom == 0.0:
                 rec.termination = TOL_REACHED
                 break
             step = float(g @ g) / denom
             x_new = x - step * g
-        stop = rec.record(n, x_new, x, f.value(x_new), {"step": step}) or (
+        stop = rec.record(n, x_new, x, f._value(x_new), {"step": step}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
         x = x_new
         if stop:
@@ -300,11 +316,11 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
     if gamma <= 0:
         raise ConfigError("proximal point needs gamma > 0")
-    x = as_vector(x0)
-    rec = _Recorder(x, g.value(x), cfg)
+    x = _start(x0, g.dim)
+    rec = _Recorder(x, g._value(x), cfg)
     for n in range(1, cfg.max_iter + 1):
-        x_new = g.prox(x, gamma)
-        val_old, val_new = g.value(x), g.value(x_new)
+        x_new = g._prox(x, gamma)
+        val_old, val_new = g._value(x), g._value(x_new)
         margin = val_old - val_new - float(np.sum((x - x_new) ** 2)) / (2 * gamma)
         stop = rec.record(n, x_new, x, val_new, {"prox_decrease_margin": margin}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
@@ -328,9 +344,9 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
     # x+ = prox_{gamma g}(y - gamma grad f(y)) with y = x + coef (x - x_prev),
     # coef drawn from ``coefs``; without coefs y = x and f + g is tracked for
     # the decrease monitor, whatever ``objective`` reports
-    x = as_vector(x0)
+    x = _start(x0, f.dim, g.dim)
     x_prev = x
-    inner = lambda z: f.value(z) + g.value(z)
+    inner = lambda z: f._value(z) + g._value(z)
     report = objective if objective is not None else inner
     rec = _Recorder(x, report(x), cfg)
     j_prev = inner(x) if coefs is None else None
@@ -342,7 +358,7 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
             coef = next(coefs)
             y = x + coef * (x - x_prev)
             extras = {"inertia_coef": coef}
-        x_new = g.prox(y - gamma * f.grad(y), gamma)
+        x_new = g._prox(y - gamma * f._grad(y), gamma)
         j_new = inner(x_new) if coefs is None else None
         if monitor:
             sq = float(np.sum((x_new - x) ** 2))
@@ -436,7 +452,8 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     """
     cfg = cfg or SolverConfig()
     lam = _relaxation_sequence(cfg.relaxation, 0.5, 0.0, 1.0, "lambda")
-    x = as_vector(x0)
+    # an operator pins the length; any other callable takes x as given
+    x = _start(x0, getattr(T, "in_dim", None))
     rec = _Recorder(x, float("nan"), cfg)
     for n in range(1, cfg.max_iter + 1):
         tx = np.asarray(T(x), dtype=float)
@@ -465,21 +482,21 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     if gamma <= 0:
         raise ConfigError("douglas_rachford needs gamma > 0")
     mu = _relaxation_sequence(cfg.relaxation, 1.0, 0.0, 2.0, "mu")
-    x = as_vector(x0)
+    x = _start(x0, f.dim, g.dim)
     # y is always a g-prox point, where a feasible prox makes g vanish
-    g_value = (lambda z: 0.0) if g.feasible_prox else g.value
-    objective = lambda z: f.value(z) + g_value(z)
-    y = g.prox(x, gamma)
+    g_value = (lambda z: 0.0) if g.feasible_prox else g._value
+    objective = lambda z: f._value(z) + g_value(z)
+    y = g._prox(x, gamma)
     rec = _Recorder(x, objective(y), cfg)
     for n in range(1, cfg.max_iter + 1):
-        z = f.prox(2.0 * y - x, gamma)
+        z = f._prox(2.0 * y - x, gamma)
         x_new = x + mu(n - 1) * (z - y)
         stop = rec.record(n, x_new, x, objective(y), {"split_gap": float(np.linalg.norm(z - y))})
         # mu_n multiplies z - y, so x alone may stand still while z - y does not
         stop = stop or (cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (z, y)))
         x = x_new
         # the shadow point of x_{n+1}: next iteration's y, or the result
-        y = g.prox(x, gamma)
+        y = g._prox(x, gamma)
         if stop:
             break
     return rec.finish(y, meta={"governing": x})
@@ -503,7 +520,8 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     if first_op is not None and not isinstance(first_op, IdentityOperator):
         raise ConfigError("the first ppxa term must act on the base variable")
 
-    x = as_vector(x0)
+    # a term without an operator pins the base length, and so does an operator
+    x = _start(x0, *(fn.dim if op is None else op.in_dim for fn, op in norm_parts))
     d = x.size
     ops = [IdentityOperator(d) if op is None else op for _, op in norm_parts[1:]]
     if all(op is None for _, op in norm_parts[1:]):
@@ -525,14 +543,14 @@ def _augmented_argmin(fn, op: LinearOperator, c, gamma, subsolver):
     if subsolver is not None:
         return subsolver(c, gamma)
     if isinstance(op, IdentityOperator):
-        return fn.prox(c, 1.0 / gamma)
+        return fn._prox(c, 1.0 / gamma)
     if isinstance(op, ScaleOperator):
         s = op.factor
         if s == 0.0:
             raise ConfigError("degenerate zero operator in the coupling constraint")
-        return fn.prox(c / s, 1.0 / (gamma * s * s))
+        return fn._prox(c / s, 1.0 / (gamma * s * s))
     if isinstance(fn, Quadratic):
-        rhs = fn.scale * fn.A.adjoint(fn.b) + gamma * op.adjoint(np.asarray(c, dtype=float))
+        rhs = fn.scale * fn.A._adjoint(fn.b) + gamma * op._adjoint(c)
         return solve_gram(rhs, [(fn.scale, fn.A), (gamma, op)], 0.0)
     raise ConfigError(
         "the alternating-direction subproblem needs an identity/scale coupling, "
@@ -560,22 +578,23 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     if A.out_dim != B.out_dim:
         raise ConfigError("A and B must map into the same constraint space")
     b = as_vector(b, A.out_dim)
-    y = np.zeros(B.in_dim) if y0 is None else as_vector(y0, B.in_dim)
+    # x starts at 0, so only the length of f is checked against A
+    x = _start(np.zeros(A.in_dim), f.dim)
+    y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
     z = np.zeros(A.out_dim) if z0 is None else as_vector(z0, A.out_dim)
 
-    x = np.zeros(A.in_dim)
-    rec = _Recorder(np.concatenate([x, y]), f.value(x) + g.value(y), cfg)
+    rec = _Recorder(np.concatenate([x, y]), f._value(x) + g._value(y), cfg)
     for n in range(1, cfg.max_iter + 1):
-        c_x = b - B.apply(y) - z / gamma
+        c_x = b - B._apply(y) - z / gamma
         x_new = _augmented_argmin(f, A, c_x, gamma, x_solver)
-        c_y = b - A.apply(x_new) - z / gamma
+        c_y = b - A._apply(x_new) - z / gamma
         y_new = _augmented_argmin(g, B, c_y, gamma, y_solver)
-        z_new = z + gamma * (A.apply(x_new) + B.apply(y_new) - b)
-        primal_res = float(np.linalg.norm(A.apply(x_new) + B.apply(y_new) - b))
+        z_new = z + gamma * (A._apply(x_new) + B._apply(y_new) - b)
+        primal_res = float(np.linalg.norm(A._apply(x_new) + B._apply(y_new) - b))
         state_new = np.concatenate([x_new, y_new])
         state_old = np.concatenate([x, y])
         stop = rec.record(n, state_new, state_old,
-                          f.value(x_new) + g.value(y_new),
+                          f._value(x_new) + g._value(y_new),
                           {"primal_residual": primal_res}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((y_new, y), (z_new, z)))
         x, y, z = x_new, y_new, z_new
@@ -611,21 +630,19 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     # members of the primal-dual family
     cfg = cfg or SolverConfig()
     sigma, tau, op_norm = _validate_pd_steps(cfg, prob.K)
-    x = as_vector(x0, prob.K.in_dim)
-    y = as_vector(y0, prob.K.out_dim)
+    x = _start(x0, prob.K.in_dim, prob.g.dim)
+    y = _start(y0, prob.K.out_dim, prob.f_conj.dim)
     xbar = x
-    obj = prob.primal_objective if prob._primal_objective is not None else lambda z: None
+    obj = prob._primal_objective or (lambda z: None)
     obj0 = obj(x)
     rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg)
     dual_iterates = [y.copy()] if cfg.keep_iterates else []
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
     ergodic = {}
-    if gap_boxes is not None:
-        from .funcs import partial_primal_dual_gap
     for n in range(1, cfg.max_iter + 1):
-        y_new = prob.f_conj.prox(y + sigma * prob.K.apply(xbar), sigma)
-        x_new = prob.g.prox(x - tau * prob.K.adjoint(y_new), tau)
+        y_new = prob.f_conj._prox(y + sigma * prob.K._apply(xbar), sigma)
+        x_new = prob.g._prox(x - tau * prob.K._adjoint(y_new), tau)
         xbar_new = 2.0 * x_new - x if extrapolate else x_new
         # compared at once, so the old xbar is freed as soon as it is replaced;
         # holding it to the end of the iteration made a 256x256 cp run in a
@@ -638,7 +655,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
             ergodic[n] = (sum_x / n, sum_y / n)
         extras = {"dual_residual": float(np.linalg.norm(y_new - y))}
         if gap_boxes is not None:
-            extras["pd_gap"] = partial_primal_dual_gap(
+            extras["pd_gap"] = _partial_gap(
                 prob, sum_x / n, sum_y / n, gap_boxes[0], gap_boxes[1])
         stop = rec.record(n, x_new, x, obj(x_new), extras) or (
             same_xbar and rec.fixed_point((x_new, x), (y_new, y)))
@@ -695,7 +712,7 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     """
     cfg = cfg or SolverConfig()
     terms = list(terms)
-    x = as_vector(x0)
+    x = _start(x0, f.dim, g.dim, *(op.in_dim for _, op in terms))
     L = f.lipschitz
     # without terms the coupling is the zero operator
     stack = StackOperator([op for _, op in terms]) if terms else ScaleOperator(0.0, x.size)
@@ -721,23 +738,22 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         )
     rho = cfg.rho
     if u0s is None:
-        us = [np.zeros(op.out_dim) for _, op in terms]
-    else:
-        us = [as_vector(u, op.out_dim) for u, (_, op) in zip(u0s, terms)]
+        u0s = [np.zeros(op.out_dim) for _, op in terms]
+    us = [_start(u, op.out_dim, h_conj.dim) for u, (h_conj, op) in zip(u0s, terms)]
 
     if objective is None:
-        objective = lambda z: f.value(z) + g.value(z)
+        objective = lambda z: f._value(z) + g._value(z)
 
     rec = _Recorder(x, objective(x), cfg)
     for n in range(1, cfg.max_iter + 1):
         drift = np.zeros_like(x)
         for (_, op), u in zip(terms, us):
-            drift += op.adjoint(u)
-        x_tilde = g.prox(x - tau * f.grad(x) - tau * drift, tau)
+            drift += op._adjoint(u)
+        x_tilde = g._prox(x - tau * f._grad(x) - tau * drift, tau)
         x_new = rho * x_tilde + (1.0 - rho) * x
         us_new = []
         for (h_conj, op), u in zip(terms, us):
-            u_tilde = h_conj.prox(u + sigma * op.apply(2.0 * x_tilde - x), sigma)
+            u_tilde = h_conj._prox(u + sigma * op._apply(2.0 * x_tilde - x), sigma)
             us_new.append(rho * u_tilde + (1.0 - rho) * u)
         stop = rec.record(n, x_new, x, objective(x_new)) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), *zip(us_new, us)))

@@ -1,9 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from proxsplit.cli import main
+
+# SHA-256 of the report.json of ``certify all`` at seed 0.  Like the golden
+# traces (see tests/test_golden_traces.py), it was generated from the commit
+# before the change that pinned it, and its floats depend on the platform in
+# the same ways: BLAS/LAPACK for the dense checks, pocketfft for the FFT-backed
+# ones and the x86-64 long double for the gradient norms.
+CERTIFY_ALL_SHA256 = "55c75226dffe4117629b329ba6a969cb7012de04ad931d94926f92c278d2c13e"
 
 
 def write_config(path, payload):
@@ -292,6 +300,8 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
         assert report["failures"] == []
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == CERTIFY_ALL_SHA256
 
 
 @pytest.mark.parametrize("operator", [{"kind": "scale", "factor": 0.0},

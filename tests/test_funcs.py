@@ -255,6 +255,21 @@ class TestDenseSpectralSolve:
         assert np.allclose(q.prox(x, 0.7), expected, atol=1e-12)
         assert calls == [(12, 12)]
 
+    def test_stack_with_a_dense_block_factors_on_the_first_prox(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        M, y = _kernel((12, 20)), _kernel(32, seed=6)
+        K = StackOperator([DenseOperator(M), ScaleOperator(0.5, 20)])
+        q = Quadratic(K, y)
+        assert calls == []
+        x = np.ones(20)
+        p = q.prox(x, 0.7)
+        assert calls == [(12, 12)]
+        q.prox(p, 0.7)
+        assert calls == [(12, 12)]
+        gram = M.T @ M + 0.25 * np.eye(20)
+        expected = np.linalg.solve(np.eye(20) + 0.7 * gram, x + 0.7 * K.adjoint(y))
+        assert np.allclose(p, expected, atol=1e-12)
+
 
 class TestSoftThreshold:
     def test_catalog_cases(self):

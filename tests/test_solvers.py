@@ -9,11 +9,20 @@ from proxsplit.funcs import (
     HardThreshold,
     L1Norm,
     LinfBallIndicator,
+    ProxFn,
     SaddleProblem,
+    SeparableProx,
     ZeroFn,
     make_quadratic,
 )
-from proxsplit.linops import DenseOperator, IdentityOperator, LinearOperator, ScaleOperator
+from proxsplit.linops import (
+    DenseOperator,
+    DimensionError,
+    IdentityOperator,
+    LinearOperator,
+    ScaleOperator,
+)
+from proxsplit.problems import build_lasso
 from proxsplit.solvers import (
     DIVERGED,
     ITER_CAP,
@@ -931,3 +940,132 @@ class TestStopAtFixedPoint:
         assert rec.termination == ITER_CAP
         assert rec.fixed_point((np.array([-0.0]), np.array([-0.0])))
         assert rec.termination == TOL_REACHED
+
+
+# every solver on oracles and operators of length 6, started from length 5
+WRONG_LENGTH_RUNS = {
+    "gradient_descent": lambda x0, cfg: gradient_descent(half_square(6), x0, cfg),
+    "proximal_point": lambda x0, cfg: proximal_point(
+        SeparableProx([(L1Norm(1.0), range(6))], 6), x0, cfg),
+    "projected_gradient": lambda x0, cfg: projected_gradient(
+        CallableSmooth(lambda x: 0.5 * float(x @ x), lambda x: x, 1.0),
+        BoxIndicator(np.zeros(6), np.ones(6)), x0, cfg),
+    "forward_backward": lambda x0, cfg: forward_backward(
+        half_square(6), L1Norm(0.1), x0, cfg),
+    "nonconvex_forward_backward": lambda x0, cfg: nonconvex_forward_backward(
+        half_square(6), HardThreshold(0.1), x0, cfg),
+    "krasnoselskii_mann": lambda x0, cfg: krasnoselskii_mann(
+        ScaleOperator(0.5, 6), x0, cfg),
+    "douglas_rachford": lambda x0, cfg: douglas_rachford(
+        SeparableProx([(L1Norm(1.0), range(3)), (BoxIndicator(0.0, 1.0), range(3, 6))], 6),
+        half_square(6), x0, cfg),
+    "ppxa": lambda x0, cfg: ppxa([half_square(6), L1Norm(0.1)], x0, cfg),
+    "admm": lambda x0, cfg: admm(L1Norm(1.0), half_square(6), IdentityOperator(6),
+                                 ScaleOperator(-1.0, 6), np.zeros(6), y0=x0, cfg=cfg),
+    "chambolle_pock": lambda x0, cfg: chambolle_pock(
+        SaddleProblem(IdentityOperator(6), half_square(6), LinfBallIndicator(1.0)),
+        x0, np.zeros(6), cfg),
+    "arrow_hurwicz": lambda x0, cfg: arrow_hurwicz(
+        SaddleProblem(IdentityOperator(6), half_square(6), LinfBallIndicator(1.0)),
+        x0, np.zeros(6), cfg),
+    "condat": lambda x0, cfg: condat(half_square(6), ZeroFn(),
+                                     [(LinfBallIndicator(1.0), IdentityOperator(6))], x0,
+                                     cfg=cfg),
+}
+
+
+class TestValidateAtEntry:
+    @pytest.mark.parametrize("solver", sorted(WRONG_LENGTH_RUNS))
+    def test_wrong_length_start_is_a_dimension_error(self, solver):
+        # the loops no longer validate, so the check must come at entry
+        cfg = SolverConfig(gamma=0.5, max_iter=3)
+        assert WRONG_LENGTH_RUNS[solver](np.ones(6), cfg).n_iter == 3
+        with pytest.raises(DimensionError, match="expected length 6, got 5"):
+            WRONG_LENGTH_RUNS[solver](np.ones(5), cfg)
+
+    def test_operator_and_oracle_lengths_must_agree(self):
+        with pytest.raises(DimensionError):
+            condat(half_square(6), ZeroFn(), [(LinfBallIndicator(1.0), DenseOperator(
+                np.ones((4, 6))))], np.ones(6), u0s=[np.zeros(5)])
+        with pytest.raises(DimensionError):
+            SeparableProx([(half_square(3), [0, 1])], 2)
+
+
+class NaNAfter(ProxFn):
+    """``inner`` whose prox returns NaN from its ``k``-th call on."""
+
+    def __init__(self, inner, k):
+        self.inner, self.k, self.calls = inner, k, 0
+
+    def _value(self, x):
+        return self.inner._value(x)
+
+    def _prox(self, x, gamma):
+        self.calls += 1
+        p = self.inner._prox(x, gamma)
+        return p if self.calls < self.k else np.full_like(p, np.nan)
+
+
+class TestNonFiniteIntermediate:
+    # a NaN out of a dual oracle reaches the primal iterate, and the recorder
+    # ends the run as diverged instead of an operator rejecting the NaN
+    RUNS = {
+        "chambolle_pock": lambda dual, cfg: chambolle_pock(
+            SaddleProblem(IdentityOperator(3), half_square(3), dual, f_primal=L1Norm(1.0)),
+            np.ones(3), np.zeros(3), cfg),
+        "condat": lambda dual, cfg: condat(half_square(3), ZeroFn(),
+                                           [(dual, IdentityOperator(3))], np.ones(3), cfg=cfg),
+        "admm": lambda dual, cfg: admm(half_square(3), dual, IdentityOperator(3),
+                                       ScaleOperator(-1.0, 3), np.zeros(3), cfg=cfg),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(RUNS))
+    def test_nan_from_the_dual_oracle_diverges(self, solver):
+        dual = NaNAfter(LinfBallIndicator(1.0), k=4)
+        trace = self.RUNS[solver](dual, SolverConfig(max_iter=50))
+        assert trace.termination == DIVERGED
+        assert trace.n_iter <= 5
+
+
+class TestValidationOutsideTheLoop:
+    @staticmethod
+    def _runs():
+        tv = tv_denoise_fixture()
+        rng = np.random.default_rng(2)
+        lasso = build_lasso(DenseOperator(rng.standard_normal((8, 8))),
+                            rng.standard_normal(8), 0.1)
+        y = rng.standard_normal(64)
+        return {
+            "cp": lambda cfg: tv.run("cp", cfg),
+            "condat": lambda cfg: tv.run("condat", cfg),
+            "dr_split": lambda cfg: tv.run("dr_split", cfg),
+            "fista": lambda cfg: lasso.run("fista", cfg),
+            "admm": lambda cfg: (admm(L1Norm(1.0), make_quadratic(IdentityOperator(64), y),
+                                      IdentityOperator(64), ScaleOperator(-1.0, 64),
+                                      np.zeros(64), cfg=cfg), None),
+        }
+
+    @pytest.mark.parametrize("name", ["cp", "condat", "dr_split", "fista", "admm"])
+    def test_as_vector_calls_do_not_grow_with_iterations(self, name, monkeypatch):
+        import proxsplit.funcs as funcs
+        import proxsplit.linops as linops
+        import proxsplit.problems as problems
+        import proxsplit.solvers as solvers
+
+        run = self._runs()[name]
+        original = linops.as_vector
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (linops, funcs, problems, solvers):
+            monkeypatch.setattr(module, "as_vector", counted)
+        counts = []
+        for max_iter in (10, 100):
+            calls.clear()
+            trace, _ = run(SolverConfig(max_iter=max_iter))
+            assert trace.n_iter == max_iter
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
