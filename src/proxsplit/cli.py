@@ -151,8 +151,9 @@ def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
         "objective": inst.objective(x),
         "wall_time_seconds": wall,
     }
-    # primal-dual recipes: the stepsizes that ran and the norm bound behind them
-    summary.update({k: trace.meta[k] for k in ("sigma", "tau", "operator_norm")
+    # primal-dual recipes: the stepsizes that ran and the norm bound behind
+    # them; recipes with a closed-form dual: the duality gap of the result
+    summary.update({k: trace.meta[k] for k in ("sigma", "tau", "operator_norm", "gap")
                     if k in trace.meta})
     if inst.ground_truth and "objective" in inst.ground_truth:
         summary["expected_objective"] = float(inst.ground_truth["objective"])

@@ -252,11 +252,6 @@ class Quadratic(SmoothFn, ProxFn):
         return z, float(c @ z) + self.value(z)
 
 
-def make_quadratic(A: LinearOperator, b, scale: float = 1.0,
-                   strong_convexity: float | None = None) -> Quadratic:
-    return Quadratic(A, b, scale, strong_convexity)
-
-
 class L1Norm(ProxFn):
     """weight * ||x||_1; prox is soft thresholding at weight*gamma."""
 

@@ -732,10 +732,6 @@ class AdjointOperator(LinearOperator):
         return self.base.norm()
 
 
-def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    return ComposedOperator(outer, inner)
-
-
 _KINDS = {
     "identity": lambda p: IdentityOperator(p["dim"]),
     "scale": lambda p: ScaleOperator(p["factor"], p["dim"]),

@@ -7,6 +7,13 @@ recovery, consensus block...).  All recipes of one instance evaluate the
 same objective, which is what the cross-recipe agreement checks compare.
 The solvers evaluate it on the private oracle paths; ``instance.objective``
 validates its argument first.
+
+Where the dual is in closed form (TV denoise, LASSO) the builder defines one
+dual bound D, a lower bound on the optimal value at every dual-feasible
+point, and each recipe maps its solver state to a (primal point, dual point)
+pair; the solver gets the gap P(x) - D(p), which bounds P(x) - P* from above
+(see ``SolverConfig.gap_tol``).  The recipes of the other builders have no
+gap, and their solvers reject a positive ``gap_tol``.
 """
 from __future__ import annotations
 
@@ -100,15 +107,38 @@ def _recipe(solve, extract=None, **defaults):
     return run
 
 
+def _duality_gap(objective, dual_bound, pair):
+    """Gap callable for a solver: ``pair`` maps the solver's state to a
+    (primal point x, dual point p), and the gap is P(x) - D(p)."""
+    def gap(*state):
+        x, p = pair(*state)
+        return objective(x) - dual_bound(p)
+
+    return gap
+
+
+def _half_residual_bound(y, adjoint):
+    """D(p) = 1/2 ||y||^2 - 1/2 ||y - adjoint(p)||^2, the dual bound shared by
+    ROF (adjoint = grad*, clipped to the ball) and LASSO (adjoint = Id)."""
+    half_yy = 0.5 * float(y @ y)
+
+    def bound(p):
+        r = y - adjoint(p)
+        return half_yy - 0.5 * float(r @ r)
+
+    return bound
+
+
 # inertia mode of each forward-backward recipe
 _FB_INERTIA = {"fb": "none", "fista": "fista_t", "fista_beta": "fista_beta",
                "vfista": "vfista"}
 
 
-def _fb_recipes(f, g, x0, names) -> dict:
-    """Forward-backward recipes on f + g from x0; the solver derives the
-    stepsize 1/L when the recipe runs."""
-    fb = lambda cfg: forward_backward(f, g, x0, cfg)
+def _fb_recipes(f, g, x0, names, gap=None) -> dict:
+    """Forward-backward recipes on f + g from x0, with the duality gap
+    ``gap(x)`` if there is one; the solver derives the stepsize 1/L when the
+    recipe runs."""
+    fb = lambda cfg: forward_backward(f, g, x0, cfg, gap=gap)
     return {name: _recipe(fb, inertia=_FB_INERTIA[name], max_iter=2000) for name in names}
 
 
@@ -123,9 +153,18 @@ def build_lasso(A: LinearOperator, y, lam: float,
     objective = lambda x: f._value(x) + g._value(x)
     x0 = np.zeros(A.in_dim)
 
+    def scaled_residual(x):
+        # theta = r / max(1, ||A* r||_inf / lam), written so that lam = 0
+        # (the feasible set A* theta = 0) never divides 0 by 0
+        r = y - A._apply(x)
+        c = float(np.max(np.abs(A._adjoint(r)), initial=0.0))
+        return r if c <= lam else r * (lam / c)
+
+    gap = _duality_gap(objective, _half_residual_bound(y, lambda theta: theta),
+                       lambda x, *_: (x, scaled_residual(x)))
     names = ["fb", "fista", "fista_beta"] + (["vfista"] if f.strong_convexity > 0 else [])
-    recipes = _fb_recipes(f, g, x0, names)
-    recipes["dr"] = _recipe(lambda cfg: douglas_rachford(f, g, x0, cfg),
+    recipes = _fb_recipes(f, g, x0, names, gap)
+    recipes["dr"] = _recipe(lambda cfg: douglas_rachford(f, g, x0, cfg, gap),
                             gamma=1.0, max_iter=2000)
 
     ground_truth = None
@@ -146,10 +185,12 @@ def build_lasso(A: LinearOperator, y, lam: float,
     )
 
 
-def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int):
+def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int,
+                         split_gap=None, cp_gap=None):
     """Recipes shared by the TV models with a prox-capable data term:
     ``dr_split`` on the extended variable (x, z) with z = grad x, and the
-    saddle-point form ``cp``.  Returns the recipes and the saddle problem."""
+    saddle-point form ``cp``, each with its duality gap if the model has
+    one.  Returns the recipes and the saddle problem."""
     n = grad.in_dim
     split_fn = SeparableProx([(data_fit, np.arange(n)), (tv, np.arange(n, 3 * n))], 3 * n)
     graph = AffineGraphIndicator(grad)
@@ -158,9 +199,10 @@ def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int
     recipes = {
         "dr_split": _recipe(
             lambda cfg: douglas_rachford(split_fn, graph,
-                                         np.concatenate([y, grad.apply(y)]), cfg),
+                                         np.concatenate([y, grad.apply(y)]), cfg, split_gap),
             lambda trace: trace.x[:n], gamma=1.0, max_iter=max_iter),
-        "cp": _recipe(lambda cfg: chambolle_pock(saddle, y, np.zeros(grad.out_dim), cfg),
+        "cp": _recipe(lambda cfg: chambolle_pock(saddle, y, np.zeros(grad.out_dim), cfg,
+                                                 gap=cp_gap),
                       max_iter=max_iter),
     }
     return recipes, saddle
@@ -184,23 +226,35 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
     objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
+    # ROF dual: x = y - grad* p for p in the ball ||p||_inf <= lam; clipping
+    # keeps the bound valid at iterates outside the ball
+    dual = _half_residual_bound(y, lambda p: grad._adjoint(np.clip(p, -lam, lam)))
+    cp_gap, condat_gap, dual_fb_gap, split_gap = (
+        _duality_gap(objective, dual, pair) for pair in (
+            lambda x, p: (x, p),
+            lambda x, us: (x, us[0]),
+            lambda p: (y + grad._adjoint(p), -p),
+            # the shadow point (x, z) of dr_split and ppxa, and u in the normal
+            # cone of the graph there: -u_z is the multiplier of z = grad x
+            lambda w, u: (w[:n], -u[n:])))
 
-    recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 3000)
+    recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 3000,
+                                           split_gap, cp_gap)
     dual_quad = Quadratic(AdjointOperator(grad), -y)
     ball = LinfBallIndicator(lam)
     recipes.update({
-        "ppxa": _recipe(lambda cfg: ppxa([(data_fit, None), (tv, grad)], y, cfg),
+        "ppxa": _recipe(lambda cfg: ppxa([(data_fit, None), (tv, grad)], y, cfg, split_gap),
                         gamma=1.0, max_iter=3000),
         # minimizes the dual projection problem but reports the primal
         # objective of the recovered point, keeping curves comparable
         "dual_fb": _recipe(
             lambda cfg: forward_backward(
                 dual_quad, ball, np.zeros(grad.out_dim), cfg,
-                objective=lambda p: objective(y + grad._adjoint(p))),
+                objective=lambda p: objective(y + grad._adjoint(p)), gap=dual_fb_gap),
             lambda trace: y + grad.adjoint(trace.x), inertia="fista_t", max_iter=3000),
         "condat": _recipe(
             lambda cfg: condat(data_fit, ZeroFn(), [(LinfBallIndicator(lam), grad)], y,
-                               cfg=cfg, objective=objective),
+                               cfg=cfg, objective=objective, gap=condat_gap),
             max_iter=3000),
     })
 

@@ -56,6 +56,11 @@ class SolverConfig:
     z = y, and Krasnosel'skii-Mann Tx = x, because an n-dependent relaxation
     multiplies that difference.  The trace is then the full run's prefix, and
     ``meta["ergodic"]`` is keyed at the stopping n.
+    ``gap_tol`` of 0 disables the duality-gap stop.  A positive value needs
+    a run given a ``gap`` callable (the closed-form gap of a recipe); the
+    trace then gets a ``gap`` column, and the run ends with ``tol_reached``
+    once gap <= gap_tol * (1 + |objective|), |objective| read as 0 in a run
+    that tracks none.  Without a ``gap`` it is a :class:`ConfigError`.
     Recipe defaults fill only :meth:`unset_fields`.
     """
 
@@ -70,6 +75,7 @@ class SolverConfig:
     max_iter: int = 1000
     residual_tol: float = 0.0
     objective_tol: float = 0.0
+    gap_tol: float = 0.0
     seed: int = 0
     keep_iterates: bool = False
     stop_at_fixed_point: bool = False
@@ -97,6 +103,8 @@ class SolverConfig:
             raise ConfigError("rho must lie in (0, 1]")
         if not (0 < self.bt_shrink < 1):
             raise ConfigError("backtracking shrink factor must lie in (0, 1)")
+        if not self.gap_tol >= 0:
+            raise ConfigError("gap_tol must be nonnegative")
 
 
 @dataclasses.dataclass
@@ -154,8 +162,14 @@ def _same_bytes(a, b) -> bool:
 
 
 class _Recorder:
-    def __init__(self, x0, objective0, cfg: SolverConfig):
+    def __init__(self, x0, objective0, cfg: SolverConfig, gap=None):
+        # ``gap`` maps the state a solver passes to record/finish to the
+        # duality gap of the point it would return
+        if cfg.gap_tol > 0 and gap is None:
+            raise ConfigError("gap_tol needs a closed-form duality gap, "
+                              "and this run has none")
         self.cfg = cfg
+        self.gap = gap
         self.x0 = np.array(x0, dtype=float)
         self.objective0 = float(objective0)
         self.obj = []
@@ -165,13 +179,14 @@ class _Recorder:
         self.iterates = [self.x0.copy()] if cfg.keep_iterates else []
         self.termination = ITER_CAP
 
-    def record(self, n, x_new, x_prev, objective, extras=None) -> bool:
+    def record(self, n, x_new, x_prev, objective, extras=None, gap_args=()) -> bool:
         """Append one iteration; returns True when the run should stop.
 
         ``objective=None`` marks solvers that do not track an objective
         (e.g. fixed-point iterations); the divergence guard then only sees
         the iterates.  A +inf objective is a legal infeasible iterate, not
-        divergence.
+        divergence.  With ``cfg.gap_tol > 0`` the gap of ``gap_args`` is
+        evaluated and recorded; it is never evaluated otherwise.
         """
         # the float np.linalg.norm computes for a 1-d array, without its overhead
         d = np.asarray(x_new) - np.asarray(x_prev)
@@ -183,6 +198,10 @@ class _Recorder:
         if extras:
             for key, val in extras.items():
                 self.extras.setdefault(key, []).append(float(val))
+        gap = None
+        if self.cfg.gap_tol > 0:
+            gap = float(self.gap(*gap_args))
+            self.extras.setdefault("gap", []).append(gap)
         if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
         # NaN and -inf diverge, and so does a finite value past the cap
@@ -203,6 +222,11 @@ class _Recorder:
         ) <= otol * (1.0 + abs(self.obj[-2])):
             self.termination = TOL_REACHED
             return True
+        # a run that tracks no objective stops at an absolute gap
+        if gap is not None and gap <= self.cfg.gap_tol * (
+                1.0 + (abs(objective) if tracked else 0.0)):
+            self.termination = TOL_REACHED
+            return True
         return False
 
     def fixed_point(self, *pairs) -> bool:
@@ -212,7 +236,12 @@ class _Recorder:
             return True
         return False
 
-    def finish(self, x_final, meta=None) -> SolverTrace:
+    def finish(self, x_final, meta=None, gap_args=()) -> SolverTrace:
+        """The trace; ``meta["gap"]`` holds the gap of ``gap_args``, the final
+        state, whenever the run has a gap."""
+        meta = meta or {}
+        if self.gap is not None:
+            meta["gap"] = float(self.gap(*gap_args))
         k = len(self.obj)
         return SolverTrace(
             x0=self.x0,
@@ -224,7 +253,7 @@ class _Recorder:
             iterates=self.iterates,
             termination=self.termination,
             x=np.array(x_final, dtype=float),
-            meta=meta or {},
+            meta=meta,
         )
 
 
@@ -340,7 +369,7 @@ def _fista_t_coefs():
 
 def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
                         gamma: float, coefs=None, monitor: bool = False,
-                        objective=None) -> SolverTrace:
+                        objective=None, gap=None) -> SolverTrace:
     # x+ = prox_{gamma g}(y - gamma grad f(y)) with y = x + coef (x - x_prev),
     # coef drawn from ``coefs``; without coefs y = x and f + g is tracked for
     # the decrease monitor, whatever ``objective`` reports
@@ -348,7 +377,7 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
     x_prev = x
     inner = lambda z: f._value(z) + g._value(z)
     report = objective if objective is not None else inner
-    rec = _Recorder(x, report(x), cfg)
+    rec = _Recorder(x, report(x), cfg, gap)
     j_prev = inner(x) if coefs is None else None
     extras = None
     for n in range(1, cfg.max_iter + 1):
@@ -375,18 +404,18 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
         value = j_new if j_new is not None and objective is None else report(x_new)
         # inertia also reads x_prev; once x - x_prev is zero, its n-dependent
         # coefficient multiplies zero
-        stop = rec.record(n, x_new, x, value, extras) or (
+        stop = rec.record(n, x_new, x, value, extras, (x_new,)) or (
             cfg.stop_at_fixed_point
             and rec.fixed_point((x_new, x), (x, x if coefs is None else x_prev)))
         x_prev, x, j_prev = x, x_new, j_new
         if stop:
             break
-    return rec.finish(x, meta={"gamma": gamma})
+    return rec.finish(x, {"gamma": gamma}, (x,))
 
 
 def forward_backward(f: SmoothFn, g: ProxFn, x0,
                      cfg: SolverConfig | None = None,
-                     objective=None) -> SolverTrace:
+                     objective=None, gap=None) -> SolverTrace:
     """Proximal gradient descent with optional inertial acceleration.
 
     Inertia modes: ``none`` (gamma < 2/L), ``fista_t`` with the classical
@@ -395,6 +424,8 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     coefficient (sqrt(L)-sqrt(a))/(sqrt(L)+sqrt(a))).  ``objective``
     overrides the reported trace column (dual formulations report the
     recovered primal value); the minimized function stays f + g.
+    ``gap(x)`` is the duality gap of the point ``x`` the run would return
+    (see :class:`SolverConfig` ``gap_tol``).
     """
     cfg = cfg or SolverConfig()
     L = f.lipschitz
@@ -402,7 +433,7 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     if cfg.inertia == "none":
         if L > 0 and gamma >= 2.0 / L:
             raise ConfigError(f"stepsize {gamma} violates gamma < 2/L")
-        return _prox_gradient_loop(f, g, x0, cfg, gamma, objective=objective)
+        return _prox_gradient_loop(f, g, x0, cfg, gamma, objective=objective, gap=gap)
 
     if L > 0 and gamma > 1.0 / L * (1 + 1e-12):
         raise ConfigError(f"inertial modes require gamma <= 1/L, got {gamma}")
@@ -418,7 +449,7 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
         if abs(gamma - 1.0 / L) > 1e-12 / L:
             raise ConfigError("vfista runs at gamma = 1/L")
         coefs = itertools.repeat((np.sqrt(L) - np.sqrt(alpha)) / (np.sqrt(L) + np.sqrt(alpha)))
-    return _prox_gradient_loop(f, g, x0, cfg, gamma, coefs, objective=objective)
+    return _prox_gradient_loop(f, g, x0, cfg, gamma, coefs, objective=objective, gap=gap)
 
 
 def nonconvex_forward_backward(f: SmoothFn, g: ProxFn, x0,
@@ -468,14 +499,17 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
 
 
 def douglas_rachford(f: ProxFn, g: ProxFn, x0,
-                     cfg: SolverConfig | None = None) -> SolverTrace:
+                     cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
     """Douglas-Rachford splitting for f + g, both prox-capable.
 
         y_n = prox_{gamma g}(x_n)
         z_n = prox_{gamma f}(2 y_n - x_n)
         x_{n+1} = x_n + mu_n (z_n - y_n)
 
-    The reported solution is the shadow sequence y_n.
+    The reported solution is the shadow sequence y_n.  ``gap(y, u)`` is the
+    duality gap of a shadow point y given u = (x - y)/gamma, an element of
+    the subdifferential of g at y; it is evaluated at the shadow point the
+    run would return.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
@@ -486,23 +520,25 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     # y is always a g-prox point, where a feasible prox makes g vanish
     g_value = (lambda z: 0.0) if g.feasible_prox else g._value
     objective = lambda z: f._value(z) + g_value(z)
+    shadow_gap = None if gap is None else lambda y, x: gap(y, (x - y) / gamma)
     y = g._prox(x, gamma)
-    rec = _Recorder(x, objective(y), cfg)
+    rec = _Recorder(x, objective(y), cfg, shadow_gap)
     for n in range(1, cfg.max_iter + 1):
         z = f._prox(2.0 * y - x, gamma)
         x_new = x + mu(n - 1) * (z - y)
-        stop = rec.record(n, x_new, x, objective(y), {"split_gap": float(np.linalg.norm(z - y))})
+        # the shadow point of x_{n+1}: next iteration's y, or the result
+        y_new = g._prox(x_new, gamma)
+        stop = rec.record(n, x_new, x, objective(y),
+                          {"split_gap": float(np.linalg.norm(z - y))}, (y_new, x_new))
         # mu_n multiplies z - y, so x alone may stand still while z - y does not
         stop = stop or (cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (z, y)))
-        x = x_new
-        # the shadow point of x_{n+1}: next iteration's y, or the result
-        y = g._prox(x, gamma)
+        x, y = x_new, y_new
         if stop:
             break
-    return rec.finish(y, meta={"governing": x})
+    return rec.finish(y, {"governing": x}, (y, x))
 
 
-def ppxa(parts, x0, cfg: SolverConfig | None = None) -> SolverTrace:
+def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
     """Parallel proximal algorithm over M >= 2 prox-capable terms.
 
     ``parts`` entries are either a prox function of the base variable or a
@@ -511,7 +547,9 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     2008): the separable prox of the terms against the projection onto
     {(p, L_2 p, ..., L_M p)}, a block mean without operators and a graph
     projection otherwise.  ``trace.x`` is the base block of the shadow
-    point; the trace has no extras column.
+    point; the trace has no extras column, apart from ``gap`` when
+    ``gap_tol`` asks for it.  ``gap`` is passed to :func:`douglas_rachford`
+    and sees the product-space blocks.
     """
     norm_parts = [entry if isinstance(entry, tuple) else (entry, None) for entry in parts]
     if len(norm_parts) < 2:
@@ -532,7 +570,7 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     offsets = np.cumsum([0, d] + [op.out_dim for op in ops])
     terms = SeparableProx([(fn, np.arange(a, b)) for (fn, _), a, b
                            in zip(norm_parts, offsets[:-1], offsets[1:])], offsets[-1])
-    trace = douglas_rachford(terms, link, X0, cfg)
+    trace = douglas_rachford(terms, link, X0, cfg, gap)
     trace.extras.pop("split_gap", None)
     trace.x = trace.x[:d].copy()
     return trace
@@ -625,7 +663,8 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
 
 
 def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
-                      extrapolate: bool, ergodic_at=(), gap_boxes=None) -> SolverTrace:
+                      extrapolate: bool, ergodic_at=(), gap_boxes=None,
+                      gap=None) -> SolverTrace:
     # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
     # members of the primal-dual family
     cfg = cfg or SolverConfig()
@@ -635,7 +674,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     xbar = x
     obj = prob._primal_objective or (lambda z: None)
     obj0 = obj(x)
-    rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg)
+    rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg, gap)
     dual_iterates = [y.copy()] if cfg.keep_iterates else []
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
@@ -657,7 +696,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         if gap_boxes is not None:
             extras["pd_gap"] = _partial_gap(
                 prob, sum_x / n, sum_y / n, gap_boxes[0], gap_boxes[1])
-        stop = rec.record(n, x_new, x, obj(x_new), extras) or (
+        stop = rec.record(n, x_new, x, obj(x_new), extras, (x_new, y_new)) or (
             same_xbar and rec.fixed_point((x_new, x), (y_new, y)))
         if dual_iterates:
             dual_iterates.append(y_new.copy())
@@ -667,18 +706,18 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     n_done = len(rec.obj)
     if n_done > 0:
         ergodic.setdefault(n_done, (sum_x / n_done, sum_y / n_done))
-    return rec.finish(x, meta={
+    return rec.finish(x, {
         "y": y,
         "sigma": sigma,
         "tau": tau,
         "operator_norm": op_norm,
         "dual_iterates": dual_iterates,
         "ergodic": ergodic,
-    })
+    }, (x, y))
 
 
 def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
-                   ergodic_at=(), gap_boxes=None) -> SolverTrace:
+                   ergodic_at=(), gap_boxes=None, gap=None) -> SolverTrace:
     """Primal-dual iteration with over-relaxed primal extrapolation.
 
         y_{n+1} = prox_{sigma f*}(y_n + sigma K xbar_n)
@@ -689,9 +728,10 @@ def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
     at the iteration counts in ``ergodic_at`` (and at the final iteration);
     with ``keep_iterates`` the trace stores both primal and dual iterates.
     When ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual
-    gap of the running ergodic pair is recorded each iteration.
+    gap of the running ergodic pair is recorded each iteration.  ``gap(x, y)``
+    is the duality gap of the pair, used by :class:`SolverConfig` ``gap_tol``.
     """
-    return _primal_dual_loop(prob, x0, y0, cfg, True, ergodic_at, gap_boxes)
+    return _primal_dual_loop(prob, x0, y0, cfg, True, ergodic_at, gap_boxes, gap)
 
 
 def arrow_hurwicz(prob: SaddleProblem, x0, y0,
@@ -701,14 +741,15 @@ def arrow_hurwicz(prob: SaddleProblem, x0, y0,
 
 
 def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
-           cfg: SolverConfig | None = None, objective=None) -> SolverTrace:
+           cfg: SolverConfig | None = None, objective=None, gap=None) -> SolverTrace:
     """Primal-dual splitting with an explicit gradient step and M dual blocks.
 
     Solves min f(x) + g(x) + sum_i h_i(L_i x); ``terms`` is a list of
     ``(h_conj, L_i)`` pairs where ``h_conj`` is the conjugate-side prox
     oracle of h_i (build it with ``fn.conjugate()`` when only the primal is
     known).  Stepsizes must satisfy tau*(L/2 + sigma*||sum L_i* L_i||) < 1;
-    the dual updates within one iteration are independent.
+    the dual updates within one iteration are independent.  ``gap(x, us)``
+    is the duality gap of x with the dual blocks ``us``.
     """
     cfg = cfg or SolverConfig()
     terms = list(terms)
@@ -744,7 +785,7 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     if objective is None:
         objective = lambda z: f._value(z) + g._value(z)
 
-    rec = _Recorder(x, objective(x), cfg)
+    rec = _Recorder(x, objective(x), cfg, gap)
     for n in range(1, cfg.max_iter + 1):
         drift = np.zeros_like(x)
         for (_, op), u in zip(terms, us):
@@ -755,11 +796,11 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         for (h_conj, op), u in zip(terms, us):
             u_tilde = h_conj._prox(u + sigma * op._apply(2.0 * x_tilde - x), sigma)
             us_new.append(rho * u_tilde + (1.0 - rho) * u)
-        stop = rec.record(n, x_new, x, objective(x_new)) or (
+        stop = rec.record(n, x_new, x, objective(x_new), None, (x_new, us_new)) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), *zip(us_new, us)))
         x = x_new
         us = us_new
         if stop:
             break
-    return rec.finish(x, meta={"duals": us, "sigma": sigma, "tau": tau,
-                               "operator_norm": stack.norm()})
+    return rec.finish(x, {"duals": us, "sigma": sigma, "tau": tau,
+                          "operator_norm": stack.norm()}, (x, us))

@@ -48,9 +48,9 @@ def test_criterion_03_contraction_factors():
     f = suite.anisotropic_quadratic()
     rep_grad = gradient_step_contraction(f, 0.9 / f.lipschitz, dim=2,
                                          trials=1000, seed=0)
-    from proxsplit.funcs import make_quadratic
+    from proxsplit.funcs import Quadratic
     from proxsplit.linops import IdentityOperator
-    fn = make_quadratic(IdentityOperator(3), np.zeros(3), scale=2.0)
+    fn = Quadratic(IdentityOperator(3), np.zeros(3), scale=2.0)
     rep_prox = prox_contraction(fn, 0.7, dim=3, trials=1000, seed=0)
     ok = rep_grad.passed and rep_prox.passed
     verdict(3, "gradient-step ratio <= sqrt(1-ga) and prox ratio <= "

@@ -24,9 +24,9 @@ from proxsplit.funcs import (
     HardThreshold,
     L1Norm,
     LinfBallIndicator,
+    Quadratic,
     SaddleProblem,
     ZeroFn,
-    make_quadratic,
 )
 from proxsplit.linops import DenseOperator, IdentityOperator, ScaleOperator
 from proxsplit.solvers import (
@@ -38,7 +38,7 @@ from proxsplit.solvers import (
 
 
 def quad(dim=1, center=0.0):
-    return make_quadratic(IdentityOperator(dim), np.full(dim, center))
+    return Quadratic(IdentityOperator(dim), np.full(dim, center))
 
 
 class TestDescentInequality:
@@ -69,7 +69,7 @@ class TestDescentInequality:
 
 class TestLyapunov:
     def test_monotone_on_quadratic(self):
-        f = make_quadratic(DenseOperator(np.diag([1.0, 0.5])), np.zeros(2))
+        f = Quadratic(DenseOperator(np.diag([1.0, 0.5])), np.zeros(2))
         cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=1000, keep_iterates=True)
         trace = gradient_descent(f, [2.0, -1.0], cfg)
         rep = check_lyapunov_gd(trace, f.lipschitz, np.zeros(2), 0.0)
@@ -87,8 +87,8 @@ class TestLyapunov:
         assert trace.objective[0] <= 0.5 * float(x0 @ x0)
 
     def test_strongly_convex_also_passes(self):
-        f = make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
-                           np.zeros(2), strong_convexity=1.0)
+        f = Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
+                      np.zeros(2), strong_convexity=1.0)
         cfg = SolverConfig(gamma=1.0 / f.lipschitz, max_iter=500, keep_iterates=True)
         trace = gradient_descent(f, [1.0, 1.0], cfg)
         rep = check_lyapunov_gd(trace, f.lipschitz, np.zeros(2), 0.0)
@@ -218,16 +218,16 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_dr_admm_identity_coupling(self, gamma):
-        f = make_quadratic(DenseOperator(np.diag([1.5, 0.8])), np.array([1.0, -2.0]))
-        g = make_quadratic(IdentityOperator(2), np.array([0.5, 1.0]))
+        f = Quadratic(DenseOperator(np.diag([1.5, 0.8])), np.array([1.0, -2.0]))
+        g = Quadratic(IdentityOperator(2), np.array([0.5, 1.0]))
         rep = dr_admm_equivalence(f, g, IdentityOperator(2), gamma, iters=50,
                                   w0=np.array([0.3, -0.7]))
         assert rep.passed
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_dr_admm_diagonal_coupling(self, gamma):
-        f = make_quadratic(DenseOperator(np.diag([1.5, 0.8])), np.array([1.0, -2.0]))
-        g = make_quadratic(IdentityOperator(2), np.array([0.5, 1.0]))
+        f = Quadratic(DenseOperator(np.diag([1.5, 0.8])), np.array([1.0, -2.0]))
+        g = Quadratic(IdentityOperator(2), np.array([0.5, 1.0]))
         K = DenseOperator(np.diag([1.0, 2.0]))
         rep = dr_admm_equivalence(f, g, K, gamma, iters=50,
                                   w0=np.array([0.3, -0.7]))
@@ -347,16 +347,16 @@ class TestControls:
 
 class TestRateBounds:
     def test_linear_rate_certificate(self):
-        f = make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
-                           np.zeros(2), strong_convexity=1.0)
+        f = Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
+                      np.zeros(2), strong_convexity=1.0)
         trace = gradient_descent(f, [1.0, 1.0],
                                  SolverConfig(gamma=1.0 / f.lipschitz, max_iter=500))
         rep = check_linear_rate(trace.objective_path(), 0.0, 0.9)
         assert rep.passed
 
     def test_linear_rate_flags_slow_run(self):
-        f = make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
-                           np.zeros(2), strong_convexity=1.0)
+        f = Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
+                      np.zeros(2), strong_convexity=1.0)
         trace = gradient_descent(f, [1.0, 1.0],
                                  SolverConfig(gamma=0.01, max_iter=200))
         rep = check_linear_rate(trace.objective_path(), 0.0, 0.5)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from proxsplit.cli import main
 
 # SHA-256 of the report.json of ``certify all`` at seed 0.  Like the golden
-# traces (see tests/test_golden_traces.py), it was generated from the commit
-# before the change that pinned it, and its floats depend on the platform in
-# the same ways: BLAS/LAPACK for the dense checks, pocketfft for the FFT-backed
-# ones and the x86-64 long double for the gradient norms.
-CERTIFY_ALL_SHA256 = "55c75226dffe4117629b329ba6a969cb7012de04ad931d94926f92c278d2c13e"
+# traces (see tests/test_golden_traces.py), it is generated from the commit
+# before the change that moves it, with that change's src/ patched in, and its
+# floats depend on the platform in the same ways: BLAS/LAPACK for the dense
+# checks, pocketfft for the FFT-backed ones and the x86-64 long double for the
+# gradient norms.
+CERTIFY_ALL_SHA256 = "e591299536f87764f6e73c8251e49e276468475366c6af7ab59939e01515d0c0"
 
 
 def write_config(path, payload):
@@ -326,6 +328,58 @@ class TestZeroOperatorLasso:
         assert main(["solve", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["objective"] == 2.5  # x = 0: 0.5 * ||y||^2
+        # A* r = 0, so theta = r = y and the gap is lam * ||x||_1 = 0
+        assert summary["gap"] == 0.0
+
+
+class TestDualityGapStop:
+    PIXELS = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+
+    def solve(self, tmp_path, name, problem, recipe, solver):
+        cfg = write_config(tmp_path / f"{name}.json",
+                           {"problem": problem, "recipe": recipe, "solver": solver})
+        out = tmp_path / name
+        return main(["solve", cfg, "--out", str(out)]), out
+
+    def test_cp_stops_at_a_certified_gap(self, tmp_path):
+        problem = {"kind": "tv_denoise", "pixels": self.PIXELS, "lambda": 0.1}
+        rc, out = self.solve(tmp_path, "on", problem, "cp",
+                             {"max_iter": 4000, "gap_tol": 1e-8})
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "tol_reached"
+        assert summary["gap"] <= 1e-8 * (1.0 + abs(summary["objective"]))
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "n,objective,residual,dual_residual,gap"
+        assert len(lines) == summary["iterations"] + 1
+        # gap_tol 0, written or not, leaves the trace as it was
+        rc_off, off = self.solve(tmp_path, "off", problem, "cp",
+                                 {"max_iter": 4000, "gap_tol": 0})
+        rc_unset, unset = self.solve(tmp_path, "unset", problem, "cp", {"max_iter": 4000})
+        assert rc_off == rc_unset == 0
+        assert (off / "trace.csv").read_bytes() == (unset / "trace.csv").read_bytes()
+        assert json.loads((off / "summary.json").read_text())["gap"] >= 0.0
+
+    def test_lambda_zero_lasso_gap_is_finite(self, tmp_path):
+        problem = {"kind": "lasso", "y": [3.0, 0.5], "lambda": 0}
+        for recipe in ("fista", "dr"):
+            rc, out = self.solve(tmp_path, recipe, problem, recipe, {"max_iter": 50})
+            assert rc == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert math.isfinite(summary["gap"]), (recipe, summary["gap"])
+
+    @pytest.mark.parametrize("problem,recipe", [
+        ({"kind": "tvl1", "pixels": PIXELS, "lambda": 0.3}, "cp"),
+        ({"kind": "tv_inverse", "rows": 3, "cols": 3, "lambda": 0.05,
+          "y": sum(PIXELS, [])}, "condat"),
+    ], ids=["tvl1_cp", "tv_inverse_condat"])
+    def test_gap_tol_without_a_gap_is_config_error(self, tmp_path, capsys, problem, recipe):
+        rc, out = self.solve(tmp_path, "run", problem, recipe,
+                             {"max_iter": 10, "gap_tol": 1e-8})
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "duality gap" in err
+        assert not (out / "summary.json").exists()
 
 
 class TestDivergenceExitCode:

@@ -17,7 +17,6 @@ from proxsplit.funcs import (
     ZeroFn,
     finite_difference_grad,
     indicator_prox,
-    make_quadratic,
     precompose_prox,
     prox_conjugate,
     soft_threshold,
@@ -50,16 +49,16 @@ def scalar_prox_oracle(value_fn, x, gamma, lo=-20.0, hi=20.0):
 
 class TestQuadratic:
     def test_identity_prox(self):
-        q = make_quadratic(IdentityOperator(1), [0.0], 1.0)
+        q = Quadratic(IdentityOperator(1), [0.0], 1.0)
         assert q.prox([2.0], 1.0) == pytest.approx([1.0])
 
     def test_identity_grad(self):
-        q = make_quadratic(IdentityOperator(1), [4.0], 1.0)
+        q = Quadratic(IdentityOperator(1), [4.0], 1.0)
         assert q.grad([1.0]) == pytest.approx([-3.0])
 
     def test_wide_system_prox(self):
         # (Id + A*A) p = A* b solved by hand for A = [1, 1], b = 2
-        q = make_quadratic(DenseOperator([[1.0, 1.0]]), [2.0], 1.0)
+        q = Quadratic(DenseOperator([[1.0, 1.0]]), [2.0], 1.0)
         assert np.allclose(q.prox([0.0, 0.0], 1.0), [2.0 / 3.0, 2.0 / 3.0], atol=1e-9)
 
     def test_cg_prox_matches_dense_solve(self):
@@ -68,19 +67,19 @@ class TestQuadratic:
         b = rng.standard_normal(5)
         x = rng.standard_normal(7)
         gamma, lam = 0.7, 2.0
-        q = make_quadratic(DenseOperator(A), b, lam)
+        q = Quadratic(DenseOperator(A), b, lam)
         expected = np.linalg.solve(np.eye(7) + gamma * lam * A.T @ A,
                                    x + gamma * lam * A.T @ b)
         assert np.allclose(q.prox(x, gamma), expected, atol=1e-9)
 
     def test_lipschitz_is_scaled_norm_squared(self):
-        q = make_quadratic(DenseOperator(np.diag([2.0, 1.0])), np.zeros(2), 3.0)
+        q = Quadratic(DenseOperator(np.diag([2.0, 1.0])), np.zeros(2), 3.0)
         assert q.lipschitz == pytest.approx(12.0, rel=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        q = make_quadratic(DenseOperator(rng.standard_normal((4, 3))),
-                           rng.standard_normal(4), 1.5)
+        q = Quadratic(DenseOperator(rng.standard_normal((4, 3))),
+                      rng.standard_normal(4), 1.5)
         x = rng.standard_normal(3)
         fd = finite_difference_grad(q, x)
         exact = q.grad(x)
@@ -88,7 +87,7 @@ class TestQuadratic:
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            make_quadratic(IdentityOperator(2), np.zeros(2), 0.0)
+            Quadratic(IdentityOperator(2), np.zeros(2), 0.0)
 
 
 def _kernel(shape, seed=5):
@@ -372,7 +371,7 @@ class TestConjugation:
         assert out == pytest.approx([1.0])
 
     def test_half_square_self_conjugate(self):
-        q = make_quadratic(IdentityOperator(3), np.zeros(3))
+        q = Quadratic(IdentityOperator(3), np.zeros(3))
         x = np.array([1.0, -2.0, 0.3])
         assert np.allclose(prox_conjugate(q, x, 1.0), x / 2.0)
 
@@ -381,7 +380,7 @@ class TestConjugation:
     def test_sum_identity_at_gamma_one(self, seed):
         rng = np.random.default_rng(seed)
         fns = [L1Norm(0.8), LinfBallIndicator(1.2),
-               make_quadratic(IdentityOperator(4), rng.standard_normal(4))]
+               Quadratic(IdentityOperator(4), rng.standard_normal(4))]
         fn = fns[seed % len(fns)]
         x = 3.0 * rng.standard_normal(4)
         total = fn.prox(x, 1.0) + prox_conjugate(fn, x, 1.0)
@@ -522,7 +521,7 @@ class TestPrecompose:
             assert abs(fn.prox(x, gamma)[i] - oracle) <= 2e-3
 
     def test_quadratic_absorbs_operator(self):
-        q = make_quadratic(DenseOperator(np.diag([1.0, 2.0])), np.array([1.0, 1.0]))
+        q = Quadratic(DenseOperator(np.diag([1.0, 2.0])), np.array([1.0, 1.0]))
         K = DenseOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
         composed = precompose_prox(q, K)
         x = np.array([0.5, -0.5])
@@ -539,7 +538,7 @@ class TestContractionProperties:
     def test_strongly_convex_prox_contraction(self):
         rng = np.random.default_rng(7)
         alpha = 1.5
-        fn = make_quadratic(IdentityOperator(4), rng.standard_normal(4), alpha)
+        fn = Quadratic(IdentityOperator(4), rng.standard_normal(4), alpha)
         gamma = 0.8
         for _ in range(100):
             x, y = rng.standard_normal(4), rng.standard_normal(4)
@@ -548,8 +547,8 @@ class TestContractionProperties:
 
     def test_gradient_step_contraction_factor(self):
         rng = np.random.default_rng(8)
-        q = make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
-                           np.zeros(2), strong_convexity=1.0)
+        q = Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
+                      np.zeros(2), strong_convexity=1.0)
         gamma = 0.09  # below 1/L = 0.1
         factor = np.sqrt(1 - gamma * q.strong_convexity)
         for _ in range(200):

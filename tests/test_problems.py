@@ -12,7 +12,7 @@ from proxsplit.data import (
     write_fixture,
     write_pgm,
 )
-from proxsplit.funcs import soft_threshold
+from proxsplit.funcs import AffineGraphIndicator, soft_threshold
 from proxsplit.linops import (
     DenseOperator,
     Grad2D,
@@ -31,7 +31,7 @@ from proxsplit.problems import (
     build_wavelet_reg,
 )
 from proxsplit.solvers import ConfigError, SolverConfig
-from proxsplit.suite import tv_denoise_fixture
+from proxsplit.suite import lasso_dense_fixture, tv_denoise_fixture, tv_inverse_fixture
 
 
 class TestLasso:
@@ -167,6 +167,7 @@ class TestTVDenoise:
         assert np.array_equal(dr.objective, pp.objective)
         assert np.array_equal(dr.residual, pp.residual)
         assert np.array_equal(x_dr, x_pp)
+        assert dr.meta["gap"] == pp.meta["gap"]
 
     def test_dual_recovery_matches_primal(self):
         data = generate_synthetic("step_image", (6, 6), sigma=0.05, seed=2)
@@ -175,6 +176,77 @@ class TestTVDenoise:
         _, x_cp = inst.run("cp", SolverConfig(max_iter=6000))
         _, x_dual = inst.run("dual_fb", SolverConfig(max_iter=6000))
         assert np.max(np.abs(x_cp - x_dual)) <= 1e-4
+
+
+def _reference_objective(inst):
+    # any objective value bounds P* from above, so a sound gap satisfies
+    # gap >= P(x) - P* >= P(x) - P_ref
+    reference = "cp" if inst.name == "tv_denoise" else "fista"
+    _, x = inst.run(reference, SolverConfig(max_iter=20_000, stop_at_fixed_point=True))
+    return inst.objective(x)
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("fixture,recipe", [
+        ("tv_denoise", "cp"), ("tv_denoise", "condat"), ("tv_denoise", "dual_fb"),
+        ("tv_denoise", "dr_split"), ("lasso", "fb"), ("lasso", "fista"), ("lasso", "dr"),
+    ])
+    def test_every_recorded_gap_bounds_the_suboptimality(self, fixture, recipe):
+        inst = tv_denoise_fixture() if fixture == "tv_denoise" else lasso_dense_fixture(3)
+        p_ref = _reference_objective(inst)
+        trace, x = inst.run(recipe, SolverConfig(gap_tol=1e-12, max_iter=300))
+        gap = trace.extras["gap"]
+        # row n holds the gap of the point returned on a stop at n: for DR the
+        # shadow point of x_{n+1}, whose objective is the next row's
+        values = trace.objective
+        if "dr" in recipe:
+            values = np.append(values[1:], inst.objective(x))
+        assert gap.size == trace.n_iter >= 1
+        assert np.all(np.isfinite(gap))
+        assert np.all(gap >= values - p_ref - 1e-14)
+        assert trace.meta["gap"] == gap[-1]
+
+    def test_dr_split_dual_points_outside_the_ball_are_clipped(self):
+        # DR's multiplier of z = grad x approaches the ball from outside;
+        # unclipped, its bound would exceed the optimal value
+        inst = tv_denoise_fixture()
+        y, grad, lam = inst.metadata["y"], inst.metadata["grad"], inst.metadata["lambda"]
+        p_ref = _reference_objective(inst)
+        trace, x = inst.run("dr_split", SolverConfig(gap_tol=1e-12, max_iter=300,
+                                                     keep_iterates=True))
+        graph = AffineGraphIndicator(grad)
+        n = y.size
+        outside, unclipped = [], []
+        for governing in trace.iterates[1:]:
+            p = (graph.prox(governing, 1.0) - governing)[n:]
+            r = y - grad.adjoint(p)
+            outside.append(np.max(np.abs(p)) > lam)
+            unclipped.append(0.5 * float(y @ y) - 0.5 * float(r @ r))
+        assert any(outside)
+        assert max(unclipped) > p_ref
+        values = np.append(trace.objective[1:], inst.objective(x))
+        assert np.all(trace.extras["gap"] >= values - p_ref - 1e-14)
+
+    @pytest.mark.parametrize("build,recipe", [
+        ("tvl1", "cp"), ("tvl1", "dr_split"), ("tv_inverse", "condat"),
+        ("tv_inverse", "cp2"), ("wavelet_reg", "fb"), ("wavelet_reg", "fista"),
+        ("poisson_editing", "projected_gradient"),
+    ])
+    def test_recipes_without_a_gap_reject_gap_tol(self, build, recipe):
+        grid = ImageGrid(4, 4, generate_synthetic("step_image", (4, 4), sigma=0.1,
+                                                  seed=1)["y"])
+        inst = {
+            "tvl1": lambda: build_tvl1(grid, 0.3),
+            "tv_inverse": tv_inverse_fixture,
+            "wavelet_reg": lambda: build_wavelet_reg(
+                IdentityOperator(16), grid.to_vector(), 0.1, IdentityOperator(16)),
+            "poisson_editing": lambda: build_poisson_editing(
+                np.zeros(32), grid, np.arange(16) % 3 == 0),
+        }[build]()
+        with pytest.raises(ConfigError, match="duality gap"):
+            inst.run(recipe, SolverConfig(gap_tol=1e-8, max_iter=5))
+        trace, _ = inst.run(recipe, SolverConfig(max_iter=5))
+        assert "gap" not in trace.meta
 
 
 class TestTVInverse:

@@ -10,10 +10,10 @@ from proxsplit.funcs import (
     L1Norm,
     LinfBallIndicator,
     ProxFn,
+    Quadratic,
     SaddleProblem,
     SeparableProx,
     ZeroFn,
-    make_quadratic,
 )
 from proxsplit.linops import (
     DenseOperator,
@@ -47,12 +47,12 @@ from proxsplit.suite import tv_denoise_fixture, tv_inverse_fixture
 
 
 def half_square(dim=1):
-    return make_quadratic(IdentityOperator(dim), np.zeros(dim))
+    return Quadratic(IdentityOperator(dim), np.zeros(dim))
 
 
 def anisotropic():
-    return make_quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
-                          np.zeros(2), strong_convexity=1.0)
+    return Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
+                     np.zeros(2), strong_convexity=1.0)
 
 
 class TestGradientDescent:
@@ -129,7 +129,7 @@ class TestGradientDescent:
 
 class TestProjectedGradient:
     def test_box_constrained_quadratic(self):
-        f = make_quadratic(IdentityOperator(2), np.array([2.0, 2.0]))
+        f = Quadratic(IdentityOperator(2), np.array([2.0, 2.0]))
         box = BoxIndicator(0.0, 1.0)
         trace = projected_gradient(f, box, np.zeros(2),
                                    SolverConfig(gamma=1.0, max_iter=200))
@@ -142,7 +142,7 @@ class TestProjectedGradient:
             assert float(g @ (y - trace.x)) >= -1e-6
 
     def test_fixed_point_start(self):
-        f = make_quadratic(IdentityOperator(2), np.array([0.5, 0.5]))
+        f = Quadratic(IdentityOperator(2), np.array([0.5, 0.5]))
         box = BoxIndicator(0.0, 1.0)
         trace = projected_gradient(f, box, np.array([0.5, 0.5]),
                                    SolverConfig(gamma=1.0, max_iter=3))
@@ -190,7 +190,7 @@ class TestForwardBackward:
         assert np.array_equal(t1.objective, t2.objective)
 
     def test_lasso_identity_closed_form(self):
-        f = make_quadratic(IdentityOperator(2), np.array([3.0, 0.5]))
+        f = Quadratic(IdentityOperator(2), np.array([3.0, 0.5]))
         trace = forward_backward(f, L1Norm(1.0), np.zeros(2),
                                  SolverConfig(gamma=1.0, max_iter=100))
         assert np.allclose(trace.x, [2.0, 0.0], atol=1e-10)
@@ -224,7 +224,7 @@ class TestForwardBackward:
             SolverConfig(inertia="fista_beta", beta=3.0)
 
     def test_vfista_needs_modulus(self):
-        f = make_quadratic(DenseOperator(np.diag([1.0, 2.0])), np.zeros(2))
+        f = Quadratic(DenseOperator(np.diag([1.0, 2.0])), np.zeros(2))
         with pytest.raises(ConfigError):
             forward_backward(f, L1Norm(1.0), np.zeros(2),
                              SolverConfig(inertia="vfista"))
@@ -232,7 +232,7 @@ class TestForwardBackward:
     def test_fista_beats_fb_after_burn_in(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((12, 20)) / np.sqrt(12)
-        f = make_quadratic(DenseOperator(A), rng.standard_normal(12))
+        f = Quadratic(DenseOperator(A), rng.standard_normal(12))
         g = L1Norm(0.1)
         cfg = SolverConfig(max_iter=300, gamma=1.0 / f.lipschitz)
         fb = forward_backward(f, g, np.zeros(20), cfg)
@@ -252,14 +252,14 @@ class TestNonconvexForwardBackward:
         assert abs(f.grad(trace.x)[0]) <= 1e-6
 
     def test_hard_threshold_margins_nonnegative(self):
-        f = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        f = Quadratic(IdentityOperator(1), np.array([3.0]))
         trace = nonconvex_forward_backward(f, HardThreshold(1.0), [0.0],
                                            SolverConfig(gamma=0.5, max_iter=200))
         assert np.all(trace.extras["h1_margin"] >= -1e-8)
         assert trace.x == pytest.approx([3.0], abs=1e-8)
 
     def test_convex_instance_matches_forward_backward_exactly(self):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         g = L1Norm(0.3)
         cfg = SolverConfig(gamma=0.5, max_iter=60)
         t1 = forward_backward(f, g, np.zeros(3), cfg)
@@ -269,7 +269,7 @@ class TestNonconvexForwardBackward:
         assert np.array_equal(t1.residual, t2.residual)
 
     def test_weakly_convex_stepsize_relaxation(self):
-        f = make_quadratic(IdentityOperator(1), np.array([1.0]))
+        f = Quadratic(IdentityOperator(1), np.array([1.0]))
         # gamma = 1.2 violates gamma < 1/L but passes 2/(L + 0.1)
         with pytest.raises(ConfigError):
             nonconvex_forward_backward(f, L1Norm(1.0), [0.0],
@@ -333,13 +333,13 @@ class TestKrasnoselskiiMann:
 
 class TestDouglasRachford:
     def test_two_quadratics_meet_in_middle(self):
-        f = make_quadratic(IdentityOperator(1), np.array([0.0]))
-        g = make_quadratic(IdentityOperator(1), np.array([4.0]))
+        f = Quadratic(IdentityOperator(1), np.array([0.0]))
+        g = Quadratic(IdentityOperator(1), np.array([4.0]))
         trace = douglas_rachford(f, g, [0.0], SolverConfig(gamma=1.0, max_iter=200))
         assert trace.x == pytest.approx([2.0], abs=1e-8)
 
     def test_common_minimizer_is_fixed_point(self):
-        f = make_quadratic(IdentityOperator(2), np.array([1.0, -1.0]))
+        f = Quadratic(IdentityOperator(2), np.array([1.0, -1.0]))
         g = L1Norm(0.0)  # zero weight: prox is identity, minimizer everywhere
         trace = douglas_rachford(f, f, np.array([1.0, -1.0]),
                                  SolverConfig(gamma=1.0, max_iter=5))
@@ -348,7 +348,7 @@ class TestDouglasRachford:
     def test_matches_two_sequence_form(self):
         # independent implementation of the (x, y) two-sequence recursion
         f = L1Norm(1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g = Quadratic(IdentityOperator(1), np.array([3.0]))
         gamma = 0.7
         x = np.array([0.25])
         ys, xs = [], []
@@ -374,7 +374,7 @@ class TestDouglasRachford:
         # the shadow point is feasible for g but may violate the indicator f
         # early on; the objective column carries +inf and the run continues
         f = BoxIndicator(0.0, 1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([5.0]))
+        g = Quadratic(IdentityOperator(1), np.array([5.0]))
         trace = douglas_rachford(f, g, [5.0], SolverConfig(gamma=1.0, max_iter=400))
         assert np.isposinf(trace.objective[0])
         assert trace.termination == ITER_CAP
@@ -397,18 +397,18 @@ class TestDouglasRachford:
 class TestPPXA:
     def test_identical_terms_consensus(self):
         c = np.array([1.5])
-        q = make_quadratic(IdentityOperator(1), c)
+        q = Quadratic(IdentityOperator(1), c)
         trace = ppxa([q, q], [0.0], SolverConfig(gamma=1.0, max_iter=100))
         assert trace.x == pytest.approx([1.5], abs=1e-8)
 
     def test_scalar_lasso_consensus(self):
-        trace = ppxa([L1Norm(1.0), make_quadratic(IdentityOperator(1), np.array([3.0]))],
+        trace = ppxa([L1Norm(1.0), Quadratic(IdentityOperator(1), np.array([3.0]))],
                      [0.0], SolverConfig(gamma=1.0, max_iter=300))
         assert trace.x == pytest.approx([2.0], abs=1e-7)
 
     def test_matches_douglas_rachford_limit(self):
         f = L1Norm(1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g = Quadratic(IdentityOperator(1), np.array([3.0]))
         t_ppxa = ppxa([f, g], [0.0], SolverConfig(gamma=1.0, max_iter=2000))
         t_dr = douglas_rachford(f, g, [0.0], SolverConfig(gamma=1.0, max_iter=2000))
         assert abs(t_ppxa.x[0] - t_dr.x[0]) <= 1e-6
@@ -416,7 +416,7 @@ class TestPPXA:
     def test_operator_blocks(self):
         # min (x-3)^2/2 + |2x| has solution soft(3, 2) = 1 after rescaling:
         # grad block carries the factor-2 operator
-        q = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        q = Quadratic(IdentityOperator(1), np.array([3.0]))
         trace = ppxa([(q, None), (L1Norm(1.0), ScaleOperator(2.0, 1))],
                      [0.0], SolverConfig(gamma=1.0, max_iter=2000))
         # oracle: scalar grid search
@@ -433,9 +433,9 @@ class TestPPXA:
         mats = [np.eye(d), rng.standard_normal((3, d)),
                 rng.standard_normal((5, d)) if second_op == "dense" else np.eye(d)]
         bs = [rng.standard_normal(m.shape[0]) for m in mats]
-        parts = [make_quadratic(IdentityOperator(d), bs[0])]
-        parts.append((make_quadratic(IdentityOperator(3), bs[1]), DenseOperator(mats[1])))
-        parts.append((make_quadratic(IdentityOperator(mats[2].shape[0]), bs[2]),
+        parts = [Quadratic(IdentityOperator(d), bs[0])]
+        parts.append((Quadratic(IdentityOperator(3), bs[1]), DenseOperator(mats[1])))
+        parts.append((Quadratic(IdentityOperator(mats[2].shape[0]), bs[2]),
                       DenseOperator(mats[2]) if second_op == "dense" else None))
         trace = ppxa(parts, np.zeros(d), SolverConfig(gamma=1.0, max_iter=600))
         oracle = np.linalg.solve(sum(m.T @ m for m in mats),
@@ -444,7 +444,7 @@ class TestPPXA:
         assert list(trace.extras) == []
 
     def test_zero_iterations_return_the_start(self):
-        q = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        q = Quadratic(IdentityOperator(1), np.array([3.0]))
         trace = ppxa([q, L1Norm(1.0)], [1.0], SolverConfig(max_iter=0))
         assert trace.n_iter == 0 and trace.extras == {}
         assert trace.x == pytest.approx([1.0])
@@ -457,7 +457,7 @@ class TestPPXA:
 class TestADMM:
     def test_identity_specialization_matches_prox_form(self):
         f = L1Norm(1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g = Quadratic(IdentityOperator(1), np.array([3.0]))
         gamma = 1.0
         cfg = SolverConfig(gamma=gamma, max_iter=40)
         trace = admm(f, g, IdentityOperator(1), ScaleOperator(-1.0, 1),
@@ -476,7 +476,7 @@ class TestADMM:
 
     def test_scalar_consensus_limit(self):
         f = L1Norm(1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g = Quadratic(IdentityOperator(1), np.array([3.0]))
         trace = admm(f, g, IdentityOperator(1), ScaleOperator(-1.0, 1),
                      np.zeros(1), cfg=SolverConfig(gamma=1.0, max_iter=2000))
         assert trace.x == pytest.approx([2.0], abs=1e-7)
@@ -486,9 +486,9 @@ class TestADMM:
     def test_constraint_shift_oracle(self):
         # shifting b and translating g moves the solution consistently
         f = L1Norm(1.0)
-        g0 = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g0 = Quadratic(IdentityOperator(1), np.array([3.0]))
         c = 0.8
-        g_shift = make_quadratic(IdentityOperator(1), np.array([3.0 - c]))
+        g_shift = Quadratic(IdentityOperator(1), np.array([3.0 - c]))
         base = admm(f, g0, IdentityOperator(1), ScaleOperator(-1.0, 1),
                     np.zeros(1), cfg=SolverConfig(gamma=1.0, max_iter=3000))
         shifted = admm(f, g_shift, IdentityOperator(1), ScaleOperator(-1.0, 1),
@@ -499,9 +499,9 @@ class TestADMM:
     def test_quadratic_coupling_via_cg(self):
         # A = diag(1, 2) with quadratic f: the x-update solves a linear system
         rng = np.random.default_rng(2)
-        f = make_quadratic(DenseOperator(rng.standard_normal((2, 2))),
-                           rng.standard_normal(2))
-        g = make_quadratic(IdentityOperator(2), np.array([1.0, -1.0]))
+        f = Quadratic(DenseOperator(rng.standard_normal((2, 2))),
+                      rng.standard_normal(2))
+        g = Quadratic(IdentityOperator(2), np.array([1.0, -1.0]))
         A = DenseOperator(np.diag([1.0, 2.0]))
         trace = admm(f, g, A, ScaleOperator(-1.0, 2), np.zeros(2),
                      cfg=SolverConfig(gamma=1.0, max_iter=3000))
@@ -516,7 +516,7 @@ class TestADMM:
 
     def test_user_subsolver(self):
         f = L1Norm(1.0)
-        g = make_quadratic(IdentityOperator(1), np.array([3.0]))
+        g = Quadratic(IdentityOperator(1), np.array([3.0]))
         solver = lambda c, gamma: f.prox(c, 1.0 / gamma)
         trace = admm(f, g, IdentityOperator(1), ScaleOperator(-1.0, 1),
                      np.zeros(1), cfg=SolverConfig(gamma=1.0, max_iter=500),
@@ -527,7 +527,7 @@ class TestADMM:
 def scalar_saddle():
     return SaddleProblem(
         K=ScaleOperator(1.0, 1),
-        g=make_quadratic(IdentityOperator(1), np.zeros(1)),
+        g=Quadratic(IdentityOperator(1), np.zeros(1)),
         f_conj=LinfBallIndicator(1.0),
         f_primal=L1Norm(1.0),
     )
@@ -537,7 +537,7 @@ class TestChambollePock:
     def test_zero_coupling_decouples_into_prox_chains(self):
         prob = SaddleProblem(
             K=ScaleOperator(0.0, 2),
-            g=make_quadratic(IdentityOperator(2), np.array([1.0, -1.0])),
+            g=Quadratic(IdentityOperator(2), np.array([1.0, -1.0])),
             f_conj=LinfBallIndicator(0.5),
         )
         cfg = SolverConfig(sigma=1.0, tau=1.0, max_iter=20)
@@ -668,7 +668,7 @@ class TestArrowHurwicz:
     def test_zero_coupling_decouples(self):
         prob = SaddleProblem(
             K=ScaleOperator(0.0, 1),
-            g=make_quadratic(IdentityOperator(1), np.array([2.0])),
+            g=Quadratic(IdentityOperator(1), np.array([2.0])),
             f_conj=LinfBallIndicator(1.0),
         )
         trace = arrow_hurwicz(prob, np.zeros(1), np.zeros(1),
@@ -726,7 +726,7 @@ class TestCondat:
 
 class TestDescentAndResidualInvariants:
     def test_descent_methods_are_monotone_and_residuals_vanish(self):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         g = L1Norm(0.3)
         runs = [
             gradient_descent(f, np.array([2.0, 2.0, 2.0]),
@@ -872,7 +872,7 @@ class TestStopAtFixedPoint:
         assert trace.meta["config"].stop_at_fixed_point
 
     def test_gradient_descent(self):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         stopped, full = self._pair(
             lambda cfg: gradient_descent(f, np.array([2.0, 2.0, 2.0]), cfg),
             gamma=0.5, max_iter=200)
@@ -886,14 +886,14 @@ class TestStopAtFixedPoint:
 
     @pytest.mark.parametrize("inertia", ["none", "fista_t"])
     def test_prox_gradient(self, inertia):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         stopped, full = self._pair(
             lambda cfg: forward_backward(f, L1Norm(0.3), np.array([2.0, 2.0, 2.0]), cfg),
             gamma=0.5, inertia=inertia, max_iter=400)
         _assert_stopped_prefix(stopped, full, 400, varying=("inertia_coef",))
 
     def test_admm(self):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         stopped, full = self._pair(
             lambda cfg: admm(L1Norm(1.0), f, IdentityOperator(3), ScaleOperator(-1.0, 3),
                              np.zeros(3), cfg=cfg),
@@ -903,7 +903,7 @@ class TestStopAtFixedPoint:
             assert stopped.meta[key].tobytes() == full.meta[key].tobytes()
 
     def test_douglas_rachford(self):
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         stopped, full = self._pair(
             lambda cfg: douglas_rachford(L1Norm(0.3), f, np.array([2.0, 2.0, 2.0]), cfg),
             gamma=1.0, max_iter=400)
@@ -920,7 +920,7 @@ class TestStopAtFixedPoint:
         # a relaxation of 0 leaves x bitwise unchanged while z - y (DR) and
         # Tx - x (KM) are not zero, so the iteration goes on once it grows
         late = lambda n: 0.0 if n < 5 else 1.0
-        f = make_quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
+        f = Quadratic(IdentityOperator(3), np.array([1.0, -2.0, 0.5]))
         runs = [
             self._pair(lambda cfg: douglas_rachford(
                 L1Norm(0.3), f, np.array([2.0, 2.0, 2.0]), cfg),
@@ -1040,7 +1040,7 @@ class TestValidationOutsideTheLoop:
             "condat": lambda cfg: tv.run("condat", cfg),
             "dr_split": lambda cfg: tv.run("dr_split", cfg),
             "fista": lambda cfg: lasso.run("fista", cfg),
-            "admm": lambda cfg: (admm(L1Norm(1.0), make_quadratic(IdentityOperator(64), y),
+            "admm": lambda cfg: (admm(L1Norm(1.0), Quadratic(IdentityOperator(64), y),
                                       IdentityOperator(64), ScaleOperator(-1.0, 64),
                                       np.zeros(64), cfg=cfg), None),
         }
@@ -1069,3 +1069,80 @@ class TestValidationOutsideTheLoop:
             assert trace.n_iter == max_iter
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+# the solvers that take a duality gap, on a 3-long lasso-like problem; each
+# entry maps (cfg, gap) to a trace
+GAP_RUNS = {
+    "forward_backward": lambda cfg, gap: forward_backward(
+        half_square(3), L1Norm(0.3), np.array([2.0, 2.0, 2.0]), cfg, gap=gap),
+    "douglas_rachford": lambda cfg, gap: douglas_rachford(
+        L1Norm(0.3), half_square(3), np.array([2.0, 2.0, 2.0]), cfg, gap),
+    "ppxa": lambda cfg, gap: ppxa([half_square(3), L1Norm(0.3)], np.array([2.0, 2.0, 2.0]),
+                                  cfg, gap),
+    # no primal objective: the stop compares the gap with gap_tol alone
+    "chambolle_pock": lambda cfg, gap: chambolle_pock(
+        SaddleProblem(IdentityOperator(3), half_square(3), LinfBallIndicator(0.3)),
+        np.array([2.0, 2.0, 2.0]), np.zeros(3), cfg, gap=gap),
+    "condat": lambda cfg, gap: condat(half_square(3), ZeroFn(),
+                                      [(LinfBallIndicator(0.3), IdentityOperator(3))],
+                                      np.array([2.0, 2.0, 2.0]), cfg=cfg, gap=gap),
+}
+
+
+class TestDualityGapStop:
+    @pytest.mark.parametrize("solver", sorted(WRONG_LENGTH_RUNS))
+    def test_positive_gap_tol_without_a_gap_is_a_config_error(self, solver):
+        with pytest.raises(ConfigError, match="duality gap"):
+            WRONG_LENGTH_RUNS[solver](np.zeros(6), SolverConfig(gap_tol=1e-8, max_iter=5))
+
+    @pytest.mark.parametrize("gap_tol", [-1e-8, float("nan")])
+    def test_gap_tol_must_be_nonnegative(self, gap_tol):
+        with pytest.raises(ConfigError, match="gap_tol"):
+            SolverConfig(gap_tol=gap_tol)
+
+    @pytest.mark.parametrize("solver", sorted(GAP_RUNS))
+    def test_gap_is_evaluated_in_the_loop_only_when_the_stop_is_on(self, solver):
+        calls = []
+
+        def gap(*state):
+            calls.append(state)
+            return 1.0
+
+        off = GAP_RUNS[solver](SolverConfig(max_iter=7), gap)
+        # one evaluation after the loop, for meta["gap"]
+        assert len(calls) == 1 and off.meta["gap"] == 1.0
+        assert "gap" not in off.extras
+        calls.clear()
+        on = GAP_RUNS[solver](SolverConfig(max_iter=7, gap_tol=1e-12), gap)
+        assert len(calls) == 8
+        assert on.extras["gap"].tolist() == [1.0] * 7
+        assert on.termination == ITER_CAP
+        assert off.objective.tobytes() == on.objective.tobytes()
+        assert off.x.tobytes() == on.x.tobytes()
+
+    @pytest.mark.parametrize("solver", sorted(GAP_RUNS))
+    def test_stops_at_the_first_gap_within_tolerance(self, solver):
+        values = iter([1.0, 0.5, 0.25, 1e-3, 1e-9, 1e-12])
+        trace = GAP_RUNS[solver](SolverConfig(max_iter=50, gap_tol=1e-3),
+                                 lambda *state: next(values))
+        # gap <= gap_tol * (1 + |objective|) first holds at the fourth row
+        assert trace.termination == TOL_REACHED
+        assert trace.n_iter == 4
+        assert trace.extras["gap"].tolist() == [1.0, 0.5, 0.25, 1e-3]
+        assert trace.meta["gap"] == 1e-9
+
+    def test_douglas_rachford_gap_sees_the_returned_shadow_point(self):
+        # row n sees the shadow point of x_n, the one a stop at n returns, and
+        # u = (x_n - y)/gamma, which belongs to the subdifferential of g at y
+        g, seen = half_square(3), []
+        trace = douglas_rachford(L1Norm(0.3), g, np.array([2.0, 2.0, 2.0]),
+                                 SolverConfig(gamma=0.5, max_iter=4, gap_tol=1e-12,
+                                              keep_iterates=True),
+                                 lambda y, u: seen.append((y, u)) or 1.0)
+        assert len(seen) == 5  # four rows and the final state
+        for (y, u), x in zip(seen, trace.iterates[1:] + [trace.iterates[-1]]):
+            assert y.tobytes() == g.prox(x, 0.5).tobytes()
+            assert np.array_equal(u, (x - y) / 0.5)
+            assert np.allclose(u, y)  # the gradient of half_square at y
+        assert seen[-1][0].tobytes() == trace.x.tobytes()

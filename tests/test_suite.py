@@ -34,3 +34,32 @@ def test_seed_flows_into_sampled_checks():
 def test_controls_expandable_and_failing():
     reports = run_checks(["controls"], seed=0)
     assert reports and all(not r.passed for r in reports)
+
+
+def test_admm_consensus_stops_at_its_fixed_point(monkeypatch):
+    import proxsplit.suite as suite
+
+    original, traces = suite.admm, []
+
+    def spy(*args, **kwargs):
+        traces.append(original(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(suite, "admm", spy)
+    reports = run_checks(["admm:consensus"])
+    assert [r.details[0]["first_hit"] for r in reports] == [20, 21]
+    assert all(r.passed for r in reports)
+    assert len(traces) == 2
+    for trace in traces:
+        assert trace.termination == "tol_reached" and trace.n_iter < 100
+
+
+def test_tv_denoise_agreement_rests_on_certified_gaps():
+    (report,) = run_checks(["recipes:tv_denoise"])
+    assert report.passed
+    best = min(d["objective"] for d in report.details)
+    assert [d["recipe"] for d in report.details] == ["condat", "cp", "dr_split", "dual_fb"]
+    for d in report.details:
+        # the gap bounds objective - P*, and best >= P*
+        assert 0.0 <= d["objective"] - best <= d["gap"]
+        assert d["gap"] <= 1e-10 * (1.0 + abs(d["objective"]))
