@@ -23,11 +23,12 @@ from .funcs import (
     partial_primal_dual_gap as check_pd_gap,
     precompose_prox,
 )
-from .linops import DenseOperator, LinearOperator, adjoint_consistency_check
+from .linops import DenseOperator, LinearOperator
 from .solvers import SolverConfig, SolverTrace, chambolle_pock
 
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-12
+ADJOINT_TOL = 1e-10
 
 
 def _slack(scale: float) -> float:
@@ -521,10 +522,24 @@ def sqrt_decay_certificate(trace: SolverTrace, gamma: float, L: float,
 
 def adjoint_report(op: LinearOperator, trials: int = 100, seed: int = 0,
                    instance: str = "") -> CheckReport:
-    rep = adjoint_consistency_check(op, trials=trials, seed=seed)
-    return CheckReport("adjoint_consistency", instance or op.kind, rep.passed,
-                       1e-10 - rep.max_defect, 0 if rep.passed else 1,
-                       [rep.to_dict()])
+    """Probe <Kx, y> == <x, K*y> on random pairs; passes at a relative
+    defect of at most ``ADJOINT_TOL``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(op.in_dim)
+        y = rng.standard_normal(op.out_dim)
+        lhs = float(op.apply(x) @ y)
+        rhs = float(x @ op.adjoint(y))
+        defect = abs(lhs - rhs) / (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
+        worst = max(worst, float(defect))
+    passed = bool(worst <= ADJOINT_TOL)
+    return CheckReport("adjoint_consistency", instance or op.kind, passed,
+                       ADJOINT_TOL - worst, 0 if passed else 1,
+                       [{"kind": op.kind, "trials": trials, "max_defect": worst,
+                         "passed": passed}])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
     proxsplit solve|certify|compare|generate <config.json> [--out DIR] [--seed N]
 
-Exit codes: 0 success, 1 config error, 2 divergence or numerical failure,
-3 certification failure.  Every command writes the config that ran, as
+``--seed`` applies to ``certify`` and ``generate``; the solvers are
+deterministic, so ``solve`` and ``compare`` reject it.  Exit codes: 0
+success, 1 config error, 2 divergence or numerical failure, 3 certification
+failure.  Every command writes the config that ran, as
 ``resolved_config.json`` next to its outputs, so running it again reproduces
 them.
 """
@@ -60,7 +62,7 @@ def _field_type_ok(value, hint) -> bool:
     return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
 
 
-def _solver_config(spec, seed_override: int | None, where: str = "solver") -> SolverConfig:
+def _solver_config(spec, where: str = "solver") -> SolverConfig:
     spec = _solver_spec(spec, where)
     hints = typing.get_type_hints(SolverConfig)
     unknown = set(spec) - set(hints)
@@ -71,8 +73,6 @@ def _solver_config(spec, seed_override: int | None, where: str = "solver") -> So
             raise ConfigFileError(
                 f"solver field {name!r} must be {getattr(hints[name], '__name__', hints[name])}"
                 f", got {json.dumps(value)}")
-    if seed_override is not None:
-        spec["seed"] = seed_override
     return SolverConfig(**spec)
 
 
@@ -122,7 +122,7 @@ def _write_resolved(out_dir, config: dict, resolved: dict) -> None:
     _write_json(pathlib.Path(out_dir) / "resolved_config.json", {**config, **resolved})
 
 
-def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
+def cmd_solve(config: dict, out_dir) -> int:
     problem_spec = config.get("problem")
     if not isinstance(problem_spec, dict):
         raise ConfigFileError("config needs a 'problem' object")
@@ -134,14 +134,15 @@ def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
         raise ConfigFileError(
             f"unknown recipe {recipe!r} for problem {inst.name!r}; "
             f"available: {sorted(inst.recipes)}")
-    cfg = _solver_config(config.get("solver"), seed_override)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = _solver_config(config.get("solver"))
 
     t0 = time.perf_counter()
     trace, x = inst.run(recipe, cfg)
     wall = time.perf_counter() - t0
 
+    # created after the run, so a run that raises leaves no directory behind
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out / "trace.csv", trace)
     summary = {
         "problem": inst.name,
@@ -165,7 +166,7 @@ def cmd_solve(config: dict, out_dir, seed_override=None) -> int:
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
 
 
-def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
+def cmd_compare(config: dict, out_dir) -> int:
     problem_spec = config.get("problem")
     recipes = config.get("recipes")
     if not isinstance(problem_spec, dict) or not recipes:
@@ -178,11 +179,9 @@ def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
     # "solver" is one config for every recipe, or an object keyed by recipe name
     spec = _solver_spec(config.get("solver"))
     per_recipe = bool(spec) and set(spec) <= set(recipes)
-    cfgs = {name: _solver_config(spec.get(name), seed_override, f"solver[{name!r}]")
-            if per_recipe else _solver_config(spec, seed_override)
+    cfgs = {name: _solver_config(spec.get(name), f"solver[{name!r}]")
+            if per_recipe else _solver_config(spec)
             for name in recipes}
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     columns = {}
     finals = {}
@@ -198,6 +197,8 @@ def cmd_compare(config: dict, out_dir, seed_override=None) -> int:
     def at(col, i):
         return col[i] if i < len(col) else col[-1]
 
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     header = ["n"] + list(recipes) + ["gap_to_best"]
     lines = [",".join(header)]
     for i in range(length):
@@ -288,7 +289,8 @@ def main(argv=None) -> int:
                         choices=["solve", "certify", "compare", "generate"])
     parser.add_argument("config", help="path to a JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed override for certify and generate")
     args = parser.parse_args(argv)
 
     try:
@@ -300,7 +302,11 @@ def main(argv=None) -> int:
             "compare": cmd_compare,
             "generate": cmd_generate,
         }[args.command]
-        return handler(config, out_dir, args.seed)
+        if args.command in ("certify", "generate"):
+            return handler(config, out_dir, args.seed)
+        if args.seed is not None:
+            raise ConfigFileError(f"{args.command} takes no --seed: its solvers are deterministic")
+        return handler(config, out_dir)
     except (ConfigFileError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

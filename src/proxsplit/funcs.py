@@ -4,7 +4,11 @@ Two oracle families are used throughout: smooth functions (value, gradient,
 Lipschitz constant of the gradient, optional strong-convexity modulus) and
 prox-capable functions (value, possibly +inf, and the proximal map with an
 explicit stepsize).  The catalog below covers the quadratics, l1 penalties,
-indicator projections and nonconvex thresholds the solvers need.
+indicator projections and nonconvex thresholds the solvers need.  Each
+linear system (ridge*Id + sum_i w_i K_i* K_i) p = r that an oracle solves, a
+quadratic's prox or a graph projection, goes through a :func:`gram_solver`
+the oracle builds on its first solve and keeps, so that building an oracle
+factors nothing.
 
 The public oracle methods validate: ``value``, ``grad`` and ``prox`` of the
 base classes pass their argument through :func:`~proxsplit.linops.as_vector`,
@@ -20,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linops import (
-    IDENTITY_BASIS,
     DimensionError,
     IdentityOperator,
     LinearOperator,
@@ -39,21 +42,22 @@ def soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
-    """Solve (ridge*Id + sum_i w_i K_i* K_i) p = rhs for ``terms`` = [(w_i, K_i)]
-    with nonnegative ridge and weights.
+def gram_solver(terms, ridge: float):
+    """``solve(rhs)``, the solution p of (ridge*Id + sum_i w_i K_i* K_i) p = rhs
+    for ``terms`` = [(w_i, K_i)] with nonnegative ridge and weights.
 
     When every K_i* K_i is diagonal in one shared basis (the identity, the
     DFT or the DCT-II of one grid, or the eigenbasis of one dense matrix; see
     ``linops.gram_spectrum_sum``) and the system is definite, the exact
-    solution by division in that basis; a dense matrix is factored once, on
-    its first solve.  Conjugate gradient (absolute residual 1e-10) otherwise:
-    for compositions, stacks without a shared basis such as a circular blur
-    over a Neumann gradient, and a singular system at ridge 0.
+    solution by division in that basis, whose eigenvalues are summed here,
+    once.  Conjugate gradient (absolute residual 1e-10) otherwise: for
+    compositions, stacks without a shared basis such as a circular blur over
+    a Neumann gradient, and a singular system at ridge 0.  Each consumer
+    builds its solver on its first solve and keeps it.
     """
     spectrum = gram_spectrum_sum(terms, ridge)
     if spectrum is not None and (ridge > 0 or np.all(spectrum.eigenvalues > 0)):
-        return spectrum.solve(rhs)
+        return spectrum.solve
 
     def gram(p):
         # unit weights (graph projections, unit-scale quadratics) skip a pass
@@ -65,7 +69,7 @@ def solve_gram(rhs, terms, ridge: float) -> np.ndarray:
             out = t if out is None else out + t
         return out
 
-    return conjugate_gradient(gram, rhs)
+    return lambda rhs: conjugate_gradient(gram, rhs)
 
 
 def _linear_box_argmin(c, lo, hi):
@@ -182,13 +186,14 @@ class CallableSmooth(SmoothFn):
 class Quadratic(SmoothFn, ProxFn):
     """f(x) = (scale/2) ||A x - b||^2, smooth and prox-capable.
 
-    The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b through
-    :func:`solve_gram`: exact division in the transform domain when A*A is
+    The prox solves (Id + gamma*scale*A*A) p = x + gamma*scale*A*b with a
+    :func:`gram_solver` built on the first prox and again only when
+    gamma*scale changes: exact division in the transform domain when A*A is
     diagonal in the identity, DFT or DCT-II basis, exact through the cached
     eigendecomposition of a dense A (factored on the first prox, never at
     construction), conjugate gradient otherwise.  Strong convexity, the
     minimizer and the box-linear oracle use the closed forms of an A*A
-    diagonal in the identity basis.
+    diagonal in the identity basis (``A.diagonal_gram``).
     """
 
     def __init__(self, A: LinearOperator, b, scale: float = 1.0,
@@ -199,9 +204,7 @@ class Quadratic(SmoothFn, ProxFn):
         self.dim = A.in_dim
         self.b = as_vector(b, A.out_dim)
         self.scale = float(scale)
-        spectrum = A.gram_spectrum()
-        self._diag = (spectrum.eigenvalues if spectrum is not None
-                      and spectrum.basis == IDENTITY_BASIS else None)
+        self._diag = A.gram_spectrum().eigenvalues if A.diagonal_gram else None
         if strong_convexity is not None:
             self.strong_convexity = float(strong_convexity)
         elif self._diag is not None:
@@ -209,9 +212,11 @@ class Quadratic(SmoothFn, ProxFn):
         else:
             self.strong_convexity = 0.0
         self._lip = None
+        # the prox solver and the gamma*scale it was built for
+        self._solve, self._solve_w = None, None
         if self._diag is not None and np.min(self._diag) > 0:
-            self.minimizer = solve_gram(self.A._adjoint(self.b) * self.scale,
-                                        [(self.scale, A)], 0.0)
+            self.minimizer = gram_solver([(self.scale, A)], 0.0)(
+                self.A._adjoint(self.b) * self.scale)
 
     @property
     def lipschitz(self):
@@ -228,7 +233,9 @@ class Quadratic(SmoothFn, ProxFn):
 
     def _prox(self, x, gamma):
         w = gamma * self.scale
-        return solve_gram(x + w * self.A._adjoint(self.b), [(w, self.A)], 1.0)
+        if w != self._solve_w:
+            self._solve, self._solve_w = gram_solver([(w, self.A)], 1.0), w
+        return self._solve(x + w * self.A._adjoint(self.b))
 
     def conjugate(self):
         # closed form only for the isotropic case f = (scale/2)||x||^2
@@ -366,11 +373,11 @@ class LinfBallIndicator(ProxFn):
 class AffineGraphIndicator(ProxFn):
     """Indicator of {(x1, x2): x2 = K x1}; prox is the graph projection.
 
-    The projection solves (Id + K*K) p1 = x1 + K* x2 through
-    :func:`solve_gram` (exact division in the transform domain when K*K is
-    diagonal in the identity, DFT or DCT-II basis or K is dense, conjugate
-    gradient otherwise) and sets p2 = K p1, so every point it returns is
-    feasible.
+    The projection solves (Id + K*K) p1 = x1 + K* x2 with a
+    :func:`gram_solver` built on the first projection (exact division in the
+    transform domain when K*K is diagonal in the identity, DFT or DCT-II
+    basis or K is dense, conjugate gradient otherwise) and sets p2 = K p1, so
+    every point it returns is feasible.
     With K a stack [L_1; ...; L_m] this is the projection onto
     {(p, L_1 p, ..., L_m p)}.
     """
@@ -380,6 +387,7 @@ class AffineGraphIndicator(ProxFn):
     def __init__(self, K: LinearOperator):
         self.K = K
         self.dim = K.in_dim + K.out_dim
+        self._solve = None
 
     def _value(self, x):
         x1, x2 = x[: self.K.in_dim], x[self.K.in_dim:]
@@ -388,7 +396,9 @@ class AffineGraphIndicator(ProxFn):
 
     def _prox(self, x, gamma):
         x1, x2 = x[: self.K.in_dim], x[self.K.in_dim:]
-        p1 = solve_gram(x1 + self.K._adjoint(x2), [(1.0, self.K)], 1.0)
+        if self._solve is None:
+            self._solve = gram_solver([(1.0, self.K)], 1.0)
+        p1 = self._solve(x1 + self.K._adjoint(x2))
         return np.concatenate([p1, self.K._apply(p1)])
 
 

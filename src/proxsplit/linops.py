@@ -10,8 +10,10 @@ a closed form has no norm.  Two spectral hooks describe the Gram matrix
   diagonalises it: the identity (identity, scale, mask), the DFT of the grid
   (circular convolution, periodic gradient), the DCT-II of the grid
   (Neumann gradient) or a dense matrix's own eigenbasis, summed over the
-  blocks of a stack that share one.  :func:`proxsplit.funcs.solve_gram`
-  divides by it.
+  blocks of a stack that share one.  A dense matrix runs its one ``eigh`` on
+  the first call and keeps the result.  :func:`proxsplit.funcs.gram_solver`
+  reads it once per solver it builds and divides by it; building an oracle
+  reads only the class attribute ``diagonal_gram``, and factors nothing.
 - ``gram_symbol()`` gives eigenvalues on the DFT grid that bound ``K*K`` from
   above in the Loewner order, exact for periodic kinds; norms are read off it
   and nothing divides by it.
@@ -44,7 +46,6 @@ IDENTITY_BASIS = "identity"
 DFT = "dft"
 DCT = "dct"
 
-ADJOINT_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
 # long double: a 64-bit significand on x86-64, the same as float elsewhere
 LONG = np.longdouble
@@ -183,8 +184,8 @@ class GramSpectrum(NamedTuple):
     multiple of Id, which is diagonal in every basis.  ``DFT``: the real
     ``rfftn`` of the grid, eigenvalues on its half grid (last axis
     ``n // 2 + 1``).  ``DCT``: the DCT-II along both axes of a 2-d grid.
-    An :class:`Eigenbasis`: the eigenvectors of a dense matrix, factored on
-    first use, with one eigenvalue per eigenspace (see there).
+    An :class:`Eigenbasis`: the eigenvectors of a dense matrix, with one
+    eigenvalue per eigenspace (see there).
     """
 
     basis: str | Eigenbasis
@@ -217,7 +218,7 @@ def _smaller_gram(m: np.ndarray) -> tuple[np.ndarray, bool]:
 
 class Eigenbasis:
     """The eigenbasis of M*M for a dense M, from one ``np.linalg.eigh`` of the
-    smaller of M*M and MM*, run on the first read of ``eigenvalues`` and kept.
+    smaller of M*M and MM*, run when the basis is built.
 
     Eigenvalues within the eigensolver's rounding of zero (at most
     r * eps * lambda_max for an r x r Gram matrix) are set to 0, so a singular
@@ -231,85 +232,45 @@ class Eigenbasis:
 
     def __init__(self, op: DenseOperator):
         self.op = op
-        self._factors = None
-
-    def _factor(self):
-        if self._factors is None:
-            gram, wide = _smaller_gram(self.op.matrix)
-            lam, vectors = np.linalg.eigh(gram)
-            del gram
-            lam[lam <= lam[-1] * lam.size * EPS] = 0.0
-            if wide:
-                keep = lam > 0
-                lam, vectors = np.append(lam[keep], 0.0), vectors[:, keep]
-            self._factors = lam, vectors, wide
-        return self._factors
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._factor()[0]
+        gram, self.wide = _smaller_gram(op.matrix)
+        lam, vectors = np.linalg.eigh(gram)
+        del gram
+        lam[lam <= lam[-1] * lam.size * EPS] = 0.0
+        if self.wide:
+            keep = lam > 0
+            lam, vectors = np.append(lam[keep], 0.0), vectors[:, keep]
+        self.eigenvalues, self.vectors = lam, vectors
 
     def solve(self, rhs: np.ndarray, total: np.ndarray) -> np.ndarray:
         """p with (sum of the terms) p = rhs, for ``total`` the eigenvalues of
         that sum in this basis, laid out as ``eigenvalues``."""
-        lam, vectors, wide = self._factor()
-        if not wide:
+        vectors = self.vectors
+        if not self.wide:
             return vectors @ ((vectors.T @ rhs) / total)
         # Woodbury through MM* (Boyd et al. 2011, sec. 4.2): with c the
         # eigenvalue on the null space and t_i on M* q_i,
         # p = rhs / c + sum_i (1/t_i - 1/c) / lam_i  M* q_i q_i* M rhs
         c, t = total[-1], total[:-1]
-        coef = (1.0 / t - 1.0 / c) / lam[:-1]
+        coef = (1.0 / t - 1.0 / c) / self.eigenvalues[:-1]
         return rhs / c + self.op._adjoint(vectors @ (coef * (vectors.T @ self.op._apply(rhs))))
-
-
-class _DenseSpectrum(GramSpectrum):
-    # reads its eigenvalues from the basis, so building one factors nothing
-    __slots__ = ()
-
-    @property
-    def eigenvalues(self):
-        return self.basis.eigenvalues
-
-
-def _shared_basis(spectra, dim: int) -> tuple | None:
-    # the one (basis, grid) in which every spectrum is diagonal, or None; a
-    # multiple of Id (a float eigenvalue) is diagonal in every basis.  Reads
-    # no eigenvalues, so no dense block factors here
-    if any(s is None for s in spectra):
-        return None
-    bases = {s[:2] for s in spectra if not isinstance(s[2], float)}
-    if len(bases) > 1:
-        return None
-    return bases.pop() if bases else (IDENTITY_BASIS, (dim,))
-
-
-def _sum_spectra(terms, spectra, ridge: float) -> GramSpectrum | None:
-    # gram_spectrum_sum from the spectra of the terms' operators
-    shared = _shared_basis(spectra, terms[0][1].in_dim)
-    if shared is None:
-        return None
-    total = ridge
-    for (w, _), spectrum in zip(terms, spectra):
-        total = total + w * spectrum.eigenvalues
-    return GramSpectrum(*shared, total)
 
 
 def gram_spectrum_sum(terms, ridge: float = 0.0) -> GramSpectrum | None:
     """Spectrum of ridge*Id + sum_i w_i K_i* K_i for ``terms`` = [(w_i, K_i)]
     on one input space, when every K_i* K_i is diagonal in one shared basis
-    on one grid; None otherwise."""
-    return _sum_spectra(terms, [K.gram_spectrum() for _, K in terms], ridge)
-
-
-class _StackSpectrum(GramSpectrum):
-    # holds the stack's [(1, K_i)] in place of eigenvalues and sums theirs on
-    # each read, so building one factors no dense block
-    __slots__ = ()
-
-    @property
-    def eigenvalues(self):
-        return gram_spectrum_sum(self[2]).eigenvalues
+    on one grid; None otherwise.  The eigenvalues are summed left to right."""
+    spectra = [K.gram_spectrum() for _, K in terms]
+    if any(s is None for s in spectra):
+        return None
+    # a multiple of Id (a float eigenvalue) is diagonal in every basis
+    bases = {s[:2] for s in spectra if not isinstance(s[2], float)}
+    if len(bases) > 1:
+        return None
+    basis, grid = bases.pop() if bases else (IDENTITY_BASIS, (terms[0][1].in_dim,))
+    total = ridge
+    for (w, _), spectrum in zip(terms, spectra):
+        total = total + w * spectrum.eigenvalues
+    return GramSpectrum(basis, grid, total)
 
 
 class LinearOperator:
@@ -318,6 +279,9 @@ class LinearOperator:
     kind = "abstract"
     # every norm is a closed form; kept only because the perfbench harness reads it
     norm_converged = True
+    #: True when gram_spectrum() is diagonal in the identity basis, which
+    #: building an oracle can read without factoring anything
+    diagonal_gram = False
 
     def __init__(self, in_dim: int, out_dim: int):
         if in_dim < 1 or out_dim < 1:
@@ -382,6 +346,7 @@ class LinearOperator:
 
 class IdentityOperator(LinearOperator):
     kind = "identity"
+    diagonal_gram = True
 
     def __init__(self, dim: int):
         super().__init__(dim, dim)
@@ -404,6 +369,7 @@ class IdentityOperator(LinearOperator):
 
 class ScaleOperator(LinearOperator):
     kind = "scale"
+    diagonal_gram = True
 
     def __init__(self, factor: float, dim: int):
         super().__init__(dim, dim)
@@ -436,7 +402,7 @@ class DenseOperator(LinearOperator):
             raise ValueError("matrix entries must be finite")
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
-        self._eigenbasis = Eigenbasis(self)
+        self._spectrum = None
 
     def _apply(self, x):
         return self.matrix @ x
@@ -457,14 +423,18 @@ class DenseOperator(LinearOperator):
         return _ceil_sqrt(Fraction(max(np.linalg.eigvalsh(gram)[-1], 0.0)) + Fraction(pad))
 
     def gram_spectrum(self):
-        # eigh runs when a solve first reads the eigenvalues, never here
-        return _DenseSpectrum(self._eigenbasis, (self.in_dim,), None)
+        # one eigh, on the first call; construction factors nothing
+        if self._spectrum is None:
+            basis = Eigenbasis(self)
+            self._spectrum = GramSpectrum(basis, (self.in_dim,), basis.eigenvalues)
+        return self._spectrum
 
 
 class MaskOperator(LinearOperator):
     """Diagonal 0/1 operator; its own adjoint and idempotent."""
 
     kind = "mask"
+    diagonal_gram = True
 
     def __init__(self, pattern):
         p = np.asarray(pattern)
@@ -659,6 +629,7 @@ class StackOperator(LinearOperator):
         super().__init__(in_dim, sum(op.out_dim for op in ops))
         self.ops = ops
         self._offsets = np.cumsum([0] + [op.out_dim for op in ops])
+        self.diagonal_gram = all(op.diagonal_gram for op in ops)
 
     def _apply(self, x):
         return np.concatenate([op._apply(x) for op in self.ops])
@@ -684,13 +655,7 @@ class StackOperator(LinearOperator):
         return sum(symbols)
 
     def gram_spectrum(self):
-        terms = [(1.0, op) for op in self.ops]
-        spectra = [op.gram_spectrum() for op in self.ops]
-        shared = _shared_basis(spectra, self.in_dim)
-        if shared is not None and isinstance(shared[0], Eigenbasis):
-            # a dense block factors when a solve first reads the eigenvalues
-            return _StackSpectrum(*shared, terms)
-        return _sum_spectra(terms, spectra, 0.0)
+        return gram_spectrum_sum([(1.0, op) for op in self.ops])
 
 
 class ComposedOperator(LinearOperator):
@@ -753,34 +718,6 @@ def construct_operator(kind: str, params: dict) -> LinearOperator:
     except KeyError:
         raise ValueError(f"unknown operator kind {kind!r}") from None
     return factory(params)
-
-
-@dataclasses.dataclass
-class AdjointReport:
-    kind: str
-    trials: int
-    max_defect: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def adjoint_consistency_check(op: LinearOperator, trials: int = 100,
-                              seed: int = 0) -> AdjointReport:
-    """Probe <Kx, y> == <x, K*y> on random pairs; passes at defect <= 1e-10."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.in_dim)
-        y = rng.standard_normal(op.out_dim)
-        lhs = float(op.apply(x) @ y)
-        rhs = float(x @ op.adjoint(y))
-        defect = abs(lhs - rhs) / (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
-        worst = max(worst, float(defect))
-    return AdjointReport(op.kind, trials, worst, bool(worst <= ADJOINT_TOL))
 
 
 def read_csv_rows(path, error=ValueError) -> np.ndarray:

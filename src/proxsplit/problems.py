@@ -36,7 +36,6 @@ from .funcs import (
     soft_threshold,
 )
 from .linops import (
-    IDENTITY_BASIS,
     AdjointOperator,
     ComposedOperator,
     Grad2D,
@@ -168,11 +167,10 @@ def build_lasso(A: LinearOperator, y, lam: float,
                             gamma=1.0, max_iter=2000)
 
     ground_truth = None
-    spectrum = A.gram_spectrum()
-    if (spectrum is not None and spectrum.basis == IDENTITY_BASIS
-            and np.all(spectrum.eigenvalues > 0)):
-        # separable closed form: soft threshold of the normal-equation data
-        x_star = soft_threshold(A.adjoint(y), lam) / spectrum.eigenvalues
+    if f._diag is not None and np.all(f._diag > 0):
+        # A*A diagonal, so a separable closed form: soft threshold of the
+        # normal-equation data
+        x_star = soft_threshold(A.adjoint(y), lam) / f._diag
         ground_truth = {"x": x_star, "objective": objective(x_star)}
 
     return ProblemInstance(

@@ -1,12 +1,12 @@
 """Iterative first-order schemes producing uniform per-iteration traces.
 
-All solvers share the same contract: deterministic given the config seed,
-objective and residual recorded every iteration, iterates stored only on
-request (``keep_iterates``), and a termination reason in {tol_reached,
-iter_cap, diverged}.  Start points are validated once, at entry, against
-the length every oracle and operator pins; the loops then call only the
-unvalidated ``_``-prefixed oracle and operator methods, and a non-finite
-iterate ends the run as ``diverged``.
+All solvers share the same contract: deterministic given their inputs and
+config, objective and residual recorded every iteration, iterates stored
+only on request (``keep_iterates``), and a termination reason in
+{tol_reached, iter_cap, diverged}.  Start points are validated once, at
+entry, against the length every oracle and operator pins; the loops then
+call only the unvalidated ``_``-prefixed oracle and operator methods, and a
+non-finite iterate ends the run as ``diverged``.
 """
 from __future__ import annotations
 
@@ -16,13 +16,15 @@ import math
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
-                    SaddleProblem, SeparableProx, SmoothFn, _partial_gap, solve_gram)
+                    SaddleProblem, SeparableProx, SmoothFn, _partial_gap, gram_solver)
 from .linops import (DimensionError, IdentityOperator, LinearOperator, ScaleOperator,
                      StackOperator, as_vector)
 
 TOL_REACHED = "tol_reached"
 ITER_CAP = "iter_cap"
 DIVERGED = "diverged"
+# a finite objective above this ends a run as diverged
+DIVERGENCE_CAP = 1e12
 
 
 class ConfigError(ValueError):
@@ -74,12 +76,9 @@ class SolverConfig:
     bt_shrink: float = 0.5
     max_iter: int = 1000
     residual_tol: float = 0.0
-    objective_tol: float = 0.0
     gap_tol: float = 0.0
-    seed: int = 0
     keep_iterates: bool = False
     stop_at_fixed_point: bool = False
-    divergence_cap: float = 1e12
 
     def __new__(cls, *args, **kwargs):
         # remember the fields the caller passed, whatever their values
@@ -205,7 +204,7 @@ class _Recorder:
         if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
         # NaN and -inf diverge, and so does a finite value past the cap
-        if tracked and (objective > self.cfg.divergence_cap if math.isfinite(objective)
+        if tracked and (objective > DIVERGENCE_CAP if math.isfinite(objective)
                         else not (math.isinf(objective) and objective > 0)):
             self.termination = DIVERGED
             return True
@@ -214,12 +213,6 @@ class _Recorder:
             return True
         rtol = self.cfg.residual_tol
         if rtol > 0 and residual <= rtol * (1.0 + float(np.linalg.norm(x_prev))):
-            self.termination = TOL_REACHED
-            return True
-        otol = self.cfg.objective_tol
-        if otol > 0 and tracked and len(self.obj) >= 2 and abs(
-            self.obj[-1] - self.obj[-2]
-        ) <= otol * (1.0 + abs(self.obj[-2])):
             self.termination = TOL_REACHED
             return True
         # a run that tracks no objective stops at an absolute gap
@@ -576,20 +569,22 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
     return trace
 
 
-def _augmented_argmin(fn, op: LinearOperator, c, gamma, subsolver):
-    """argmin fn(x) + (gamma/2) ||op x - c||^2 for the supported structures."""
+def _augmented_argmin(fn, op: LinearOperator, gamma, subsolver):
+    """c -> argmin fn(x) + (gamma/2) ||op x - c||^2 for the supported
+    structures, built once per run."""
     if subsolver is not None:
-        return subsolver(c, gamma)
+        return lambda c: subsolver(c, gamma)
     if isinstance(op, IdentityOperator):
-        return fn._prox(c, 1.0 / gamma)
+        return lambda c: fn._prox(c, 1.0 / gamma)
     if isinstance(op, ScaleOperator):
         s = op.factor
         if s == 0.0:
             raise ConfigError("degenerate zero operator in the coupling constraint")
-        return fn._prox(c / s, 1.0 / (gamma * s * s))
+        return lambda c: fn._prox(c / s, 1.0 / (gamma * s * s))
     if isinstance(fn, Quadratic):
-        rhs = fn.scale * fn.A._adjoint(fn.b) + gamma * op._adjoint(c)
-        return solve_gram(rhs, [(fn.scale, fn.A), (gamma, op)], 0.0)
+        solve = gram_solver([(fn.scale, fn.A), (gamma, op)], 0.0)
+        atb = fn.scale * fn.A._adjoint(fn.b)
+        return lambda c: solve(atb + gamma * op._adjoint(c))
     raise ConfigError(
         "the alternating-direction subproblem needs an identity/scale coupling, "
         "a quadratic term, or an explicit subsolver"
@@ -621,12 +616,12 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
     z = np.zeros(A.out_dim) if z0 is None else as_vector(z0, A.out_dim)
 
+    argmin_x = _augmented_argmin(f, A, gamma, x_solver)
+    argmin_y = _augmented_argmin(g, B, gamma, y_solver)
     rec = _Recorder(np.concatenate([x, y]), f._value(x) + g._value(y), cfg)
     for n in range(1, cfg.max_iter + 1):
-        c_x = b - B._apply(y) - z / gamma
-        x_new = _augmented_argmin(f, A, c_x, gamma, x_solver)
-        c_y = b - A._apply(x_new) - z / gamma
-        y_new = _augmented_argmin(g, B, c_y, gamma, y_solver)
+        x_new = argmin_x(b - B._apply(y) - z / gamma)
+        y_new = argmin_y(b - A._apply(x_new) - z / gamma)
         z_new = z + gamma * (A._apply(x_new) + B._apply(y_new) - b)
         primal_res = float(np.linalg.norm(A._apply(x_new) + B._apply(y_new) - b))
         state_new = np.concatenate([x_new, y_new])

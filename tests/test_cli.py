@@ -156,7 +156,7 @@ class TestSolve:
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "lasso", "fixture": str(lasso_fixture_dir)},
             "recipe": "fista",
-            "solver": {"max_iter": 500, "seed": 9},
+            "solver": {"max_iter": 500},
         })
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["solve", cfg, "--out", str(out1)]) == 0
@@ -380,6 +380,67 @@ class TestDualityGapStop:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "duality gap" in err
         assert not (out / "summary.json").exists()
+
+
+class TestFailedRunLeavesNoOutput:
+    # a ConfigError raised while a recipe runs exits 1 before --out is made
+    PIXELS = TestDualityGapStop.PIXELS
+    ZERO_LASSO = {"kind": "lasso", "y": [1.0, 2.0], "A": {"kind": "scale", "factor": 0.0},
+                  "lambda": 0.1}
+
+    @pytest.mark.parametrize("problem,recipe,solver", [
+        ({"kind": "tvl1", "pixels": PIXELS, "lambda": 0.3}, "cp", {"gap_tol": 1e-8}),
+        (ZERO_LASSO, "fb", {}),
+    ], ids=["gap_tol_without_a_gap", "fb_on_a_zero_operator"])
+    def test_solve(self, tmp_path, capsys, problem, recipe, solver):
+        cfg = write_config(tmp_path / "solve.json",
+                           {"problem": problem, "recipe": recipe, "solver": solver})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_compare(self, tmp_path, capsys):
+        # dr solves the zero-operator lasso; fb, run after it, cannot
+        cfg = write_config(tmp_path / "cmp.json",
+                           {"problem": self.ZERO_LASSO, "recipes": ["dr", "fb"]})
+        out = tmp_path / "cmp"
+        assert main(["compare", cfg, "--out", str(out)]) == 1
+        assert "Lipschitz constant is zero" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRemovedSolverFields:
+    LASSO = {"kind": "lasso", "y": [1.0, 2.0], "lambda": 0.1}
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "run.json",
+                           {"problem": self.LASSO, "recipe": "fb", "recipes": ["fb"]})
+        out = tmp_path / "run"
+        assert main([command, cfg, "--out", str(out), "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("seed", 0), ("objective_tol", 1e-8),
+                                             ("divergence_cap", 1e12)])
+    def test_field_is_unknown(self, tmp_path, capsys, field, value):
+        for command, body in (("solve", {"recipe": "fb", "solver": {field: value}}),
+                              ("compare", {"recipes": ["fb", "dr"],
+                                           "solver": {"dr": {field: value}}})):
+            cfg = write_config(tmp_path / f"{command}.json", {"problem": self.LASSO, **body})
+            assert main([command, cfg, "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: unknown solver config fields") and field in err
+
+    def test_resolved_solver_block_lists_the_thirteen_fields(self, tmp_path):
+        cfg = write_config(tmp_path / "solve.json", {"problem": self.LASSO, "recipe": "fb"})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        solver = json.loads((out / "resolved_config.json").read_text())["solver"]
+        assert len(solver) == 13
+        assert not {"seed", "objective_tol", "divergence_cap"} & set(solver)
 
 
 class TestDivergenceExitCode:

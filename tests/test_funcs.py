@@ -19,8 +19,8 @@ from proxsplit.funcs import (
     indicator_prox,
     precompose_prox,
     prox_conjugate,
+    gram_solver,
     soft_threshold,
-    solve_gram,
 )
 from proxsplit.linops import (
     CircularConv,
@@ -142,16 +142,16 @@ class TestSolveGram:
         rhs = np.random.default_rng(4).standard_normal(n)
         # a composition with the identity hides the spectrum: CG path
         hidden = [(w, ComposedOperator(K, IdentityOperator(n))) for w, K in terms]
-        via_cg = solve_gram(rhs, hidden, ridge)
+        via_cg = gram_solver(hidden, ridge)(rhs)
 
         def no_cg(*args, **kwargs):
             raise AssertionError("the spectral path called conjugate gradient")
 
         monkeypatch.setattr(funcs, "conjugate_gradient", no_cg)
-        exact = solve_gram(rhs, terms, ridge)
+        exact = gram_solver(terms, ridge)(rhs)
         assert np.max(np.abs(exact - via_cg)) <= 1e-10
         with pytest.raises(AssertionError):
-            solve_gram(rhs, hidden, ridge)
+            gram_solver(hidden, ridge)(rhs)
 
     @pytest.mark.parametrize("kind", sorted(NO_BASIS))
     def test_without_a_shared_basis_runs_cg(self, kind, monkeypatch):
@@ -166,7 +166,7 @@ class TestSolveGram:
         monkeypatch.setattr(funcs, "conjugate_gradient", counted_cg)
         K = self.NO_BASIS[kind]()
         rhs = np.random.default_rng(4).standard_normal(K.in_dim)
-        p = solve_gram(rhs, [(0.7, K)], 1.0)
+        p = gram_solver([(0.7, K)], 1.0)(rhs)
         assert calls == [1]
         assert np.linalg.norm(p + 0.7 * K.adjoint(K.apply(p)) - rhs) <= 1e-10
 
@@ -191,14 +191,14 @@ class TestDenseSpectralSolve:
         M = self.MATRICES[kind]()
         n = M.shape[1]
         rhs = np.random.default_rng(4).standard_normal(n)
-        via_cg = solve_gram(rhs, [(weight, ComposedOperator(DenseOperator(M),
-                                                            IdentityOperator(n)))], ridge)
+        via_cg = gram_solver([(weight, ComposedOperator(DenseOperator(M),
+                                                        IdentityOperator(n)))], ridge)(rhs)
 
         def no_cg(*args, **kwargs):
             raise AssertionError("the dense solve called conjugate gradient")
 
         monkeypatch.setattr(funcs, "conjugate_gradient", no_cg)
-        exact = solve_gram(rhs, [(weight, DenseOperator(M))], ridge)
+        exact = gram_solver([(weight, DenseOperator(M))], ridge)(rhs)
         tol = 1e-10 * (1.0 + np.linalg.norm(rhs))
         assert np.linalg.norm(ridge * exact + weight * M.T @ (M @ exact) - rhs) <= tol
         assert np.linalg.norm(exact - via_cg) <= tol / ridge
@@ -215,11 +215,11 @@ class TestDenseSpectralSolve:
         monkeypatch.setattr(funcs, "conjugate_gradient", counted_cg)
         M = self.MATRICES["tall"]()
         rhs = M.T @ np.ones(7)
-        solve_gram(rhs, [(1.0, DenseOperator(M))], 0.0)  # definite: eigenbasis
+        gram_solver([(1.0, DenseOperator(M))], 0.0)(rhs)  # definite: eigenbasis
         assert calls == []
         for singular in (self.MATRICES["wide"](), self.MATRICES["tall_rank2"]()):
             rhs = singular.T @ np.ones(singular.shape[0])
-            p = solve_gram(rhs, [(1.0, DenseOperator(singular))], 0.0)
+            p = gram_solver([(1.0, DenseOperator(singular))], 0.0)(rhs)
             assert np.linalg.norm(singular.T @ (singular @ p) - rhs) <= 1e-10
         assert calls == [1, 1]
 
@@ -268,6 +268,93 @@ class TestDenseSpectralSolve:
         gram = M.T @ M + 0.25 * np.eye(20)
         expected = np.linalg.solve(np.eye(20) + 0.7 * gram, x + 0.7 * K.adjoint(y))
         assert np.allclose(p, expected, atol=1e-12)
+
+
+class TestGramSolverBuilds:
+    # every consumer builds its gram_solver once and keeps it
+    @staticmethod
+    def _count_builds(monkeypatch):
+        import proxsplit.funcs as funcs
+        import proxsplit.solvers as solvers
+
+        builds = []
+        build = funcs.gram_solver
+
+        def counted(terms, ridge):
+            builds.append([K.kind for _, K in terms])
+            return build(terms, ridge)
+
+        monkeypatch.setattr(funcs, "gram_solver", counted)
+        monkeypatch.setattr(solvers, "gram_solver", counted)
+        return builds
+
+    def test_dr_split_builds_its_graph_solver_once(self, monkeypatch):
+        from proxsplit.solvers import SolverConfig
+        from proxsplit.suite import tv_denoise_fixture
+
+        inst = tv_denoise_fixture()
+        builds = self._count_builds(monkeypatch)
+        trace, _ = inst.run("dr_split", SolverConfig(max_iter=50))
+        assert trace.n_iter == 50
+        # the projection onto {(x, grad x)}, and the prox of the data term
+        assert sorted(builds) == [["grad2d"], ["identity"]]
+
+    def test_admm_builds_each_subproblem_solver_once(self, monkeypatch):
+        from proxsplit.solvers import SolverConfig, admm
+
+        factored = TestDenseSpectralSolve._count_eigh(monkeypatch)
+        builds = self._count_builds(monkeypatch)
+        D = DenseOperator(_kernel((6, 4)))
+        f = Quadratic(D, _kernel(6, seed=7))
+        g = Quadratic(DenseOperator(_kernel((5, 6), seed=6)), _kernel(5, seed=8))
+        # min f(x) + g(y) subject to D x - y = 0: the x-subproblem solves
+        # in the eigenbasis of D, the y-subproblem is the prox of g
+        trace = admm(f, g, D, ScaleOperator(-1.0, 6), np.zeros(6),
+                     cfg=SolverConfig(gamma=0.5, max_iter=30))
+        assert trace.n_iter == 30
+        assert builds == [["dense_matrix", "dense_matrix"], ["dense_matrix"]]
+        assert factored == [(4, 4), (5, 5)]
+
+    def test_quadratic_prox_rebuilds_only_when_gamma_changes(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        q = Quadratic(Grad2D(4, 4), _kernel(32, seed=7))
+        x = np.ones(16)
+        for _ in range(5):
+            x = q.prox(x, 0.7)
+        assert len(builds) == 1
+        p = q.prox(x, 0.3)
+        assert len(builds) == 2
+        assert np.array_equal(q.prox(x, 0.3), p) and len(builds) == 2
+        again = q.prox(x, 0.7)
+        assert len(builds) == 3
+        assert np.array_equal(again, Quadratic(Grad2D(4, 4), q.b).prox(x, 0.7))
+
+    def test_dense_block_without_a_shared_basis_is_factored_once_unused(self, monkeypatch):
+        # the stack's spectrum reads every block's, so its dense block runs
+        # one eigh although the solve, with no basis shared with the
+        # Neumann gradient, runs CG
+        import proxsplit.funcs as funcs
+
+        factored = TestDenseSpectralSolve._count_eigh(monkeypatch)
+        cg = []
+
+        def counted_cg(*args, **kwargs):
+            cg.append(1)
+            return conjugate_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(funcs, "conjugate_gradient", counted_cg)
+        M = _kernel((12, 16))
+        K = StackOperator([DenseOperator(M), Grad2D(4, 4)])
+        q = Quadratic(K, _kernel(44, seed=6))
+        assert factored == []
+        x = np.ones(16)
+        for gamma in (0.7, 0.7, 0.3):
+            p = q.prox(x, gamma)
+        assert factored == [(12, 12)] and cg == [1, 1, 1]
+        D = Grad2D(4, 4)
+        gram = M.T @ M + np.array([D.adjoint(D.apply(e)) for e in np.eye(16)]).T
+        expected = np.linalg.solve(np.eye(16) + 0.3 * gram, x + 0.3 * K.adjoint(q.b))
+        assert np.allclose(p, expected, atol=1e-9)
 
 
 class TestSoftThreshold:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxsplit.certify import adjoint_report
 from proxsplit.linops import (
-    AdjointReport,
     CGError,
     CircularConv,
     ComposedOperator,
@@ -15,7 +15,6 @@ from proxsplit.linops import (
     MaskOperator,
     ScaleOperator,
     StackOperator,
-    adjoint_consistency_check,
     as_vector,
     conjugate_gradient,
     construct_operator,
@@ -149,7 +148,7 @@ class TestCircularConv:
             for got, sign in ((op.apply(x), 1), (op.adjoint(x), -1)):
                 ref = roll_convolution(kernel, x, shape, sign)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
-        assert adjoint_consistency_check(op, trials=50, seed=3).passed
+        assert adjoint_report(op, trials=50, seed=3).passed
 
     @pytest.mark.parametrize("kernel, grid", [
         ([[np.nan]], {"shape": (4, 4)}),
@@ -183,8 +182,8 @@ class TestAdjoint:
     def test_adjoint_defect_all_kinds(self, seed):
         ops = all_operator_kinds(seed % 5)
         op = ops[seed % len(ops)]
-        rep = adjoint_consistency_check(op, trials=10, seed=seed)
-        assert rep.passed, f"{op.kind}: defect {rep.max_defect}"
+        rep = adjoint_report(op, trials=10, seed=seed)
+        assert rep.passed, f"{op.kind}: defect {rep.details[0]['max_defect']}"
 
 
 class NoClosedForm(LinearOperator):
@@ -378,36 +377,42 @@ class TestDenseGramSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         m = np.random.default_rng(8).standard_normal((5, 3))
         op = DenseOperator(m)
-        spectrum = op.gram_spectrum()
+        stack = StackOperator([op, ScaleOperator(2.0, 3)])
         assert calls == []
+        spectrum = op.gram_spectrum()
+        assert calls == [1] and spectrum.eigenvalues.shape == (3,)
         for _ in range(3):
+            assert op.gram_spectrum() is spectrum
             p = op.gram_spectrum().solve(np.ones(3))
             assert np.allclose(m.T @ (m @ p), np.ones(3), atol=1e-12)
+            # a stack sums its blocks from the same cached factors
+            q = stack.gram_spectrum().solve(np.ones(3))
+            assert np.allclose(m.T @ (m @ q) + 4.0 * q, np.ones(3), atol=1e-12)
         assert calls == [1]
-        assert spectrum.eigenvalues.shape == (3,) and calls == [1]
 
 
 class TestAdjointConsistencyCheck:
     def test_identity_defect_zero(self):
-        rep = adjoint_consistency_check(IdentityOperator(4), trials=10, seed=1)
-        assert rep.passed and rep.max_defect == 0.0
+        rep = adjoint_report(IdentityOperator(4), trials=10, seed=1)
+        assert rep.passed and rep.details[0]["max_defect"] == 0.0
 
     def test_grad2d_self_certifies(self):
-        rep = adjoint_consistency_check(Grad2D(4, 4), trials=100, seed=2)
-        assert rep.passed and rep.max_defect <= 1e-10
+        rep = adjoint_report(Grad2D(4, 4), trials=100, seed=2)
+        assert rep.passed and rep.details[0]["max_defect"] <= 1e-10
 
     def test_corrupted_adjoint_flagged(self):
         class Corrupt(DenseOperator):
             def _adjoint(self, y):
                 return super()._adjoint(y) + 1e-4
 
-        rep = adjoint_consistency_check(Corrupt(np.eye(3)), trials=10, seed=0)
+        rep = adjoint_report(Corrupt(np.eye(3)), trials=10, seed=0)
         assert not rep.passed
 
     def test_report_shape(self):
-        rep = adjoint_consistency_check(IdentityOperator(2), trials=3)
-        assert isinstance(rep, AdjointReport)
-        assert rep.to_dict()["trials"] == 3
+        rep = adjoint_report(IdentityOperator(2), trials=3)
+        assert rep.check == "adjoint_consistency" and rep.instance == "identity"
+        assert rep.details == [{"kind": "identity", "trials": 3, "max_defect": 0.0,
+                                "passed": True}]
 
 
 class TestInvariants:

@@ -25,6 +25,7 @@ from proxsplit.linops import (
 from proxsplit.problems import build_lasso
 from proxsplit.solvers import (
     DIVERGED,
+    DIVERGENCE_CAP,
     ITER_CAP,
     TOL_REACHED,
     ConfigError,
@@ -746,7 +747,7 @@ class TestTraceContract:
     def test_runs_are_deterministic(self):
         f = anisotropic()
         g = L1Norm(0.2)
-        cfg = SolverConfig(gamma=0.05, inertia="fista_t", max_iter=100, seed=4)
+        cfg = SolverConfig(gamma=0.05, inertia="fista_t", max_iter=100)
         t1 = forward_backward(f, g, np.array([1.0, -1.0]), cfg)
         t2 = forward_backward(f, g, np.array([1.0, -1.0]), cfg)
         assert np.array_equal(t1.objective, t2.objective)
@@ -757,6 +758,18 @@ class TestTraceContract:
         d2 = douglas_rachford(g, f, np.array([0.5, 0.5]),
                               SolverConfig(gamma=1.0, max_iter=60))
         assert np.array_equal(d1.x, d2.x)
+
+    def test_finite_objective_above_the_cap_diverges(self):
+        # the documented cap is a constant; seed, objective_tol and
+        # divergence_cap are no SolverConfig fields
+        assert DIVERGENCE_CAP == 1e12
+        rec = _Recorder(np.zeros(1), 0.0, SolverConfig())
+        assert not rec.record(1, np.ones(1), np.zeros(1), DIVERGENCE_CAP)
+        assert rec.record(2, np.ones(1), np.ones(1), 2.0 * DIVERGENCE_CAP)
+        assert rec.termination == DIVERGED
+        for field in ("seed", "objective_tol", "divergence_cap"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{field: 0})
 
     def test_record_count_bounded_by_cap(self):
         trace = gradient_descent(half_square(), [1.0],
