@@ -33,8 +33,6 @@ from .funcs import (
     SeparableProx,
     SmoothFn,
     ZeroFn,
-    indicator_prox,
-    prox_conjugate,
     soft_threshold,
 )
 from .solvers import (

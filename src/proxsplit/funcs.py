@@ -422,19 +422,6 @@ class ConsensusIndicator(ProxFn):
         return np.tile(mean, self.n_blocks)
 
 
-def indicator_prox(kind: str, params: dict) -> ProxFn:
-    """Config-facing dispatch for the indicator family."""
-    if kind == "box":
-        return BoxIndicator(params["lo"], params["hi"])
-    if kind == "linf_ball":
-        return LinfBallIndicator(params["radius"])
-    if kind == "affine_graph":
-        return AffineGraphIndicator(params["K"])
-    if kind == "consensus":
-        return ConsensusIndicator(params["n_blocks"], params["block_dim"])
-    raise ValueError(f"unknown indicator kind {kind!r}")
-
-
 class SeparableProx(ProxFn):
     """Blockwise sum of prox-capable functions over a partition of indices."""
 
@@ -552,12 +539,6 @@ class ConjugateProx(ProxFn):
         return x - gamma * self.base._prox(x / gamma, 1.0 / gamma)
 
 
-def prox_conjugate(f: ProxFn, x, gamma: float) -> np.ndarray:
-    """One-shot Moreau-identity evaluation of prox_{gamma f*}(x)."""
-    x = np.asarray(x, dtype=float)
-    return x - gamma * f.prox(x / gamma, 1.0 / gamma)
-
-
 class SaddleProblem:
     """min_x max_y <Kx, y> + g(x) - f*(y), the primal-dual pairing.
 
@@ -594,12 +575,7 @@ def partial_primal_dual_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
     the catalog functions; functions without that structure are rejected
     rather than approximated.
     """
-    return _partial_gap(prob, as_vector(x, prob.K.in_dim), as_vector(y, prob.K.out_dim),
-                        box1, box2)
-
-
-def _partial_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
-    # partial_primal_dual_gap on validated x and y
+    x, y = as_vector(x, prob.K.in_dim), as_vector(y, prob.K.out_dim)
     for fn in (prob.g, prob.f_conj):
         if not hasattr(fn, "linearized_box_min"):
             raise ValueError(

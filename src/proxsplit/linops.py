@@ -11,7 +11,8 @@ a closed form has no norm.  Two spectral hooks describe the Gram matrix
   (circular convolution, periodic gradient), the DCT-II of the grid
   (Neumann gradient) or a dense matrix's own eigenbasis, summed over the
   blocks of a stack that share one.  A dense matrix runs its one ``eigh`` on
-  the first call and keeps the result.  :func:`proxsplit.funcs.gram_solver`
+  the first call and keeps the result; a sum calls it only when the other
+  terms leave that eigenbasis shared.  :func:`proxsplit.funcs.gram_solver`
   reads it once per solver it builds and divides by it; building an oracle
   reads only the class attribute ``diagonal_gram``, and factors nothing.
 - ``gram_symbol()`` gives eigenvalues on the DFT grid that bound ``K*K`` from
@@ -258,10 +259,19 @@ class Eigenbasis:
 def gram_spectrum_sum(terms, ridge: float = 0.0) -> GramSpectrum | None:
     """Spectrum of ridge*Id + sum_i w_i K_i* K_i for ``terms`` = [(w_i, K_i)]
     on one input space, when every K_i* K_i is diagonal in one shared basis
-    on one grid; None otherwise.  The eigenvalues are summed left to right."""
-    spectra = [K.gram_spectrum() for _, K in terms]
-    if any(s is None for s in spectra):
+    on one grid; None otherwise.  The eigenvalues are summed left to right.
+
+    A dense matrix's eigenbasis is its own, so a dense term is factored only
+    when every other term is a multiple of Id or the same operator."""
+    dense = [K for _, K in terms if isinstance(K, DenseOperator)]
+    others = [K.gram_spectrum() for _, K in terms if not isinstance(K, DenseOperator)]
+    if any(s is None for s in others) or dense and (
+            any(K is not dense[0] for K in dense)
+            or any(not isinstance(s.eigenvalues, float) for s in others)):
         return None
+    rest = iter(others)
+    spectra = [K.gram_spectrum() if isinstance(K, DenseOperator) else next(rest)
+               for _, K in terms]
     # a multiple of Id (a float eigenvalue) is diagonal in every basis
     bases = {s[:2] for s in spectra if not isinstance(s[2], float)}
     if len(bases) > 1:
@@ -706,8 +716,6 @@ _KINDS = {
     "circular_conv": lambda p: CircularConv(
         p["kernel"], dim=p.get("dim"), shape=tuple(p["shape"]) if "shape" in p else None
     ),
-    "stack": lambda p: StackOperator(p["ops"]),
-    "composition": lambda p: ComposedOperator(p["outer"], p["inner"]),
 }
 
 

@@ -405,12 +405,10 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
 
 def _operator_from_config(spec, n: int) -> LinearOperator:
     # operator specs go through the linops registry; "dim" defaults to the
-    # problem dimension, and kinds built from operator objects have no JSON form
+    # problem dimension
     spec = {"kind": "identity"} if spec in (None, "identity") else spec
     params = {"dim": n, **spec}
     kind = params.pop("kind")
-    if kind in ("stack", "composition"):
-        raise ValueError(f"unsupported operator kind {kind!r} in problem config")
     return construct_operator(kind, params)
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
-                    SaddleProblem, SeparableProx, SmoothFn, _partial_gap, gram_solver)
+                    SaddleProblem, SeparableProx, SmoothFn, gram_solver)
 from .linops import (DimensionError, IdentityOperator, LinearOperator, ScaleOperator,
                      StackOperator, as_vector)
 
@@ -44,11 +44,10 @@ class SolverConfig:
     constant is available); ``sigma``/``tau`` are the dual/primal stepsizes
     of the primal-dual schemes.  ``relaxation`` is the averaging parameter
     (mu for Douglas-Rachford, lambda for Krasnosel'skii-Mann): a constant, or
-    ``"harmonic"`` for 1/(n+2).  ``residual_tol`` of 0 disables the
-    relative-residual stop, leaving the iteration cap in charge.
-    ``keep_iterates`` stores the primal iterates x_0..x_n in
-    ``trace.iterates`` (and the dual ones of the primal-dual schemes in
-    ``meta["dual_iterates"]``); by default only the final point is kept.
+    ``"harmonic"`` for 1/(n+2).  ``keep_iterates`` stores the primal
+    iterates x_0..x_n in ``trace.iterates`` (and the dual ones of the
+    primal-dual schemes in ``meta["dual_iterates"]``); by default only the
+    final point is kept.
     ``stop_at_fixed_point`` ends a run with ``tol_reached`` once everything
     its next iteration reads is bitwise unchanged, since every later
     iteration would repeat it: x for gradient descent, the proximal point
@@ -56,8 +55,7 @@ class SolverConfig:
     prox-gradient; x, y and xbar for the primal-dual loop; x and every dual
     block for :func:`condat`; y and z for ADMM.  Douglas-Rachford also needs
     z = y, and Krasnosel'skii-Mann Tx = x, because an n-dependent relaxation
-    multiplies that difference.  The trace is then the full run's prefix, and
-    ``meta["ergodic"]`` is keyed at the stopping n.
+    multiplies that difference.  The trace is then the full run's prefix.
     ``gap_tol`` of 0 disables the duality-gap stop.  A positive value needs
     a run given a ``gap`` callable (the closed-form gap of a recipe); the
     trace then gets a ``gap`` column, and the run ends with ``tol_reached``
@@ -70,12 +68,8 @@ class SolverConfig:
     sigma: float | None = None
     tau: float | None = None
     inertia: str = "none"  # none | fista_t | fista_beta | vfista
-    beta: float = 4.0
     relaxation: float | str | None = None
-    rho: float = 1.0
-    bt_shrink: float = 0.5
     max_iter: int = 1000
-    residual_tol: float = 0.0
     gap_tol: float = 0.0
     keep_iterates: bool = False
     stop_at_fixed_point: bool = False
@@ -96,12 +90,6 @@ class SolverConfig:
             raise ConfigError("max_iter must be nonnegative")
         if self.inertia not in ("none", "fista_t", "fista_beta", "vfista"):
             raise ConfigError(f"unknown inertia mode {self.inertia!r}")
-        if self.inertia == "fista_beta" and not self.beta > 3:
-            raise ConfigError("fista_beta requires beta > 3")
-        if not (0 < self.rho <= 1):
-            raise ConfigError("rho must lie in (0, 1]")
-        if not (0 < self.bt_shrink < 1):
-            raise ConfigError("backtracking shrink factor must lie in (0, 1)")
         if not self.gap_tol >= 0:
             raise ConfigError("gap_tol must be nonnegative")
 
@@ -178,7 +166,7 @@ class _Recorder:
         self.iterates = [self.x0.copy()] if cfg.keep_iterates else []
         self.termination = ITER_CAP
 
-    def record(self, n, x_new, x_prev, objective, extras=None, gap_args=()) -> bool:
+    def record(self, x_new, x_prev, objective, extras=None, gap_args=()) -> bool:
         """Append one iteration; returns True when the run should stop.
 
         ``objective=None`` marks solvers that do not track an objective
@@ -210,10 +198,6 @@ class _Recorder:
             return True
         if not np.isfinite(x_new).all():
             self.termination = DIVERGED
-            return True
-        rtol = self.cfg.residual_tol
-        if rtol > 0 and residual <= rtol * (1.0 + float(np.linalg.norm(x_prev))):
-            self.termination = TOL_REACHED
             return True
         # a run that tracks no objective stops at an absolute gap
         if gap is not None and gap <= self.cfg.gap_tol * (
@@ -264,7 +248,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
     search on a quadratic.
 
     Fixed mode requires gamma < 2/L.  Backtracking restarts from
-    ``cfg.gamma`` at every iterate and shrinks by ``cfg.bt_shrink`` until
+    ``cfg.gamma`` at every iterate and halves it until
     f(x) - f(x - g*grad) > (g/2)*||grad||^2.  The quadratic line search uses
     gamma_n = ||g||^2 / (scale * ||A g||^2).
     """
@@ -287,7 +271,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
             raise ConfigError("optimal_quadratic mode needs a quadratic objective")
 
     rec = _Recorder(x, f._value(x), cfg)
-    for n in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         g = f._grad(x)
         if mode == "fixed":
             step = gamma
@@ -300,7 +284,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
                 rec.termination = TOL_REACHED
                 break
             while f._value(x - step * g) >= fx - 0.5 * step * gg:
-                step *= cfg.bt_shrink
+                step *= 0.5
                 if step < 1e-20:
                     raise ConfigError("backtracking shrank the stepsize to zero")
             x_new = x - step * g
@@ -312,7 +296,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
                 break
             step = float(g @ g) / denom
             x_new = x - step * g
-        stop = rec.record(n, x_new, x, f._value(x_new), {"step": step}) or (
+        stop = rec.record(x_new, x, f._value(x_new), {"step": step}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
         x = x_new
         if stop:
@@ -340,11 +324,11 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
         raise ConfigError("proximal point needs gamma > 0")
     x = _start(x0, g.dim)
     rec = _Recorder(x, g._value(x), cfg)
-    for n in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         x_new = g._prox(x, gamma)
         val_old, val_new = g._value(x), g._value(x_new)
         margin = val_old - val_new - float(np.sum((x - x_new) ** 2)) / (2 * gamma)
-        stop = rec.record(n, x_new, x, val_new, {"prox_decrease_margin": margin}) or (
+        stop = rec.record(x_new, x, val_new, {"prox_decrease_margin": margin}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
         x = x_new
         if stop:
@@ -397,7 +381,7 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
         value = j_new if j_new is not None and objective is None else report(x_new)
         # inertia also reads x_prev; once x - x_prev is zero, its n-dependent
         # coefficient multiplies zero
-        stop = rec.record(n, x_new, x, value, extras, (x_new,)) or (
+        stop = rec.record(x_new, x, value, extras, (x_new,)) or (
             cfg.stop_at_fixed_point
             and rec.fixed_point((x_new, x), (x, x if coefs is None else x_prev)))
         x_prev, x, j_prev = x, x_new, j_new
@@ -412,7 +396,7 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     """Proximal gradient descent with optional inertial acceleration.
 
     Inertia modes: ``none`` (gamma < 2/L), ``fista_t`` with the classical
-    t-sequence and ``fista_beta`` with coefficient n/(n+beta) (both need
+    t-sequence and ``fista_beta`` with coefficient (n-1)/(n-1+4) (both need
     gamma <= 1/L), and ``vfista`` for strongly convex problems (gamma = 1/L,
     coefficient (sqrt(L)-sqrt(a))/(sqrt(L)+sqrt(a))).  ``objective``
     overrides the reported trace column (dual formulations report the
@@ -433,7 +417,7 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     if cfg.inertia == "fista_t":
         coefs = _fista_t_coefs()
     elif cfg.inertia == "fista_beta":
-        coefs = ((n - 1.0) / (n - 1.0 + cfg.beta) for n in itertools.count(1))
+        coefs = ((n - 1.0) / (n - 1.0 + 4.0) for n in itertools.count(1))
     else:
         # vfista; moduli add across the sum f + g
         alpha = f.strong_convexity + getattr(g, "strong_convexity", 0.0)
@@ -483,7 +467,7 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
         tx = np.asarray(T(x), dtype=float)
         fp_res = float(np.linalg.norm(tx - x))
         x_new = x + lam(n - 1) * (tx - x)
-        stop = rec.record(n, x_new, x, None, {"fixed_point_residual": fp_res}) or (
+        stop = rec.record(x_new, x, None, {"fixed_point_residual": fp_res}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (tx, x)))
         x = x_new
         if stop:
@@ -521,7 +505,7 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         x_new = x + mu(n - 1) * (z - y)
         # the shadow point of x_{n+1}: next iteration's y, or the result
         y_new = g._prox(x_new, gamma)
-        stop = rec.record(n, x_new, x, objective(y),
+        stop = rec.record(x_new, x, objective(y),
                           {"split_gap": float(np.linalg.norm(z - y))}, (y_new, x_new))
         # mu_n multiplies z - y, so x alone may stand still while z - y does not
         stop = stop or (cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (z, y)))
@@ -569,11 +553,9 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
     return trace
 
 
-def _augmented_argmin(fn, op: LinearOperator, gamma, subsolver):
+def _augmented_argmin(fn, op: LinearOperator, gamma):
     """c -> argmin fn(x) + (gamma/2) ||op x - c||^2 for the supported
     structures, built once per run."""
-    if subsolver is not None:
-        return lambda c: subsolver(c, gamma)
     if isinstance(op, IdentityOperator):
         return lambda c: fn._prox(c, 1.0 / gamma)
     if isinstance(op, ScaleOperator):
@@ -586,22 +568,21 @@ def _augmented_argmin(fn, op: LinearOperator, gamma, subsolver):
         atb = fn.scale * fn.A._adjoint(fn.b)
         return lambda c: solve(atb + gamma * op._adjoint(c))
     raise ConfigError(
-        "the alternating-direction subproblem needs an identity/scale coupling, "
-        "a quadratic term, or an explicit subsolver"
+        "the alternating-direction subproblem needs an identity/scale coupling "
+        "or a quadratic term"
     )
 
 
 def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
-         y0=None, z0=None, cfg: SolverConfig | None = None,
-         x_solver=None, y_solver=None) -> SolverTrace:
+         y0=None, z0=None, cfg: SolverConfig | None = None) -> SolverTrace:
     """Alternating direction method of multipliers for
 
         min f(x) + g(y)  subject to  A x + B y = b.
 
-    Each partial minimization is solved in closed form when its coupling
-    operator is an identity/scale or its term is quadratic; otherwise a user
-    subsolver ``(c, gamma) -> argmin fn + (gamma/2)||op . - c||^2`` must be
-    supplied.  The trace records the primal residual ||Ax + By - b|| and the
+    Each partial minimization is solved in closed form, so its coupling
+    operator must be an identity/scale or its term quadratic; any other
+    pairing is a :class:`ConfigError`, raised before the first iteration.
+    The trace records the primal residual ||Ax + By - b|| and the
     objective f(x) + g(y).
     """
     cfg = cfg or SolverConfig()
@@ -616,17 +597,17 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
     z = np.zeros(A.out_dim) if z0 is None else as_vector(z0, A.out_dim)
 
-    argmin_x = _augmented_argmin(f, A, gamma, x_solver)
-    argmin_y = _augmented_argmin(g, B, gamma, y_solver)
+    argmin_x = _augmented_argmin(f, A, gamma)
+    argmin_y = _augmented_argmin(g, B, gamma)
     rec = _Recorder(np.concatenate([x, y]), f._value(x) + g._value(y), cfg)
-    for n in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         x_new = argmin_x(b - B._apply(y) - z / gamma)
         y_new = argmin_y(b - A._apply(x_new) - z / gamma)
         z_new = z + gamma * (A._apply(x_new) + B._apply(y_new) - b)
         primal_res = float(np.linalg.norm(A._apply(x_new) + B._apply(y_new) - b))
         state_new = np.concatenate([x_new, y_new])
         state_old = np.concatenate([x, y])
-        stop = rec.record(n, state_new, state_old,
+        stop = rec.record(state_new, state_old,
                           f._value(x_new) + g._value(y_new),
                           {"primal_residual": primal_res}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((y_new, y), (z_new, z)))
@@ -658,8 +639,7 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
 
 
 def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
-                      extrapolate: bool, ergodic_at=(), gap_boxes=None,
-                      gap=None) -> SolverTrace:
+                      extrapolate: bool, gap=None) -> SolverTrace:
     # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
     # members of the primal-dual family
     cfg = cfg or SolverConfig()
@@ -671,10 +651,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     obj0 = obj(x)
     rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg, gap)
     dual_iterates = [y.copy()] if cfg.keep_iterates else []
-    sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(y)
-    ergodic = {}
-    for n in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         y_new = prob.f_conj._prox(y + sigma * prob.K._apply(xbar), sigma)
         x_new = prob.g._prox(x - tau * prob.K._adjoint(y_new), tau)
         xbar_new = 2.0 * x_new - x if extrapolate else x_new
@@ -683,50 +660,37 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         # fresh process about 15% slower, through allocator churn
         same_xbar = cfg.stop_at_fixed_point and _same_bytes(xbar_new, xbar)
         xbar = xbar_new
-        sum_x += x_new
-        sum_y += y_new
-        if n in ergodic_at:
-            ergodic[n] = (sum_x / n, sum_y / n)
         extras = {"dual_residual": float(np.linalg.norm(y_new - y))}
-        if gap_boxes is not None:
-            extras["pd_gap"] = _partial_gap(
-                prob, sum_x / n, sum_y / n, gap_boxes[0], gap_boxes[1])
-        stop = rec.record(n, x_new, x, obj(x_new), extras, (x_new, y_new)) or (
+        stop = rec.record(x_new, x, obj(x_new), extras, (x_new, y_new)) or (
             same_xbar and rec.fixed_point((x_new, x), (y_new, y)))
         if dual_iterates:
             dual_iterates.append(y_new.copy())
         x, y = x_new, y_new
         if stop:
             break
-    n_done = len(rec.obj)
-    if n_done > 0:
-        ergodic.setdefault(n_done, (sum_x / n_done, sum_y / n_done))
     return rec.finish(x, {
         "y": y,
         "sigma": sigma,
         "tau": tau,
         "operator_norm": op_norm,
         "dual_iterates": dual_iterates,
-        "ergodic": ergodic,
     }, (x, y))
 
 
 def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
-                   ergodic_at=(), gap_boxes=None, gap=None) -> SolverTrace:
+                   gap=None) -> SolverTrace:
     """Primal-dual iteration with over-relaxed primal extrapolation.
 
         y_{n+1} = prox_{sigma f*}(y_n + sigma K xbar_n)
         x_{n+1} = prox_{tau g}(x_n - tau K* y_{n+1})
         xbar_{n+1} = 2 x_{n+1} - x_n
 
-    Requires tau*sigma*||K||^2 < 1.  Running ergodic averages are snapshotted
-    at the iteration counts in ``ergodic_at`` (and at the final iteration);
-    with ``keep_iterates`` the trace stores both primal and dual iterates.
-    When ``gap_boxes = (box1, box2)`` is supplied, the partial primal-dual
-    gap of the running ergodic pair is recorded each iteration.  ``gap(x, y)``
-    is the duality gap of the pair, used by :class:`SolverConfig` ``gap_tol``.
+    Requires tau*sigma*||K||^2 < 1.  With ``keep_iterates`` the trace stores
+    both primal and dual iterates, from which ergodic averages can be formed
+    (see :func:`proxsplit.certify.cp_gap_certificate`).  ``gap(x, y)`` is the
+    duality gap of the pair, used by :class:`SolverConfig` ``gap_tol``.
     """
-    return _primal_dual_loop(prob, x0, y0, cfg, True, ergodic_at, gap_boxes, gap)
+    return _primal_dual_loop(prob, x0, y0, cfg, True, gap)
 
 
 def arrow_hurwicz(prob: SaddleProblem, x0, y0,
@@ -739,6 +703,10 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
            cfg: SolverConfig | None = None, objective=None, gap=None) -> SolverTrace:
     """Primal-dual splitting with an explicit gradient step and M dual blocks.
 
+        x_{n+1} = prox_{tau g}(x_n - tau grad f(x_n) - tau sum_i L_i* u_{i,n})
+        u_{i,n+1} = prox_{sigma h_i*}(u_{i,n} + sigma L_i (2 x_{n+1} - x_n))
+
+    This is Condat's (2013) scheme without relaxation (rho = 1).
     Solves min f(x) + g(x) + sum_i h_i(L_i x); ``terms`` is a list of
     ``(h_conj, L_i)`` pairs where ``h_conj`` is the conjugate-side prox
     oracle of h_i (build it with ``fn.conjugate()`` when only the primal is
@@ -772,7 +740,6 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
             f"stepsize check tau*(L/2 + sigma*||sum Li* Li||) = "
             f"{tau * (L / 2.0 + sigma * gram_norm):.6f} >= 1"
         )
-    rho = cfg.rho
     if u0s is None:
         u0s = [np.zeros(op.out_dim) for _, op in terms]
     us = [_start(u, op.out_dim, h_conj.dim) for u, (h_conj, op) in zip(u0s, terms)]
@@ -781,17 +748,14 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         objective = lambda z: f._value(z) + g._value(z)
 
     rec = _Recorder(x, objective(x), cfg, gap)
-    for n in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         drift = np.zeros_like(x)
         for (_, op), u in zip(terms, us):
             drift += op._adjoint(u)
-        x_tilde = g._prox(x - tau * f._grad(x) - tau * drift, tau)
-        x_new = rho * x_tilde + (1.0 - rho) * x
-        us_new = []
-        for (h_conj, op), u in zip(terms, us):
-            u_tilde = h_conj._prox(u + sigma * op._apply(2.0 * x_tilde - x), sigma)
-            us_new.append(rho * u_tilde + (1.0 - rho) * u)
-        stop = rec.record(n, x_new, x, objective(x_new), None, (x_new, us_new)) or (
+        x_new = g._prox(x - tau * f._grad(x) - tau * drift, tau)
+        us_new = [h_conj._prox(u + sigma * op._apply(2.0 * x_new - x), sigma)
+                  for (h_conj, op), u in zip(terms, us)]
+        stop = rec.record(x_new, x, objective(x_new), None, (x_new, us_new)) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), *zip(us_new, us)))
         x = x_new
         us = us_new

@@ -49,7 +49,6 @@ from .solvers import (
     SolverConfig,
     admm,
     chambolle_pock,
-    forward_backward,
     gradient_descent,
     krasnoselskii_mann,
     nonconvex_forward_backward,

@@ -21,6 +21,7 @@ from proxsplit.certify import (
     sqrt_decay_certificate,
 )
 from proxsplit.funcs import (
+    CallableSmooth,
     HardThreshold,
     L1Norm,
     LinfBallIndicator,
@@ -287,6 +288,16 @@ class TestPropertySuite:
         assert "prox_optimality_vs_input" in names
         assert "firm_nonexpansive_prox" not in names
 
+    def test_nan_margins_are_counted_as_violations(self):
+        # a NaN value leaves every descent-lemma and finite-difference margin
+        # NaN; cocoercivity reads only the gradient and holds
+        nan_valued = CallableSmooth(lambda x: float("nan"), lambda x: x, lipschitz=1.0)
+        rep = property_suite(nan_valued, 3, trials=10, seed=0)
+        assert not rep.passed
+        assert [(d["property"], d["n_violations"]) for d in rep.details] == [
+            ("descent_lemma", 10), ("cocoercivity", 0), ("gradient_finite_difference", 10)]
+        assert rep.n_violations == 20
+
     def test_reports_deterministic(self):
         r1 = property_suite(L1Norm(0.5), 4, trials=50, seed=3)
         r2 = property_suite(L1Norm(0.5), 4, trials=50, seed=3)
@@ -362,6 +373,11 @@ class TestRateBounds:
         rep = check_linear_rate(trace.objective_path(), 0.0, 0.5)
         assert not rep.passed  # demanded ratio is unattainably fast
 
+    def test_nan_margin_is_a_violation(self):
+        # a NaN objective certifies nothing
+        rep = check_linear_rate([1.0, float("nan"), 0.5], 0.0, 0.9)
+        assert not rep.passed and rep.n_violations == 1
+
     def test_fista_bound_shape(self):
         x_star = np.zeros(2)
         path = [1.0] + [2.0 / (n + 1) ** 2 for n in range(1, 50)]
@@ -369,16 +385,15 @@ class TestRateBounds:
         assert rep.passed
 
     def test_fista_beta_variant_envelope(self):
-        # the n/(n+beta) coefficient family obeys the looser
-        # (beta+1)/(2 gamma (n+1)^2) envelope
+        # the (n-1)/(n-1+beta) coefficient family, run at beta = 4, obeys the
+        # looser (beta+1)/(2 gamma (n+1)^2) envelope
         from proxsplit.suite import lasso_diag_fixture
 
         inst = lasso_diag_fixture(0)
         f = inst.metadata["f"]
         gamma = 1.0 / f.lipschitz
         beta = 4.0
-        trace, _ = inst.run("fista_beta",
-                            SolverConfig(max_iter=3000, beta=beta))
+        trace, _ = inst.run("fista_beta", SolverConfig(max_iter=3000))
         j_star = inst.ground_truth["objective"]
         x_star = inst.ground_truth["x"]
         d0 = float(np.sum(x_star ** 2))

@@ -80,12 +80,13 @@ class TestSolve:
          "inner": {"kind": "identity"}},
         {"kind": "no_such_kind"},
     ])
-    def test_unsupported_operator_spec_is_config_error(self, tmp_path, operator):
+    def test_unsupported_operator_spec_is_config_error(self, tmp_path, capsys, operator):
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "lasso", "y": [1.0, 2.0], "A": operator},
             "recipe": "fb",
         })
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown operator kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kernel", [[[]], [[float("nan")]]], ids=["empty", "nan"])
     def test_invalid_convolution_kernel_is_config_error(self, tmp_path, capsys, kernel):
@@ -424,7 +425,9 @@ class TestRemovedSolverFields:
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("seed", 0), ("objective_tol", 1e-8),
-                                             ("divergence_cap", 1e12)])
+                                             ("divergence_cap", 1e12), ("rho", 1.0),
+                                             ("beta", 4.0), ("bt_shrink", 0.5),
+                                             ("residual_tol", 0.0)])
     def test_field_is_unknown(self, tmp_path, capsys, field, value):
         for command, body in (("solve", {"recipe": "fb", "solver": {field: value}}),
                               ("compare", {"recipes": ["fb", "dr"],
@@ -439,8 +442,9 @@ class TestRemovedSolverFields:
         out = tmp_path / "run"
         assert main(["solve", cfg, "--out", str(out)]) == 0
         solver = json.loads((out / "resolved_config.json").read_text())["solver"]
-        assert len(solver) == 13
-        assert not {"seed", "objective_tol", "divergence_cap"} & set(solver)
+        assert len(solver) == 9
+        assert set(solver) == {"gamma", "sigma", "tau", "inertia", "relaxation", "max_iter",
+                               "gap_tol", "keep_iterates", "stop_at_fixed_point"}
 
 
 class TestDivergenceExitCode:

@@ -109,8 +109,7 @@ def _arrow_hurwicz():
 def _cp_gap_scalar():
     prob, _, _ = scalar_saddle_fixture()
     return chambolle_pock(prob, np.array([1.5]), np.array([0.5]),
-                          SolverConfig(sigma=0.9, tau=0.9, max_iter=100),
-                          gap_boxes=((-2.0, 2.0), (-1.0, 1.0)))
+                          SolverConfig(sigma=0.9, tau=0.9, max_iter=100))
 
 
 def _projected_gradient():
@@ -144,7 +143,7 @@ GOLDEN = {
         "c19b7d9c76a61bee27579bf19810c25728b200cd126645a0365503f2687eda4f",
         "249b4d1b35f7fa7c3732684d3aac3056d81edb99620dbba597ff94ffc28c3a30"),
     "chambolle_pock/gap_scalar": (
-        "6a0297bb1f5a205a59fc71157ccde778a233c2ad7e780c3bc8eb77ef90f41e01",
+        "ddd68ce067eb69673bc3b6bdca31b7d626379b5fb99da82d76f8ff7035632430",
         "27ea28c4d43eb8fe9a0808ca58f9dc8c1c37238e9eb1685de4da54215abd926f"),
     "lasso/dr": (
         "0017c5e5bbd416221d3a6244a04dbe3524922370b828c3bf776f1dc08197e39b",
