@@ -186,10 +186,12 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
                          - <K(x0-x*), y0-y*>),
     and the weighted distance to the saddle stays within 1/(1 - tau sigma L^2)
     of its initial value at every iteration.  The averages x^N, y^N are
-    formed from the kept iterates x_1..x_N, y_1..y_N.
+    formed from the kept iterates x_1..x_N, y_1..y_N.  The run goes on to
+    the last horizon; a horizon a diverged run never reached is a violation.
     """
     horizons = sorted(horizons)
-    cfg = dataclasses.replace(cfg, max_iter=max(horizons), keep_iterates=True)
+    cfg = dataclasses.replace(cfg, max_iter=max(horizons), keep_iterates=True,
+                              stop_at_fixed_point=False)
     trace = chambolle_pock(prob, x0, y0, cfg)
     sigma, tau = trace.meta["sigma"], trace.meta["tau"]
     x_star, y_star = (np.asarray(saddle[0], dtype=float),
@@ -211,9 +213,13 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
     details = []
     margins = []
     for n in horizons:
+        bound = rhs0 / n
+        if n not in ergodic:
+            details.append({"N": n, "gap": None, "bound": bound})
+            margins.append(-np.inf)
+            continue
         xn, yn = ergodic[n]
         gap = check_pd_gap(prob, xn, yn, box1, box2)
-        bound = rhs0 / n
         details.append({"N": n, "gap": gap, "bound": bound})
         margins.append(bound - gap + _slack(bound))
         margins.append(gap + 1e-8)  # gap must be essentially nonnegative

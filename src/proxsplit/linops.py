@@ -68,6 +68,10 @@ class CGError(RuntimeError):
             f"after {iterations} iterations"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it keeps them across a process boundary
+        return type(self), (self.residual, self.iterations)
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as a 1-d float64 array.

@@ -7,6 +7,8 @@ reject bad oracles.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import certify
@@ -501,14 +503,41 @@ def expand_checks(names) -> list[str]:
     return expanded
 
 
+def _run_check(name: str, seed: int) -> list[CheckReport]:
+    # looked up by name at call time, so a forked worker runs the registry as
+    # it stood at the fork, patched entries included
+    out = (CHECKS.get(name) or CONTROLS[name])(seed)
+    return [out] if isinstance(out, CheckReport) else out
+
+
+def _map_checks(names: list[str], seed: int) -> list[list[CheckReport]]:
+    # the checks are independent and deterministic given the seed, so they
+    # spread over forked workers, one per usable CPU, with the results in
+    # ``names`` order; one CPU, one check or no fork runs them in process,
+    # and so does a caller with other threads, which a fork could deadlock
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(names), cpus)
+    if workers > 1:
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_run_check, names, [seed] * len(names)))
+    return [_run_check(name, seed) for name in names]
+
+
 def run_checks(names, seed: int = 0) -> list[CheckReport]:
-    """Run the named checks; ``all`` expands to the default suite."""
+    """Run the named checks; ``all`` expands to the default suite.
+
+    With two or more usable CPUs the checks run in forked worker processes,
+    one per CPU; the reports are the same, in the same order, as in process.
+    """
+    names = expand_checks(names)
     reports = []
-    for name in expand_checks(names):
-        fn = CHECKS.get(name) or CONTROLS[name]
-        out = fn(seed)
-        if isinstance(out, CheckReport):
-            out = [out]
+    for name, out in zip(names, _map_checks(names, seed)):
         for rep in out:
             rep.check = f"{name}/{rep.check}" if not rep.check.startswith(name) else rep.check
             reports.append(rep)

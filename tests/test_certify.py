@@ -179,6 +179,30 @@ class TestPartialGap:
         assert all(g <= b for g, b in zip(gaps, bounds))
         assert gaps[0] > gaps[-1]  # ergodic gap shrinks with the horizon
 
+    def test_gap_certificate_runs_to_every_horizon(self):
+        # started at the saddle, a run that stops at a fixed point would end
+        # at n = 1; the certificate needs the averages at every horizon
+        prob = scalar_saddle()
+        rep = cp_gap_certificate(prob, np.zeros(1), np.zeros(1),
+                                 SolverConfig(sigma=0.9, tau=0.9, stop_at_fixed_point=True),
+                                 horizons=(10, 100), saddle=(np.zeros(1), np.zeros(1)),
+                                 box1=(-2.0, 2.0), box2=(-1.0, 1.0))
+        assert rep.passed
+        assert [d["N"] for d in rep.details] == [10, 100]
+
+    def test_gap_certificate_unreached_horizon_is_a_violation(self):
+        # an objective past the divergence cap ends the run at n = 1
+        base = scalar_saddle()
+        prob = SaddleProblem(K=base.K, g=base.g, f_conj=base.f_conj,
+                             primal_objective=lambda x: 1e13)
+        rep = cp_gap_certificate(prob, np.array([1.5]), np.array([0.5]),
+                                 SolverConfig(sigma=0.9, tau=0.9),
+                                 horizons=(10, 100), saddle=(np.zeros(1), np.zeros(1)),
+                                 box1=(-2.0, 2.0), box2=(-1.0, 1.0))
+        assert not rep.passed
+        assert rep.n_violations == 2 and rep.worst_margin == -np.inf
+        assert [(d["N"], d["gap"]) for d in rep.details] == [(10, None), (100, None)]
+
 
 class TestEquivalences:
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])

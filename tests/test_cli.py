@@ -437,7 +437,7 @@ class TestRemovedSolverFields:
             err = capsys.readouterr().err
             assert err.startswith("config error: unknown solver config fields") and field in err
 
-    def test_resolved_solver_block_lists_the_thirteen_fields(self, tmp_path):
+    def test_resolved_solver_block_lists_the_nine_fields(self, tmp_path):
         cfg = write_config(tmp_path / "solve.json", {"problem": self.LASSO, "recipe": "fb"})
         out = tmp_path / "run"
         assert main(["solve", cfg, "--out", str(out)]) == 0
@@ -521,6 +521,32 @@ class TestNumericalFailureExitCode:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: sufficient-decrease violated")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("failure", ["decrease", "cg"])
+    def test_failure_in_a_pooled_worker_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                  failure):
+        # two checks on two usable CPUs run in forked workers; the failure
+        # crosses back to the parent and exits as it does in process
+        import os
+
+        import proxsplit.suite as suite
+        from proxsplit.linops import CGError
+        from proxsplit.solvers import DecreaseViolation
+
+        def failing(seed):
+            if failure == "cg":
+                raise CGError(1e-3, 50)
+            raise DecreaseViolation("sufficient-decrease violated in a worker")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setitem(suite.CHECKS, "nonconvex:double_well", failing)
+        cfg = write_config(tmp_path / "cert.json",
+                           {"checks": ["km:rotation", "nonconvex:double_well"]})
+        assert main(["certify", cfg, "--out", str(tmp_path / "cert")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert ("conjugate gradient stalled" if failure == "cg"
+                else "sufficient-decrease violated") in lines[0]
 
 
 class TestResolvedConfig:

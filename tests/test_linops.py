@@ -474,6 +474,15 @@ class TestConjugateGradient:
             conjugate_gradient(lambda p: 0.0 * p, np.ones(3))
         assert err.value.residual > 0
 
+    def test_failure_survives_pickling(self):
+        # a CG failure in a forked certify worker reaches the parent this way
+        import pickle
+        err = CGError(1e-3, 50)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is CGError
+        assert (back.residual, back.iterations) == (1e-3, 50)
+        assert str(back) == str(err)
+
 
 class TestCsvMatrix:
     def test_roundtrip(self, tmp_path):

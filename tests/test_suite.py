@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -34,6 +36,54 @@ def test_seed_flows_into_sampled_checks():
 def test_controls_expandable_and_failing():
     reports = run_checks(["controls"], seed=0)
     assert reports and all(not r.passed for r in reports)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    # how many CPUs run_checks sees as usable
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return use
+
+
+def test_pooled_reports_equal_the_in_process_ones(cpus):
+    cpus(1)
+    alone = [r.to_dict() for r in run_checks(["all"], seed=3)]
+    cpus(2)
+    pooled = [r.to_dict() for r in run_checks(["all"], seed=3)]
+    assert json.dumps(pooled, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("usable,other_thread,forked", [(2, False, True), (1, False, False),
+                                                         (2, True, False)])
+def test_pooled_workers_run_patched_checks(cpus, monkeypatch, usable, other_thread, forked):
+    # one usable CPU, or another thread in the caller, keeps the checks in
+    # process; a worker runs the registry as patched before the fork
+    import threading
+
+    import proxsplit.suite as suite
+    from proxsplit.certify import CheckReport
+
+    pid = os.getpid()
+    monkeypatch.setitem(suite.CHECKS, "km:rotation", lambda seed: CheckReport(
+        "patched", str(os.getpid() != pid), True, float(seed), 0))
+    cpus(usable)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    if other_thread:
+        waiter.start()
+    try:
+        reports = run_checks(["descent:gd", "km:rotation"], seed=4)
+    finally:
+        release.set()
+        if other_thread:
+            waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert [r.check for r in reports] == ["descent:gd/descent_inequality",
+                                          "km:rotation/patched"]
+    assert (reports[1].instance, reports[1].worst_margin) == (str(forked), 4.0)
+    assert multiprocessing.active_children() == []
 
 
 def test_admm_consensus_stops_at_its_fixed_point(monkeypatch):
