@@ -84,6 +84,8 @@ def _merge_cfg(cfg: SolverConfig | None, **defaults) -> SolverConfig:
     if cfg is None:
         return SolverConfig(**defaults)
     unset = cfg.unset_fields()
+    # ``dataclasses.replace``, not ``with_``: the merged config is the one that
+    # runs, and every field of it counts as passed
     return dataclasses.replace(cfg, **{k: v for k, v in defaults.items() if k in unset})
 
 

@@ -61,7 +61,9 @@ class SolverConfig:
     trace then gets a ``gap`` column, and the run ends with ``tol_reached``
     once gap <= gap_tol * (1 + |objective|), |objective| read as 0 in a run
     that tracks none.  Without a ``gap`` it is a :class:`ConfigError`.
-    Recipe defaults fill only :meth:`unset_fields`.
+    Recipe defaults fill only :meth:`unset_fields`, so derive a config from
+    a caller's with :meth:`with_`: ``dataclasses.replace`` marks every field
+    passed.
     """
 
     gamma: float | None = None
@@ -84,6 +86,13 @@ class SolverConfig:
         """Fields not passed to the constructor and still at their default."""
         return {f.name for f in dataclasses.fields(self)
                 if f.name not in self._passed and getattr(self, f.name) == f.default}
+
+    def with_(self, **changes) -> "SolverConfig":
+        """A copy with ``changes`` applied, whose passed fields are this
+        config's and the changed ones."""
+        new = dataclasses.replace(self, **changes)
+        new._passed = self._passed | set(changes)
+        return new
 
     def __post_init__(self):
         if self.max_iter < 0:
@@ -307,7 +316,7 @@ def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
 def projected_gradient(f: SmoothFn, projection: ProxFn, x0,
                        cfg: SolverConfig | None = None) -> SolverTrace:
     """Gradient step then projection: forward-backward without inertia; gamma < 2/L."""
-    cfg = dataclasses.replace(cfg or SolverConfig(), inertia="none")
+    cfg = (cfg or SolverConfig()).with_(inertia="none")
     return forward_backward(f, projection, x0, cfg)
 
 

@@ -31,7 +31,12 @@ from proxsplit.problems import (
     build_wavelet_reg,
 )
 from proxsplit.solvers import ConfigError, SolverConfig
-from proxsplit.suite import lasso_dense_fixture, tv_denoise_fixture, tv_inverse_fixture
+from proxsplit.suite import (
+    lasso_dense_fixture,
+    lasso_diag_fixture,
+    tv_denoise_fixture,
+    tv_inverse_fixture,
+)
 
 
 class TestLasso:
@@ -41,6 +46,22 @@ class TestLasso:
         assert np.allclose(inst.ground_truth["x"], [2.0, 0.0, -1.0])
         _, x = inst.run("fista", SolverConfig(max_iter=200))
         assert np.allclose(x, [2.0, 0.0, -1.0], atol=1e-8)
+
+    def test_derived_config_keeps_the_recipe_defaults(self):
+        # dataclasses.replace would mark every field passed, and fista would
+        # then run with inertia "none": plain forward-backward
+        cfg = SolverConfig(max_iter=50).with_(max_iter=60, keep_iterates=True)
+        assert cfg.unset_fields().isdisjoint({"max_iter", "keep_iterates"})
+        assert "inertia" in cfg.unset_fields()
+        trace, _ = lasso_diag_fixture(3).run("fista", cfg)
+        assert trace.meta["config"].inertia == "fista_t"
+        assert "inertia_coef" in trace.extras
+        assert trace.n_iter == 60 and len(trace.iterates) == 61
+        # a default the caller passed stays passed
+        trace, _ = lasso_diag_fixture(3).run(
+            "fista", SolverConfig(inertia="none").with_(max_iter=50))
+        assert trace.meta["config"].inertia == "none"
+        assert "inertia_coef" not in trace.extras
 
     def test_huge_weight_kills_everything(self):
         y = np.array([3.0, 0.5, -2.0])

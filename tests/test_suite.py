@@ -4,6 +4,9 @@ import os
 
 import pytest
 
+import proxsplit.suite as suite
+from proxsplit.certify import CheckReport
+from proxsplit.solvers import SolverConfig, gradient_descent
 from proxsplit.suite import CHECKS, CONTROLS, run_checks
 
 
@@ -113,3 +116,53 @@ def test_tv_denoise_agreement_rests_on_certified_gaps():
         # the gap bounds objective - P*, and best >= P*
         assert 0.0 <= d["objective"] - best <= d["gap"]
         assert d["gap"] <= 1e-10 * (1.0 + abs(d["objective"]))
+
+
+@pytest.mark.parametrize("name", ["lyapunov:gd_singular", "rate:fista",
+                                  "nonconvex:double_well", "nonconvex:hard_threshold"])
+def test_replayed_tail_equals_the_full_run(name, monkeypatch):
+    # each check once as it runs, stopped at its fixed point with the tail
+    # replayed, and once with every iteration run
+    settled, traces, reports = suite._settled_run, {}, {}
+
+    def full_run(solve, max_iter, **knobs):
+        return solve(SolverConfig(max_iter=max_iter, **knobs))
+
+    for key, run in (("replayed", settled), ("full", full_run)):
+        def spy(solve, max_iter, **knobs):
+            ran = []
+
+            def solve_once(cfg):
+                ran.append(solve(cfg))
+                return ran[-1]
+
+            traces[key] = run(solve_once, max_iter, **knobs)
+            traces[key + "_ran"] = ran[0]
+            return traces[key]
+
+        monkeypatch.setattr(suite, "_settled_run", spy)
+        out = CHECKS[name](3)
+        out = [out] if isinstance(out, CheckReport) else out
+        reports[key] = json.dumps([r.to_dict() for r in out])
+
+    full, replayed = traces["full"], traces["replayed"]
+    assert traces["replayed_ran"].termination == "tol_reached"
+    assert traces["replayed_ran"].n_iter < 1000
+    assert full.n_iter == replayed.n_iter == 10_000
+    assert full.termination == replayed.termination == "iter_cap"
+    assert full.objective.tobytes() == replayed.objective.tobytes()
+    assert full.residual.tobytes() == replayed.residual.tobytes()
+    assert set(replayed.extras) == set(full.extras) - {"inertia_coef"}
+    for column, values in replayed.extras.items():
+        assert values.tobytes() == full.extras[column].tobytes(), column
+    assert len(replayed.iterates) == len(full.iterates)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(replayed.iterates, full.iterates))
+    assert full.x.tobytes() == replayed.x.tobytes()
+    assert reports["replayed"] == reports["full"]
+
+
+def test_replay_leaves_an_unsettled_trace_as_it_is():
+    f = suite.anisotropic_quadratic()
+    trace = gradient_descent(f, [1.0, 1.0], SolverConfig(max_iter=5, stop_at_fixed_point=True))
+    assert trace.termination == "iter_cap"
+    assert suite._replay_settled(trace, 50) is trace
