@@ -1,5 +1,7 @@
 """First-order proximal splitting solvers with a certification engine."""
 
+import importlib
+
 from .linops import (
     AdjointOperator,
     CircularConv,
@@ -66,3 +68,10 @@ from .problems import (
 from .data import generate_synthetic, image_io, load_fixture, write_fixture
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the certify suite loads on first use, so a solve skips importing it
+    if name == "suite":
+        return importlib.import_module(".suite", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

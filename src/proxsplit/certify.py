@@ -103,8 +103,11 @@ def check_lyapunov_gd(trace: SolverTrace, L: float, x_star, f_star: float,
     x_star = np.asarray(x_star, dtype=float)
     path = trace.objective_path()
     s_vals = []
+    prev = None
     for n, xn in enumerate(trace.iterates):
-        s_vals.append(n * (path[n] - f_star) + 0.5 * L * float(np.sum((xn - x_star) ** 2)))
+        if xn is not prev:  # a replayed settled tail repeats one array
+            prev, dist = xn, 0.5 * L * float(np.sum((xn - x_star) ** 2))
+        s_vals.append(n * (path[n] - f_star) + dist)
     margins = [s_vals[n] - s_vals[n + 1] + _slack(s_vals[n])
                for n in range(len(s_vals) - 1)]
     d0 = 0.5 * L * float(np.sum((trace.x0 - x_star) ** 2))

@@ -25,7 +25,6 @@ from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
 from .problems import build_from_config, build_lasso, build_tv_denoise
 from .solvers import DIVERGED, DecreaseViolation, SolverConfig
-from .suite import CHECKS, CONTROLS, expand_checks, run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -215,6 +214,9 @@ def cmd_compare(config: dict, out_dir) -> int:
 
 
 def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
+    # imported here, so that solve, compare and generate skip loading the suite
+    from .suite import CHECKS, CONTROLS, expand_checks, run_checks
+
     names = config.get("checks", ["all"])
     if isinstance(names, str):
         names = [names]

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import zlib
+
 import numpy as np
 
 from .linops import NEUMANN, ImageGrid, read_csv_rows
@@ -202,40 +204,71 @@ def image_io(path, direction: str, grid: ImageGrid | None = None,
 
 
 # ---------------------------------------------------------------------------
-# fixture bundles: a directory with manifest.json plus CSV payloads
+# fixture bundles: a directory with manifest.json plus CSV payloads, each with
+# a checked binary cache
 # ---------------------------------------------------------------------------
+
+def _file_check(path) -> dict:
+    """Byte size and CRC-32 of a file, read in 1 MiB chunks."""
+    size, crc = 0, 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    return {"bytes": size, "crc32": crc}
+
 
 def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.Path:
     """Persist a synthetic-data dict as a fixture bundle.
 
-    The manifest stores scalars; array payloads go to CSV files next to it.
+    The manifest stores scalars; each array payload goes to ``<key>.csv`` next
+    to it, and to a binary cache ``<key>.npy`` holding the array that reading
+    the CSV back returns.  The manifest's ``cache`` record holds the byte size
+    and CRC-32 of both files.
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"kind": data["kind"], "seed": data.get("seed", 0),
-                "sigma": data.get("sigma", 0.0), "files": {}}
+                "sigma": data.get("sigma", 0.0), "files": {}, "cache": {}}
     for key in ("rows", "cols", "m", "n", "nnz", "kept"):
         if key in data:
             manifest[key] = int(data[key])
     if "lambda" in data:
         manifest["lambda"] = float(data["lambda"])
-    for key in ("x_true", "y", "kernel"):
+    for key in ("x_true", "y", "kernel", "pattern", "A"):
         if key in data:
-            fname = f"{key}.csv"
-            write_csv_rows(out / fname, data[key])
-            manifest["files"][key] = fname
-    if "pattern" in data:
-        write_csv_rows(out / "pattern.csv", data["pattern"])
-        manifest["files"]["pattern"] = "pattern.csv"
-    if "A" in data:
-        write_csv_rows(out / "A.csv", data["A"])
-        manifest["files"]["A"] = "A.csv"
+            rows = np.asarray(data[key], dtype=float)
+            if rows.ndim == 1:
+                rows = rows[:, None]
+            csv, npy = f"{key}.csv", f"{key}.npy"
+            write_csv_rows(out / csv, rows)
+            np.save(out / npy, rows, allow_pickle=False)
+            manifest["files"][key] = csv
+            manifest["cache"][csv] = _file_check(out / csv)
+            manifest["cache"][npy] = _file_check(out / npy)
     if expected:
         manifest["expected"] = expected
     with open(out / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
+
+
+def _read_payload(csv: pathlib.Path, npy: pathlib.Path, cache: dict) -> np.ndarray:
+    """A payload as ``read_csv_rows`` returns it, from its ``.npy`` cache when
+    both files still match the manifest's ``cache`` record.
+
+    The CSV is the source of truth: an edited CSV, a missing, changed or
+    unreadable ``.npy`` or a bundle without a record means the CSV is parsed.
+    CRC-32 guards against a stale cache by accident, not against tampering:
+    whoever can edit the CSV can edit the manifest and the ``.npy`` too.
+    """
+    try:
+        if (npy.name in cache and cache.get(csv.name) == _file_check(csv)
+                and cache[npy.name] == _file_check(npy)):
+            return np.load(npy, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        pass
+    return read_csv_rows(csv, FixtureError)
 
 
 def load_fixture(bundle_dir) -> dict:
@@ -247,11 +280,12 @@ def load_fixture(bundle_dir) -> dict:
         manifest = json.load(fh)
     data = dict(manifest)
     files = data.pop("files", {})
+    cache = data.pop("cache", {})
     for key, fname in files.items():
         path = bundle / fname
         if not path.exists():
             raise FixtureError(f"bundle {bundle} is missing payload {fname}")
-        rows = read_csv_rows(path, FixtureError)
+        rows = _read_payload(path, bundle / f"{key}.npy", cache)
         if key != "A":
             # every other payload is a vector, one entry per line
             if rows.shape[1] != 1:

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import proxsplit
 from proxsplit.cli import main
 
 # SHA-256 of the report.json of ``certify all`` at seed 0.  Like the golden
@@ -256,6 +261,19 @@ class TestCompare:
 
 
 class TestCertify:
+    def test_only_certify_loads_the_suite(self):
+        # solve, compare and generate skip importing suite and certify; the
+        # package still exposes the suite, loaded on first access
+        code = ("import sys, proxsplit, proxsplit.cli\n"
+                "assert 'proxsplit.suite' not in sys.modules\n"
+                "assert 'proxsplit.certify' not in sys.modules\n"
+                "assert callable(proxsplit.suite.run_checks)\n"
+                "assert 'proxsplit.certify' in sys.modules\n")
+        src = str(pathlib.Path(proxsplit.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     def test_small_subset_passes(self, tmp_path):
         cfg = write_config(tmp_path / "cert.json", {
             "checks": ["rate:gd_linear", "km:rotation", "equiv:dr_cp"],
@@ -639,7 +657,7 @@ class TestGenerate:
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
         assert main(["generate", cfg, "--out", str(out1)]) == 0
         assert main(["generate", cfg, "--out", str(out2)]) == 0
-        for name in ("manifest.json", "y.csv", "x_true.csv"):
+        for name in ("manifest.json", "y.csv", "x_true.csv", "y.npy", "x_true.npy"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_generated_bundle_loads_into_solve(self, tmp_path):
@@ -692,7 +710,7 @@ class TestGenerate:
         assert main(["generate", str(out / "resolved_config.json"),
                      "--out", str(again)]) == 0
         for name in ("manifest.json", "A.csv", "x_true.csv", "y.csv",
-                     "resolved_config.json"):
+                     "A.npy", "x_true.npy", "y.npy", "resolved_config.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):

@@ -1,6 +1,10 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from proxsplit import data as datamod
 from proxsplit.data import (
     FixtureError,
     GaussianStream,
@@ -20,6 +24,7 @@ from proxsplit.linops import (
     ImageGrid,
     MaskOperator,
     ScaleOperator,
+    read_csv_rows,
 )
 from proxsplit.problems import (
     build_from_config,
@@ -554,6 +559,83 @@ class TestFixtureBundles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FixtureError):
             load_fixture(tmp_path)
+
+    # -- the checked binary cache: <key>.npy next to each CSV payload --------
+
+    @pytest.mark.parametrize("kind, dims, keys", [
+        ("sparse_vector", (5, 8), ("A", "y", "x_true")),
+        ("blur_kernel", 5, ("kernel",)),
+        ("mask_pattern", 12, ("pattern",)),
+    ])
+    def test_cached_payloads_equal_the_parsed_ones(self, tmp_path, monkeypatch,
+                                                   kind, dims, keys):
+        data = generate_synthetic(kind, dims, sigma=0.1, seed=5)
+        out = write_fixture(tmp_path / "bundle", data)
+        reads = []
+
+        def counted(path, error=ValueError):
+            reads.append(pathlib.Path(path).name)
+            return read_csv_rows(path, error)
+
+        monkeypatch.setattr(datamod, "read_csv_rows", counted)
+        cached = load_fixture(out)
+        assert reads == []
+        for key in keys:
+            (out / f"{key}.npy").unlink()
+        parsed = load_fixture(out)
+        assert sorted(reads) == sorted(f"{key}.csv" for key in keys)
+        for key in keys:
+            assert cached[key].dtype == parsed[key].dtype == np.asarray(data[key]).dtype
+            assert cached[key].shape == parsed[key].shape == np.shape(data[key])
+            assert cached[key].tobytes() == parsed[key].tobytes()
+        assert set(cached) == set(parsed) and "cache" not in cached
+
+    def test_same_size_edit_of_the_csv_is_read_from_the_csv(self, tmp_path):
+        data = generate_synthetic("sparse_vector", (4, 6), sigma=0.0, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        text = (out / "A.csv").read_text()
+        i = next(i for i, ch in enumerate(text) if ch in "12345678")
+        edited = text[:i] + str(int(text[i]) + 1) + text[i + 1:]
+        (out / "A.csv").write_text(edited)
+        assert len(edited) == len(text)
+        back = load_fixture(out)["A"]
+        assert back.tobytes() == read_csv_rows(out / "A.csv").tobytes()
+        assert np.sum(back != data["A"]) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "truncated_and_recorded",
+                                        "other_array"])
+    def test_damaged_cache_falls_back_to_the_csv(self, tmp_path, damage):
+        data = generate_synthetic("sparse_vector", (4, 6), sigma=0.1, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        npy = out / "A.npy"
+        if damage == "other_array":
+            np.save(npy, data["A"] + 1.0)
+        else:
+            npy.write_bytes(npy.read_bytes()[:-9])
+        if damage == "truncated_and_recorded":
+            # a record that matches the damaged file: np.load itself fails
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["cache"]["A.npy"] = datamod._file_check(npy)
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        back = load_fixture(out)
+        assert back["A"].tobytes() == data["A"].tobytes()
+        assert back["y"].tobytes() == data["y"].tobytes()
+
+    @pytest.mark.parametrize("npy_files", ["absent", "stale"])
+    def test_bundle_without_a_cache_record_loads(self, tmp_path, npy_files):
+        data = generate_synthetic("sparse_vector", (4, 6), sigma=0.1, seed=2)
+        out = write_fixture(tmp_path / "bundle", data)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["cache"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        for key in ("A", "y", "x_true"):
+            if npy_files == "absent":
+                (out / f"{key}.npy").unlink()
+            else:
+                np.save(out / f"{key}.npy", np.zeros((6, 1)))
+        back = load_fixture(out)
+        for key in ("A", "y", "x_true"):
+            assert back[key].tobytes() == data[key].tobytes()
 
     def test_build_from_config_with_fixture(self, tmp_path):
         data = generate_synthetic("sparse_vector", (5, 8), sigma=0.0, seed=2)
