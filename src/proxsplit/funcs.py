@@ -423,7 +423,12 @@ class ConsensusIndicator(ProxFn):
 
 
 class SeparableProx(ProxFn):
-    """Blockwise sum of prox-capable functions over a partition of indices."""
+    """Blockwise sum of prox-capable functions over a partition of indices.
+
+    A block whose indices run contiguously upward is held as a slice, so
+    reading it is a view and writing it a slice store; any other block is
+    gathered and scattered through its index array.
+    """
 
     def __init__(self, parts, dim: int):
         self.dim = int(dim)
@@ -439,6 +444,9 @@ class SeparableProx(ProxFn):
                 raise DimensionError(
                     f"a block of {idx.size} indices holds a function of length {fn.dim}")
             seen[idx] = True
+            start = int(idx[0])
+            if start >= 0 and np.array_equal(idx, np.arange(start, start + idx.size)):
+                idx = slice(start, start + idx.size)
             self.parts.append((fn, idx))
         if not np.all(seen):
             raise ValueError("blocks do not cover all coordinates")

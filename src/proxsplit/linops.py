@@ -491,33 +491,48 @@ class Grad2D(LinearOperator):
         self.cols = cols
         self.boundary = boundary
 
+    # Both kernels write their differences in place, into the arrays they
+    # return: at 256^2 a temporary per difference cost more than the arithmetic.
     def _apply(self, x):
-        img = x.reshape(self.rows, self.cols)
+        shape = (self.rows, self.cols)
+        img = x.reshape(shape)
+        out = np.empty(2 * img.size)
+        dx = out[:img.size].reshape(shape)
+        dy = out[img.size:].reshape(shape)
+        np.subtract(img[:, 1:], img[:, :-1], out=dx[:, :-1])
+        np.subtract(img[1:, :], img[:-1, :], out=dy[:-1, :])
         if self.boundary == NEUMANN:
-            dx = np.zeros_like(img)
-            dy = np.zeros_like(img)
-            dx[:, :-1] = img[:, 1:] - img[:, :-1]
-            dy[:-1, :] = img[1:, :] - img[:-1, :]
+            dx[:, -1] = 0.0
+            dy[-1, :] = 0.0
         else:
-            dx = np.roll(img, -1, axis=1) - img
-            dy = np.roll(img, -1, axis=0) - img
-        return np.concatenate([dx.ravel(), dy.ravel()])
+            np.subtract(img[:, 0], img[:, -1], out=dx[:, -1])
+            np.subtract(img[0, :], img[-1, :], out=dy[-1, :])
+        return out
 
     def _adjoint(self, y):
+        shape = (self.rows, self.cols)
         n = self.rows * self.cols
-        yx = y[:n].reshape(self.rows, self.cols)
-        yy = y[n:].reshape(self.rows, self.cols)
-        ax = np.zeros_like(yx)
-        ay = np.zeros_like(yy)
+        yx = y[:n].reshape(shape)
+        yy = y[n:].reshape(shape)
+        # each term in the order of the sums it replaces, so signed zeros
+        # come out as they did: 0.0 + y, then - y, then ax + ay
+        ax = np.empty(shape)
+        ay = np.empty(shape)
         if self.boundary == NEUMANN:
-            ax[:, 1:] += yx[:, :-1]
-            ax[:, :-1] -= yx[:, :-1]
-            ay[1:, :] += yy[:-1, :]
-            ay[:-1, :] -= yy[:-1, :]
+            ax[:, 0] = 0.0
+            np.add(yx[:, :-1], 0.0, out=ax[:, 1:])
+            np.subtract(ax[:, :-1], yx[:, :-1], out=ax[:, :-1])
+            ay[0, :] = 0.0
+            np.add(yy[:-1, :], 0.0, out=ay[1:, :])
+            np.subtract(ay[:-1, :], yy[:-1, :], out=ay[:-1, :])
         else:
-            ax = np.roll(yx, 1, axis=1) - yx
-            ay = np.roll(yy, 1, axis=0) - yy
-        return (ax + ay).ravel()
+            np.subtract(yx[:, :-1], yx[:, 1:], out=ax[:, 1:])
+            np.subtract(yx[:, -1], yx[:, 0], out=ax[:, 0])
+            np.subtract(yy[:-1, :], yy[1:, :], out=ay[1:, :])
+            np.subtract(yy[-1, :], yy[0, :], out=ay[0, :])
+        # into ay: NumPy adds a one-element array in place into its first
+        # operand with the operands swapped, which changes the NaN it returns
+        return np.add(ax, ay, out=ay).ravel()
 
     def _norm_bound(self):
         # the largest eigenvalue of a path Laplacian (Neumann) is

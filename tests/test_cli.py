@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import proxsplit
+from proxsplit import cli
 from proxsplit.cli import main
+from proxsplit.problems import ProblemInstance, build_from_config
+from proxsplit.solvers import SolverConfig
 
 # SHA-256 of the report.json of ``certify all`` at seed 0.  Like the golden
 # traces (see tests/test_golden_traces.py), it is generated from the commit
@@ -171,6 +174,49 @@ class TestSolve:
         assert main(["solve", cfg, "--out", str(out1)]) == 0
         assert main(["solve", cfg, "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def _libc_raising(exc):
+    def libc(name):
+        raise exc("no C library to open")
+    return libc
+
+
+class TestRetainedHeap:
+    @staticmethod
+    def small_solve_config(tmp_path):
+        return write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "y": [3.0, 0.5], "lambda": 1.0},
+            "recipe": "fista",
+            "solver": {"max_iter": 20},
+        })
+
+    @pytest.mark.parametrize("libc", [_libc_raising(OSError), _libc_raising(TypeError),
+                                      lambda name: object()],
+                             ids=["no_libc", "no_libc_windows", "no_mallopt"])
+    def test_solve_runs_without_mallopt(self, tmp_path, monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        out = tmp_path / "run"
+        assert main(["solve", self.small_solve_config(tmp_path), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["iterations"] == 20
+
+    def test_only_the_cli_entry_sets_the_allocator(self, tmp_path):
+        # in a fresh interpreter, since this one may have run main already
+        code = ("import ctypes, sys\n"
+                "calls = []\n"
+                "class Libc:\n"
+                "    def __init__(self, name):\n"
+                "        self.mallopt = lambda *args: calls.append(args) or 1\n"
+                "ctypes.CDLL = Libc\n"
+                "import proxsplit, proxsplit.cli, proxsplit.suite\n"
+                "assert calls == [], calls\n"
+                "assert proxsplit.cli.main(['solve', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "assert calls == [(-3, 32 << 20), (-1, 256 << 20)], calls\n")
+        src = str(pathlib.Path(proxsplit.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code, self.small_solve_config(tmp_path),
+                               str(tmp_path / "run")], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCompare:
@@ -659,6 +705,30 @@ class TestGenerate:
         assert main(["generate", cfg, "--out", str(out2)]) == 0
         for name in ("manifest.json", "y.csv", "x_true.csv", "y.npy", "x_true.npy"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_lasso_reference_stops_at_a_certified_gap(self, tmp_path, monkeypatch):
+        traces = []
+        run = ProblemInstance.run
+
+        def spy(inst, recipe, cfg=None):
+            trace, x = run(inst, recipe, cfg)
+            traces.append(trace)
+            return trace, x
+
+        monkeypatch.setattr(ProblemInstance, "run", spy)
+        cfg = write_config(tmp_path / "gen.json",
+                           {"kind": "lasso", "dims": [32, 64], "sigma": 0.01, "seed": 3})
+        bundle = tmp_path / "lasso32"
+        assert main(["generate", cfg, "--out", str(bundle)]) == 0
+        monkeypatch.undo()
+        (reference,) = traces
+        assert reference.termination == "tol_reached"
+        # the gap bounds P(x) - P*, and a long run's objective is above P*
+        # by far less than the gap
+        expected = json.loads((bundle / "manifest.json").read_text())["expected"]["objective"]
+        inst = build_from_config({"kind": "lasso", "fixture": str(bundle)})
+        _, x = inst.run("fista", SolverConfig(max_iter=20_000))
+        assert abs(expected - inst.objective(x)) <= reference.meta["gap"]
 
     def test_generated_bundle_loads_into_solve(self, tmp_path):
         gen = write_config(tmp_path / "gen.json",

@@ -503,6 +503,24 @@ class TestSeparable:
         x = np.array([1.0, -1.0, 0.2])
         assert np.array_equal(fn.prox(x, 2.0), L1Norm(0.5).prox(x, 2.0))
 
+    def test_blocks_out_of_order_are_gathered(self):
+        # an ascending contiguous block is held as a slice; a permuted,
+        # gapped or descending one keeps its index array, and each block's
+        # function still sees its coordinates in the order given
+        rng = np.random.default_rng(5)
+        blocks = [(Quadratic(IdentityOperator(3), rng.standard_normal(3)), [4, 0, 2]),
+                  (Quadratic(IdentityOperator(2), rng.standard_normal(2)), [3, 1]),
+                  (L1Norm(0.5), [5, 6, 7]),
+                  (Quadratic(IdentityOperator(2), rng.standard_normal(2), 3.0), [9, 8])]
+        fn = SeparableProx(blocks, 10)
+        assert [type(idx) for _, idx in fn.parts] == [np.ndarray, np.ndarray, slice, np.ndarray]
+        x = rng.standard_normal(10)
+        gathered = np.empty(10)
+        for part, idx in blocks:
+            gathered[idx] = part._prox(x[idx], 0.7)
+        assert fn._prox(x, 0.7).tobytes() == gathered.tobytes()
+        assert fn._value(x) == float(sum(part._value(x[idx]) for part, idx in blocks))
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             SeparableProx([(L1Norm(1.0), [0, 1]), (L1Norm(1.0), [1, 2])], 3)

@@ -186,6 +186,70 @@ class TestAdjoint:
         assert rep.passed, f"{op.kind}: defect {rep.details[0]['max_defect']}"
 
 
+def grad2d_reference(op, x):
+    # the allocating formulas Grad2D._apply replaced, kept as the reference
+    img = x.reshape(op.rows, op.cols)
+    if op.boundary == "neumann":
+        dx = np.zeros_like(img)
+        dy = np.zeros_like(img)
+        dx[:, :-1] = img[:, 1:] - img[:, :-1]
+        dy[:-1, :] = img[1:, :] - img[:-1, :]
+    else:
+        dx = np.roll(img, -1, axis=1) - img
+        dy = np.roll(img, -1, axis=0) - img
+    return np.concatenate([dx.ravel(), dy.ravel()])
+
+
+def grad2d_adjoint_reference(op, y):
+    # the allocating formulas Grad2D._adjoint replaced, kept as the reference
+    n = op.rows * op.cols
+    yx = y[:n].reshape(op.rows, op.cols)
+    yy = y[n:].reshape(op.rows, op.cols)
+    ax = np.zeros_like(yx)
+    ay = np.zeros_like(yy)
+    if op.boundary == "neumann":
+        ax[:, 1:] += yx[:, :-1]
+        ax[:, :-1] -= yx[:, :-1]
+        ay[1:, :] += yy[:-1, :]
+        ay[:-1, :] -= yy[:-1, :]
+    else:
+        ax = np.roll(yx, 1, axis=1) - yx
+        ay = np.roll(yy, 1, axis=0) - yy
+    return (ax + ay).ravel()
+
+
+GRAD_SHAPES = [(1, 1), (1, 6), (6, 1), (5, 7)]
+
+
+class TestGrad2DKernels:
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("shape", GRAD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_bytes_equal_the_reference(self, boundary, shape):
+        # signed zeros, infinities and NaNs included: every output bit,
+        # the sign of a zero and of a NaN too, is the reference's
+        op = Grad2D(*shape, boundary)
+        rng = np.random.default_rng(sum(shape))
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25])
+        with np.errstate(invalid="ignore"):
+            for _ in range(50):
+                x = rng.choice(values, op.in_dim)
+                y = rng.choice(values, op.out_dim)
+                assert op._apply(x).tobytes() == grad2d_reference(op, x).tobytes()
+                assert op._adjoint(y).tobytes() == grad2d_adjoint_reference(op, y).tobytes()
+
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("shape", GRAD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_adjoint_identity(self, boundary, shape):
+        # small integers keep every product and sum exact, so <Kx, y> and
+        # <x, K*y> agree bitwise
+        op = Grad2D(*shape, boundary)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.integers(-4, 5, op.in_dim).astype(float)
+            y = rng.integers(-4, 5, op.out_dim).astype(float)
+            assert float(op._apply(x) @ y) == float(x @ op._adjoint(y))
+
+
 class NoClosedForm(LinearOperator):
     """An operator class with neither ``_norm_bound`` nor ``gram_symbol``."""
 
