@@ -230,8 +230,8 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
     contraction = 1.0 / (1.0 - tau * sigma * L * L)
     init = float(dy0 @ dy0) / (2 * sigma) + float(dx0 @ dx0) / (2 * tau)
     for xn, yn in zip(trace.iterates, trace.meta["dual_iterates"]):
-        lhs = (float(np.sum((yn - y_star) ** 2)) / (2 * sigma)
-               + float(np.sum((xn - x_star) ** 2)) / (2 * tau))
+        lhs = (float(((yn - y_star) ** 2).sum()) / (2 * sigma)
+               + float(((xn - x_star) ** 2).sum()) / (2 * tau))
         margins.append(contraction * init - lhs + 1e-6 * (1.0 + init))
     return _report_from_margins("cp_gap_certificate", instance, margins, details)
 
@@ -384,9 +384,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
             return
         details.append({
             "property": name,
-            "pass": bool(np.all(margins >= 0)),
-            "worst_margin": float(np.min(margins)),
-            "n_violations": int(np.sum(~(margins >= 0))),
+            "pass": bool((margins >= 0).all()),
+            "worst_margin": float(margins.min()),
+            "n_violations": int((~(margins >= 0)).sum()),
         })
         all_margins.extend(margins.tolist())
 
@@ -397,13 +397,13 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
             x = radius * rng.standard_normal(dim)
             y = radius * rng.standard_normal(dim)
             gx, gy = fn.grad(x), fn.grad(y)
-            rhs = fn.value(y) + float(gy @ (x - y)) + 0.5 * L * float(np.sum((x - y) ** 2))
+            rhs = fn.value(y) + float(gy @ (x - y)) + 0.5 * L * float(((x - y) ** 2).sum())
             descent.append(rhs - fn.value(x) + _slack(rhs))
             inner = float((gx - gy) @ (x - y))
             if fn.convex and L > 0:
-                coco.append(inner - float(np.sum((gx - gy) ** 2)) / L + _slack(inner))
+                coco.append(inner - float(((gx - gy) ** 2).sum()) / L + _slack(inner))
             if fn.strong_convexity > 0:
-                strong.append(inner - fn.strong_convexity * float(np.sum((x - y) ** 2))
+                strong.append(inner - fn.strong_convexity * float(((x - y) ** 2).sum())
                               + _slack(inner))
         add("descent_lemma", descent)
         if coco:
@@ -430,17 +430,18 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
             for _ in range(trials):
                 x = radius * rng.standard_normal(dim)
                 y = radius * rng.standard_normal(dim)
-                gamma = float(rng.choice(gammas))
+                # the same draw as rng.choice(gammas), without its overhead
+                gamma = float(gammas[rng.integers(len(gammas))])
                 p = fn.prox(x, gamma)
                 q = fn.prox(y, gamma)
-                dd = float(np.sum((x - y) ** 2))
-                firm.append(dd - float(np.sum((p - q) ** 2))
-                            - float(np.sum(((x - p) - (y - q)) ** 2)) + _slack(dd))
+                dd = float(((x - y) ** 2).sum())
+                pq = float(((p - q) ** 2).sum())
+                cc = float((((x - p) - (y - q)) ** 2).sum())
+                firm.append(dd - pq - cc + _slack(dd))
                 rp = 2.0 * p - x
                 rq = 2.0 * q - y
                 rprox.append(np.sqrt(dd) - np.linalg.norm(rp - rq) + _slack(np.sqrt(dd)))
-                firm_c.append(dd - float(np.sum(((x - p) - (y - q)) ** 2))
-                              - float(np.sum((p - q) ** 2)) + _slack(dd))
+                firm_c.append(dd - cc - pq + _slack(dd))
                 moreau_defect = np.linalg.norm(
                     p + gamma * conj.prox(x / gamma, 1.0 / gamma) - x)
                 moreau.append(1e-8 - moreau_defect)
@@ -469,9 +470,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
             opt = []
             for _ in range(trials):
                 x = radius * rng.standard_normal(dim)
-                gamma = float(rng.choice(gammas))
+                gamma = float(gammas[rng.integers(len(gammas))])
                 p = fn.prox(x, gamma)
-                lhs = fn.value(p) + float(np.sum((p - x) ** 2)) / (2 * gamma)
+                lhs = fn.value(p) + float(((p - x) ** 2).sum()) / (2 * gamma)
                 opt.append(fn.value(x) - lhs + _slack(lhs))
             add("prox_optimality_vs_input", opt)
         if fn.minimizer is not None:

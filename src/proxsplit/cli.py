@@ -77,14 +77,8 @@ def _solver_config(spec, where: str = "solver") -> SolverConfig:
 
 
 def _fmt(v) -> str:
-    f = float(v)
-    if np.isnan(f):
-        return "nan"
-    if np.isposinf(f):
-        return "inf"
-    if np.isneginf(f):
-        return "-inf"
-    return repr(f)
+    # repr spells a NaN of either sign "nan" and the infinities "inf", "-inf"
+    return repr(float(v))
 
 
 def _write_trace_csv(path, trace) -> None:

@@ -180,8 +180,7 @@ def build_lasso(A: LinearOperator, y, lam: float,
         objective=_checked(objective, A.in_dim),
         recipes=recipes,
         ground_truth=ground_truth,
-        metadata={"lambda": lam, "dim": A.in_dim, "lipschitz": f.lipschitz,
-                  "f": f, "g": g},
+        metadata={"lambda": lam, "dim": A.in_dim, "f": f, "g": g},
     )
 
 

@@ -183,6 +183,12 @@ class _Recorder:
         the iterates.  A +inf objective is a legal infeasible iterate, not
         divergence.  With ``cfg.gap_tol > 0`` the gap of ``gap_args`` is
         evaluated and recorded; it is never evaluated otherwise.
+
+        ``x_prev`` is always finite: it is the start point, validated at the
+        solver's entry, or the ``x_new`` of the previous record, which
+        passed this check.  So a NaN or infinite entry of ``x_new`` makes
+        ``d @ d`` NaN or +inf, and ``x_new`` is scanned for one only when
+        the step residual is not finite.
         """
         # the float np.linalg.norm computes for a 1-d array, without its overhead
         d = np.asarray(x_new) - np.asarray(x_prev)
@@ -205,7 +211,7 @@ class _Recorder:
                         else not (math.isinf(objective) and objective > 0)):
             self.termination = DIVERGED
             return True
-        if not np.isfinite(x_new).all():
+        if not math.isfinite(residual) and not np.isfinite(x_new).all():
             self.termination = DIVERGED
             return True
         # a run that tracks no objective stops at an absolute gap

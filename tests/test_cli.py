@@ -176,6 +176,20 @@ class TestSolve:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+class TestTraceCsvFormat:
+    @pytest.mark.parametrize("value, text", [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (-0.0, "-0.0"),
+        (5e-324, "5e-324"),
+        (1.7976931348623157e+308, "1.7976931348623157e+308"),
+        (np.float64(0.1), "0.1"),
+    ])
+    def test_values_are_spelled_out(self, value, text):
+        assert cli._fmt(value) == text
+
+
 def _libc_raising(exc):
     def libc(name):
         raise exc("no C library to open")
@@ -633,11 +647,26 @@ class TestResolvedConfig:
         out = tmp_path / "run"
         assert main(["solve", cfg, "--out", str(out)]) == 0
         solver = json.loads((out / "resolved_config.json").read_text())["solver"]
-        lipschitz = build_from_config(problem).metadata["lipschitz"]
+        lipschitz = build_from_config(problem).metadata["f"].lipschitz
         assert solver["max_iter"] == 2000
         assert solver["gamma"] == 1.0 / lipschitz
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] == 2000
+
+    @pytest.mark.parametrize("recipe, norms", [("dr", 0), ("fista", 1)])
+    def test_lasso_computes_the_norm_only_for_a_stepsize(
+            self, tmp_path, lasso_fixture_dir, monkeypatch, recipe, norms):
+        # dr solves with the Gram eigenbasis and never needs ||A||, which a
+        # dense matrix bounds through eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "fixture": str(lasso_fixture_dir)},
+            "recipe": recipe, "solver": {"max_iter": 5}})
+        assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == norms
 
     def test_cp_records_the_stepsizes_that_ran(self, tmp_path):
         pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]

@@ -87,6 +87,32 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             Quadratic(IdentityOperator(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("op", [
+        DenseOperator(np.random.default_rng(2).standard_normal((5, 7))),
+        Grad2D(3, 4),
+        ComposedOperator(MaskOperator([1, 0] * 14), Grad2D(2, 7)),
+    ], ids=["dense", "grad2d", "composed"])
+    def test_prox_forms_the_data_term_once_per_weight(self, op):
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(op.out_dim)
+        q = Quadratic(op, b, 1.5)
+        calls = []
+        adjoint = op._adjoint
+
+        def counting(y):
+            calls.append(y is q.b)
+            return adjoint(y)
+
+        q.A._adjoint = counting
+        for gamma in (0.3, 0.3, 0.3, 2.0, 2.0, 0.3):
+            x = rng.standard_normal(op.in_dim)
+            w = gamma * 1.5
+            # the formula of a prox that forms w A* b every time
+            expected = gram_solver([(w, op)], 1.0)(x + w * adjoint(b))
+            assert q.prox(x, gamma).tobytes() == expected.tobytes()
+        # once per change of the weight: 0.3, 2.0, then 0.3 again
+        assert sum(calls) == 3
+
 
 def _kernel(shape, seed=5):
     return np.random.default_rng(seed).standard_normal(shape)
@@ -365,6 +391,15 @@ class TestSoftThreshold:
 
     def test_negative_branch(self):
         assert L1Norm(1.0).prox(np.array([-3.0]), 1.0) == pytest.approx([-2.0])
+
+    def test_bytes_equal_the_allocating_formula(self):
+        # the in-place steps keep every bit, signed zeros and NaNs included
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25, 0.5])
+        for t in (0.0, 1.0, np.inf, np.linspace(-1.0, 2.0, x.size)):
+            with np.errstate(invalid="ignore"):
+                expected = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+                assert soft_threshold(x, t).tobytes() == expected.tobytes()
+        assert soft_threshold(-3.0, 1.0) == -2.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

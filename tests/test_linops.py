@@ -218,7 +218,9 @@ def grad2d_adjoint_reference(op, y):
     return (ax + ay).ravel()
 
 
-GRAD_SHAPES = [(1, 1), (1, 6), (6, 1), (5, 7)]
+# cols = 2 and the 2-row grids exercise the column and row fix-ups of the
+# flat kernels; 64x64 is past every small-size special case
+GRAD_SHAPES = [(1, 1), (1, 6), (6, 1), (5, 7), (2, 2), (2, 3), (3, 2), (64, 64)]
 
 
 class TestGrad2DKernels:

@@ -1004,6 +1004,32 @@ class TestNonFiniteIntermediate:
         assert trace.n_iter <= 5
 
 
+class TestRecorderFiniteness:
+    # the recorder scans x_new only once the step residual is not finite;
+    # from a finite x_prev, a non-finite entry always makes it so
+
+    @pytest.mark.parametrize("objective", [1.0, None], ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_diverges_at_that_step(self, bad, objective):
+        rec = _Recorder(np.zeros(3), 0.0, SolverConfig())
+        assert not rec.record(np.ones(3), np.zeros(3), objective)
+        assert rec.record(np.array([1.0, bad, 1.0]), np.ones(3), objective)
+        assert rec.termination == DIVERGED
+        trace = rec.finish(np.ones(3))
+        assert trace.n_iter == 2
+        assert not np.isfinite(trace.residual[1])
+
+    @pytest.mark.parametrize("objective", [1.0, None], ids=["tracked", "untracked"])
+    def test_overflowing_finite_step_goes_on(self, objective):
+        # d @ d overflows to inf, yet every entry of x_new is finite
+        rec = _Recorder(np.zeros(2), 0.0, SolverConfig())
+        with np.errstate(over="ignore"):
+            assert not rec.record(np.full(2, 1e200), np.full(2, -1e200), objective)
+            assert not rec.record(np.full(2, 1.0), np.full(2, 1e200), objective)
+        assert rec.termination == ITER_CAP
+        assert rec.finish(np.ones(2)).residual[0] == np.inf
+
+
 class TestValidationOutsideTheLoop:
     @staticmethod
     def _runs():
