@@ -230,11 +230,18 @@ class Quadratic(SmoothFn, ProxFn):
         return self._lip
 
     def _value(self, x):
-        r = self.A._apply(x) - self.b
-        return 0.5 * self.scale * float(r @ r)
+        return self._value_from(self.A._apply(x))
 
     def _grad(self, x):
-        return self.scale * self.A._adjoint(self.A._apply(x) - self.b)
+        return self._grad_from(self.A._apply(x))
+
+    # f and its gradient at a point z, from the product A z
+    def _value_from(self, Az):
+        r = Az - self.b
+        return 0.5 * self.scale * float(r @ r)
+
+    def _grad_from(self, Az):
+        return self.scale * self.A._adjoint(Az - self.b)
 
     def _prox(self, x, gamma):
         w = gamma * self.scale

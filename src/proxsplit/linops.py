@@ -304,7 +304,8 @@ class LinearOperator:
         self.out_dim = int(out_dim)
         self.cached_norm: float | None = None
 
-    # concrete classes implement _apply/_adjoint on validated arrays
+    # concrete classes implement _apply/_adjoint on validated arrays, each
+    # returning a new array that the caller may keep
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

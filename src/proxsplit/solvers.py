@@ -354,7 +354,7 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
 def _fista_t_coefs():
     t = 1.0
     while True:
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         yield (t - 1.0) / t_next
         t = t_next
 
@@ -364,44 +364,62 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
                         objective=None, gap=None) -> SolverTrace:
     # x+ = prox_{gamma g}(y - gamma grad f(y)) with y = x + coef (x - x_prev),
     # coef drawn from ``coefs``; without coefs y = x and f + g is tracked for
-    # the decrease monitor, whatever ``objective`` reports
+    # the decrease monitor, whatever ``objective`` reports.  The row of x_n
+    # is recorded in iteration n + 1, whose one product w = A y_{n+1} of a
+    # Quadratic f also gives A x_n (see forward_backward)
     x = _start(x0, f.dim, g.dim)
-    x_prev = x
-    inner = lambda z: f._value(z) + g._value(z)
-    report = objective if objective is not None else inner
-    rec = _Recorder(x, report(x), cfg, gap)
-    j_prev = inner(x) if coefs is None else None
-    extras = None
-    for n in range(1, cfg.max_iter + 1):
-        if coefs is None:
-            y = x
+    A = f.A if isinstance(f, Quadratic) else None
+    rec = _Recorder(x, objective(x) if objective is not None
+                    else f._value(x) + g._value(x), cfg, gap)
+    j_prev = rec.objective0
+    x_prev = x_prev2 = x
+    extras = row_coef = None
+    # max_iter steps, then a pass that only records the last row (no pass
+    # and no row for max_iter 0)
+    for n in range(1, cfg.max_iter + 2 if cfg.max_iter else 1):
+        last = n > cfg.max_iter
+        if coefs is None or last:
+            c, y = 0.0, x
         else:
-            coef = next(coefs)
-            y = x + coef * (x - x_prev)
-            extras = {"inertia_coef": coef}
-        x_new = g._prox(y - gamma * f._grad(y), gamma)
-        j_new = inner(x_new) if coefs is None else None
-        if monitor:
-            sq = float(np.sum((x_new - x) ** 2))
-            a = 1.0 / (2.0 * gamma) - f.lipschitz / 2.0
-            margin = j_prev - j_new - a * sq
-            if margin < -1e-8:
-                raise DecreaseViolation(
-                    f"sufficient-decrease violated at iteration {n}: margin {margin:.3e}"
-                )
-            extras = {
-                "h1_margin": margin,
-                "h2_witness_norm": np.sqrt(sq) / gamma,
-            }
-        value = j_new if j_new is not None and objective is None else report(x_new)
-        # inertia also reads x_prev; once x - x_prev is zero, its n-dependent
-        # coefficient multiplies zero
-        stop = rec.record(x_new, x, value, extras, (x_new,)) or (
-            cfg.stop_at_fixed_point
-            and rec.fixed_point((x_new, x), (x, x if coefs is None else x_prev)))
-        x_prev, x, j_prev = x, x_new, j_new
-        if stop:
+            c = next(coefs)
+            y = x + c * (x - x_prev)
+        if A is not None:
+            w = A._apply(y)
+            if objective is None:
+                # y equal to x in value, not in bytes: y = x + c (+0) turns a -0 of
+                # a settled x into +0, and the rows after a fixed point must repeat
+                same = y is x or not np.count_nonzero(y != x)
+                Ax = w if same else (w + c * Ax) / (1.0 + c)
+        if n > 1:
+            if objective is not None:
+                value = objective(x)
+            else:
+                value = (f._value(x) if A is None else f._value_from(Ax)) + g._value(x)
+            if coefs is not None:
+                extras = {"inertia_coef": row_coef}
+            if monitor:
+                sq = float(np.sum((x - x_prev) ** 2))
+                a = 1.0 / (2.0 * gamma) - f.lipschitz / 2.0
+                margin = j_prev - value - a * sq
+                if margin < -1e-8:
+                    raise DecreaseViolation(
+                        f"sufficient-decrease violated at iteration {n - 1}: "
+                        f"margin {margin:.3e}")
+                extras = {
+                    "h1_margin": margin,
+                    "h2_witness_norm": np.sqrt(sq) / gamma,
+                }
+                j_prev = value
+            # inertia also reads x_prev; once x - x_prev is zero, its
+            # n-dependent coefficient multiplies zero
+            if rec.record(x, x_prev, value, extras, (x,)) or (
+                    cfg.stop_at_fixed_point and rec.fixed_point(
+                        (x, x_prev), (x_prev, x_prev if coefs is None else x_prev2))):
+                break
+        if last:
             break
+        x_new = g._prox(y - gamma * (f._grad(y) if A is None else f._grad_from(w)), gamma)
+        x_prev2, x_prev, x, row_coef = x_prev, x, x_new, c
     return rec.finish(x, {"gamma": gamma}, (x,))
 
 
@@ -418,6 +436,21 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     recovered primal value); the minimized function stays f + g.
     ``gap(x)`` is the duality gap of the point ``x`` the run would return
     (see :class:`SolverConfig` ``gap_tol``).
+
+    For a :class:`~proxsplit.funcs.Quadratic` f = (s/2)||A x - b||^2 and no
+    ``objective``, a run of n iterations makes n + 2 products with A (one
+    per iteration, one for the start's row, one for the last row) and n
+    with A*.  An iteration's product w = A y gives the gradient
+    s A*(w - b) on y's own bits, so the iterates are those of a direct
+    gradient.  Row n's f(x_n) is recorded once w = A y_{n+1} is known: from
+    A x_n = w when y_{n+1} equals x_n in value, which holds for every
+    ``none`` row and every row after a fixed point, and otherwise from
+    A x_n = (w + c A x_{n-1}) / (1 + c), c the coefficient of
+    y_{n+1} = x_n + c (x_n - x_{n-1}).  So the objective column is exact
+    without inertia and within rounding of the direct product with it
+    (relative differences of a few 1e-16 on the test lassos); the start's
+    and the last row's products are direct.
+    ``objective`` rows are ``objective(x_n)``, formed directly.
     """
     cfg = cfg or SolverConfig()
     L = f.lipschitz

@@ -14,6 +14,16 @@ depend on NumPy's pocketfft in the same way: the circular convolution of
 ``tv_inverse_conv/*`` and the DCT graph projection of ``tv_denoise/dr_split``,
 ``tv_denoise/ppxa`` and ``tvl1/dr_split``.  The gradient norms are evaluated
 in long double, so the hashes assume the x86-64 extended format.
+
+The ``trace.csv`` hashes of ``lasso/fista``, ``lasso/fista_beta``,
+``lasso/vfista`` and ``wavelet_reg/fista`` moved once, when the
+prox-gradient loop stopped forming A x_n for the recorded objective and
+began to recombine it from the gradient's product, A x_n = (A y_{n+1} +
+c A x_{n-1}) / (1 + c): those objective columns differ from the direct
+product in the last bits.  Their ``trace.x`` hashes did not move, since the
+gradient still takes the product of y's own bits and every iterate is the
+same.  The plain ``fb`` cases take A x_n = A y_{n+1} with y = x, and keep
+their hashes.
 """
 import hashlib
 
@@ -152,13 +162,13 @@ GOLDEN = {
         "91aec5e581915d779481d0feeccf688ade5ded52d3a56766423983deffe47d92",
         "34bc84a85346c8eabab8f0f75ba7f3ebb36b9f431b39b3bbdfb35235caee9523"),
     "lasso/fista": (
-        "237bbd79a0c398b483dbe2be78becccb7f7b640effdaa8ba3d76ad6359aba522",
+        "5a0112f36e504df62dc7ceb897ab81861f76fdd8924ad2cd0895e771989cbecd",
         "e6ef8ff9275b55a453d444290d58fe1a9352b0f314c13482b29e486c825264df"),
     "lasso/fista_beta": (
-        "e8801a2bd4b687a8576f9c2a4d7261afbc551c5b36383ea4ea9299c6aa20ed8e",
+        "d23113df04433f6268a8376c398def39069d8b5f3c0edbe13695371776bcda87",
         "b479feead68037f50666048ae80aa587c3054b8caee9d5f7ae273f63fda38bb7"),
     "lasso/vfista": (
-        "239dfb43220d9655a3bc8dd0d9d324a94c353015892b7bac26da74b009b8457b",
+        "f6fc9312634662a7f4fdd75c33761ddf81160ca97945e9432d3e3b7cbedbe2ee",
         "f3804ed379dcb1adc7952f569e89e27a3cc6584f29a99cb9e273c336ca1e898f"),
     "nonconvex/double_well": (
         "a5f8b96b795fb276606ae3dbc461996031d1cd0e0317304a7eb6dc1678dfe449",
@@ -203,7 +213,7 @@ GOLDEN = {
         "8736b490e3941cc73d81279b0637f2b706354c9e48791436a7abd97542ab514b",
         "3c596a036816f68e88afbc4c436258550b55f41c8a4c2beff21712dd0c9db111"),
     "wavelet_reg/fista": (
-        "d5776e7b62ca42dd088f31ea76e238c1ee2662515e28cafe777d34c7aa5a7094",
+        "b2ec913033cd53497cf2bb0aca798b9f9dab94d39fd99901c85072c91000d001",
         "785dfcc5a9f2380d5c7e9d377ddd965ee5523c17689c267428c2c4a8c4d6f1af"),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,9 @@ from proxsplit.solvers import (
     ITER_CAP,
     TOL_REACHED,
     ConfigError,
+    DecreaseViolation,
     SolverConfig,
+    _fista_t_coefs,
     _Recorder,
     admm,
     arrow_hurwicz,
@@ -44,7 +47,12 @@ from proxsplit.solvers import (
     projected_gradient,
     proximal_point,
 )
-from proxsplit.suite import tv_denoise_fixture, tv_inverse_fixture
+from proxsplit.suite import (
+    lasso_dense_fixture,
+    lasso_diag_fixture,
+    tv_denoise_fixture,
+    tv_inverse_fixture,
+)
 
 
 def half_square(dim=1):
@@ -274,6 +282,149 @@ class TestNonconvexForwardBackward:
         f = half_square()
         with pytest.raises(ConfigError):
             nonconvex_forward_backward(f, ZeroFn(), [1.0], SolverConfig(gamma=1.0))
+
+
+def _lasso(fixture):
+    inst = fixture()
+    f, g = inst.metadata["f"], inst.metadata["g"]
+    return f, g, np.zeros(f.dim)
+
+
+def _direct_objective(f, g):
+    # f + g of a point, its A x formed anew
+    return lambda z: f._value(z) + g._value(z)
+
+
+class BrokenProx(ProxFn):
+    """l1 value with a prox that moves every point by +0.3: not a prox, so
+    the decrease monitor must catch it."""
+
+    def _value(self, x):
+        return float(np.abs(x).sum())
+
+    def _prox(self, x, gamma):
+        return x + 0.3
+
+
+class TestOneForwardProduct:
+    # a Quadratic f makes one forward product per iteration; the row of x_n
+    # is recorded one iteration late, its A x_n recombined from that product
+
+    @pytest.mark.parametrize("inertia", ["none", "fista_t", "fista_beta"])
+    def test_products_per_run(self, inertia, monkeypatch):
+        f, g, x0 = _lasso(lasso_dense_fixture)
+        f.lipschitz  # the norm, before the spy
+        calls = {"_apply": 0, "_adjoint": 0}
+        for name in calls:
+            original = getattr(DenseOperator, name)
+
+            def counted(self, v, name=name, original=original):
+                calls[name] += 1
+                return original(self, v)
+
+            monkeypatch.setattr(DenseOperator, name, counted)
+        trace = forward_backward(f, g, x0, SolverConfig(max_iter=50, inertia=inertia))
+        assert trace.n_iter == 50
+        # objective0, one per iteration, and the last row's direct product
+        assert calls == {"_apply": 52, "_adjoint": 50}
+
+    @pytest.mark.parametrize("fixture", [lasso_dense_fixture, lasso_diag_fixture])
+    def test_plain_rows_are_the_direct_objective(self, fixture):
+        f, g, x0 = _lasso(fixture)
+        cfg = SolverConfig(max_iter=200, keep_iterates=True)
+        direct = _direct_objective(f, g)
+        # the monitor's margins read the same rows
+        monitored = nonconvex_forward_backward(f, g, x0, cfg.with_(gamma=0.9 / f.lipschitz))
+        for trace in (forward_backward(f, g, x0, cfg), monitored):
+            rows = np.array([direct(z) for z in trace.iterates])
+            assert trace.objective_path().tobytes() == rows.tobytes()
+
+    def test_override_rows_are_the_override(self):
+        inst = tv_denoise_fixture()
+        y, grad = inst.metadata["y"], inst.metadata["grad"]
+        trace, _ = inst.run("dual_fb", SolverConfig(max_iter=200, keep_iterates=True))
+        rows = np.array([inst.objective(y + grad._adjoint(p)) for p in trace.iterates])
+        assert trace.objective_path().tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("fixture,inertia", [
+        (lasso_dense_fixture, "fista_t"), (lasso_dense_fixture, "fista_beta"),
+        (lasso_diag_fixture, "fista_t"), (lasso_diag_fixture, "fista_beta"),
+        (lasso_diag_fixture, "vfista")])
+    def test_inertial_rows_agree_with_the_direct_objective(self, fixture, inertia):
+        f, g, x0 = _lasso(fixture)
+        trace = forward_backward(f, g, x0, SolverConfig(max_iter=300, inertia=inertia,
+                                                        keep_iterates=True))
+        direct = _direct_objective(f, g)
+        rows = np.array([direct(z) for z in trace.iterates])
+        path = trace.objective_path()
+        assert path[0] == rows[0] and path[-1] == rows[-1]  # direct products
+        assert np.all(np.abs(path - rows) <= 1e-14 * np.abs(rows))
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    @pytest.mark.parametrize("inertia", ["none", "fista_t", "vfista"])
+    def test_shortest_runs(self, inertia, max_iter):
+        f, g, x0 = _lasso(lasso_diag_fixture)
+        trace = forward_backward(f, g, x0, SolverConfig(max_iter=max_iter, inertia=inertia,
+                                                        keep_iterates=True))
+        longer = forward_backward(f, g, x0, SolverConfig(max_iter=5, inertia=inertia,
+                                                         keep_iterates=True))
+        direct = _direct_objective(f, g)
+        assert trace.n_iter == max_iter and trace.termination == ITER_CAP
+        assert trace.objective_path().tobytes() == np.array(
+            [direct(z) for z in longer.iterates[:max_iter + 1]]).tobytes()
+        assert trace.x.tobytes() == longer.iterates[max_iter].tobytes()
+        assert trace.residual.tobytes() == longer.residual[:max_iter].tobytes()
+
+    def test_gap_stop_is_unmoved(self):
+        # the stop of the parent of the one-product loop: same n, same x bytes
+        inst = lasso_dense_fixture()
+        trace, _ = inst.run("fista", SolverConfig(gap_tol=1e-10))
+        assert trace.termination == TOL_REACHED and trace.n_iter == 535
+        assert hashlib.sha256(trace.x.tobytes()).hexdigest().startswith("0cf9e6333813aa42")
+        assert trace.meta["gap"] <= 1e-10 * (1.0 + abs(trace.objective[-1]))
+        # and the first row where the gap with the direct objective is small
+        full, _ = inst.run("fista", SolverConfig(max_iter=535, keep_iterates=True,
+                                                 gap_tol=1e-300))
+        f, g = inst.metadata["f"], inst.metadata["g"]
+        gaps = full.extras["gap"]
+        small = [gap <= 1e-10 * (1.0 + abs(f._value(z) + g._value(z)))
+                 for gap, z in zip(gaps, full.iterates[1:])]
+        assert small.index(True) == 534
+
+    @pytest.mark.parametrize("inertia", ["none", "fista_t", "fista_beta"])
+    def test_divergence_stops_before_the_next_prox(self, inertia):
+        f, _, x0 = _lasso(lasso_dense_fixture)
+        g = NaNAfter(L1Norm(0.1), k=4)
+        trace = forward_backward(f, g, x0, SolverConfig(max_iter=50, inertia=inertia))
+        assert trace.termination == DIVERGED and trace.n_iter == 4
+        assert g.calls == 4
+
+    def test_decrease_violation_at_the_same_iteration(self):
+        f, _, x0 = _lasso(lasso_dense_fixture)
+        g = BrokenProx()
+        gamma = 0.9 / f.lipschitz
+        # the first failing margin, from the iterates and objectives formed anew
+        a = 1.0 / (2.0 * gamma) - f.lipschitz / 2.0
+        x, j = x0, f._value(x0) + g._value(x0)
+        for n in range(1, 100):
+            x_new = g._prox(x - gamma * f._grad(x), gamma)
+            j_new = f._value(x_new) + g._value(x_new)
+            if j - j_new - a * float(np.sum((x_new - x) ** 2)) < -1e-8:
+                break
+            x, j = x_new, j_new
+        with pytest.raises(DecreaseViolation, match=f"at iteration {n}: "):
+            nonconvex_forward_backward(f, g, x0, SolverConfig(gamma=gamma, max_iter=100))
+
+    def test_fista_t_coefficient_bytes(self):
+        # math.sqrt rounds as np.sqrt does, so the coefficients are unchanged
+        expected, t = [], 1.0
+        for _ in range(10_000):
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            expected.append((t - 1.0) / t_next)
+            t = t_next
+        coefs = _fista_t_coefs()
+        got = [next(coefs) for _ in range(10_000)]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestKrasnoselskiiMann:
