@@ -10,6 +10,7 @@ be able to fail.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numpy as np
 
 from .funcs import (
@@ -23,8 +24,8 @@ from .funcs import (
     partial_primal_dual_gap as check_pd_gap,
     precompose_prox,
 )
-from .linops import DenseOperator, LinearOperator
-from .solvers import SolverConfig, SolverTrace, chambolle_pock
+from .linops import DenseOperator, DimensionError, LinearOperator
+from .solvers import SolverConfig, SolverTrace, _norm, chambolle_pock
 
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-12
@@ -33,6 +34,13 @@ ADJOINT_TOL = 1e-10
 
 def _slack(scale: float) -> float:
     return ABS_SLACK + REL_SLACK * abs(scale)
+
+
+def _check_dim(fn, dim: int) -> None:
+    # the random checks pass their own finite draws of length ``dim`` to the
+    # unvalidated oracle methods, so the length is checked once
+    if getattr(fn, "dim", None) not in (None, dim):
+        raise DimensionError(f"expected length {fn.dim}, got {dim}")
 
 
 @dataclasses.dataclass
@@ -145,18 +153,19 @@ def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
     alpha = f.strong_convexity
     if alpha <= 0:
         raise ValueError("contraction check needs a strong-convexity modulus")
+    _check_dim(f, dim)
     target = np.sqrt(1.0 - gamma * alpha) + 1e-10
     rng = np.random.default_rng(seed)
     margins = []
     for _ in range(trials):
         x = radius * rng.standard_normal(dim)
         y = radius * rng.standard_normal(dim)
-        dx = np.linalg.norm(x - y)
+        dx = _norm(x - y)
         if dx == 0:
             continue
-        tx = x - gamma * f.grad(x)
-        ty = y - gamma * f.grad(y)
-        margins.append(target - np.linalg.norm(tx - ty) / dx)
+        tx = x - gamma * f._grad(x)
+        ty = y - gamma * f._grad(y)
+        margins.append(target - _norm(tx - ty) / dx)
     return _report_from_margins("gradient_step_contraction", f"alpha={alpha}", margins)
 
 
@@ -166,16 +175,17 @@ def prox_contraction(fn: ProxFn, gamma: float, dim: int, trials: int = 1000,
     alpha = fn.strong_convexity
     if alpha <= 0:
         raise ValueError("contraction check needs a strong-convexity modulus")
+    _check_dim(fn, dim)
     target = 1.0 / (1.0 + alpha * gamma) + 1e-10
     rng = np.random.default_rng(seed)
     margins = []
     for _ in range(trials):
         x = radius * rng.standard_normal(dim)
         y = radius * rng.standard_normal(dim)
-        dx = np.linalg.norm(x - y)
+        dx = _norm(x - y)
         if dx == 0:
             continue
-        margins.append(target - np.linalg.norm(fn.prox(x, gamma) - fn.prox(y, gamma)) / dx)
+        margins.append(target - _norm(fn._prox(x, gamma) - fn._prox(y, gamma)) / dx)
     return _report_from_margins("prox_contraction", f"alpha={alpha}", margins)
 
 
@@ -373,7 +383,11 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
     its complement, nonexpansiveness of the reflected prox, the Moreau
     identity, the subgradient characterization of the prox, fixed points at
     registered minimizers, and the strongly convex contraction factor.
+    The suite's own draws, and probes around a validated prox output, go to
+    the unvalidated oracle methods; prox outputs, the finite-difference
+    gradient and the minimizer fixed points to the validating public ones.
     """
+    _check_dim(fn, dim)
     rng = np.random.default_rng(seed)
     details = []
     all_margins = []
@@ -396,9 +410,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
         for _ in range(trials):
             x = radius * rng.standard_normal(dim)
             y = radius * rng.standard_normal(dim)
-            gx, gy = fn.grad(x), fn.grad(y)
-            rhs = fn.value(y) + float(gy @ (x - y)) + 0.5 * L * float(((x - y) ** 2).sum())
-            descent.append(rhs - fn.value(x) + _slack(rhs))
+            gx, gy = fn._grad(x), fn._grad(y)
+            rhs = fn._value(y) + float(gy @ (x - y)) + 0.5 * L * float(((x - y) ** 2).sum())
+            descent.append(rhs - fn._value(x) + _slack(rhs))
             inner = float((gx - gy) @ (x - y))
             if fn.convex and L > 0:
                 coco.append(inner - float(((gx - gy) ** 2).sum()) / L + _slack(inner))
@@ -413,9 +427,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
         fd = []
         for _ in range(min(trials, 10)):
             x = radius * rng.standard_normal(dim)
-            g_exact = fn.grad(x)
+            g_exact = fn._grad(x)
             g_fd = finite_difference_grad(fn, x)
-            err = np.linalg.norm(g_exact - g_fd) / (1.0 + np.linalg.norm(g_exact))
+            err = _norm(g_exact - g_fd) / (1.0 + _norm(g_exact))
             fd.append(1e-5 - err)
         add("gradient_finite_difference", fd)
         if fn.strong_convexity > 0 and L > 0:
@@ -432,32 +446,31 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
                 y = radius * rng.standard_normal(dim)
                 # the same draw as rng.choice(gammas), without its overhead
                 gamma = float(gammas[rng.integers(len(gammas))])
-                p = fn.prox(x, gamma)
-                q = fn.prox(y, gamma)
+                p = fn._prox(x, gamma)
+                q = fn._prox(y, gamma)
                 dd = float(((x - y) ** 2).sum())
                 pq = float(((p - q) ** 2).sum())
                 cc = float((((x - p) - (y - q)) ** 2).sum())
                 firm.append(dd - pq - cc + _slack(dd))
                 rp = 2.0 * p - x
                 rq = 2.0 * q - y
-                rprox.append(np.sqrt(dd) - np.linalg.norm(rp - rq) + _slack(np.sqrt(dd)))
+                rprox.append(math.sqrt(dd) - _norm(rp - rq) + _slack(math.sqrt(dd)))
                 firm_c.append(dd - cc - pq + _slack(dd))
-                moreau_defect = np.linalg.norm(
-                    p + gamma * conj.prox(x / gamma, 1.0 / gamma) - x)
+                moreau_defect = _norm(p + gamma * conj._prox(x / gamma, 1.0 / gamma) - x)
                 moreau.append(1e-8 - moreau_defect)
                 # subgradient characterization of p = prox_{gamma fn}(x)
                 fp = fn.value(p)
-                if np.isfinite(fp):
+                if math.isfinite(fp):
                     u = (x - p) / gamma
                     for _ in range(3):
                         probe = p + radius * rng.standard_normal(dim)
-                        fprobe = fn.value(probe)
+                        fprobe = fn._value(probe)
                         gap = fprobe - fp - float(u @ (probe - p))
-                        if np.isfinite(gap):
+                        if math.isfinite(gap):
                             witness.append(gap + _slack(fprobe))
                 if fn.strong_convexity > 0:
-                    target = np.sqrt(dd) / (1.0 + fn.strong_convexity * gamma)
-                    contraction.append(target - np.linalg.norm(p - q) + _slack(target))
+                    target = math.sqrt(dd) / (1.0 + fn.strong_convexity * gamma)
+                    contraction.append(target - _norm(p - q) + _slack(target))
             add("firm_nonexpansive_prox", firm)
             add("firm_nonexpansive_complement", firm_c)
             add("rprox_nonexpansive", rprox)
@@ -471,9 +484,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
             for _ in range(trials):
                 x = radius * rng.standard_normal(dim)
                 gamma = float(gammas[rng.integers(len(gammas))])
-                p = fn.prox(x, gamma)
+                p = fn._prox(x, gamma)
                 lhs = fn.value(p) + float(((p - x) ** 2).sum()) / (2 * gamma)
-                opt.append(fn.value(x) - lhs + _slack(lhs))
+                opt.append(fn._value(x) - lhs + _slack(lhs))
             add("prox_optimality_vs_input", opt)
         if fn.minimizer is not None:
             fixed = []

@@ -412,8 +412,12 @@ class AffineGraphIndicator(ProxFn):
         x1, x2 = x[: self.K.in_dim], x[self.K.in_dim:]
         if self._solve is None:
             self._solve = gram_solver([(1.0, self.K)], 1.0)
-        p1 = self._solve(x1 + self.K._adjoint(x2))
-        return np.concatenate([p1, self.K._apply(p1)])
+        # p1 and K p1 written into one output: no separate p1 outlives the solve
+        out = np.empty(self.dim)
+        p1 = out[: self.K.in_dim]
+        p1[...] = self._solve(x1 + self.K._adjoint(x2))
+        out[self.K.in_dim:] = self.K._apply(p1)
+        return out
 
 
 class ConsensusIndicator(ProxFn):

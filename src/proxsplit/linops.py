@@ -160,20 +160,36 @@ def conjugate_gradient(apply_fn, rhs: np.ndarray, tol: float = 1e-10,
 def _dct(x: np.ndarray) -> np.ndarray:
     # unnormalised DCT-II along the last axis, X_k = sum_n x_n cos(pi k (2n+1) / 2N),
     # through one real FFT (Makhoul 1980): the even samples, then the odd ones
-    # reversed, and a quarter-sample twiddle W_k; X_k = Re W_k, X_{N-k} = -Im W_k
-    n = x.shape[-1]
-    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
-    W = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n) * np.fft.rfft(v, axis=-1)
-    return np.concatenate([W.real, -W.imag[..., (n + 1) // 2 - 1:0:-1]], axis=-1)
+    # reversed, and a quarter-sample twiddle W_k; X_k = Re W_k, X_{N-k} = -Im W_k.
+    # Each step fills its output or works in place; the twiddle stays the
+    # first operand, since for complex arrays W *= tw is not the same bytes
+    n, half = x.shape[-1], (x.shape[-1] + 1) // 2
+    v = np.empty(x.shape)
+    v[..., :half] = x[..., ::2]
+    v[..., half:] = x[..., 1::2][..., ::-1]
+    W = np.fft.rfft(v, axis=-1)
+    del v
+    np.multiply(np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n), W, out=W)
+    X = np.empty(x.shape)
+    X[..., : n // 2 + 1] = W.real
+    np.negative(W.imag[..., half - 1:0:-1], out=X[..., n // 2 + 1:])
+    return X
 
 
 def _idct(X: np.ndarray) -> np.ndarray:
     # exact inverse of _dct: the real FFT of the reordered signal is
-    # exp(i pi k / 2N) (X_k - i X_{N-k}) for k <= N/2, with X_N = 0
+    # exp(i pi k / 2N) (X_k - i X_{N-k}) for k <= N/2, with X_N = 0; V is
+    # formed in place, each product and difference with its operands in the
+    # order of that formula, on which its bytes depend (see _dct)
     n = X.shape[-1]
-    mirrored = np.concatenate([np.zeros_like(X[..., :1]), X[..., ::-1][..., : n // 2]], axis=-1)
-    V = np.exp(0.5j * np.pi * np.arange(n // 2 + 1) / n) * (X[..., : n // 2 + 1] - 1j * mirrored)
+    mirrored = np.zeros(X.shape[:-1] + (n // 2 + 1,))
+    mirrored[..., 1:] = X[..., ::-1][..., : n // 2]
+    V = np.multiply(1j, mirrored)
+    del mirrored
+    np.subtract(X[..., : n // 2 + 1], V, out=V)
+    np.multiply(np.exp(0.5j * np.pi * np.arange(n // 2 + 1) / n), V, out=V)
     v = np.fft.irfft(V, n, axis=-1)
+    del V
     x = np.empty_like(v)
     half = (n + 1) // 2
     x[..., ::2] = v[..., :half]
@@ -210,7 +226,8 @@ class GramSpectrum(NamedTuple):
                               s=self.grid, axes=axes)
         else:
             # along axis 0 (the last axis of the transpose), then axis 1
-            X = _dct(_dct(x.T).T) / self.eigenvalues
+            X = _dct(_dct(x.T).T)
+            X /= self.eigenvalues
             p = _idct(_idct(X.T).T)
         return p.ravel()
 
@@ -627,6 +644,7 @@ class CircularConv(LinearOperator):
         self._wrapped = np.zeros(grid)
         np.add.at(self._wrapped, index, k)
         self._transfer = np.fft.rfftn(self._wrapped, axes=self._axes)
+        self._transfer_conj = self._transfer.conj()
 
     def _filter(self, x, transfer):
         # an explicit s spares rfftn from looking up the shape on every call
@@ -637,7 +655,7 @@ class CircularConv(LinearOperator):
         return self._filter(x, self._transfer)
 
     def _adjoint(self, y):
-        return self._filter(y, self._transfer.conj())
+        return self._filter(y, self._transfer_conj)
 
     def gram_symbol(self):
         # |DFT|^2 of the wrapped kernel on the full grid

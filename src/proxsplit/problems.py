@@ -224,7 +224,12 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     y = y_img.to_vector()
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
-    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
+
+    def objective(x):
+        # tv._value(grad x), with |grad x| taken in place on its own temporary
+        gx = grad._apply(x)
+        return data_fit._value(x) + tv.weight * float(np.abs(gx, out=gx).sum())
+
     # ROF dual: x = y - grad* p for p in the ball ||p||_inf <= lam; clipping
     # keeps the bound valid at iterates outside the ball
     dual = _half_residual_bound(y, lambda p: grad._adjoint(np.clip(p, -lam, lam)))

@@ -152,12 +152,21 @@ def _start(x0, *dims) -> np.ndarray:
     return x
 
 
+def _norm(v) -> float:
+    # the float np.linalg.norm computes for a 1-d array, without its overhead
+    return math.sqrt(float(v @ v))
+
+
 def _same_bytes(a, b) -> bool:
     # bytes, not values: +0.0 == -0.0, and the sign of a zero can reach the output
     return a.tobytes() == b.tobytes()
 
 
 class _Recorder:
+    """The rows of one run.  It keeps a reference to ``x0``, the validated
+    start, which no loop writes to, and copies it into ``trace.x0`` in
+    :meth:`finish`, after the final gap; a kept history copies it at once."""
+
     def __init__(self, x0, objective0, cfg: SolverConfig, gap=None):
         # ``gap`` maps the state a solver passes to record/finish to the
         # duality gap of the point it would return
@@ -166,16 +175,17 @@ class _Recorder:
                               "and this run has none")
         self.cfg = cfg
         self.gap = gap
-        self.x0 = np.array(x0, dtype=float)
+        self.x0 = x0
         self.objective0 = float(objective0)
         self.obj = []
         self.res = []
         self.extras: dict[str, list] = {}
         # a kept history starts at x0, so an empty list means none is kept
-        self.iterates = [self.x0.copy()] if cfg.keep_iterates else []
+        self.iterates = [x0.copy()] if cfg.keep_iterates else []
         self.termination = ITER_CAP
 
-    def record(self, x_new, x_prev, objective, extras=None, gap_args=()) -> bool:
+    def record(self, x_new, x_prev, objective, extras=None, gap_args=(),
+               _residual=None) -> bool:
         """Append one iteration; returns True when the run should stop.
 
         ``objective=None`` marks solvers that do not track an objective
@@ -188,11 +198,11 @@ class _Recorder:
         solver's entry, or the ``x_new`` of the previous record, which
         passed this check.  So a NaN or infinite entry of ``x_new`` makes
         ``d @ d`` NaN or +inf, and ``x_new`` is scanned for one only when
-        the step residual is not finite.
+        the step residual is not finite.  A loop that has already dropped
+        ``x_prev`` passes the residual ||x_new - x_prev|| as ``_residual``.
         """
-        # the float np.linalg.norm computes for a 1-d array, without its overhead
-        d = np.asarray(x_new) - np.asarray(x_prev)
-        residual = math.sqrt(float(d @ d))
+        residual = (_norm(np.asarray(x_new) - np.asarray(x_prev)) if _residual is None
+                    else _residual)
         tracked = objective is not None
         objective = float(objective) if tracked else float("nan")
         self.obj.append(objective)
@@ -236,7 +246,7 @@ class _Recorder:
             meta["gap"] = float(self.gap(*gap_args))
         k = len(self.obj)
         return SolverTrace(
-            x0=self.x0,
+            x0=self.x0.copy(),
             objective0=self.objective0,
             steps=np.arange(1, k + 1),
             objective=np.array(self.obj),
@@ -513,7 +523,7 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     rec = _Recorder(x, float("nan"), cfg)
     for n in range(1, cfg.max_iter + 1):
         tx = np.asarray(T(x), dtype=float)
-        fp_res = float(np.linalg.norm(tx - x))
+        fp_res = _norm(tx - x)
         x_new = x + lam(n - 1) * (tx - x)
         stop = rec.record(x_new, x, None, {"fixed_point_residual": fp_res}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (tx, x)))
@@ -535,6 +545,11 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     duality gap of a shadow point y given u = (x - y)/gamma, an element of
     the subdifferential of g at y; it is evaluated at the shadow point the
     run would return.
+
+    Everything row n reads from x_n, y_n and z_n (split gap, objective at
+    y_n, step residual, fixed-point byte tests) is computed, and those three
+    dropped, before the projection y_{n+1} = prox_{gamma g}(x_{n+1}); while
+    it runs, the loop holds only x_{n+1} and the start.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
@@ -550,15 +565,27 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     rec = _Recorder(x, objective(y), cfg, shadow_gap)
     for n in range(1, cfg.max_iter + 1):
         z = f._prox(2.0 * y - x, gamma)
-        x_new = x + mu(n - 1) * (z - y)
-        # the shadow point of x_{n+1}: next iteration's y, or the result
-        y_new = g._prox(x_new, gamma)
-        stop = rec.record(x_new, x, objective(y),
-                          {"split_gap": float(np.linalg.norm(z - y))}, (y_new, x_new))
+        step = z - y
+        split_gap = _norm(step)
         # mu_n multiplies z - y, so x alone may stand still while z - y does not
-        stop = stop or (cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (z, y)))
-        x, y = x_new, y_new
-        if stop:
+        settled = cfg.stop_at_fixed_point and _same_bytes(z, y)
+        del z
+        value = objective(y)
+        del y
+        # x_{n+1} = x_n + mu_n (z_n - y_n), then its step from x_n, both in
+        # the buffer of z_n - y_n
+        np.multiply(step, mu(n - 1), out=step)
+        x_prev, x = x, x + step
+        np.subtract(x, x_prev, out=step)
+        settled = settled and _same_bytes(x, x_prev)
+        del x_prev
+        residual = _norm(step)
+        del step
+        # the shadow point of x_{n+1}: next iteration's y, or the result
+        y = g._prox(x, gamma)
+        # both fixed-point pairs were compared before the projection
+        if rec.record(x, None, value, {"split_gap": split_gap}, (y, x), residual) or (
+                settled and rec.fixed_point()):
             break
     return rec.finish(y, {"governing": x}, (y, x))
 
@@ -652,7 +679,7 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
         x_new = argmin_x(b - B._apply(y) - z / gamma)
         y_new = argmin_y(b - A._apply(x_new) - z / gamma)
         z_new = z + gamma * (A._apply(x_new) + B._apply(y_new) - b)
-        primal_res = float(np.linalg.norm(A._apply(x_new) + B._apply(y_new) - b))
+        primal_res = _norm(A._apply(x_new) + B._apply(y_new) - b)
         state_new = np.concatenate([x_new, y_new])
         state_old = np.concatenate([x, y])
         stop = rec.record(state_new, state_old,
@@ -703,7 +730,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         y_new = prob.f_conj._prox(y + sigma * prob.K._apply(xbar), sigma)
         x_new = prob.g._prox(x - tau * prob.K._adjoint(y_new), tau)
         xbar_new = 2.0 * x_new - x if extrapolate else x_new
-        extras = {"dual_residual": float(np.linalg.norm(y_new - y))}
+        extras = {"dual_residual": _norm(y_new - y)}
         stop = rec.record(x_new, x, obj(x_new), extras, (x_new, y_new)) or (
             cfg.stop_at_fixed_point and _same_bytes(xbar_new, xbar)
             and rec.fixed_point((x_new, x), (y_new, y)))

@@ -946,6 +946,50 @@ class TestTraceContract:
         assert trace.n_iter == 2000
         assert peak < 4 * 2 ** 20
 
+    @staticmethod
+    def _live_peak_vectors(inst, recipe, iters):
+        # the tracemalloc peak of a run, in vectors of the split's length 3n;
+        # a one-iteration run first builds what the oracles build lazily
+        inst.run(recipe, SolverConfig(max_iter=1))
+        tracemalloc.start()
+        try:
+            trace, _ = inst.run(recipe, SolverConfig(max_iter=iters))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_iter == iters
+        return peak / (3 * inst.metadata["rows"] * inst.metadata["cols"] * 8)
+
+    def test_dr_split_live_peak(self):
+        # x_n, y_n and z_n are dropped before the graph projection, and the
+        # recorder holds the start, not a copy of it (8.4 vectors otherwise)
+        inst = tv_denoise_fixture(rows=64)
+        assert self._live_peak_vectors(inst, "dr_split", 20) <= 7.0
+
+    def test_cp_live_peak(self):
+        inst = tv_denoise_fixture(rows=64)
+        assert self._live_peak_vectors(inst, "cp", 20) <= 5.0
+
+    @pytest.mark.parametrize("run", [
+        lambda x0: gradient_descent(half_square(3), x0, SolverConfig(gamma=0.5, max_iter=5)),
+        lambda x0: forward_backward(half_square(3), L1Norm(0.3), x0,
+                                    SolverConfig(inertia="fista_t", max_iter=5)),
+        lambda x0: douglas_rachford(L1Norm(0.3), half_square(3), x0, SolverConfig(max_iter=5)),
+        lambda x0: chambolle_pock(SaddleProblem(IdentityOperator(3), half_square(3),
+                                                LinfBallIndicator(0.3)),
+                                  x0, np.zeros(3), SolverConfig(max_iter=5)),
+        lambda x0: krasnoselskii_mann(lambda v: 0.5 * v, x0, SolverConfig(max_iter=5)),
+    ], ids=["gd", "fista", "dr", "cp", "km"])
+    def test_x0_is_a_copy_of_the_start(self, run):
+        start = np.array([2.0, -1.0, 0.5])
+        trace = run(start)
+        assert trace.x0.tobytes() == start.tobytes()
+        assert not np.shares_memory(trace.x0, start)
+        trace.x0[0] = 7.0
+        assert start[0] == 2.0
+        start[1] = 9.0
+        assert trace.x0[1] == -1.0
+
     def test_objective_path_includes_start(self):
         trace = gradient_descent(half_square(), [2.0],
                                  SolverConfig(gamma=0.5, max_iter=4))
@@ -1037,6 +1081,21 @@ class TestStopAtFixedPoint:
             gamma=1.0, max_iter=400)
         _assert_stopped_prefix(stopped, full, 400)
         assert stopped.meta["governing"].tobytes() == full.meta["governing"].tobytes()
+
+    def test_dr_split_recipe(self):
+        # the noise-free step settles exactly (the noisy one never does)
+        inst = tv_denoise_fixture(sigma=0.0)
+        (stopped, x_stopped), (full, x_full) = self._pair(
+            lambda cfg: inst.run("dr_split", cfg), max_iter=200)
+        _assert_stopped_prefix(stopped, full, 200)
+        assert x_stopped.tobytes() == x_full.tobytes()
+        assert stopped.meta["governing"].tobytes() == full.meta["governing"].tobytes()
+        # and it is the run capped at the same n
+        capped, x_capped = inst.run("dr_split", SolverConfig(max_iter=stopped.n_iter))
+        assert capped.n_iter == stopped.n_iter
+        assert x_capped.tobytes() == x_stopped.tobytes()
+        assert capped.objective.tobytes() == stopped.objective.tobytes()
+        assert capped.residual.tobytes() == stopped.residual.tobytes()
 
     def test_krasnoselskii_mann(self):
         stopped, full = self._pair(
@@ -1285,6 +1344,19 @@ class TestDualityGapStop:
         assert trace.n_iter == 4
         assert trace.extras["gap"].tolist() == [1.0, 0.5, 0.25, 1e-3]
         assert trace.meta["gap"] == 1e-9
+
+    def test_dr_split_gap_stop_is_the_capped_run(self):
+        inst = tv_denoise_fixture()
+        stopped, x_stopped = inst.run("dr_split", SolverConfig(max_iter=4000, gap_tol=1e-8))
+        k = stopped.n_iter
+        assert stopped.termination == TOL_REACHED and 0 < k < 4000
+        assert stopped.meta["gap"] <= 1e-8 * (1.0 + abs(stopped.objective[-1]))
+        capped, x_capped = inst.run("dr_split", SolverConfig(max_iter=k))
+        assert x_capped.tobytes() == x_stopped.tobytes()
+        for column in ("objective", "residual"):
+            assert getattr(capped, column).tobytes() == getattr(stopped, column).tobytes()
+        assert capped.extras["split_gap"].tobytes() == stopped.extras["split_gap"].tobytes()
+        assert capped.meta["gap"] == stopped.meta["gap"]
 
     def test_douglas_rachford_gap_sees_the_returned_shadow_point(self):
         # row n sees the shadow point of x_n, the one a stop at n returns, and
