@@ -21,10 +21,10 @@ from .funcs import (
     SaddleProblem,
     SmoothFn,
     finite_difference_grad,
-    partial_primal_dual_gap as check_pd_gap,
     precompose_prox,
+    soft_threshold,
 )
-from .linops import DenseOperator, DimensionError, LinearOperator
+from .linops import DenseOperator, DimensionError, LinearOperator, as_vector
 from .solvers import SolverConfig, SolverTrace, _norm, chambolle_pock
 
 ABS_SLACK = 1e-9
@@ -146,15 +146,13 @@ def check_fista_bound(objective_path, f_star: float, gamma: float,
     return _report_from_margins("fista_bound", instance, margins)
 
 
-def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
-                              trials: int = 1000, seed: int = 0,
-                              radius: float = 2.0) -> CheckReport:
-    """Empirical Lipschitz ratio of Id - gamma grad f against sqrt(1 - gamma a)."""
-    alpha = f.strong_convexity
+def _contraction(check, fn, dim, trials, seed, radius, target, step) -> CheckReport:
+    # ||step(x) - step(y)|| / ||x - y|| on random pairs against target(alpha)
+    alpha = fn.strong_convexity
     if alpha <= 0:
         raise ValueError("contraction check needs a strong-convexity modulus")
-    _check_dim(f, dim)
-    target = np.sqrt(1.0 - gamma * alpha) + 1e-10
+    _check_dim(fn, dim)
+    target = target(alpha) + 1e-10
     rng = np.random.default_rng(seed)
     margins = []
     for _ in range(trials):
@@ -163,30 +161,48 @@ def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
         dx = _norm(x - y)
         if dx == 0:
             continue
-        tx = x - gamma * f._grad(x)
-        ty = y - gamma * f._grad(y)
-        margins.append(target - _norm(tx - ty) / dx)
-    return _report_from_margins("gradient_step_contraction", f"alpha={alpha}", margins)
+        margins.append(target - _norm(step(x) - step(y)) / dx)
+    return _report_from_margins(check, f"alpha={alpha}", margins)
+
+
+def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
+                              trials: int = 1000, seed: int = 0,
+                              radius: float = 2.0) -> CheckReport:
+    """Empirical Lipschitz ratio of Id - gamma grad f against sqrt(1 - gamma a)."""
+    return _contraction("gradient_step_contraction", f, dim, trials, seed, radius,
+                        lambda alpha: np.sqrt(1.0 - gamma * alpha),
+                        lambda x: x - gamma * f._grad(x))
 
 
 def prox_contraction(fn: ProxFn, gamma: float, dim: int, trials: int = 1000,
                      seed: int = 0, radius: float = 2.0) -> CheckReport:
     """Prox of an a-strongly convex function is 1/(1+a*gamma)-Lipschitz."""
-    alpha = fn.strong_convexity
-    if alpha <= 0:
-        raise ValueError("contraction check needs a strong-convexity modulus")
-    _check_dim(fn, dim)
-    target = 1.0 / (1.0 + alpha * gamma) + 1e-10
-    rng = np.random.default_rng(seed)
-    margins = []
-    for _ in range(trials):
-        x = radius * rng.standard_normal(dim)
-        y = radius * rng.standard_normal(dim)
-        dx = _norm(x - y)
-        if dx == 0:
-            continue
-        margins.append(target - _norm(fn._prox(x, gamma) - fn._prox(y, gamma)) / dx)
-    return _report_from_margins("prox_contraction", f"alpha={alpha}", margins)
+    return _contraction("prox_contraction", fn, dim, trials, seed, radius,
+                        lambda alpha: 1.0 / (1.0 + alpha * gamma),
+                        lambda x: fn._prox(x, gamma))
+
+
+def check_pd_gap(prob: SaddleProblem, x, y, box1, box2) -> float:
+    """Partial primal-dual gap of (x, y) over bounded boxes B1 x B2.
+
+    Evaluated through the componentwise box-linear minimization oracle
+    ``linearized_box_min``, which g and f* must define: a ``Quadratic`` whose
+    Gram matrix is diagonal in the identity basis, and the l-inf ball.  Any
+    other g or f* is rejected with ValueError rather than approximated.
+    """
+    x, y = as_vector(x, prob.K.in_dim), as_vector(y, prob.K.out_dim)
+    for fn in (prob.g, prob.f_conj):
+        if not hasattr(fn, "linearized_box_min"):
+            raise ValueError(
+                f"{type(fn).__name__} has no box-linear oracle; the partial "
+                "gap is only evaluated for the catalog function family"
+            )
+    kx = prob.K._apply(x)
+    _, neg_max = prob.f_conj.linearized_box_min(-kx, box2[0], box2[1])
+    max_term = -neg_max + prob.g._value(x)
+    _, min_term = prob.g.linearized_box_min(prob.K._adjoint(y), box1[0], box1[1])
+    min_side = min_term - prob.f_conj._value(y)
+    return float(max_term - min_side)
 
 
 def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
@@ -262,24 +278,20 @@ def fit_rate(series, model: str):
         raise ValueError("need at least two positive values to fit a rate")
     n = np.arange(1, s.size + 1, dtype=float)
     logs = np.log(s)
-    if model == "inv_n":
-        pred_slope = -np.log(n)
-    elif model == "inv_n2":
-        pred_slope = -2.0 * np.log(n)
+    if model in ("inv_n", "inv_n2"):
+        pred_slope = -np.log(n) if model == "inv_n" else -2.0 * np.log(n)
+        log_c = float(np.mean(logs - pred_slope))
+        fitted = np.exp(log_c)
+        resid = logs - (log_c + pred_slope)
     elif model == "geometric":
         slope, intercept = np.polyfit(n, logs, 1)
         fitted = np.exp(slope)
         resid = logs - (intercept + slope * n)
-        ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-        return float(fitted), float(r2)
     else:
         raise ValueError(f"unknown rate model {model!r}")
-    log_c = float(np.mean(logs - pred_slope))
-    resid = logs - (log_c + pred_slope)
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(np.exp(log_c)), float(r2)
+    return float(fitted), float(r2)
 
 
 def dr_cp_equivalence(f: ProxFn, g: ProxFn, gamma: float, x0, w0,
@@ -568,18 +580,23 @@ def adjoint_report(op: LinearOperator, trials: int = 100, seed: int = 0,
                                   "passed": bool(worst <= ADJOINT_TOL)}])
 
 
+def double_well(lipschitz: float = 6.0, convex: bool = False) -> CallableSmooth:
+    """f(x) = (x^2-1)^2/4 with the Lipschitz constant valid on [-1.5, 1.5]."""
+    return CallableSmooth(
+        lambda x: float(np.sum(0.25 * (x ** 2 - 1.0) ** 2)),
+        lambda x: x ** 3 - x,
+        lipschitz=lipschitz,
+        convex=convex,
+    )
+
+
 # ---------------------------------------------------------------------------
 # negative controls: fixtures that must fail their checks
 # ---------------------------------------------------------------------------
 
 def fake_convex_double_well() -> CallableSmooth:
     """Double well declared convex: cocoercivity must fail."""
-    return CallableSmooth(
-        lambda x: float(np.sum(0.25 * (x ** 2 - 1.0) ** 2)),
-        lambda x: x ** 3 - x,
-        lipschitz=11.0,
-        convex=True,
-    )
+    return double_well(11.0, convex=True)
 
 
 class BrokenL1Prox(L1Norm):
@@ -587,7 +604,6 @@ class BrokenL1Prox(L1Norm):
     and the Moreau identity both catch it."""
 
     def _prox(self, x, gamma):
-        from .funcs import soft_threshold
         return soft_threshold(x, 0.5 * self.weight * gamma)
 
 

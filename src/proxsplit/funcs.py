@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linops import (
+    ComposedOperator,
+    DenseOperator,
     DimensionError,
     IdentityOperator,
     LinearOperator,
@@ -164,11 +166,6 @@ class ZeroFn(SmoothFn, ProxFn):
     def _prox(self, x, gamma):
         return x.copy()
 
-    def linearized_box_min(self, c, lo, hi):
-        c = np.asarray(c, dtype=float)
-        z = _linear_box_argmin(c, lo, hi)
-        return z, float(c @ z)
-
 
 class CallableSmooth(SmoothFn):
     """Wrap explicit value/grad callables with declared constants."""
@@ -290,17 +287,6 @@ class L1Norm(ProxFn):
     def conjugate(self):
         return LinfBallIndicator(self.weight)
 
-    def linearized_box_min(self, c, lo, hi):
-        c = np.asarray(c, dtype=float)
-        lo_a = np.broadcast_to(np.asarray(lo, dtype=float), c.shape)
-        hi_a = np.broadcast_to(np.asarray(hi, dtype=float), c.shape)
-        cands = [lo_a, hi_a, np.clip(0.0, lo_a, hi_a)]
-        vals = [c * z + self.weight * np.abs(z) for z in cands]
-        stacked = np.stack(vals)
-        pick = np.argmin(stacked, axis=0)
-        z = np.choose(pick, cands)
-        return z, float(np.min(stacked, axis=0).sum())
-
 
 class L1Residual(ProxFn):
     """weight * ||x - y||_1, the shifted l1 data-attachment term."""
@@ -316,11 +302,6 @@ class L1Residual(ProxFn):
 
     def _prox(self, x, gamma):
         return self.y + soft_threshold(x - self.y, self.weight * gamma)
-
-    def linearized_box_min(self, c, lo, hi):
-        inner = L1Norm(self.weight)
-        z, v = inner.linearized_box_min(c, np.asarray(lo) - self.y, np.asarray(hi) - self.y)
-        return z + self.y, v + float(np.asarray(c) @ self.y)
 
 
 class BoxIndicator(ProxFn):
@@ -343,15 +324,6 @@ class BoxIndicator(ProxFn):
 
     def _prox(self, x, gamma):
         return np.clip(x, self.lo, self.hi)
-
-    def linearized_box_min(self, c, lo, hi):
-        c = np.asarray(c, dtype=float)
-        lo_eff = np.maximum(np.broadcast_to(np.asarray(lo, dtype=float), c.shape), self.lo)
-        hi_eff = np.minimum(np.broadcast_to(np.asarray(hi, dtype=float), c.shape), self.hi)
-        if np.any(lo_eff > hi_eff):
-            raise ValueError("empty intersection of boxes")
-        z = _linear_box_argmin(c, lo_eff, hi_eff)
-        return z, float(c @ z)
 
 
 class LinfBallIndicator(ProxFn):
@@ -479,18 +451,6 @@ class SeparableProx(ProxFn):
             out[idx] = fn._prox(x[idx], gamma)
         return out
 
-    def linearized_box_min(self, c, lo, hi):
-        c = np.asarray(c, dtype=float)
-        lo_a = np.broadcast_to(np.asarray(lo, dtype=float), c.shape)
-        hi_a = np.broadcast_to(np.asarray(hi, dtype=float), c.shape)
-        z = np.empty_like(c)
-        total = 0.0
-        for fn, idx in self.parts:
-            zi, vi = fn.linearized_box_min(c[idx], lo_a[idx], hi_a[idx])
-            z[idx] = zi
-            total += vi
-        return z, total
-
 
 class OrthogonalComposition(ProxFn):
     """prox of inner(T x) for an orthogonal transform T (T*T = TT* = Id).
@@ -588,33 +548,6 @@ class SaddleProblem:
         else:
             self._primal_objective = None
 
-    def primal_objective(self, x) -> float:
-        if self._primal_objective is None:
-            return float("nan")
-        return float(self._primal_objective(as_vector(x, self.K.in_dim)))
-
-
-def partial_primal_dual_gap(prob: "SaddleProblem", x, y, box1, box2) -> float:
-    """Partial primal-dual gap of (x, y) over bounded boxes B1 x B2.
-
-    Evaluated through the componentwise box-linear minimization oracles of
-    the catalog functions; functions without that structure are rejected
-    rather than approximated.
-    """
-    x, y = as_vector(x, prob.K.in_dim), as_vector(y, prob.K.out_dim)
-    for fn in (prob.g, prob.f_conj):
-        if not hasattr(fn, "linearized_box_min"):
-            raise ValueError(
-                f"{type(fn).__name__} has no box-linear oracle; the partial "
-                "gap is only evaluated for the catalog function family"
-            )
-    kx = prob.K._apply(x)
-    _, neg_max = prob.f_conj.linearized_box_min(-kx, box2[0], box2[1])
-    max_term = -neg_max + prob.g._value(x)
-    _, min_term = prob.g.linearized_box_min(prob.K._adjoint(y), box1[0], box1[1])
-    min_side = min_term - prob.f_conj._value(y)
-    return float(max_term - min_side)
-
 
 def precompose_prox(f: ProxFn, K: LinearOperator) -> ProxFn:
     """Prox oracle for x -> f(Kx) in the cases with a usable closed form.
@@ -626,17 +559,14 @@ def precompose_prox(f: ProxFn, K: LinearOperator) -> ProxFn:
     if isinstance(K, IdentityOperator):
         return f
     if isinstance(f, Quadratic):
-        from .linops import ComposedOperator
         return Quadratic(ComposedOperator(f.A, K), f.b, f.scale)
     diag = None
     if isinstance(K, ScaleOperator):
         diag = np.full(K.in_dim, K.factor)
-    else:
-        from .linops import DenseOperator
-        if isinstance(K, DenseOperator) and K.matrix.shape[0] == K.matrix.shape[1]:
-            off = K.matrix - np.diag(np.diag(K.matrix))
-            if not np.any(off):
-                diag = np.diag(K.matrix).copy()
+    elif isinstance(K, DenseOperator) and K.matrix.shape[0] == K.matrix.shape[1]:
+        off = K.matrix - np.diag(np.diag(K.matrix))
+        if not np.any(off):
+            diag = np.diag(K.matrix).copy()
     if diag is None or np.any(diag == 0.0):
         raise NotImplementedError(
             "prox of a precomposition is only available for identity, "

@@ -372,9 +372,6 @@ class LinearOperator:
     def T(self) -> "LinearOperator":
         return AdjointOperator(self)
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return ComposedOperator(self, other)
-
 
 class IdentityOperator(LinearOperator):
     kind = "identity"

@@ -184,6 +184,16 @@ def build_lasso(A: LinearOperator, y, lam: float,
     )
 
 
+def _tv_objective(data_fit, grad, lam: float):
+    """P(x) = data_fit(x) + lam ||grad x||_1, with |grad x| taken in place on
+    its own temporary; ``lam`` is the float an ``L1Norm(lam)`` holds."""
+    def objective(x):
+        gx = grad._apply(x)
+        return data_fit._value(x) + lam * float(np.abs(gx, out=gx).sum())
+
+    return objective
+
+
 def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int,
                          split_gap=None, cp_gap=None):
     """Recipes shared by the TV models with a prox-capable data term:
@@ -224,11 +234,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     y = y_img.to_vector()
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
-
-    def objective(x):
-        # tv._value(grad x), with |grad x| taken in place on its own temporary
-        gx = grad._apply(x)
-        return data_fit._value(x) + tv.weight * float(np.abs(gx, out=gx).sum())
+    objective = _tv_objective(data_fit, grad, float(lam))
 
     # ROF dual: x = y - grad* p for p in the ball ||p||_inf <= lam; clipping
     # keeps the bound valid at iterates outside the ball
@@ -287,8 +293,7 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
     y = as_vector(y, A.out_dim)
     grad = Grad2D(rows, cols, boundary)
     data_fit = Quadratic(A, y)
-    tv = L1Norm(lam)
-    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
+    objective = _tv_objective(data_fit, grad, float(lam))
 
     K = StackOperator([A, grad])
     conj_parts = SeparableProx(
@@ -324,7 +329,7 @@ def build_tvl1(y_img: ImageGrid, lam: float) -> ProblemInstance:
     y = y_img.to_vector()
     data_fit = L1Residual(y)
     tv = L1Norm(lam)
-    objective = lambda x: data_fit._value(x) + tv._value(grad._apply(x))
+    objective = _tv_objective(data_fit, grad, float(lam))
 
     recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 4000)
 

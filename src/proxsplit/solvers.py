@@ -153,8 +153,8 @@ def _start(x0, *dims) -> np.ndarray:
 
 
 def _norm(v) -> float:
-    # the float np.linalg.norm computes for a 1-d array, without its overhead
-    return math.sqrt(float(v @ v))
+    # np.linalg.norm's float for a 1-d array; vdot, unlike v @ v, never warns on overflow
+    return math.sqrt(float(np.vdot(v, v)))
 
 
 def _same_bytes(a, b) -> bool:

@@ -23,6 +23,7 @@ from .certify import (
     check_lyapunov_gd,
     cp_gap_certificate,
     dr_admm_equivalence,
+    double_well,
     dr_cp_equivalence,
     fit_rate,
     gradient_step_contraction,
@@ -35,7 +36,6 @@ from .data import GaussianStream, generate_synthetic
 from .funcs import (
     AffineGraphIndicator,
     BoxIndicator,
-    CallableSmooth,
     ConsensusIndicator,
     HardThreshold,
     L1Norm,
@@ -45,8 +45,9 @@ from .funcs import (
     Quadratic,
     SaddleProblem,
     ZeroFn,
+    soft_threshold,
 )
-from .linops import DenseOperator, IdentityOperator, ImageGrid, ScaleOperator
+from .linops import DenseOperator, IdentityOperator, ImageGrid, MaskOperator, ScaleOperator
 from .problems import build_lasso, build_tv_denoise, build_tv_inverse
 from .solvers import (
     ITER_CAP,
@@ -99,7 +100,6 @@ def lasso_diag_fixture(seed: int = 0):
     lam = 0.2
     inst = build_lasso(DenseOperator(np.diag(diag)), y, lam,
                        strong_convexity=float(np.min(diag) ** 2))
-    from .funcs import soft_threshold
     x_star = soft_threshold(diag * y, lam) / diag ** 2
     inst.ground_truth = {"x": x_star, "objective": inst.objective(x_star)}
     return inst
@@ -126,7 +126,6 @@ def tv_denoise_fixture(rows: int = 8, lam: float = 0.1, sigma: float = 0.05,
 def tv_inverse_fixture(rows: int = 8, lam: float = 0.05, seed: int = 5):
     data = generate_synthetic("step_image", (rows, rows), sigma=0.0, seed=seed)
     mask = generate_synthetic("mask_pattern", rows * rows, seed=seed + 1)
-    from .linops import MaskOperator
     A = MaskOperator(mask["pattern"])
     y = A.apply(data["x_true"])
     return build_tv_inverse(A, y, lam, rows, rows)
@@ -146,16 +145,6 @@ def scalar_saddle_fixture():
 def rotation_by_90():
     mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     return lambda v: mat @ v
-
-
-def double_well(lipschitz: float = 6.0):
-    """f(x) = (x^2-1)^2/4 with the Lipschitz constant valid on [-1.5, 1.5]."""
-    return CallableSmooth(
-        lambda x: float(np.sum(0.25 * (x ** 2 - 1.0) ** 2)),
-        lambda x: x ** 3 - x,
-        lipschitz=lipschitz,
-        convex=False,
-    )
 
 
 def haar4_operator():
@@ -332,7 +321,6 @@ def _check_gap_tv(seed: int) -> CheckReport:
 def _check_admm_consensus(seed: int) -> list[CheckReport]:
     # ||x||_1 + ||x - y||^2/2 split as x - z = 0, against the componentwise
     # closed form; the scalar case has its minimum 2.5 at x = 2
-    from .funcs import soft_threshold
     # only the first hit and the final objective are read, and once y and z
     # stand still every later iterate is the same
     cfg = SolverConfig(gamma=1.0, max_iter=5000, stop_at_fixed_point=True)

@@ -21,6 +21,7 @@ from proxsplit.certify import (
     sqrt_decay_certificate,
 )
 from proxsplit.funcs import (
+    BoxIndicator,
     CallableSmooth,
     HardThreshold,
     L1Norm,
@@ -165,6 +166,14 @@ class TestPartialGap:
                             f_conj=quad(center=1.0).conjugate())
         with pytest.raises(ValueError):
             check_pd_gap(bad, np.zeros(1), np.zeros(1), (-1, 1), (-1, 1))
+
+    @pytest.mark.parametrize("g", [L1Norm(1.0), BoxIndicator(-1.0, 1.0), ZeroFn()],
+                             ids=["l1", "box", "zero"])
+    def test_rejects_g_without_box_oracle(self, g):
+        # only a diagonal Quadratic and the l-inf ball carry the box oracle
+        prob = SaddleProblem(K=IdentityOperator(1), g=g, f_conj=LinfBallIndicator(1.0))
+        with pytest.raises(ValueError, match=type(g).__name__):
+            check_pd_gap(prob, np.zeros(1), np.zeros(1), (-1.0, 1.0), (-1.0, 1.0))
 
     def test_gap_certificate_bound(self):
         prob = scalar_saddle()

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1233,7 +1234,8 @@ class TestRecorderFiniteness:
     def test_overflowing_finite_step_goes_on(self, objective):
         # d @ d overflows to inf, yet every entry of x_new is finite
         rec = _Recorder(np.zeros(2), 0.0, SolverConfig())
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert not rec.record(np.full(2, 1e200), np.full(2, -1e200), objective)
             assert not rec.record(np.full(2, 1.0), np.full(2, 1e200), objective)
         assert rec.termination == ITER_CAP
