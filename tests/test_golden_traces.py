@@ -24,6 +24,12 @@ product in the last bits.  Their ``trace.x`` hashes did not move, since the
 gradient still takes the product of y's own bits and every iterate is the
 same.  The plain ``fb`` cases take A x_n = A y_{n+1} with y = x, and keep
 their hashes.
+
+The gradient-descent cases hash the objective path (start included), the
+residual column, ``trace.x`` and every kept iterate, and record the
+termination and the iteration count.  They leave out the trace's extras
+columns, since gradient descent once recorded a ``step`` column that its run
+on the shared prox-gradient loop no longer writes.
 """
 import hashlib
 
@@ -32,7 +38,7 @@ import pytest
 
 from proxsplit.cli import _write_trace_csv
 from proxsplit.data import generate_synthetic
-from proxsplit.funcs import BoxIndicator, HardThreshold, Quadratic, ZeroFn
+from proxsplit.funcs import BoxIndicator, CallableSmooth, HardThreshold, Quadratic, ZeroFn
 from proxsplit.linops import DenseOperator, Grad2D, IdentityOperator, ImageGrid
 from proxsplit.problems import (
     build_from_config,
@@ -44,15 +50,18 @@ from proxsplit.solvers import (
     SolverConfig,
     arrow_hurwicz,
     chambolle_pock,
+    gradient_descent,
     nonconvex_forward_backward,
     projected_gradient,
 )
 from proxsplit.suite import (
+    anisotropic_quadratic,
     double_well,
     haar4_operator,
     lasso_dense_fixture,
     lasso_diag_fixture,
     scalar_saddle_fixture,
+    singular_quadratic_fixture,
     tv_denoise_fixture,
 )
 
@@ -228,3 +237,50 @@ def _hashes(trace, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_and_iterate_bytes_match_golden(case, tmp_path):
     assert _hashes(CASES[case](), tmp_path) == GOLDEN[case]
+
+
+def _gd_singular():
+    f, x0, _, _ = singular_quadratic_fixture()
+    return gradient_descent(f, x0, SolverConfig(max_iter=10_000, stop_at_fixed_point=True))
+
+
+def _gd_diverging():
+    # the declared Lipschitz constant is 100 times too small
+    wrong = CallableSmooth(lambda x: 50.0 * float(x @ x), lambda x: 100.0 * x, lipschitz=1.0)
+    return gradient_descent(wrong, np.array([1.0]), SolverConfig(gamma=1.9, max_iter=100))
+
+
+GD_CASES = {
+    "anisotropic": lambda: gradient_descent(
+        anisotropic_quadratic(), np.array([1.0, 1.0]),
+        SolverConfig(gamma=0.1, max_iter=300, keep_iterates=True)),
+    "singular_fixed_point": _gd_singular,
+    "double_well": lambda: gradient_descent(double_well(), np.array([0.5]),
+                                            SolverConfig(gamma=0.1, max_iter=300)),
+    "diverging": _gd_diverging,
+}
+
+# (termination, iterations, sha256 of objective path, residual, x and iterates)
+GD_GOLDEN = {
+    "anisotropic": ("iter_cap", 300,
+        "a506700bd5d06bd0524076bef52a66636dd910af87ee24e707e77edc57dc4051"),
+    "diverging": ("diverged", 3,
+        "3a678becb4250a50bf25e89c1837f563dab1b891853939b03046daf092e09b06"),
+    "double_well": ("iter_cap", 300,
+        "ffb13c909ce3e7da97494488e2108b10c12f9ed7df4377a534f128f83699343e"),
+    "singular_fixed_point": ("tol_reached", 306,
+        "eba28c11def166b4c767d903c26ca0c0b697e55e921da409943b303714a53b76"),
+}
+
+
+def _gd_hash(trace):
+    digest = hashlib.sha256()
+    for arr in (trace.objective_path(), trace.residual, trace.x, *trace.iterates):
+        digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GD_CASES))
+def test_gradient_descent_bytes_match_golden(case):
+    trace = GD_CASES[case]()
+    assert (trace.termination, trace.n_iter, _gd_hash(trace)) == GD_GOLDEN[case]
