@@ -16,7 +16,6 @@ from .linops import (
     StackOperator,
     conjugate_gradient,
     construct_operator,
-    dense_from_csv,
 )
 from .funcs import (
     AffineGraphIndicator,
@@ -65,7 +64,7 @@ from .problems import (
     build_tvl1,
     build_wavelet_reg,
 )
-from .data import generate_synthetic, image_io, load_fixture, write_fixture
+from .data import generate_synthetic, load_fixture, read_image, write_fixture
 
 __version__ = "0.1.0"
 

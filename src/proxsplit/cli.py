@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
-from .problems import build_from_config, build_lasso, build_tv_denoise
+from .problems import build_from_config, build_lasso, build_tv_denoise, config_number
 from .solvers import DIVERGED, DecreaseViolation, SolverConfig
 
 EXIT_OK = 0
@@ -40,11 +40,14 @@ class ConfigFileError(ValueError):
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigFileError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigFileError(f"invalid JSON in {path}: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigFileError(f"the config in {path} must be a JSON object")
+    return config
 
 
 def _solver_spec(spec, where: str = "solver") -> dict:
@@ -60,6 +63,17 @@ def _field_type_ok(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
+
+
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _seed(config: dict, override) -> int:
+    seed = override if override is not None else config.get("seed", 0)
+    if not _field_type_ok(seed, int):
+        raise ConfigFileError(f"'seed' must be an integer, got {json.dumps(seed)}")
+    return int(seed)
 
 
 def _solver_config(spec, where: str = "solver") -> SolverConfig:
@@ -121,7 +135,7 @@ def cmd_solve(config: dict, out_dir) -> int:
     if not isinstance(problem_spec, dict):
         raise ConfigFileError("config needs a 'problem' object")
     recipe = config.get("recipe")
-    if not recipe:
+    if not recipe or not isinstance(recipe, str):
         raise ConfigFileError("config needs a 'recipe' name")
     inst = build_from_config(problem_spec)
     if recipe not in inst.recipes:
@@ -163,7 +177,7 @@ def cmd_solve(config: dict, out_dir) -> int:
 def cmd_compare(config: dict, out_dir) -> int:
     problem_spec = config.get("problem")
     recipes = config.get("recipes")
-    if not isinstance(problem_spec, dict) or not recipes:
+    if not isinstance(problem_spec, dict) or not recipes or not _is_name_list(recipes):
         raise ConfigFileError("compare needs a 'problem' object and a 'recipes' list")
     inst = build_from_config(problem_spec)
     for name in recipes:
@@ -215,8 +229,10 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
     names = config.get("checks", ["all"])
     if isinstance(names, str):
         names = [names]
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
+    if not _is_name_list(names):
+        raise ConfigFileError(
+            f"'checks' must be a check name or a list of names, got {json.dumps(names)}")
+    seed = _seed(config, seed_override)
     try:
         names = expand_checks(names)
     except KeyError as exc:
@@ -244,9 +260,12 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     if not kind:
         raise ConfigFileError("generate needs a 'kind'")
     dims = config.get("dims", 8)
-    sigma = float(config.get("sigma", 0.0))
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
+    if not (_field_type_ok(dims, int) or isinstance(dims, list) and 1 <= len(dims) <= 2
+            and all(_field_type_ok(d, int) for d in dims)):
+        raise ConfigFileError(
+            f"'dims' must be an integer or a list of one or two, got {json.dumps(dims)}")
+    sigma = config_number(config, "sigma", 0.0)
+    seed = _seed(config, seed_override)
     out = pathlib.Path(out_dir)
     resolved = {"kind": kind, "dims": dims, "sigma": sigma, "seed": seed}
 
@@ -262,7 +281,7 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
         raise ConfigFileError(
             f"unknown fixture kind {kind!r}; data kinds: {datamod.SYNTHETIC_KINDS} "
             "plus problem bundles 'lasso' and 'tv_denoise'")
-    lam = float(config.get("lambda", 0.1))
+    lam = config_number(config, "lambda", 0.1)
     if kind == "lasso":
         data = datamod.generate_synthetic("sparse_vector", dims, sigma=sigma, seed=seed)
         inst, reference = build_lasso(DenseOperator(data["A"]), data["y"], lam), "fista"
@@ -324,6 +343,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         out_dir = args.out or config.get("output_dir", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigFileError(f"'output_dir' must be a path, got {json.dumps(out_dir)}")
         handler = {
             "solve": cmd_solve,
             "certify": cmd_certify,

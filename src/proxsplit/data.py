@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 
-from .linops import NEUMANN, ImageGrid, read_csv_rows
+from .linops import ImageGrid, read_csv_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -138,7 +138,7 @@ def write_pgm(path, grid: ImageGrid) -> None:
         fh.write(data.tobytes())
 
 
-def read_pgm(path, boundary: str = NEUMANN) -> ImageGrid:
+def read_pgm(path) -> ImageGrid:
     with open(path, "rb") as fh:
         raw = fh.read()
     tokens = []
@@ -168,7 +168,7 @@ def read_pgm(path, boundary: str = NEUMANN) -> ImageGrid:
     if len(pixels) != rows * cols:
         raise FixtureError(f"truncated PGM payload in {path}")
     arr = np.frombuffer(pixels, dtype=np.uint8).astype(float) / 255.0
-    return ImageGrid(rows, cols, arr, boundary)
+    return ImageGrid(rows, cols, arr)
 
 
 def write_csv_rows(path, rows) -> None:
@@ -182,25 +182,16 @@ def write_csv_rows(path, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv_grid(path, boundary: str = NEUMANN) -> ImageGrid:
+def read_csv_grid(path) -> ImageGrid:
     rows = read_csv_rows(path, FixtureError)
-    return ImageGrid(rows.shape[0], rows.shape[1], rows.ravel(), boundary)
+    return ImageGrid(rows.shape[0], rows.shape[1], rows.ravel())
 
 
-def image_io(path, direction: str, grid: ImageGrid | None = None,
-             boundary: str = NEUMANN) -> ImageGrid | None:
-    """Read or write an image; the format follows the file extension
-    (.pgm binary, anything else CSV)."""
+def read_image(path) -> ImageGrid:
+    """Read an image; the format follows the file extension (.pgm in any
+    case binary PGM, anything else CSV)."""
     path = pathlib.Path(path)
-    is_pgm = path.suffix.lower() == ".pgm"
-    if direction == "read":
-        return read_pgm(path, boundary) if is_pgm else read_csv_grid(path, boundary)
-    if direction == "write":
-        if grid is None:
-            raise ValueError("writing needs a grid")
-        write_pgm(path, grid) if is_pgm else write_csv_rows(path, grid.to_array())
-        return None
-    raise ValueError(f"unknown direction {direction!r}")
+    return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_grid(path)
 
 
 # ---------------------------------------------------------------------------

@@ -123,19 +123,17 @@ class ImageGrid:
         return self.pixels.copy()
 
 
-def conjugate_gradient(apply_fn, rhs: np.ndarray, tol: float = 1e-10,
-                       max_iter: int | None = None, x0: np.ndarray | None = None) -> np.ndarray:
+def conjugate_gradient(apply_fn, rhs: np.ndarray) -> np.ndarray:
     """Solve ``M x = rhs`` for a symmetric positive (semi-)definite map.
 
-    Stops at absolute residual ``tol``; the iteration cap defaults to ten
-    times the dimension and exhausting it raises :class:`CGError` carrying
-    the final residual.
+    Starts at 0 and stops at absolute residual 1e-10; the iteration cap is
+    ten times the dimension, and exhausting it raises :class:`CGError`
+    carrying the final residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
-    if max_iter is None:
-        max_iter = 10 * n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    tol, max_iter = 1e-10, 10 * n
+    x = np.zeros(n)
     r = rhs - apply_fn(x)
     p = r.copy()
     rs = float(r @ r)
@@ -785,7 +783,3 @@ def read_csv_rows(path, error=ValueError) -> np.ndarray:
     except ValueError as exc:
         raise error(f"malformed CSV file {path}: {exc}") from None
 
-
-def dense_from_csv(path) -> DenseOperator:
-    """Load a dense matrix from a comma-separated file, one row per line."""
-    return DenseOperator(read_csv_rows(path))

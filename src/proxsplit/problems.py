@@ -18,6 +18,7 @@ gap, and their solvers reject a positive ``gap_tol``.
 from __future__ import annotations
 
 import dataclasses
+import json
 import warnings
 import numpy as np
 
@@ -414,10 +415,22 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
 # config/fixture entry point used by the command-line front end
 # ---------------------------------------------------------------------------
 
+def config_number(spec: dict, key: str, default) -> float:
+    """``spec[key]``, or ``default`` when it is absent, as a float; anything
+    but a JSON number is a ValueError naming the key."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _operator_from_config(spec, n: int) -> LinearOperator:
     # operator specs go through the linops registry; "dim" defaults to the
     # problem dimension
     spec = {"kind": "identity"} if spec in (None, "identity") else spec
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"an operator is 'identity' or an object with a 'kind', "
+                         f"got {json.dumps(spec)}")
     params = {"dim": n, **spec}
     kind = params.pop("kind")
     return construct_operator(kind, params)
@@ -435,10 +448,12 @@ def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
     kind = spec.get("kind")
     bundle = None
     if "fixture" in spec:
+        if not isinstance(spec["fixture"], str):
+            raise ValueError(f"'fixture' must be a path, got {json.dumps(spec['fixture'])}")
         root = pathlib.Path(fixtures_root) if fixtures_root else datamod.fixture_root()
         path = pathlib.Path(spec["fixture"])
         bundle = datamod.load_fixture(path if path.is_absolute() else root / path)
-    lam = float(spec.get("lambda", bundle.get("lambda", 0.1) if bundle else 0.1))
+    lam = config_number(spec, "lambda", bundle.get("lambda", 0.1) if bundle else 0.1)
 
     if kind == "lasso":
         if bundle is not None:
@@ -458,7 +473,7 @@ def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
             rows, cols = int(bundle["rows"]), int(bundle["cols"])
             grid = ImageGrid(rows, cols, np.asarray(bundle["y"], dtype=float))
         elif "image" in spec:
-            grid = datamod.image_io(spec["image"], "read")
+            grid = datamod.read_image(spec["image"])
         elif "image_csv" in spec:
             grid = datamod.read_csv_grid(spec["image_csv"])
         else:

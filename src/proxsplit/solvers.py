@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
-                    SaddleProblem, SeparableProx, SmoothFn, gram_solver)
+                    SaddleProblem, SeparableProx, SmoothFn, ZeroFn, gram_solver)
 from .linops import (DimensionError, IdentityOperator, LinearOperator, ScaleOperator,
                      StackOperator, as_vector)
 
@@ -267,66 +267,11 @@ def _default_gamma(cfg: SolverConfig, lipschitz: float) -> float:
     return 1.0 / lipschitz
 
 
-def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None,
-                     mode: str = "fixed") -> SolverTrace:
-    """Explicit gradient descent: fixed step, backtracking, or exact line
-    search on a quadratic.
-
-    Fixed mode requires gamma < 2/L.  Backtracking restarts from
-    ``cfg.gamma`` at every iterate and halves it until
-    f(x) - f(x - g*grad) > (g/2)*||grad||^2.  The quadratic line search uses
-    gamma_n = ||g||^2 / (scale * ||A g||^2).
-    """
-    cfg = cfg or SolverConfig()
-    x = _start(x0, f.dim)
-    if mode not in ("fixed", "backtracking", "optimal_quadratic"):
-        raise ConfigError(f"unknown gradient-descent mode {mode!r}")
-    if mode == "fixed":
-        gamma = _default_gamma(cfg, f.lipschitz)
-        if f.lipschitz > 0 and gamma >= 2.0 / f.lipschitz:
-            raise ConfigError(
-                f"fixed stepsize {gamma} violates gamma < 2/L = {2.0 / f.lipschitz}"
-            )
-    elif mode == "backtracking":
-        gamma0 = cfg.gamma if cfg.gamma is not None else 1.0
-        if gamma0 <= 0:
-            raise ConfigError("backtracking needs a positive initial stepsize")
-    else:
-        if not isinstance(f, Quadratic):
-            raise ConfigError("optimal_quadratic mode needs a quadratic objective")
-
-    rec = _Recorder(x, f._value(x), cfg)
-    for _ in range(cfg.max_iter):
-        g = f._grad(x)
-        if mode == "fixed":
-            step = gamma
-            x_new = x - step * g
-        elif mode == "backtracking":
-            step = gamma0
-            fx = f._value(x)
-            gg = float(g @ g)
-            if gg == 0.0:
-                rec.termination = TOL_REACHED
-                break
-            while f._value(x - step * g) >= fx - 0.5 * step * gg:
-                step *= 0.5
-                if step < 1e-20:
-                    raise ConfigError("backtracking shrank the stepsize to zero")
-            x_new = x - step * g
-        else:
-            Ag = f.A._apply(g)
-            denom = f.scale * float(Ag @ Ag)
-            if denom == 0.0:
-                rec.termination = TOL_REACHED
-                break
-            step = float(g @ g) / denom
-            x_new = x - step * g
-        stop = rec.record(x_new, x, f._value(x_new), {"step": step}) or (
-            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
-        x = x_new
-        if stop:
-            break
-    return rec.finish(x)
+def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None) -> SolverTrace:
+    """Explicit gradient descent with a fixed step gamma < 2/L: forward-backward
+    with g = 0, on the shared prox-gradient loop (``meta["gamma"]`` holds the step)."""
+    cfg = (cfg or SolverConfig()).with_(inertia="none")
+    return forward_backward(f, ZeroFn(), x0, cfg)
 
 
 def projected_gradient(f: SmoothFn, projection: ProxFn, x0,

@@ -471,6 +471,37 @@ class TestDualityGapStop:
         assert not (out / "summary.json").exists()
 
 
+class TestMalformedConfigTypes:
+    # each value has a JSON type its field cannot take: the run exits 1 with
+    # one line naming the field, before --out is made
+    LASSO = {"kind": "lasso", "y": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("command,config,field", [
+        ("solve", [1, 2], "JSON object"),
+        ("certify", {"checks": 5}, "'checks'"),
+        ("certify", {"checks": [], "seed": [1]}, "'seed'"),
+        ("generate", {"kind": "step_image", "dims": None}, "'dims'"),
+        ("generate", {"kind": "step_image", "dims": []}, "'dims'"),
+        ("generate", {"kind": "lasso", "dims": [4, 6], "lambda": [1]}, "'lambda'"),
+        ("solve", {"problem": {**LASSO, "lambda": [1]}, "recipe": "fb"}, "'lambda'"),
+        ("solve", {"problem": {**LASSO, "A": "dense"}, "recipe": "fb"}, "operator"),
+        ("solve", {"problem": {"kind": "lasso", "fixture": 5}, "recipe": "fb"}, "'fixture'"),
+        ("solve", {"problem": LASSO, "recipe": ["fb"]}, "'recipe'"),
+        ("compare", {"problem": LASSO, "recipes": "cp"}, "'recipes'"),
+    ], ids=["top_level_array", "checks_number", "seed_array", "dims_null", "dims_empty",
+            "generate_lambda_array", "lambda_array", "operator_string", "fixture_number",
+            "recipe_array", "recipes_string"])
+    def test_is_config_error(self, tmp_path, capsys, command, config, field):
+        cfg = write_config(tmp_path / "run.json", config)
+        out = tmp_path / "run"
+        assert main([command, cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestFailedRunLeavesNoOutput:
     # a ConfigError raised while a recipe runs exits 1 before --out is made
     PIXELS = TestDualityGapStop.PIXELS

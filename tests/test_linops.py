@@ -18,7 +18,7 @@ from proxsplit.linops import (
     as_vector,
     conjugate_gradient,
     construct_operator,
-    dense_from_csv,
+    read_csv_rows,
 )
 
 
@@ -554,11 +554,10 @@ class TestCsvMatrix:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.5,-4.0\n")
-        op = dense_from_csv(path)
-        assert np.allclose(op.matrix, [[1.0, 2.0], [3.5, -4.0]])
+        assert np.array_equal(read_csv_rows(path), [[1.0, 2.0], [3.5, -4.0]])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.5\n")
         with pytest.raises(ValueError):
-            dense_from_csv(path)
+            read_csv_rows(path)

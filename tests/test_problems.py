@@ -509,6 +509,25 @@ class TestImageIO:
         with pytest.raises(FixtureError):
             read_pgm(path)
 
+    def test_image_key_reads_csv_like_image_csv(self, tmp_path):
+        path = tmp_path / "img.csv"
+        write_csv_rows(path, np.random.default_rng(3).random((3, 5)))
+        insts = [build_from_config({"kind": "tv_denoise", key: str(path), "lambda": 0.1})
+                 for key in ("image", "image_csv")]
+        for key in ("rows", "cols", "y"):
+            assert (np.asarray(insts[0].metadata[key]).tobytes()
+                    == np.asarray(insts[1].metadata[key]).tobytes())
+        x = np.linspace(0.0, 1.0, 15)
+        assert insts[0].objective(x) == insts[1].objective(x)
+
+    def test_image_key_reads_upper_case_pgm(self, tmp_path):
+        grid = ImageGrid.from_array(np.random.default_rng(4).random((4, 6)))
+        path = tmp_path / "IMG.PGM"
+        write_pgm(path, grid)
+        inst = build_from_config({"kind": "tv_denoise", "image": str(path), "lambda": 0.1})
+        assert (inst.metadata["rows"], inst.metadata["cols"]) == (4, 6)
+        assert inst.metadata["y"].tobytes() == read_pgm(path).pixels.tobytes()
+
     def test_non_rectangular_csv_rejected(self, tmp_path):
         path = tmp_path / "img.csv"
         path.write_text("1.0,2.0\n3.0\n")

@@ -84,40 +84,6 @@ class TestGradientDescent:
         with pytest.raises(ConfigError):
             gradient_descent(half_square(), [1.0], SolverConfig(gamma=2.0))
 
-    def test_backtracking_shrink_oracle(self):
-        # shrink sequence 10, 5, 2.5, 1.25, 0.625: the decrease test
-        # f(x) - f(x - g*x) > (g/2) x^2 holds iff g < 1, so 0.625 is accepted
-        f = half_square()
-        for g in (10.0, 5.0, 2.5, 1.25):
-            x = np.array([3.0])
-            assert not (f.value(x) - f.value(x - g * x) > 0.5 * g * float(x @ x))
-        trace = gradient_descent(f, [3.0],
-                                 SolverConfig(gamma=10.0, max_iter=5),
-                                 mode="backtracking")
-        assert np.allclose(trace.extras["step"], 0.625)
-        assert trace.objective[-1] < f.value(np.array([3.0]))
-
-    def test_optimal_quadratic_step(self):
-        f = anisotropic()
-        trace = gradient_descent(f, [1.0, 1.0], SolverConfig(max_iter=1),
-                                 mode="optimal_quadratic")
-        # exact line search on the quadratic: ||g||^2 / ||A g||^2
-        assert trace.extras["step"][0] == pytest.approx(101.0 / 1001.0)
-        trace = gradient_descent(f, [1.0, 1.0], SolverConfig(max_iter=60),
-                                 mode="optimal_quadratic")
-        assert trace.objective[-1] <= 1e-12
-
-    def test_backtracking_stops_at_stationary_point(self):
-        trace = gradient_descent(half_square(), [0.0],
-                                 SolverConfig(gamma=10.0, max_iter=5),
-                                 mode="backtracking")
-        assert trace.termination == "tol_reached"
-
-    def test_optimal_needs_quadratic(self):
-        smooth = CallableSmooth(lambda x: float(x @ x) / 2, lambda x: x, 1.0)
-        with pytest.raises(ConfigError):
-            gradient_descent(smooth, [1.0], mode="optimal_quadratic")
-
     def test_divergence_guard(self):
         # declared Lipschitz constant far below the truth: iterates blow up
         wrong = CallableSmooth(lambda x: 50.0 * float(x @ x),
