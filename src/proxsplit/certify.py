@@ -334,7 +334,7 @@ def dr_cp_equivalence(f: ProxFn, g: ProxFn, gamma: float, x0, w0,
 
 
 def dr_admm_equivalence(f: ProxFn, g: ProxFn, K: LinearOperator, gamma: float,
-                        iters: int = 50, w0=None, v0=None,
+                        iters: int = 50, w0=None,
                         instance: str = "") -> CheckReport:
     """Dual multiplier iteration recovers the primal splitting through
 
@@ -356,7 +356,7 @@ def dr_admm_equivalence(f: ProxFn, g: ProxFn, K: LinearOperator, gamma: float,
     if w0 is None:
         w0 = np.zeros(K.in_dim)
     w = np.asarray(w0, dtype=float).copy()
-    v = g.prox(w, gamma) if v0 is None else np.asarray(v0, dtype=float).copy()
+    v = g.prox(w, gamma)
     z = -v
     y = (w - v) / gamma
     worst = 0.0

@@ -20,8 +20,6 @@ import sys
 import time
 import typing
 
-import numpy as np
-
 from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
 from .problems import build_from_config, build_lasso, build_tv_denoise, config_number
@@ -65,15 +63,8 @@ def _field_type_ok(value, hint) -> bool:
     return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
 
 
-def _is_name_list(value) -> bool:
+def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _seed(config: dict, override) -> int:
-    seed = override if override is not None else config.get("seed", 0)
-    if not _field_type_ok(seed, int):
-        raise ConfigFileError(f"'seed' must be an integer, got {json.dumps(seed)}")
-    return int(seed)
 
 
 def _solver_config(spec, where: str = "solver") -> SolverConfig:
@@ -107,21 +98,9 @@ def _write_trace_csv(path, trace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -177,7 +156,7 @@ def cmd_solve(config: dict, out_dir) -> int:
 def cmd_compare(config: dict, out_dir) -> int:
     problem_spec = config.get("problem")
     recipes = config.get("recipes")
-    if not isinstance(problem_spec, dict) or not recipes or not _is_name_list(recipes):
+    if not isinstance(problem_spec, dict) or not recipes or not _is_names(recipes):
         raise ConfigFileError("compare needs a 'problem' object and a 'recipes' list")
     inst = build_from_config(problem_spec)
     for name in recipes:
@@ -229,10 +208,10 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
     names = config.get("checks", ["all"])
     if isinstance(names, str):
         names = [names]
-    if not _is_name_list(names):
-        raise ConfigFileError(
-            f"'checks' must be a check name or a list of names, got {json.dumps(names)}")
-    seed = _seed(config, seed_override)
+    if not _is_names(names):
+        raise ConfigFileError(f"'checks' must be a name or a list of names, "
+                              f"got {json.dumps(names)}")
+    seed = int(seed_override if seed_override is not None else config_number(config, "seed", 0))
     try:
         names = expand_checks(names)
     except KeyError as exc:
@@ -260,12 +239,11 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     if not kind:
         raise ConfigFileError("generate needs a 'kind'")
     dims = config.get("dims", 8)
-    if not (_field_type_ok(dims, int) or isinstance(dims, list) and 1 <= len(dims) <= 2
-            and all(_field_type_ok(d, int) for d in dims)):
-        raise ConfigFileError(
-            f"'dims' must be an integer or a list of one or two, got {json.dumps(dims)}")
+    sides = dims if isinstance(dims, list) else [dims]
+    if not (1 <= len(sides) <= 2 and all(_field_type_ok(n, int) for n in sides)):
+        raise ConfigFileError(f"'dims' must be one or two integers, got {json.dumps(dims)}")
     sigma = config_number(config, "sigma", 0.0)
-    seed = _seed(config, seed_override)
+    seed = int(seed_override if seed_override is not None else config_number(config, "seed", 0))
     out = pathlib.Path(out_dir)
     resolved = {"kind": kind, "dims": dims, "sigma": sigma, "seed": seed}
 

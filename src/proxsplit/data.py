@@ -130,14 +130,6 @@ def _as_dims(dims):
 # image IO: binary PGM (P5, maxval 255, scaled to [0,1]) and CSV grids
 # ---------------------------------------------------------------------------
 
-def write_pgm(path, grid: ImageGrid) -> None:
-    img = np.clip(grid.to_array(), 0.0, 1.0)
-    data = np.round(img * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{grid.cols} {grid.rows}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
 def read_pgm(path) -> ImageGrid:
     with open(path, "rb") as fh:
         raw = fh.read()

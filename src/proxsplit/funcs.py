@@ -604,11 +604,10 @@ class _DiagonalPrecomposition(ProxFn):
         return out
 
 
-def finite_difference_grad(fn: SmoothFn, x, step: float | None = None) -> np.ndarray:
+def finite_difference_grad(fn: SmoothFn, x) -> np.ndarray:
     """Central finite-difference gradient, the independent derivative oracle."""
     x = as_vector(x)
-    if step is None:
-        step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)

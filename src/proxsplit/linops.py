@@ -110,11 +110,11 @@ class ImageGrid:
         object.__setattr__(self, "pixels", as_vector(self.pixels, self.rows * self.cols))
 
     @classmethod
-    def from_array(cls, arr, boundary: str = NEUMANN) -> "ImageGrid":
+    def from_array(cls, arr) -> "ImageGrid":
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2:
             raise DimensionError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], a.ravel(), boundary)
+        return cls(a.shape[0], a.shape[1], a.ravel())
 
     def to_array(self) -> np.ndarray:
         return self.pixels.reshape(self.rows, self.cols)

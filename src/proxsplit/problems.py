@@ -278,8 +278,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     )
 
 
-def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
-                     boundary: str = "neumann") -> ProblemInstance:
+def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int) -> ProblemInstance:
     """min 0.5 ||Ax - y||^2 + lam ||grad x||_1 for a general forward map.
 
     Recipes: explicit gradient on the data term with a dualized TV block
@@ -292,7 +291,7 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int,
     if A.in_dim != n:
         raise ValueError("forward operator does not match the grid size")
     y = as_vector(y, A.out_dim)
-    grad = Grad2D(rows, cols, boundary)
+    grad = Grad2D(rows, cols)
     data_fit = Quadratic(A, y)
     objective = _tv_objective(data_fit, grad, float(lam))
 
@@ -416,8 +415,7 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
 # ---------------------------------------------------------------------------
 
 def config_number(spec: dict, key: str, default) -> float:
-    """``spec[key]``, or ``default`` when it is absent, as a float; anything
-    but a JSON number is a ValueError naming the key."""
+    """``spec[key]``, or ``default`` when absent, as a float: a JSON number or a ValueError."""
     value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
@@ -428,20 +426,19 @@ def _operator_from_config(spec, n: int) -> LinearOperator:
     # operator specs go through the linops registry; "dim" defaults to the
     # problem dimension
     spec = {"kind": "identity"} if spec in (None, "identity") else spec
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"an operator is 'identity' or an object with a 'kind', "
-                         f"got {json.dumps(spec)}")
+    if not isinstance(spec, dict):
+        raise ValueError(f"an operator must be 'identity' or an object, got {json.dumps(spec)}")
     params = {"dim": n, **spec}
     kind = params.pop("kind")
     return construct_operator(kind, params)
 
 
-def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
+def build_from_config(spec: dict) -> ProblemInstance:
     """Build a problem instance from a JSON-style config dict.
 
     ``spec`` carries ``kind`` plus either inline parameters or a ``fixture``
-    bundle directory (resolved against ``fixtures_root`` or the
-    PROXSPLIT_FIXTURES environment variable).
+    bundle directory (resolved against the PROXSPLIT_FIXTURES environment
+    variable).
     """
     import pathlib
 
@@ -450,9 +447,8 @@ def build_from_config(spec: dict, fixtures_root=None) -> ProblemInstance:
     if "fixture" in spec:
         if not isinstance(spec["fixture"], str):
             raise ValueError(f"'fixture' must be a path, got {json.dumps(spec['fixture'])}")
-        root = pathlib.Path(fixtures_root) if fixtures_root else datamod.fixture_root()
         path = pathlib.Path(spec["fixture"])
-        bundle = datamod.load_fixture(path if path.is_absolute() else root / path)
+        bundle = datamod.load_fixture(path if path.is_absolute() else datamod.fixture_root() / path)
     lam = config_number(spec, "lambda", bundle.get("lambda", 0.1) if bundle else 0.1)
 
     if kind == "lasso":

@@ -594,7 +594,7 @@ def _augmented_argmin(fn, op: LinearOperator, gamma):
 
 
 def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
-         y0=None, z0=None, cfg: SolverConfig | None = None) -> SolverTrace:
+         y0=None, cfg: SolverConfig | None = None) -> SolverTrace:
     """Alternating direction method of multipliers for
 
         min f(x) + g(y)  subject to  A x + B y = b.
@@ -615,7 +615,7 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     # x starts at 0, so only the length of f is checked against A
     x = _start(np.zeros(A.in_dim), f.dim)
     y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
-    z = np.zeros(A.out_dim) if z0 is None else as_vector(z0, A.out_dim)
+    z = np.zeros(A.out_dim)
 
     argmin_x = _augmented_argmin(f, A, gamma)
     argmin_y = _augmented_argmin(g, B, gamma)

@@ -738,14 +738,11 @@ class TestStepsizeSummary:
 
 class TestPgmInput:
     def test_solve_from_pgm_image(self, tmp_path):
-        from proxsplit.data import write_pgm
-        from proxsplit.linops import ImageGrid
-
         rng = np.random.default_rng(5)
-        grid = ImageGrid.from_array(np.clip(0.5 + 0.2 * rng.standard_normal((4, 4)),
-                                            0, 1))
+        img = np.clip(0.5 + 0.2 * rng.standard_normal((4, 4)), 0, 1)
         img_path = tmp_path / "img.pgm"
-        write_pgm(img_path, grid)
+        # binary PGM: P5 header (width, height, maxval 255), then one byte per pixel
+        img_path.write_bytes(b"P5\n4 4\n255\n" + np.round(img * 255.0).astype(np.uint8).tobytes())
         cfg = write_config(tmp_path / "solve.json", {
             "problem": {"kind": "tv_denoise", "image": str(img_path),
                         "lambda": 0.1},

@@ -14,7 +14,6 @@ from proxsplit.data import (
     read_pgm,
     write_csv_rows,
     write_fixture,
-    write_pgm,
 )
 from proxsplit.funcs import AffineGraphIndicator, soft_threshold
 from proxsplit.linops import (
@@ -482,6 +481,13 @@ class TestSynthetic:
         assert abs(draws.std() - 1.0) <= 0.03
 
 
+def _write_pgm(path, img):
+    # binary PGM: P5 header (width, height, maxval 255), then one byte per pixel
+    rows, cols = img.shape
+    path.write_bytes(f"P5\n{cols} {rows}\n255\n".encode("ascii")
+                     + np.round(img * 255.0).astype(np.uint8).tobytes())
+
+
 class TestImageIO:
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -495,15 +501,14 @@ class TestImageIO:
         rng = np.random.default_rng(2)
         grid = ImageGrid.from_array(rng.random((4, 6)))
         path = tmp_path / "img.pgm"
-        write_pgm(path, grid)
+        _write_pgm(path, grid.to_array())
         back = read_pgm(path)
         assert back.rows == 4 and back.cols == 6
         assert np.max(np.abs(back.pixels - grid.pixels)) <= 1.0 / 255.0
 
     def test_truncated_pgm_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
-        grid = ImageGrid.from_array(np.random.default_rng(0).random((4, 4)))
-        write_pgm(path, grid)
+        _write_pgm(path, np.random.default_rng(0).random((4, 4)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
         with pytest.raises(FixtureError):
@@ -521,9 +526,8 @@ class TestImageIO:
         assert insts[0].objective(x) == insts[1].objective(x)
 
     def test_image_key_reads_upper_case_pgm(self, tmp_path):
-        grid = ImageGrid.from_array(np.random.default_rng(4).random((4, 6)))
         path = tmp_path / "IMG.PGM"
-        write_pgm(path, grid)
+        _write_pgm(path, np.random.default_rng(4).random((4, 6)))
         inst = build_from_config({"kind": "tv_denoise", "image": str(path), "lambda": 0.1})
         assert (inst.metadata["rows"], inst.metadata["cols"]) == (4, 6)
         assert inst.metadata["y"].tobytes() == read_pgm(path).pixels.tobytes()
@@ -656,12 +660,12 @@ class TestFixtureBundles:
         for key in ("A", "y", "x_true"):
             assert back[key].tobytes() == data[key].tobytes()
 
-    def test_build_from_config_with_fixture(self, tmp_path):
+    def test_build_from_config_with_fixture(self, tmp_path, monkeypatch):
         data = generate_synthetic("sparse_vector", (5, 8), sigma=0.0, seed=2)
         data["lambda"] = 0.2
         write_fixture(tmp_path / "b", data)
-        inst = build_from_config({"kind": "lasso", "fixture": "b"},
-                                 fixtures_root=tmp_path)
+        monkeypatch.setenv("PROXSPLIT_FIXTURES", str(tmp_path))
+        inst = build_from_config({"kind": "lasso", "fixture": "b"})
         assert inst.name == "lasso"
         assert inst.metadata["lambda"] == 0.2
 
