@@ -180,8 +180,8 @@ def read_csv_grid(path) -> ImageGrid:
 
 
 def read_image(path) -> ImageGrid:
-    """Read an image; the format follows the file extension (.pgm in any
-    case binary PGM, anything else CSV)."""
+    """Read an image: binary PGM when the suffix is .pgm in any letter case,
+    CSV otherwise."""
     path = pathlib.Path(path)
     return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_grid(path)
 
