@@ -443,10 +443,11 @@ def build_from_config(spec: dict) -> ProblemInstance:
     import pathlib
 
     kind = spec.get("kind")
+    for key in ("fixture", "image", "image_csv"):
+        if not isinstance(spec.get(key, ""), str):
+            raise ValueError(f"{key!r} must be a path, got {json.dumps(spec[key])}")
     bundle = None
     if "fixture" in spec:
-        if not isinstance(spec["fixture"], str):
-            raise ValueError(f"'fixture' must be a path, got {json.dumps(spec['fixture'])}")
         path = pathlib.Path(spec["fixture"])
         bundle = datamod.load_fixture(path if path.is_absolute() else datamod.fixture_root() / path)
     lam = config_number(spec, "lambda", bundle.get("lambda", 0.1) if bundle else 0.1)
@@ -482,7 +483,7 @@ def build_from_config(spec: dict) -> ProblemInstance:
 
     if kind == "tv_inverse":
         source = spec if bundle is None else bundle
-        rows, cols = int(source["rows"]), int(source["cols"])
+        rows, cols = (int(config_number(source, key, None)) for key in ("rows", "cols"))
         y_clean = np.asarray(source["y"], dtype=float)
         A = _operator_from_config(spec.get("A"), rows * cols)
         y_obs = A.apply(y_clean) if y_clean.size == A.in_dim else y_clean

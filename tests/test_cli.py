@@ -486,11 +486,14 @@ class TestMalformedConfigTypes:
         ("solve", {"problem": {**LASSO, "lambda": [1]}, "recipe": "fb"}, "'lambda'"),
         ("solve", {"problem": {**LASSO, "A": "dense"}, "recipe": "fb"}, "operator"),
         ("solve", {"problem": {"kind": "lasso", "fixture": 5}, "recipe": "fb"}, "'fixture'"),
+        ("solve", {"problem": {"kind": "tv_denoise", "image": 5}, "recipe": "cp"}, "'image'"),
+        ("solve", {"problem": {"kind": "tv_inverse", "rows": [2], "cols": 2, "y": [1.0] * 4},
+                   "recipe": "cp2"}, "'rows'"),
         ("solve", {"problem": LASSO, "recipe": ["fb"]}, "'recipe'"),
         ("compare", {"problem": LASSO, "recipes": "cp"}, "'recipes'"),
     ], ids=["top_level_array", "checks_number", "seed_array", "dims_null", "dims_empty",
             "generate_lambda_array", "lambda_array", "operator_string", "fixture_number",
-            "recipe_array", "recipes_string"])
+            "image_number", "rows_array", "recipe_array", "recipes_string"])
     def test_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path / "run.json", config)
         out = tmp_path / "run"
