@@ -622,7 +622,6 @@ def ascending_trace(n: int = 20) -> SolverTrace:
     return SolverTrace(
         x0=np.zeros(1),
         objective0=0.5,
-        steps=np.arange(1, n + 1),
         objective=obj,
         residual=np.full(n, 0.1),
         extras={},

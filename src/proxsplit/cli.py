@@ -86,16 +86,19 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_trace_csv(path, trace) -> None:
-    extra_keys = sorted(trace.extras)
-    header = ["n", "objective", "residual"] + extra_keys
+def _write_csv(path, header, rows) -> None:
+    # each row is a list of strings, written after its number, counted from 1
     lines = [",".join(header)]
-    for i, n in enumerate(trace.steps):
-        row = [str(int(n)), _fmt(trace.objective[i]), _fmt(trace.residual[i])]
-        row += [_fmt(trace.extras[k][i]) for k in extra_keys]
-        lines.append(",".join(row))
+    lines += [",".join([str(i), *row]) for i, row in enumerate(rows, 1)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_trace_csv(path, trace) -> None:
+    extra_keys = sorted(trace.extras)
+    columns = [trace.objective, trace.residual] + [trace.extras[k] for k in extra_keys]
+    _write_csv(path, ["n", "objective", "residual"] + extra_keys,
+               ([_fmt(col[i]) for col in columns] for i in range(trace.n_iter)))
 
 
 def _write_json(path, payload) -> None:
@@ -186,15 +189,10 @@ def cmd_compare(config: dict, out_dir) -> int:
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["n"] + list(recipes) + ["gap_to_best"]
-    lines = [",".join(header)]
-    for i in range(length):
-        row = [str(i + 1)]
-        row += [_fmt(at(columns[name], i)) for name in recipes]
-        row.append(_fmt(min(at(columns[name], i) for name in recipes) - best))
-        lines.append(",".join(row))
-    with open(out / "comparison.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out / "comparison.csv", ["n"] + list(recipes) + ["gap_to_best"],
+               ([_fmt(at(columns[name], i)) for name in recipes]
+                + [_fmt(min(at(columns[name], i) for name in recipes) - best)]
+                for i in range(length)))
     _write_json(out / "summary.json",
                 {"problem": inst.name, "final_objectives": finals, "best": best})
     _write_resolved(out, config, {"solver": ran})

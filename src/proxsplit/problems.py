@@ -39,6 +39,7 @@ from .funcs import (
 from .linops import (
     AdjointOperator,
     ComposedOperator,
+    DenseOperator,
     Grad2D,
     IdentityOperator,
     ImageGrid,
@@ -414,12 +415,44 @@ def build_wavelet_reg(A: LinearOperator, y, lam: float,
 # config/fixture entry point used by the command-line front end
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def config_number(spec: dict, key: str, default) -> float:
     """``spec[key]``, or ``default`` when absent, as a float: a JSON number or a ValueError."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def _is_numbers(value) -> bool:
+    # a JSON number or boolean, or arrays of them nested to any depth
+    if isinstance(value, list):
+        return all(map(_is_numbers, value))
+    return isinstance(value, (int, float))
+
+
+def _config_array(spec: dict, key: str) -> np.ndarray:
+    if not _is_numbers(spec[key]):
+        raise ValueError(f"{key!r} must be an array of numbers, got {json.dumps(spec[key])}")
+    return np.asarray(spec[key], dtype=float)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_COUNT = ("an integer", _is_count)
+_ARRAY = ("an array of numbers", _is_numbers)
+# the JSON type of each operator parameter
+_OPERATOR_FIELDS = {
+    "factor": ("a number", _is_number),
+    "dim": _COUNT, "rows": _COUNT, "cols": _COUNT,
+    "shape": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_count, v))),
+    "kernel": _ARRAY, "matrix": _ARRAY, "pattern": _ARRAY,
+}
 
 
 def _operator_from_config(spec, n: int) -> LinearOperator:
@@ -430,6 +463,9 @@ def _operator_from_config(spec, n: int) -> LinearOperator:
         raise ValueError(f"an operator must be 'identity' or an object, got {json.dumps(spec)}")
     params = {"dim": n, **spec}
     kind = params.pop("kind")
+    for key, (what, ok) in _OPERATOR_FIELDS.items():
+        if key in params and not ok(params[key]):
+            raise ValueError(f"operator {key!r} must be {what}, got {json.dumps(params[key])}")
     return construct_operator(kind, params)
 
 
@@ -455,11 +491,11 @@ def build_from_config(spec: dict) -> ProblemInstance:
     if kind == "lasso":
         if bundle is not None:
             y = np.asarray(bundle["y"], dtype=float)
-            A = {"kind": "dense_matrix", "matrix": bundle["A"]} if "A" in bundle else None
+            A = DenseOperator(bundle["A"]) if "A" in bundle else IdentityOperator(y.size)
         else:
-            y = np.asarray(spec["y"], dtype=float)
-            A = spec.get("A")
-        inst = build_lasso(_operator_from_config(A, y.size), y, lam)
+            y = _config_array(spec, "y")
+            A = _operator_from_config(spec.get("A"), y.size)
+        inst = build_lasso(A, y, lam)
         if bundle is not None and "expected" in bundle:
             inst.ground_truth = inst.ground_truth or {}
             inst.ground_truth.update(bundle["expected"])
@@ -474,7 +510,7 @@ def build_from_config(spec: dict) -> ProblemInstance:
         elif "image_csv" in spec:
             grid = datamod.read_csv_grid(spec["image_csv"])
         else:
-            grid = ImageGrid.from_array(np.asarray(spec["pixels"], dtype=float))
+            grid = ImageGrid.from_array(_config_array(spec, "pixels"))
         builder = build_tv_denoise if kind == "tv_denoise" else build_tvl1
         inst = builder(grid, lam)
         if bundle is not None and "expected" in bundle:
@@ -484,7 +520,8 @@ def build_from_config(spec: dict) -> ProblemInstance:
     if kind == "tv_inverse":
         source = spec if bundle is None else bundle
         rows, cols = (int(config_number(source, key, None)) for key in ("rows", "cols"))
-        y_clean = np.asarray(source["y"], dtype=float)
+        y_clean = (_config_array(spec, "y") if bundle is None
+                   else np.asarray(bundle["y"], dtype=float))
         A = _operator_from_config(spec.get("A"), rows * cols)
         y_obs = A.apply(y_clean) if y_clean.size == A.in_dim else y_clean
         return build_tv_inverse(A, y_obs, lam, rows, cols)

@@ -109,7 +109,6 @@ class SolverTrace:
 
     x0: np.ndarray
     objective0: float
-    steps: np.ndarray
     objective: np.ndarray
     residual: np.ndarray
     extras: dict
@@ -120,7 +119,7 @@ class SolverTrace:
 
     @property
     def n_iter(self) -> int:
-        return int(self.steps[-1]) if self.steps.size else 0
+        return self.objective.size
 
     def objective_path(self) -> np.ndarray:
         """Objective including the starting point, indexed 0..n."""
@@ -244,14 +243,12 @@ class _Recorder:
         meta = meta or {}
         if self.gap is not None:
             meta["gap"] = float(self.gap(*gap_args))
-        k = len(self.obj)
         return SolverTrace(
             x0=self.x0.copy(),
             objective0=self.objective0,
-            steps=np.arange(1, k + 1),
             objective=np.array(self.obj),
             residual=np.array(self.res),
-            extras={k_: np.array(v) for k_, v in self.extras.items()},
+            extras={k: np.array(v) for k, v in self.extras.items()},
             iterates=self.iterates,
             termination=self.termination,
             x=np.array(x_final, dtype=float),

@@ -366,8 +366,7 @@ def _replay_settled(trace: SolverTrace, max_iter: int) -> SolverTrace:
         return np.concatenate([col, np.repeat(col[-1:], pad)])
 
     return dataclasses.replace(
-        trace, steps=np.arange(1, max_iter + 1), objective=tail(trace.objective),
-        residual=tail(trace.residual),
+        trace, objective=tail(trace.objective), residual=tail(trace.residual),
         extras={k: tail(v) for k, v in trace.extras.items() if k not in _N_INDEXED},
         iterates=trace.iterates + trace.iterates[-1:] * pad, termination=ITER_CAP)
 

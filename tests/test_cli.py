@@ -25,6 +25,9 @@ CERTIFY_ALL_SHA256 = "b6a0cc5df80d278b984311feef862d27d43dd1a46e40312e49ae07902b
 # the same at seed 3, where every check whose settled tail the suite replays
 # settles (rate:fista does not at seed 0)
 CERTIFY_ALL_SEED3_SHA256 = "4d538f59670269668a1a5e57106bc0f80a6169d6fce88fd04cef1faf1706450f"
+# the source tree, for child interpreters
+SRC = str(pathlib.Path(proxsplit.__file__).resolve().parent.parent)
+PIXELS = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
 
 
 def write_config(path, payload):
@@ -40,6 +43,16 @@ def lasso_fixture_dir(tmp_path):
                         "seed": 3, "lambda": 0.15})
     assert main(["generate", cfg, "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def lasso32(tmp_path_factory):
+    # a generated 32x64 lasso bundle, its A dense
+    out = tmp_path_factory.mktemp("fixtures")
+    cfg = write_config(out / "gen.json", {"kind": "lasso", "dims": [32, 64], "sigma": 0.01,
+                                          "lambda": 0.1, "seed": 3})
+    assert main(["generate", cfg, "--out", str(out / "lasso32")]) == 0
+    return out / "lasso32"
 
 
 class TestSolve:
@@ -133,13 +146,18 @@ class TestSolve:
         assert err.startswith("config error: solver")
         assert len(err.strip().splitlines()) == 1
 
-    def test_stop_at_fixed_point_truncates_the_trace(self, tmp_path):
-        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+    # the prox-gradient recipes record each row one iteration late, and the
+    # inertia of fista and fista_beta also reads the previous iterate; the
+    # certify suite's replay of a settled tail rests on their prefixes
+    @pytest.mark.parametrize("recipe", ["cp", "fb", "fista", "fista_beta"])
+    def test_stop_at_fixed_point_truncates_the_trace(self, tmp_path, lasso32, recipe):
+        problem = ({"kind": "tv_denoise", "pixels": PIXELS, "lambda": 0.1} if recipe == "cp"
+                   else {"kind": "lasso", "fixture": str(lasso32)})
         outs = {}
         for stop in (True, False):
             cfg = write_config(tmp_path / f"solve_{stop}.json", {
-                "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
-                "recipe": "cp",
+                "problem": problem,
+                "recipe": recipe,
                 "solver": {"max_iter": 4000, "stop_at_fixed_point": stop},
             })
             outs[stop] = tmp_path / f"run_{stop}"
@@ -226,10 +244,9 @@ class TestRetainedHeap:
                 "assert calls == [], calls\n"
                 "assert proxsplit.cli.main(['solve', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
                 "assert calls == [(-3, 32 << 20), (-1, 256 << 20)], calls\n")
-        src = str(pathlib.Path(proxsplit.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code, self.small_solve_config(tmp_path),
                                str(tmp_path / "run")], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
 
@@ -280,17 +297,16 @@ class TestCompare:
                    for v in finals.values())
 
     def test_resolved_config_records_each_recipe_and_reruns(self, tmp_path):
-        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
+        recipes = ["condat", "cp", "dr_split", "dual_fb", "ppxa"]
         cfg = write_config(tmp_path / "cmp.json", {
-            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
-            "recipes": ["cp", "dr_split", "dual_fb"],
+            "problem": {"kind": "tv_denoise", "pixels": PIXELS, "lambda": 0.1},
+            "recipes": recipes,
         })
         out = tmp_path / "curves"
         assert main(["compare", cfg, "--out", str(out)]) == 0
         solver = json.loads((out / "resolved_config.json").read_text())["solver"]
         # the recipe defaults that ran, not the SolverConfig defaults
-        assert {name: s["max_iter"] for name, s in solver.items()} == {
-            "cp": 3000, "dr_split": 3000, "dual_fb": 3000}
+        assert {name: s["max_iter"] for name, s in solver.items()} == dict.fromkeys(recipes, 3000)
         assert solver["cp"]["sigma"] > 0 and solver["cp"]["tau"] > 0
         assert solver["dual_fb"]["gamma"] > 0 and solver["dual_fb"]["inertia"] == "fista_t"
         csv = (out / "comparison.csv").read_bytes()
@@ -301,6 +317,17 @@ class TestCompare:
         assert (again / "comparison.csv").read_bytes() == csv
         assert (again / "resolved_config.json").read_bytes() == (
             out / "resolved_config.json").read_bytes()
+
+    def test_fista_and_dr_agree_on_a_generated_lasso(self, tmp_path, lasso32):
+        # gradient steps and exact dense Gram solves reach the same objective
+        cfg = write_config(tmp_path / "cmp.json", {
+            "problem": {"kind": "lasso", "fixture": str(lasso32)},
+            "recipes": ["fista", "dr"],
+        })
+        out = tmp_path / "cmp"
+        assert main(["compare", cfg, "--out", str(out)]) == 0
+        finals = json.loads((out / "summary.json").read_text())["final_objectives"]
+        assert abs(finals["fista"] - finals["dr"]) <= 1e-8 * abs(finals["dr"])
 
     @pytest.mark.parametrize("solver", [5, {"dr": 5, "fb": {}}, {"dr": {"max_iter": "10"}}])
     def test_malformed_solver_block_is_config_error(self, tmp_path, capsys, solver):
@@ -329,9 +356,8 @@ class TestCertify:
                 "assert 'proxsplit.certify' not in sys.modules\n"
                 "assert callable(proxsplit.suite.run_checks)\n"
                 "assert 'proxsplit.certify' in sys.modules\n")
-        src = str(pathlib.Path(proxsplit.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
     def test_small_subset_passes(self, tmp_path):
@@ -377,7 +403,13 @@ class TestCertify:
                      "--out", str(again)]) == 3
         assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
-    def test_full_default_suite_passes(self, tmp_path):
+    # forked workers, one per usable CPU, write the report that one CPU writes
+    # in process; tier-1 turns RuntimeWarnings into errors (pyproject.toml),
+    # so neither raises a floating-point warning
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+    def test_full_default_suite_passes(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         cfg = write_config(tmp_path / "cert.json", {"checks": ["all"]})
         out = tmp_path / "cert"
         assert main(["certify", cfg, "--out", str(out)]) == 0
@@ -422,32 +454,42 @@ class TestZeroOperatorLasso:
 
 
 class TestDualityGapStop:
-    PIXELS = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
-
     def solve(self, tmp_path, name, problem, recipe, solver):
         cfg = write_config(tmp_path / f"{name}.json",
                            {"problem": problem, "recipe": recipe, "solver": solver})
         out = tmp_path / name
         return main(["solve", cfg, "--out", str(out)]), out
 
-    def test_cp_stops_at_a_certified_gap(self, tmp_path):
-        problem = {"kind": "tv_denoise", "pixels": self.PIXELS, "lambda": 0.1}
-        rc, out = self.solve(tmp_path, "on", problem, "cp",
-                             {"max_iter": 4000, "gap_tol": 1e-8})
+    @pytest.mark.parametrize("recipe,gap_tol,header", [
+        ("cp", 1e-8, "n,objective,residual,dual_residual,gap"),
+        ("dr_split", 1e-8, "n,objective,residual,gap,split_gap"),
+        ("fista", 1e-10, "n,objective,residual,gap,inertia_coef"),
+    ], ids=["cp", "dr_split", "fista"])
+    def test_stops_at_a_certified_gap(self, tmp_path, lasso32, recipe, gap_tol, header):
+        problem = ({"kind": "lasso", "fixture": str(lasso32)} if recipe == "fista"
+                   else {"kind": "tv_denoise", "pixels": PIXELS, "lambda": 0.1})
+        rc, out = self.solve(tmp_path, "on", problem, recipe,
+                             {"max_iter": 4000, "gap_tol": gap_tol})
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "tol_reached"
-        assert summary["gap"] <= 1e-8 * (1.0 + abs(summary["objective"]))
+        assert summary["gap"] <= gap_tol * (1.0 + abs(summary["objective"]))
         lines = (out / "trace.csv").read_text().splitlines()
-        assert lines[0] == "n,objective,residual,dual_residual,gap"
+        assert lines[0] == header
         assert len(lines) == summary["iterations"] + 1
         # gap_tol 0, written or not, leaves the trace as it was
-        rc_off, off = self.solve(tmp_path, "off", problem, "cp",
+        rc_off, off = self.solve(tmp_path, "off", problem, recipe,
                                  {"max_iter": 4000, "gap_tol": 0})
-        rc_unset, unset = self.solve(tmp_path, "unset", problem, "cp", {"max_iter": 4000})
+        rc_unset, unset = self.solve(tmp_path, "unset", problem, recipe, {"max_iter": 4000})
         assert rc_off == rc_unset == 0
-        assert (off / "trace.csv").read_bytes() == (unset / "trace.csv").read_bytes()
+        full = (off / "trace.csv").read_text()
+        assert full == (unset / "trace.csv").read_text()
         assert json.loads((off / "summary.json").read_text())["gap"] >= 0.0
+        # and the stopped run's n, objective and residual are its first rows
+        rows = full.splitlines()
+        assert len(lines) < len(rows)
+        assert ([row.split(",")[:3] for row in lines[1:]]
+                == [row.split(",")[:3] for row in rows[1:len(lines)]])
 
     def test_lambda_zero_lasso_gap_is_finite(self, tmp_path):
         problem = {"kind": "lasso", "y": [3.0, 0.5], "lambda": 0}
@@ -491,9 +533,25 @@ class TestMalformedConfigTypes:
                    "recipe": "cp2"}, "'rows'"),
         ("solve", {"problem": LASSO, "recipe": ["fb"]}, "'recipe'"),
         ("compare", {"problem": LASSO, "recipes": "cp"}, "'recipes'"),
+        ("solve", {"problem": {**LASSO, "A": {"kind": "scale", "factor": [1]}},
+                   "recipe": "fb"}, "'factor'"),
+        ("solve", {"problem": {**LASSO, "A": {"kind": "scale", "factor": 2, "dim": "2"}},
+                   "recipe": "fb"}, "'dim'"),
+        ("solve", {"problem": {"kind": "lasso", "y": [1.0] * 5,
+                               "A": {"kind": "circular_conv", "kernel": [[1.0]], "shape": 5}},
+                   "recipe": "fb"}, "'shape'"),
+        ("solve", {"problem": {**LASSO, "A": {"kind": "grad2d", "rows": "1", "cols": 1}},
+                   "recipe": "fb"}, "'rows'"),
+        ("solve", {"problem": {"kind": "lasso", "y": {"a": 1}}, "recipe": "fb"}, "'y'"),
+        ("solve", {"problem": {"kind": "tv_denoise", "pixels": {"a": 1}}, "recipe": "cp"},
+         "'pixels'"),
+        ("solve", {"problem": {"kind": "tv_inverse", "rows": 2, "cols": 2, "y": {"a": 1}},
+                   "recipe": "cp2"}, "'y'"),
     ], ids=["top_level_array", "checks_number", "seed_array", "dims_null", "dims_empty",
             "generate_lambda_array", "lambda_array", "operator_string", "fixture_number",
-            "image_number", "rows_array", "recipe_array", "recipes_string"])
+            "image_number", "rows_array", "recipe_array", "recipes_string",
+            "scale_factor_array", "scale_dim_string", "conv_shape_number",
+            "grad2d_rows_string", "lasso_y_object", "pixels_object", "tv_inverse_y_object"])
     def test_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path / "run.json", config)
         out = tmp_path / "run"
@@ -507,7 +565,6 @@ class TestMalformedConfigTypes:
 
 class TestFailedRunLeavesNoOutput:
     # a ConfigError raised while a recipe runs exits 1 before --out is made
-    PIXELS = TestDualityGapStop.PIXELS
     ZERO_LASSO = {"kind": "lasso", "y": [1.0, 2.0], "A": {"kind": "scale", "factor": 0.0},
                   "lambda": 0.1}
 
@@ -670,6 +727,54 @@ class TestNumericalFailureExitCode:
         assert ("conjugate gradient stalled" if failure == "cg"
                 else "sufficient-decrease violated") in lines[0]
 
+    def test_runtime_warning_in_a_pooled_worker_fails_the_run(self, tmp_path, monkeypatch):
+        # tier-1 turns RuntimeWarnings into errors (pyproject.toml), and forked
+        # workers inherit that filter: a check that warns fails certify
+        import proxsplit.suite as suite
+
+        parent = os.getpid()
+
+        def warns(seed):
+            assert os.getpid() != parent, "the check ran in process"
+            np.float64(1.0) / 0.0
+            return []
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setitem(suite.CHECKS, "nonconvex:double_well", warns)
+        cfg = write_config(tmp_path / "cert.json",
+                           {"checks": ["km:rotation", "nonconvex:double_well"]})
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            main(["certify", cfg, "--out", str(tmp_path / "cert")])
+        assert not (tmp_path / "cert").exists()
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("recipe", ["cp", "dr_split"])
+    def test_peak_rss_does_not_grow_with_the_iteration_count(self, tmp_path, recipe):
+        # the CLI keeps freed arrays in its heap, and its peak RSS still does
+        # not grow with the iteration count; each run is a child interpreter,
+        # whose own ru_maxrss (KiB on Linux) os.wait4 reads
+        gen = write_config(tmp_path / "gen.json",
+                           {"kind": "step_image", "dims": [128, 128], "sigma": 0.1, "seed": 7})
+        assert main(["generate", gen, "--out", str(tmp_path / "step128")]) == 0
+        peak = {}
+        for iters in (200, 2000):
+            cfg = write_config(tmp_path / f"{iters}.json", {
+                "problem": {"kind": "tv_denoise", "fixture": str(tmp_path / "step128"),
+                            "lambda": 0.1},
+                "recipe": recipe, "solver": {"max_iter": iters}})
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "proxsplit.cli", "solve", cfg,
+                 "--out", str(tmp_path / str(iters))],
+                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC})
+            with proc.stderr:
+                err = proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0, err.decode()
+            peak[iters] = usage.ru_maxrss
+        assert abs(peak[2000] - peak[200]) < 2048, peak
+
 
 class TestResolvedConfig:
     def test_solve_records_recipe_defaults(self, tmp_path, lasso_fixture_dir):
@@ -703,9 +808,8 @@ class TestResolvedConfig:
         assert len(calls) == norms
 
     def test_cp_records_the_stepsizes_that_ran(self, tmp_path):
-        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
         cfg = write_config(tmp_path / "solve.json", {
-            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+            "problem": {"kind": "tv_denoise", "pixels": PIXELS, "lambda": 0.1},
             "recipe": "cp",
             "solver": {"max_iter": 20},
         })
@@ -723,9 +827,8 @@ class TestResolvedConfig:
 
 class TestStepsizeSummary:
     def test_cp_summary_records_steps_and_norm(self, tmp_path):
-        pixels = [[0.2, 0.2, 0.8], [0.2, 0.3, 0.8], [0.1, 0.2, 0.9]]
         cfg = write_config(tmp_path / "solve.json", {
-            "problem": {"kind": "tv_denoise", "pixels": pixels, "lambda": 0.1},
+            "problem": {"kind": "tv_denoise", "pixels": PIXELS, "lambda": 0.1},
             "recipe": "cp",
             "solver": {"max_iter": 5},
         })

@@ -93,7 +93,7 @@ class TestGradientDescent:
 
     def test_max_iter_zero_empty_trace(self):
         trace = gradient_descent(half_square(), [1.0], SolverConfig(max_iter=0))
-        assert trace.steps.size == 0
+        assert trace.n_iter == 0
         assert trace.termination == ITER_CAP
 
 
@@ -243,7 +243,7 @@ class TestNonconvexForwardBackward:
         trace = nonconvex_forward_backward(f, L1Norm(1.0), [0.0],
                                            SolverConfig(gamma=1.2, max_iter=5),
                                            weak_convexity=0.1)
-        assert trace.steps.size == 5
+        assert trace.n_iter == 5
 
     def test_stepsize_guard(self):
         f = half_square()
