@@ -2,7 +2,10 @@
 equivalences.
 
 Each check is a pure function of traces and function oracles: rerunning with
-the same seed reproduces the report bit for bit.  Inequalities are asserted
+the same seed reproduces the report bit for bit.  The random checks sample
+from ``data.GaussianStream``, seeded by the check's seed and drawn in whole
+blocks, so their reports do not depend on NumPy's random generators, and
+nothing here loads NumPy's random module.  Inequalities are asserted
 with slack 1e-9 absolute + 1e-12 relative to absorb rounding; negative
 controls that violate each inequality are provided so the suite is known to
 be able to fail.
@@ -13,6 +16,7 @@ import dataclasses
 import math
 import numpy as np
 
+from .data import GaussianStream
 from .funcs import (
     CallableSmooth,
     ConjugateProx,
@@ -146,6 +150,11 @@ def check_fista_bound(objective_path, f_star: float, gamma: float,
     return _report_from_margins("fista_bound", instance, margins)
 
 
+def _normal_rows(stream: GaussianStream, rows: int, dim: int, radius: float = 1.0):
+    # the next rows * dim normals of the stream, one draw per row
+    return radius * stream.normals(rows * dim).reshape(rows, dim)
+
+
 def _contraction(check, fn, dim, trials, seed, radius, target, step) -> CheckReport:
     # ||step(x) - step(y)|| / ||x - y|| on random pairs against target(alpha)
     alpha = fn.strong_convexity
@@ -153,11 +162,11 @@ def _contraction(check, fn, dim, trials, seed, radius, target, step) -> CheckRep
         raise ValueError("contraction check needs a strong-convexity modulus")
     _check_dim(fn, dim)
     target = target(alpha) + 1e-10
-    rng = np.random.default_rng(seed)
+    stream = GaussianStream(seed)
+    xs = _normal_rows(stream, trials, dim, radius)
+    ys = _normal_rows(stream, trials, dim, radius)
     margins = []
-    for _ in range(trials):
-        x = radius * rng.standard_normal(dim)
-        y = radius * rng.standard_normal(dim)
+    for x, y in zip(xs, ys):
         dx = _norm(x - y)
         if dx == 0:
             continue
@@ -168,7 +177,11 @@ def _contraction(check, fn, dim, trials, seed, radius, target, step) -> CheckRep
 def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
                               trials: int = 1000, seed: int = 0,
                               radius: float = 2.0) -> CheckReport:
-    """Empirical Lipschitz ratio of Id - gamma grad f against sqrt(1 - gamma a)."""
+    """Empirical Lipschitz ratio of Id - gamma grad f against sqrt(1 - gamma a).
+
+    ``GaussianStream(seed)`` gives every trial's x as one block, then every
+    y, each scaled by ``radius``.
+    """
     return _contraction("gradient_step_contraction", f, dim, trials, seed, radius,
                         lambda alpha: np.sqrt(1.0 - gamma * alpha),
                         lambda x: x - gamma * f._grad(x))
@@ -176,7 +189,11 @@ def gradient_step_contraction(f: SmoothFn, gamma: float, dim: int,
 
 def prox_contraction(fn: ProxFn, gamma: float, dim: int, trials: int = 1000,
                      seed: int = 0, radius: float = 2.0) -> CheckReport:
-    """Prox of an a-strongly convex function is 1/(1+a*gamma)-Lipschitz."""
+    """Prox of an a-strongly convex function is 1/(1+a*gamma)-Lipschitz.
+
+    ``GaussianStream(seed)`` gives every trial's x as one block, then every
+    y, each scaled by ``radius``.
+    """
     return _contraction("prox_contraction", fn, dim, trials, seed, radius,
                         lambda alpha: 1.0 / (1.0 + alpha * gamma),
                         lambda x: fn._prox(x, gamma))
@@ -384,6 +401,12 @@ def dr_admm_equivalence(f: ProxFn, g: ProxFn, K: LinearOperator, gamma: float,
                                 [{"max_defect": worst, "iters": iters, "tolerance": tol}])
 
 
+def _gamma_picks(stream: GaussianStream, trials: int, gammas) -> list:
+    # one uniform u in (0, 1] per trial picks gammas[ceil(u K) - 1]
+    picks = np.ceil(stream.uniforms(trials) * len(gammas)).astype(int) - 1
+    return [float(gammas[k]) for k in picks]
+
+
 def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
                    radius: float = 2.0, gammas=(0.1, 1.0, 10.0),
                    instance: str = "") -> CheckReport:
@@ -398,9 +421,17 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
     The suite's own draws, and probes around a validated prox output, go to
     the unvalidated oracle methods; prox outputs, the finite-difference
     gradient and the minimizer fixed points to the validating public ones.
+
+    Draws come from ``GaussianStream(seed)`` in whole blocks, each scaled by
+    ``radius``: for a smooth oracle every trial's x, then every y, then the
+    x of the (at most 10) finite-difference trials; then, for a prox oracle,
+    every x, then (convex only) every y, then one uniform per trial picking
+    its gamma, the k-th of K for u in ((k-1)/K, k/K], then (convex only)
+    three subgradient probes per trial, drawn whether or not they are used.
+    The smooth gradient-step contraction draws from ``GaussianStream(seed + 1)``.
     """
     _check_dim(fn, dim)
-    rng = np.random.default_rng(seed)
+    stream = GaussianStream(seed)
     details = []
     all_margins = []
 
@@ -419,9 +450,9 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
     if isinstance(fn, SmoothFn):
         L = fn.lipschitz
         descent, coco, strong = [], [], []
-        for _ in range(trials):
-            x = radius * rng.standard_normal(dim)
-            y = radius * rng.standard_normal(dim)
+        xs = _normal_rows(stream, trials, dim, radius)
+        ys = _normal_rows(stream, trials, dim, radius)
+        for x, y in zip(xs, ys):
             gx, gy = fn._grad(x), fn._grad(y)
             rhs = fn._value(y) + float(gy @ (x - y)) + 0.5 * L * float(((x - y) ** 2).sum())
             descent.append(rhs - fn._value(x) + _slack(rhs))
@@ -437,8 +468,7 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
         if strong:
             add("strong_monotonicity", strong)
         fd = []
-        for _ in range(min(trials, 10)):
-            x = radius * rng.standard_normal(dim)
+        for x in _normal_rows(stream, min(trials, 10), dim, radius):
             g_exact = fn._grad(x)
             g_fd = finite_difference_grad(fn, x)
             err = _norm(g_exact - g_fd) / (1.0 + _norm(g_exact))
@@ -453,11 +483,11 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
         if fn.convex:
             firm, firm_c, rprox, moreau, witness, contraction = [], [], [], [], [], []
             conj = fn.conjugate()
-            for _ in range(trials):
-                x = radius * rng.standard_normal(dim)
-                y = radius * rng.standard_normal(dim)
-                # the same draw as rng.choice(gammas), without its overhead
-                gamma = float(gammas[rng.integers(len(gammas))])
+            xs = _normal_rows(stream, trials, dim, radius)
+            ys = _normal_rows(stream, trials, dim, radius)
+            picks = _gamma_picks(stream, trials, gammas)
+            probes = _normal_rows(stream, 3 * trials, dim, radius).reshape(trials, 3, dim)
+            for x, y, gamma, around in zip(xs, ys, picks, probes):
                 p = fn._prox(x, gamma)
                 q = fn._prox(y, gamma)
                 dd = float(((x - y) ** 2).sum())
@@ -474,8 +504,8 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
                 fp = fn.value(p)
                 if math.isfinite(fp):
                     u = (x - p) / gamma
-                    for _ in range(3):
-                        probe = p + radius * rng.standard_normal(dim)
+                    for offset in around:
+                        probe = p + offset
                         fprobe = fn._value(probe)
                         gap = fprobe - fp - float(u @ (probe - p))
                         if math.isfinite(gap):
@@ -493,9 +523,8 @@ def property_suite(fn, dim: int, trials: int = 200, seed: int = 0,
         else:
             # nonconvex prox: only the direct optimality comparison applies
             opt = []
-            for _ in range(trials):
-                x = radius * rng.standard_normal(dim)
-                gamma = float(gammas[rng.integers(len(gammas))])
+            xs = _normal_rows(stream, trials, dim, radius)
+            for x, gamma in zip(xs, _gamma_picks(stream, trials, gammas)):
                 p = fn._prox(x, gamma)
                 lhs = fn.value(p) + float(((p - x) ** 2).sum()) / (2 * gamma)
                 opt.append(fn._value(x) - lhs + _slack(lhs))
@@ -562,14 +591,17 @@ def sqrt_decay_certificate(trace: SolverTrace, gamma: float, L: float,
 def adjoint_report(op: LinearOperator, trials: int = 100, seed: int = 0,
                    instance: str = "") -> CheckReport:
     """Probe <Kx, y> == <x, K*y> on random pairs; passes at a relative
-    defect of at most ``ADJOINT_TOL``."""
+    defect of at most ``ADJOINT_TOL``.
+
+    ``GaussianStream(seed)`` gives every trial's x as one block, then every y.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    stream = GaussianStream(seed)
+    xs = _normal_rows(stream, trials, op.in_dim)
+    ys = _normal_rows(stream, trials, op.out_dim)
     worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.in_dim)
-        y = rng.standard_normal(op.out_dim)
+    for x, y in zip(xs, ys):
         lhs = float(op.apply(x) @ y)
         rhs = float(x @ op.adjoint(y))
         defect = abs(lhs - rhs) / (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(y)))

@@ -173,26 +173,28 @@ def cmd_compare(config: dict, out_dir) -> int:
             if per_recipe else _solver_config(spec)
             for name in recipes}
 
+    # each column is the objective path, so a run with no iterations holds
+    # its starting objective; row n reads entry n, or the last one
     columns = {}
     finals = {}
     ran = {}
     for name in recipes:
         trace, x = inst.run(name, cfgs[name])
-        columns[name] = trace.objective
+        columns[name] = trace.objective_path()
         finals[name] = inst.objective(x)
         ran[name] = dataclasses.asdict(trace.meta.get("config", cfgs[name]))
     best = min(finals.values())
     length = max(len(c) for c in columns.values())
 
-    def at(col, i):
-        return col[i] if i < len(col) else col[-1]
+    def at(col, n):
+        return col[min(n, len(col) - 1)]
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "comparison.csv", ["n"] + list(recipes) + ["gap_to_best"],
-               ([_fmt(at(columns[name], i)) for name in recipes]
-                + [_fmt(min(at(columns[name], i) for name in recipes) - best)]
-                for i in range(length)))
+               ([_fmt(at(columns[name], n)) for name in recipes]
+                + [_fmt(min(at(columns[name], n) for name in recipes) - best)]
+                for n in range(1, length)))
     _write_json(out / "summary.json",
                 {"problem": inst.name, "final_objectives": finals, "best": best})
     _write_resolved(out, config, {"solver": ran})

@@ -2,7 +2,9 @@
 
 Gaussian noise comes from an explicit splitmix64 + Box-Muller stream so
 fixtures are reproducible byte for byte from their seed, independent of any
-library RNG version.
+library RNG version.  It is the package's one random number generator: the
+certification engine and the orthogonality probe of ``OrthogonalComposition``
+draw from it too, so no part of proxsplit loads NumPy's random module.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import numpy as np
 from .linops import ImageGrid, read_csv_rows
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment
 
 
 class FixtureError(ValueError):
@@ -24,38 +27,53 @@ class FixtureError(ValueError):
 
 class GaussianStream:
     """Deterministic standard-normal stream: splitmix64 uniforms fed through
-    the Box-Muller transform."""
+    the Box-Muller transform, a block at a time.
+
+    The splitmix64 state is a Python int; a block of n draws hashes the next
+    n states as ``uint64`` arrays, whose arithmetic wraps modulo 2**64.  Each
+    uniform pair (u1, u2) gives the normals r cos(2 pi u2) and r sin(2 pi u2)
+    with r = sqrt(-2 log u1), in that order; when a call asks for an odd
+    count, the sine is kept for the next call to ``normals``.
+    """
 
     def __init__(self, seed: int):
-        self._state = (int(seed) * 0x9E3779B97F4A7C15 + 0x1234567) & _MASK64
+        self._state = (int(seed) * _GOLDEN + 0x1234567) & _MASK64
         self._spare = None
 
-    def _next_uint(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def _next_uniform(self) -> float:
-        # uniform in (0, 1], safe for the log below
-        return ((self._next_uint() >> 11) + 1) * (1.0 / 9007199254740992.0)
-
-    def normal(self) -> float:
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-            return z
-        u1 = self._next_uniform()
-        u2 = self._next_uniform()
-        r = np.sqrt(-2.0 * np.log(u1))
-        self._spare = r * np.sin(2.0 * np.pi * u2)
-        return r * np.cos(2.0 * np.pi * u2)
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, in (0, 1] so that their log is finite."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        return z.astype(float) * (1.0 / 9007199254740992.0)
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self._next_uniform() for _ in range(n)])
+        out = np.empty(n)
+        head = 0
+        if n and self._spare is not None:
+            out[0], self._spare, head = self._spare, None, 1
+        pairs = (n - head + 1) // 2
+        # contiguous u1 and u2, so that log, cos and sin take the same SIMD
+        # loops as one draw at a time did
+        u1, u2 = self.uniforms(2 * pairs).reshape(pairs, 2).T.copy()
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.empty((pairs, 2))
+        np.multiply(r, np.cos(theta), out=z[:, 0])
+        np.multiply(r, np.sin(theta), out=z[:, 1])
+        z = z.ravel()
+        if (n - head) % 2:
+            self._spare = z[-1]
+        out[head:] = z[:n - head]
+        return out
 
 
 SYNTHETIC_KINDS = ("step_image", "ramp", "sparse_vector", "blur_kernel", "mask_pattern")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import GaussianStream
 from .linops import (
     ComposedOperator,
     DenseOperator,
@@ -456,7 +457,8 @@ class OrthogonalComposition(ProxFn):
     """prox of inner(T x) for an orthogonal transform T (T*T = TT* = Id).
 
     Orthogonality is validated statistically at construction: 20 random
-    vectors drawn with seed 0, defect tolerance 1e-8.
+    vectors, the rows of one block of ``GaussianStream(0)`` normals, defect
+    tolerance 1e-8.
     """
 
     def __init__(self, T: LinearOperator, inner: ProxFn):
@@ -465,9 +467,7 @@ class OrthogonalComposition(ProxFn):
         if inner.dim not in (None, T.out_dim):
             raise DimensionError(
                 f"transform of length {T.out_dim} under a function of length {inner.dim}")
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            v = rng.standard_normal(T.in_dim)
+        for v in GaussianStream(0).normals(20 * T.in_dim).reshape(20, T.in_dim):
             d1 = np.linalg.norm(T.adjoint(T.apply(v)) - v)
             d2 = np.linalg.norm(T.apply(T.adjoint(v)) - v)
             if max(d1, d2) > 1e-8 * (1.0 + np.linalg.norm(v)):

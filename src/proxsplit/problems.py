@@ -444,6 +444,12 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _config_count(spec: dict, key: str) -> int:
+    if not _is_count(spec.get(key)):
+        raise ValueError(f"{key!r} must be an integer, got {json.dumps(spec.get(key))}")
+    return spec[key]
+
+
 _COUNT = ("an integer", _is_count)
 _ARRAY = ("an array of numbers", _is_numbers)
 # the JSON type of each operator parameter
@@ -519,7 +525,7 @@ def build_from_config(spec: dict) -> ProblemInstance:
 
     if kind == "tv_inverse":
         source = spec if bundle is None else bundle
-        rows, cols = (int(config_number(source, key, None)) for key in ("rows", "cols"))
+        rows, cols = (_config_count(source, key) for key in ("rows", "cols"))
         y_clean = (_config_array(spec, "y") if bundle is None
                    else np.asarray(bundle["y"], dtype=float))
         A = _operator_from_config(spec.get("A"), rows * cols)

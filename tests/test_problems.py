@@ -480,6 +480,47 @@ class TestSynthetic:
         assert abs(draws.mean()) <= 0.03
         assert abs(draws.std() - 1.0) <= 0.03
 
+    # calls of every parity, with the spare sine carried across uniforms and
+    # empty calls
+    CALLS = [("normals", 5), ("uniforms", 3), ("normals", 4), ("normals", 1), ("normals", 0),
+             ("uniforms", 0), ("normals", 7), ("uniforms", 2), ("normals", 2), ("normals", 3),
+             ("uniforms", 1), ("normals", 64), ("normals", 101), ("uniforms", 50)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32 + 1, 2**40 - 1, 2**40])
+    def test_gaussian_stream_is_the_scalar_definition(self, seed):
+        stream, ref = GaussianStream(seed), _ScalarStream(seed)
+        for method, n in self.CALLS:
+            draw = ref.normal if method == "normals" else ref.uniform
+            want = np.array([draw() for _ in range(n)], dtype=float)
+            assert getattr(stream, method)(n).tobytes() == want.tobytes(), (method, n)
+
+
+class _ScalarStream:
+    # splitmix64 on Python ints, one draw at a time, then Box-Muller in pairs
+    # (cos first, sin kept for the next draw)
+    GOLDEN = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed):
+        self.state = (seed * self.GOLDEN + 0x1234567) % 2**64
+        self.spare = None
+
+    def uniform(self):
+        self.state = (self.state + self.GOLDEN) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        z ^= z >> 31
+        return ((z >> 11) + 1) / 2.0**53
+
+    def normal(self):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1, u2 = self.uniform(), self.uniform()
+        r = np.sqrt(-2.0 * np.log(u1))
+        self.spare = r * np.sin(2.0 * np.pi * u2)
+        return r * np.cos(2.0 * np.pi * u2)
+
 
 def _write_pgm(path, img):
     # binary PGM: P5 header (width, height, maxval 255), then one byte per pixel
