@@ -236,7 +236,8 @@ def cp_gap_certificate(prob: SaddleProblem, x0, y0, cfg: SolverConfig,
     the last horizon; a horizon a diverged run never reached is a violation.
     """
     horizons = sorted(horizons)
-    cfg = cfg.with_(max_iter=max(horizons), keep_iterates=True, stop_at_fixed_point=False)
+    cfg = dataclasses.replace(cfg, max_iter=max(horizons), keep_iterates=True,
+                              stop_at_fixed_point=False)
     trace = chambolle_pock(prob, x0, y0, cfg)
     sigma, tau = trace.meta["sigma"], trace.meta["tau"]
     x_star, y_star = (np.asarray(saddle[0], dtype=float),

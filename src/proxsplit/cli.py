@@ -22,7 +22,8 @@ import typing
 
 from . import data as datamod
 from .linops import CGError, DenseOperator, ImageGrid
-from .problems import build_from_config, build_lasso, build_tv_denoise, config_number
+from .problems import (build_from_config, build_lasso, build_tv_denoise, config_count,
+                       config_number)
 from .solvers import DIVERGED, DecreaseViolation, SolverConfig
 
 EXIT_OK = 0
@@ -151,8 +152,7 @@ def cmd_solve(config: dict, out_dir) -> int:
         summary["objective_error"] = abs(summary["objective"]
                                          - summary["expected_objective"])
     _write_json(out / "summary.json", summary)
-    # recipes built by proxsplit.problems record the config they ran
-    _write_resolved(out, config, {"solver": dataclasses.asdict(trace.meta.get("config", cfg))})
+    _write_resolved(out, config, {"solver": dataclasses.asdict(trace.meta["config"])})
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
 
 
@@ -182,7 +182,7 @@ def cmd_compare(config: dict, out_dir) -> int:
         trace, x = inst.run(name, cfgs[name])
         columns[name] = trace.objective_path()
         finals[name] = inst.objective(x)
-        ran[name] = dataclasses.asdict(trace.meta.get("config", cfgs[name]))
+        ran[name] = dataclasses.asdict(trace.meta["config"])
     best = min(finals.values())
     length = max(len(c) for c in columns.values())
 
@@ -211,7 +211,7 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
     if not _is_names(names):
         raise ConfigFileError(f"'checks' must be a name or a list of names, "
                               f"got {json.dumps(names)}")
-    seed = int(seed_override if seed_override is not None else config_number(config, "seed", 0))
+    seed = seed_override if seed_override is not None else config_count(config, "seed", 0)
     try:
         names = expand_checks(names)
     except KeyError as exc:
@@ -243,7 +243,7 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     if not (1 <= len(sides) <= 2 and all(_field_type_ok(n, int) for n in sides)):
         raise ConfigFileError(f"'dims' must be one or two integers, got {json.dumps(dims)}")
     sigma = config_number(config, "sigma", 0.0)
-    seed = int(seed_override if seed_override is not None else config_number(config, "seed", 0))
+    seed = seed_override if seed_override is not None else config_count(config, "seed", 0)
     out = pathlib.Path(out_dir)
     resolved = {"kind": kind, "dims": dims, "sigma": sigma, "seed": seed}
 

@@ -83,12 +83,10 @@ def _checked(objective, dim: int):
 
 
 def _merge_cfg(cfg: SolverConfig | None, **defaults) -> SolverConfig:
-    if cfg is None:
-        return SolverConfig(**defaults)
-    unset = cfg.unset_fields()
-    # ``dataclasses.replace``, not ``with_``: the merged config is the one that
-    # runs, and every field of it counts as passed
-    return dataclasses.replace(cfg, **{k: v for k, v in defaults.items() if k in unset})
+    # a recipe default fills only a field the caller left unset
+    cfg = cfg or SolverConfig()
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None}).resolved()
 
 
 def _recipe(solve, extract=None, **defaults):
@@ -427,11 +425,11 @@ def config_number(spec: dict, key: str, default) -> float:
     return float(value)
 
 
-def _is_numbers(value) -> bool:
-    # a JSON number or boolean, or arrays of them nested to any depth
+def _is_numbers(value, leaf=_is_number) -> bool:
+    # a JSON number (or another ``leaf``), or arrays of them nested to any depth
     if isinstance(value, list):
-        return all(map(_is_numbers, value))
-    return isinstance(value, (int, float))
+        return all(_is_numbers(v, leaf) for v in value)
+    return leaf(value)
 
 
 def _config_array(spec: dict, key: str) -> np.ndarray:
@@ -444,10 +442,12 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_count(spec: dict, key: str) -> int:
-    if not _is_count(spec.get(key)):
-        raise ValueError(f"{key!r} must be an integer, got {json.dumps(spec.get(key))}")
-    return spec[key]
+def config_count(spec: dict, key: str, default=None) -> int:
+    """``spec[key]``, or ``default`` when absent: a JSON integer or a ValueError."""
+    value = spec.get(key, default)
+    if not _is_count(value):
+        raise ValueError(f"{key!r} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 _COUNT = ("an integer", _is_count)
@@ -457,7 +457,9 @@ _OPERATOR_FIELDS = {
     "factor": ("a number", _is_number),
     "dim": _COUNT, "rows": _COUNT, "cols": _COUNT,
     "shape": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_count, v))),
-    "kernel": _ARRAY, "matrix": _ARRAY, "pattern": _ARRAY,
+    "kernel": _ARRAY, "matrix": _ARRAY,
+    "pattern": ("an array of numbers or booleans",
+                lambda v: _is_numbers(v, lambda x: isinstance(x, (int, float)))),
 }
 
 
@@ -525,7 +527,7 @@ def build_from_config(spec: dict) -> ProblemInstance:
 
     if kind == "tv_inverse":
         source = spec if bundle is None else bundle
-        rows, cols = (_config_count(source, key) for key in ("rows", "cols"))
+        rows, cols = (config_count(source, key) for key in ("rows", "cols"))
         y_clean = (_config_array(spec, "y") if bundle is None
                    else np.asarray(bundle["y"], dtype=float))
         A = _operator_from_config(spec.get("A"), rows * cols)

@@ -61,46 +61,36 @@ class SolverConfig:
     trace then gets a ``gap`` column, and the run ends with ``tol_reached``
     once gap <= gap_tol * (1 + |objective|), |objective| read as 0 in a run
     that tracks none.  Without a ``gap`` it is a :class:`ConfigError`.
-    Recipe defaults fill only :meth:`unset_fields`, so derive a config from
-    a caller's with :meth:`with_`: ``dataclasses.replace`` marks every field
-    passed.
+    A field left at None is unset: a recipe fills it with the recipe's
+    default (JSON ``null`` in a ``solver`` block asks for that default), and
+    a solver reads it as the solver's own, ``"none"`` for ``inertia`` and
+    1000 for ``max_iter`` (see :meth:`resolved`).
     """
 
     gamma: float | None = None
     sigma: float | None = None
     tau: float | None = None
-    inertia: str = "none"  # none | fista_t | fista_beta | vfista
+    inertia: str | None = None  # none | fista_t | fista_beta | vfista
     relaxation: float | str | None = None
-    max_iter: int = 1000
+    max_iter: int | None = None
     gap_tol: float = 0.0
     keep_iterates: bool = False
     stop_at_fixed_point: bool = False
 
-    def __new__(cls, *args, **kwargs):
-        # remember the fields the caller passed, whatever their values
-        self = super().__new__(cls)
-        self._passed = {f.name for f in dataclasses.fields(cls)[:len(args)]}.union(kwargs)
-        return self
-
-    def unset_fields(self) -> set:
-        """Fields not passed to the constructor and still at their default."""
-        return {f.name for f in dataclasses.fields(self)
-                if f.name not in self._passed and getattr(self, f.name) == f.default}
-
-    def with_(self, **changes) -> "SolverConfig":
-        """A copy with ``changes`` applied, whose passed fields are this
-        config's and the changed ones."""
-        new = dataclasses.replace(self, **changes)
-        new._passed = self._passed | set(changes)
-        return new
-
     def __post_init__(self):
-        if self.max_iter < 0:
+        if self.max_iter is not None and self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
-        if self.inertia not in ("none", "fista_t", "fista_beta", "vfista"):
+        if self.inertia not in (None, "none", "fista_t", "fista_beta", "vfista"):
             raise ConfigError(f"unknown inertia mode {self.inertia!r}")
         if not self.gap_tol >= 0:
             raise ConfigError("gap_tol must be nonnegative")
+
+    def resolved(self) -> "SolverConfig":
+        """This config with an unset ``inertia`` or ``max_iter`` at the
+        solvers' default."""
+        return dataclasses.replace(
+            self, inertia="none" if self.inertia is None else self.inertia,
+            max_iter=1000 if self.max_iter is None else self.max_iter)
 
 
 @dataclasses.dataclass
@@ -267,14 +257,14 @@ def _default_gamma(cfg: SolverConfig, lipschitz: float) -> float:
 def gradient_descent(f: SmoothFn, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     """Explicit gradient descent with a fixed step gamma < 2/L: forward-backward
     with g = 0, on the shared prox-gradient loop (``meta["gamma"]`` holds the step)."""
-    cfg = (cfg or SolverConfig()).with_(inertia="none")
+    cfg = dataclasses.replace(cfg or SolverConfig(), inertia="none")
     return forward_backward(f, ZeroFn(), x0, cfg)
 
 
 def projected_gradient(f: SmoothFn, projection: ProxFn, x0,
                        cfg: SolverConfig | None = None) -> SolverTrace:
     """Gradient step then projection: forward-backward without inertia; gamma < 2/L."""
-    cfg = (cfg or SolverConfig()).with_(inertia="none")
+    cfg = dataclasses.replace(cfg or SolverConfig(), inertia="none")
     return forward_backward(f, projection, x0, cfg)
 
 
@@ -285,7 +275,7 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
     g(x_n) - g(x_{n+1}) - ||x_n - x_{n+1}||^2 / (2 gamma), which is
     nonnegative by the prox definition.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
     if gamma <= 0:
         raise ConfigError("proximal point needs gamma > 0")
@@ -404,7 +394,7 @@ def forward_backward(f: SmoothFn, g: ProxFn, x0,
     and the last row's products are direct.
     ``objective`` rows are ``objective(x_n)``, formed directly.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     L = f.lipschitz
     gamma = _default_gamma(cfg, L)
     if cfg.inertia == "none":
@@ -440,7 +430,7 @@ def nonconvex_forward_backward(f: SmoothFn, g: ProxFn, x0,
     a negative H1 margin beyond -1e-8 raises :class:`DecreaseViolation`,
     since it signals a broken oracle rather than a modelling choice.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     L = f.lipschitz
     gamma = _default_gamma(cfg, 2.0 * L)  # default gamma = 1/(2L), safely inside
     if weak_convexity is not None:
@@ -458,7 +448,7 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     ``T`` is any nonexpansive callable; the trace records ||Tx_n - x_n||,
     which is nonincreasing for nonexpansive maps.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     lam = _relaxation_sequence(cfg.relaxation, 0.5, 0.0, 1.0, "lambda")
     # an operator pins the length; any other callable takes x as given
     x = _start(x0, getattr(T, "in_dim", None))
@@ -493,7 +483,7 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     dropped, before the projection y_{n+1} = prox_{gamma g}(x_{n+1}); while
     it runs, the loop holds only x_{n+1} and the start.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
     if gamma <= 0:
         raise ConfigError("douglas_rachford needs gamma > 0")
@@ -602,7 +592,7 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     The trace records the primal residual ||Ax + By - b|| and the
     objective f(x) + g(y).
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
     if gamma <= 0:
         raise ConfigError("admm needs gamma > 0")
@@ -659,7 +649,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
                       extrapolate: bool, gap=None) -> SolverTrace:
     # shared loop of the theta = 1 (xbar = 2x+ - x) and theta = 0 (xbar = x+)
     # members of the primal-dual family
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     sigma, tau, op_norm = _validate_pd_steps(cfg, prob.K)
     x = _start(x0, prob.K.in_dim, prob.g.dim)
     y = _start(y0, prob.K.out_dim, prob.f_conj.dim)
@@ -728,7 +718,7 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     the dual updates within one iteration are independent.  ``gap(x, us)``
     is the duality gap of x with the dual blocks ``us``.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     terms = list(terms)
     x = _start(x0, f.dim, g.dim, *(op.in_dim for _, op in terms))
     L = f.lipschitz

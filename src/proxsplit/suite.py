@@ -385,9 +385,8 @@ def _recipe_agreement(inst, max_iters: dict, tol=1e-4, gap_tol=0.0) -> CheckRepo
     # or, with ``gap_tol``, at a certified duality gap, which is then recorded
     values, gaps = {}, {}
     for name, cap in max_iters.items():
-        caps = {} if cap is None else {"max_iter": cap}
-        trace, x = inst.run(name, SolverConfig(stop_at_fixed_point=True, gap_tol=gap_tol,
-                                               **caps))
+        trace, x = inst.run(name, SolverConfig(max_iter=cap, stop_at_fixed_point=True,
+                                               gap_tol=gap_tol))
         values[name] = inst.objective(x)
         if gap_tol > 0:
             gaps[name] = {"gap": trace.meta["gap"]}

@@ -589,12 +589,24 @@ class TestMalformedConfigTypes:
                    "recipe": "cp2"}, "'y'"),
         ("solve", {"problem": {"kind": "tv_inverse", "rows": 2.5, "cols": 2, "y": [1.0] * 4},
                    "recipe": "cp2"}, "'rows'"),
+        ("certify", {"checks": [], "seed": 1.5}, "'seed'"),
+        ("generate", {"kind": "step_image", "dims": 4, "seed": 2.9}, "'seed'"),
+        ("solve", {"problem": {"kind": "lasso", "y": [True, 2.0]}, "recipe": "fb"}, "'y'"),
+        ("solve", {"problem": {"kind": "tv_denoise", "pixels": [[0.2, False], [0.2, 0.8]]},
+                   "recipe": "cp"}, "'pixels'"),
+        ("solve", {"problem": {"kind": "lasso", "y": [1.0] * 4,
+                               "A": {"kind": "circular_conv", "kernel": [[True]], "shape": [2, 2]}},
+                   "recipe": "fb"}, "'kernel'"),
+        ("solve", {"problem": {"kind": "lasso", "y": [1.0, 2.0],
+                               "A": {"kind": "dense_matrix", "matrix": [[1.0, 0.0], [True, 1.0]]}},
+                   "recipe": "fb"}, "'matrix'"),
     ], ids=["top_level_array", "checks_number", "seed_array", "dims_null", "dims_empty",
             "generate_lambda_array", "lambda_array", "operator_string", "fixture_number",
             "image_number", "rows_array", "recipe_array", "recipes_string",
             "scale_factor_array", "scale_dim_string", "conv_shape_number",
             "grad2d_rows_string", "lasso_y_object", "pixels_object", "tv_inverse_y_object",
-            "tv_inverse_rows_fraction"])
+            "tv_inverse_rows_fraction", "certify_seed_fraction", "generate_seed_fraction",
+            "lasso_y_boolean", "pixels_boolean", "kernel_boolean", "matrix_boolean"])
     def test_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path / "run.json", config)
         out = tmp_path / "run"
@@ -675,17 +687,14 @@ class TestDivergenceExitCode:
         # a understated Lipschitz constant blows up under its "valid" step
         import proxsplit.cli as cli
         from proxsplit.funcs import CallableSmooth
-        from proxsplit.problems import ProblemInstance
-        from proxsplit.solvers import SolverConfig, gradient_descent
+        from proxsplit.problems import ProblemInstance, _recipe
+        from proxsplit.solvers import gradient_descent
 
         wrong = CallableSmooth(lambda x: 50.0 * float(x @ x),
                                lambda x: 100.0 * x, lipschitz=1.0)
-
-        def runaway(cfg=None):
-            trace = gradient_descent(wrong, np.ones(1),
-                                     SolverConfig(gamma=1.9, max_iter=200))
-            return trace, trace.x
-
+        # a recipe records the config it ran, which solve writes out
+        runaway = _recipe(lambda cfg: gradient_descent(wrong, np.ones(1), cfg),
+                          gamma=1.9, max_iter=200)
         inst = ProblemInstance(name="runaway",
                                objective=lambda x: 50.0 * float(x @ x),
                                recipes={"gd": runaway})
@@ -849,6 +858,16 @@ class TestResolvedConfig:
             "recipe": recipe, "solver": {"max_iter": 5}})
         assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == norms
+
+    def test_null_asks_for_the_recipe_default(self, tmp_path):
+        cfg = write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "lasso", "y": [1.0, 2.0], "lambda": 0.1},
+            "recipe": "fista", "solver": {"max_iter": None, "inertia": None}})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 0
+        solver = json.loads((out / "resolved_config.json").read_text())["solver"]
+        assert solver["max_iter"] == 2000 and solver["inertia"] == "fista_t"
+        assert json.loads((out / "summary.json").read_text())["iterations"] == 2000
 
     def test_cp_records_the_stepsizes_that_ran(self, tmp_path):
         cfg = write_config(tmp_path / "solve.json", {

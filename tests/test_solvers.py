@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 import warnings
@@ -202,7 +203,6 @@ class TestForwardBackward:
         g = L1Norm(0.1)
         cfg = SolverConfig(max_iter=300, gamma=1.0 / f.lipschitz)
         fb = forward_backward(f, g, np.zeros(20), cfg)
-        import dataclasses
         fista = forward_backward(f, g, np.zeros(20),
                                  dataclasses.replace(cfg, inertia="fista_t"))
         assert np.all(fista.objective[5:] <= fb.objective[5:] + 1e-12)
@@ -301,7 +301,8 @@ class TestOneForwardProduct:
         cfg = SolverConfig(max_iter=200, keep_iterates=True)
         direct = _direct_objective(f, g)
         # the monitor's margins read the same rows
-        monitored = nonconvex_forward_backward(f, g, x0, cfg.with_(gamma=0.9 / f.lipschitz))
+        monitored = nonconvex_forward_backward(
+            f, g, x0, dataclasses.replace(cfg, gamma=0.9 / f.lipschitz))
         for trace in (forward_backward(f, g, x0, cfg), monitored):
             rows = np.array([direct(z) for z in trace.iterates])
             assert trace.objective_path().tobytes() == rows.tobytes()
@@ -1126,6 +1127,15 @@ WRONG_LENGTH_RUNS = {
                                      [(LinfBallIndicator(1.0), IdentityOperator(6))], x0,
                                      cfg=cfg),
 }
+
+
+class TestUnsetFields:
+    @pytest.mark.parametrize("solver", sorted(WRONG_LENGTH_RUNS))
+    def test_unset_max_iter_and_inertia_run_the_solver_defaults(self, solver):
+        # None is unset: 1000 iterations, and no inertia (the start has the right length)
+        trace = WRONG_LENGTH_RUNS[solver](np.ones(6), SolverConfig(max_iter=None, inertia=None))
+        assert trace.n_iter == 1000
+        assert "inertia_coef" not in trace.extras
 
 
 class TestValidateAtEntry:
