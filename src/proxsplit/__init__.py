@@ -9,7 +9,6 @@ from .linops import (
     DenseOperator,
     Grad2D,
     IdentityOperator,
-    ImageGrid,
     LinearOperator,
     MaskOperator,
     ScaleOperator,

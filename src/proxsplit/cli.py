@@ -21,9 +21,8 @@ import time
 import typing
 
 from . import data as datamod
-from .linops import CGError, DenseOperator, ImageGrid
-from .problems import (build_from_config, build_lasso, build_tv_denoise, config_count,
-                       config_number)
+from .linops import CGError, DenseOperator
+from .problems import build_from_config, build_lasso, build_tv_denoise, config_value
 from .solvers import DIVERGED, DecreaseViolation, SolverConfig
 
 EXIT_OK = 0
@@ -32,20 +31,16 @@ EXIT_DIVERGED = 2
 EXIT_CERT_FAIL = 3
 
 
-class ConfigFileError(ValueError):
-    pass
-
-
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except FileNotFoundError:
-        raise ConfigFileError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigFileError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
     if not isinstance(config, dict):
-        raise ConfigFileError(f"the config in {path} must be a JSON object")
+        raise ValueError(f"the config in {path} must be a JSON object")
     return config
 
 
@@ -53,19 +48,8 @@ def _solver_spec(spec, where: str = "solver") -> dict:
     if spec is None:
         return {}
     if not isinstance(spec, dict):
-        raise ConfigFileError(f"{where} must be an object, got {json.dumps(spec)}")
+        raise ValueError(f"{where} must be an object, got {json.dumps(spec)}")
     return dict(spec)
-
-
-def _field_type_ok(value, hint) -> bool:
-    # JSON gives whole numbers as int, and true/false fill only bool fields
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _solver_config(spec, where: str = "solver") -> SolverConfig:
@@ -73,11 +57,14 @@ def _solver_config(spec, where: str = "solver") -> SolverConfig:
     hints = typing.get_type_hints(SolverConfig)
     unknown = set(spec) - set(hints)
     if unknown:
-        raise ConfigFileError(f"unknown solver config fields: {sorted(unknown)}")
+        raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
     for name, value in spec.items():
-        if not _field_type_ok(value, hints[name]):
-            raise ConfigFileError(
-                f"solver field {name!r} must be {getattr(hints[name], '__name__', hints[name])}"
+        hint = hints[name]
+        # JSON gives whole numbers as int, and true/false fill only bool fields
+        if not (hint is bool if isinstance(value, bool)
+                else isinstance(value, hint) or isinstance(value, int) and isinstance(0.0, hint)):
+            raise ValueError(
+                f"solver field {name!r} must be {getattr(hint, '__name__', hint)}"
                 f", got {json.dumps(value)}")
     return SolverConfig(**spec)
 
@@ -102,27 +89,17 @@ def _write_trace_csv(path, trace) -> None:
                ([_fmt(col[i]) for col in columns] for i in range(trace.n_iter)))
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_resolved(out_dir, config: dict, resolved: dict) -> None:
     # the config file with the settings that ran written over it
-    _write_json(pathlib.Path(out_dir) / "resolved_config.json", {**config, **resolved})
+    datamod.write_json(pathlib.Path(out_dir) / "resolved_config.json", {**config, **resolved})
 
 
 def cmd_solve(config: dict, out_dir) -> int:
-    problem_spec = config.get("problem")
-    if not isinstance(problem_spec, dict):
-        raise ConfigFileError("config needs a 'problem' object")
-    recipe = config.get("recipe")
-    if not recipe or not isinstance(recipe, str):
-        raise ConfigFileError("config needs a 'recipe' name")
+    problem_spec = config_value(config, "problem")
+    recipe = config_value(config, "recipe")
     inst = build_from_config(problem_spec)
     if recipe not in inst.recipes:
-        raise ConfigFileError(
+        raise ValueError(
             f"unknown recipe {recipe!r} for problem {inst.name!r}; "
             f"available: {sorted(inst.recipes)}")
     cfg = _solver_config(config.get("solver"))
@@ -151,20 +128,18 @@ def cmd_solve(config: dict, out_dir) -> int:
         summary["expected_objective"] = float(inst.ground_truth["objective"])
         summary["objective_error"] = abs(summary["objective"]
                                          - summary["expected_objective"])
-    _write_json(out / "summary.json", summary)
+    datamod.write_json(out / "summary.json", summary)
     _write_resolved(out, config, {"solver": dataclasses.asdict(trace.meta["config"])})
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
 
 
 def cmd_compare(config: dict, out_dir) -> int:
-    problem_spec = config.get("problem")
-    recipes = config.get("recipes")
-    if not isinstance(problem_spec, dict) or not recipes or not _is_names(recipes):
-        raise ConfigFileError("compare needs a 'problem' object and a 'recipes' list")
+    problem_spec = config_value(config, "problem")
+    recipes = config_value(config, "recipes")
     inst = build_from_config(problem_spec)
     for name in recipes:
         if name not in inst.recipes:
-            raise ConfigFileError(f"unknown recipe {name!r}; available: "
+            raise ValueError(f"unknown recipe {name!r}; available: "
                                   f"{sorted(inst.recipes)}")
     # "solver" is one config for every recipe, or an object keyed by recipe name
     spec = _solver_spec(config.get("solver"))
@@ -195,8 +170,8 @@ def cmd_compare(config: dict, out_dir) -> int:
                ([_fmt(at(columns[name], n)) for name in recipes]
                 + [_fmt(min(at(columns[name], n) for name in recipes) - best)]
                 for n in range(1, length)))
-    _write_json(out / "summary.json",
-                {"problem": inst.name, "final_objectives": finals, "best": best})
+    datamod.write_json(out / "summary.json",
+                       {"problem": inst.name, "final_objectives": finals, "best": best})
     _write_resolved(out, config, {"solver": ran})
     return EXIT_OK
 
@@ -205,17 +180,14 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
     # imported here, so that solve, compare and generate skip loading the suite
     from .suite import CHECKS, CONTROLS, expand_checks, run_checks
 
-    names = config.get("checks", ["all"])
+    names = config_value(config, "checks", ["all"])
     if isinstance(names, str):
         names = [names]
-    if not _is_names(names):
-        raise ConfigFileError(f"'checks' must be a name or a list of names, "
-                              f"got {json.dumps(names)}")
-    seed = seed_override if seed_override is not None else config_count(config, "seed", 0)
+    seed = seed_override if seed_override is not None else config_value(config, "seed", 0)
     try:
         names = expand_checks(names)
     except KeyError as exc:
-        raise ConfigFileError(
+        raise ValueError(
             f"{exc.args[0]}; known checks: {sorted(CHECKS) + sorted(CONTROLS)}")
     reports = run_checks(names, seed=seed)
     out = pathlib.Path(out_dir)
@@ -228,22 +200,17 @@ def cmd_certify(config: dict, out_dir, seed_override=None) -> int:
         "failures": [r.check for r in reports if not r.passed],
         "reports": [r.to_dict() for r in reports],
     }
-    _write_json(out / "report.json", payload)
+    datamod.write_json(out / "report.json", payload)
     for rep in reports:
         print(rep)
     return EXIT_OK if all_passed else EXIT_CERT_FAIL
 
 
 def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
-    kind = config.get("kind")
-    if not kind:
-        raise ConfigFileError("generate needs a 'kind'")
-    dims = config.get("dims", 8)
-    sides = dims if isinstance(dims, list) else [dims]
-    if not (1 <= len(sides) <= 2 and all(_field_type_ok(n, int) for n in sides)):
-        raise ConfigFileError(f"'dims' must be one or two integers, got {json.dumps(dims)}")
-    sigma = config_number(config, "sigma", 0.0)
-    seed = seed_override if seed_override is not None else config_count(config, "seed", 0)
+    kind = config_value(config, "kind")
+    dims = config_value(config, "dims", 8)
+    sigma = float(config_value(config, "sigma", 0.0))
+    seed = seed_override if seed_override is not None else config_value(config, "seed", 0)
     out = pathlib.Path(out_dir)
     resolved = {"kind": kind, "dims": dims, "sigma": sigma, "seed": seed}
 
@@ -256,17 +223,17 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
 
     # problem-level bundles additionally store a reference objective
     if kind not in ("lasso", "tv_denoise"):
-        raise ConfigFileError(
+        raise ValueError(
             f"unknown fixture kind {kind!r}; data kinds: {datamod.SYNTHETIC_KINDS} "
             "plus problem bundles 'lasso' and 'tv_denoise'")
-    lam = config_number(config, "lambda", 0.1)
+    lam = float(config_value(config, "lambda", 0.1))
     if kind == "lasso":
         data = datamod.generate_synthetic("sparse_vector", dims, sigma=sigma, seed=seed)
         inst, reference = build_lasso(DenseOperator(data["A"]), data["y"], lam), "fista"
     else:
         data = datamod.generate_synthetic("step_image", dims, sigma=sigma, seed=seed)
-        grid = ImageGrid(data["rows"], data["cols"], data["y"])
-        inst, reference = build_tv_denoise(grid, lam), "cp"
+        image = data["y"].reshape(data["rows"], data["cols"])
+        inst, reference = build_tv_denoise(image, lam), "cp"
     # both references have a closed-form duality gap: stop once it certifies
     # the objective to about 12 digits
     trace, x = inst.run(reference, SolverConfig(max_iter=20_000, gap_tol=1e-12))
@@ -320,9 +287,9 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config)
-        out_dir = args.out or config.get("output_dir", ".")
-        if not isinstance(out_dir, str):
-            raise ConfigFileError(f"'output_dir' must be a path, got {json.dumps(out_dir)}")
+        # the config's output_dir is checked even when --out overrides it
+        configured = config_value(config, "output_dir", ".")
+        out_dir = args.out or configured
         handler = {
             "solve": cmd_solve,
             "certify": cmd_certify,
@@ -332,9 +299,9 @@ def main(argv=None) -> int:
         if args.command in ("certify", "generate"):
             return handler(config, out_dir, args.seed)
         if args.seed is not None:
-            raise ConfigFileError(f"{args.command} takes no --seed: its solvers are deterministic")
+            raise ValueError(f"{args.command} takes no --seed: its solvers are deterministic")
         return handler(config, out_dir)
-    except (ConfigFileError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CGError, DecreaseViolation) as exc:

@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from .linops import ImageGrid, read_csv_rows
+from .linops import read_csv_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment
@@ -148,7 +148,7 @@ def _as_dims(dims):
 # image IO: binary PGM (P5, maxval 255, scaled to [0,1]) and CSV grids
 # ---------------------------------------------------------------------------
 
-def read_pgm(path) -> ImageGrid:
+def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     tokens = []
@@ -178,7 +178,7 @@ def read_pgm(path) -> ImageGrid:
     if len(pixels) != rows * cols:
         raise FixtureError(f"truncated PGM payload in {path}")
     arr = np.frombuffer(pixels, dtype=np.uint8).astype(float) / 255.0
-    return ImageGrid(rows, cols, arr)
+    return arr.reshape(rows, cols)
 
 
 def write_csv_rows(path, rows) -> None:
@@ -192,16 +192,11 @@ def write_csv_rows(path, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv_grid(path) -> ImageGrid:
-    rows = read_csv_rows(path, FixtureError)
-    return ImageGrid(rows.shape[0], rows.shape[1], rows.ravel())
-
-
-def read_image(path) -> ImageGrid:
-    """Read an image: binary PGM when the suffix is .pgm in any letter case,
-    CSV otherwise."""
+def read_image(path) -> np.ndarray:
+    """Read an image as a 2-d array: binary PGM when the suffix is .pgm in any
+    letter case, CSV otherwise."""
     path = pathlib.Path(path)
-    return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_grid(path)
+    return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_rows(path, FixtureError)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +211,13 @@ def _file_check(path) -> dict:
         while chunk := fh.read(1 << 20):
             size, crc = size + len(chunk), zlib.crc32(chunk, crc)
     return {"bytes": size, "crc32": crc}
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as ASCII JSON with sorted keys, indented by two."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.Path:
@@ -248,9 +250,7 @@ def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.
             manifest["cache"][npy] = _file_check(out / npy)
     if expected:
         manifest["expected"] = expected
-    with open(out / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return out
 
 

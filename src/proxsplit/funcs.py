@@ -154,7 +154,11 @@ class ProxFn:
 
 
 class ZeroFn(SmoothFn, ProxFn):
-    """The zero function: gradient 0, prox = identity."""
+    """The zero function: gradient 0, prox = identity.
+
+    The prox returns its argument itself, not a copy; no solver loop writes
+    into the array it passes or gets back.
+    """
 
     lipschitz = 0.0
 
@@ -165,7 +169,7 @@ class ZeroFn(SmoothFn, ProxFn):
         return np.zeros_like(x)
 
     def _prox(self, x, gamma):
-        return x.copy()
+        return x
 
 
 class CallableSmooth(SmoothFn):

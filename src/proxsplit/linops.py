@@ -1,4 +1,4 @@
-"""Finite-dimensional vectors, image grids, and linear operators.
+"""Finite-dimensional vectors and linear operators.
 
 Every operator carries a matching ``apply``/``adjoint`` pair and a cached
 spectral norm in closed form, exact or a guaranteed upper bound, so stepsize
@@ -29,10 +29,13 @@ float64 array of the operator's length); the ``_``-prefixed ``_apply`` and
 library, solver loops included, calls the private pair on arrays it already
 holds: each solver validates its start points once, and its recorder turns
 any non-finite iterate into a ``diverged`` run.
+
+An image is a 2-d array, which the problem builders validate and flatten;
+the operators on it (``Grad2D``, ``CircularConv``) act on its row-major flat
+vector.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -91,36 +94,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise DimensionError(f"expected length {dim}, got {v.size}")
     return v
-
-
-@dataclasses.dataclass(frozen=True)
-class ImageGrid:
-    """Rectangular image stored row-major as a flat float vector."""
-
-    rows: int
-    cols: int
-    pixels: np.ndarray
-    boundary: str = NEUMANN
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError("image dimensions must be positive")
-        if self.boundary not in (NEUMANN, PERIODIC):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        object.__setattr__(self, "pixels", as_vector(self.pixels, self.rows * self.cols))
-
-    @classmethod
-    def from_array(cls, arr) -> "ImageGrid":
-        a = np.asarray(arr, dtype=float)
-        if a.ndim != 2:
-            raise DimensionError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], a.ravel())
-
-    def to_array(self) -> np.ndarray:
-        return self.pixels.reshape(self.rows, self.cols)
-
-    def to_vector(self) -> np.ndarray:
-        return self.pixels.copy()
 
 
 def conjugate_gradient(apply_fn, rhs: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pathlib
 import warnings
 import numpy as np
 
@@ -40,14 +41,15 @@ from .linops import (
     AdjointOperator,
     ComposedOperator,
     DenseOperator,
+    DimensionError,
     Grad2D,
     IdentityOperator,
-    ImageGrid,
     LinearOperator,
     MaskOperator,
     StackOperator,
     as_vector,
     construct_operator,
+    read_csv_rows,
 )
 from .solvers import (
     SolverConfig,
@@ -75,6 +77,15 @@ class ProblemInstance:
                 f"available: {sorted(self.recipes)}"
             )
         return self.recipes[recipe](cfg)
+
+
+def _image(image):
+    """``rows, cols`` and a flat float copy, never the caller's array, of a
+    finite, non-empty 2-d image array."""
+    img = np.asarray(image, dtype=float)
+    if img.ndim != 2:
+        raise DimensionError(f"an image must be a 2-d array, got shape {img.shape}")
+    return img.shape[0], img.shape[1], as_vector(img.flatten())
 
 
 def _checked(objective, dim: int):
@@ -217,7 +228,7 @@ def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int
     return recipes, saddle
 
 
-def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
+def build_tv_denoise(image, lam: float) -> ProblemInstance:
     """min 0.5 ||x - y||^2 + lam ||grad x||_1, in four reformulations.
 
     Recipes: Douglas-Rachford on the extended variable (x, z) with
@@ -229,9 +240,9 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
     """
     if lam < 0:
         raise ValueError("the TV weight must be nonnegative")
-    n = y_img.rows * y_img.cols
-    grad = Grad2D(y_img.rows, y_img.cols, y_img.boundary)
-    y = y_img.to_vector()
+    rows, cols, y = _image(image)
+    n = y.size
+    grad = Grad2D(rows, cols)
     data_fit = Quadratic(IdentityOperator(n), y)
     tv = L1Norm(lam)
     objective = _tv_objective(data_fit, grad, float(lam))
@@ -272,7 +283,7 @@ def build_tv_denoise(y_img: ImageGrid, lam: float) -> ProblemInstance:
         name="tv_denoise",
         objective=_checked(objective, n),
         recipes=recipes,
-        metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
+        metadata={"lambda": lam, "rows": rows, "cols": cols,
                   "grad": grad, "saddle": saddle, "y": y},
     )
 
@@ -320,12 +331,12 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int) -> 
     )
 
 
-def build_tvl1(y_img: ImageGrid, lam: float) -> ProblemInstance:
+def build_tvl1(image, lam: float) -> ProblemInstance:
     """min ||x - y||_1 + lam ||grad x||_1, the impulsive-noise variant."""
     if lam < 0:
         raise ValueError("the TV weight must be nonnegative")
-    grad = Grad2D(y_img.rows, y_img.cols, y_img.boundary)
-    y = y_img.to_vector()
+    rows, cols, y = _image(image)
+    grad = Grad2D(rows, cols)
     data_fit = L1Residual(y)
     tv = L1Norm(lam)
     objective = _tv_objective(data_fit, grad, float(lam))
@@ -336,7 +347,7 @@ def build_tvl1(y_img: ImageGrid, lam: float) -> ProblemInstance:
         name="tvl1",
         objective=_checked(objective, grad.in_dim),
         recipes=recipes,
-        metadata={"lambda": lam, "rows": y_img.rows, "cols": y_img.cols,
+        metadata={"lambda": lam, "rows": rows, "cols": cols,
                   "grad": grad, "saddle": saddle},
     )
 
@@ -359,7 +370,7 @@ class OverwriteOutside(ProxFn):
         return np.where(self.inside, x, self.target)
 
 
-def build_poisson_editing(source_grad, target: ImageGrid, omega) -> ProblemInstance:
+def build_poisson_editing(source_grad, target, omega) -> ProblemInstance:
     """Seamless cloning: match the source gradient inside the mask while
     pinning pixels outside it to the target.
 
@@ -367,27 +378,28 @@ def build_poisson_editing(source_grad, target: ImageGrid, omega) -> ProblemInsta
 
     solved by projected gradient with stepsize below 2 / ||M grad||^2.
     """
+    rows, cols, pinned = _image(target)
     omega = np.asarray(omega, dtype=bool).ravel()
-    n = target.rows * target.cols
+    n = pinned.size
     if omega.size != n:
         raise ValueError("mask size does not match the grid")
     if np.all(omega):
         warnings.warn("mask covers the whole grid; the pinning constraint is vacuous")
-    grad = Grad2D(target.rows, target.cols, target.boundary)
+    grad = Grad2D(rows, cols)
     source_grad = as_vector(source_grad, grad.out_dim)
     mask2 = MaskOperator(np.concatenate([omega, omega]))
     smooth = Quadratic(ComposedOperator(mask2, grad), mask2.apply(source_grad))
-    proj = OverwriteOutside(omega, target.to_vector())
+    proj = OverwriteOutside(omega, pinned)
     objective = lambda x: smooth._value(x) + proj._value(x)
 
-    pg = _recipe(lambda cfg: projected_gradient(smooth, proj, target.to_vector(), cfg),
+    pg = _recipe(lambda cfg: projected_gradient(smooth, proj, pinned.copy(), cfg),
                  gamma=lambda: 1.0 / max(smooth.lipschitz, 1e-12), max_iter=4000)
 
     return ProblemInstance(
         name="poisson_editing",
         objective=_checked(objective, n),
         recipes={"projected_gradient": pg},
-        metadata={"rows": target.rows, "cols": target.cols, "omega": omega,
+        metadata={"rows": rows, "cols": cols, "omega": omega,
                   "smooth": smooth, "projection": proj},
     )
 
@@ -417,12 +429,8 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def config_number(spec: dict, key: str, default) -> float:
-    """``spec[key]``, or ``default`` when absent, as a float: a JSON number or a ValueError."""
-    value = spec.get(key, default)
-    if not _is_number(value):
-        raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
-    return float(value)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_numbers(value, leaf=_is_number) -> bool:
@@ -432,49 +440,65 @@ def _is_numbers(value, leaf=_is_number) -> bool:
     return leaf(value)
 
 
-def _config_array(spec: dict, key: str) -> np.ndarray:
-    if not _is_numbers(spec[key]):
-        raise ValueError(f"{key!r} must be an array of numbers, got {json.dumps(spec[key])}")
-    return np.asarray(spec[key], dtype=float)
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(map(_is_name, value))
 
 
-def config_count(spec: dict, key: str, default=None) -> int:
-    """``spec[key]``, or ``default`` when absent: a JSON integer or a ValueError."""
-    value = spec.get(key, default)
-    if not _is_count(value):
-        raise ValueError(f"{key!r} must be an integer, got {json.dumps(value)}")
-    return value
-
-
+_NAME = ("a name", _is_name)
+_PATH = ("a path", lambda v: isinstance(v, str))
+_NUMBER = ("a number", _is_number)
 _COUNT = ("an integer", _is_count)
+_SIDE = ("a positive integer", lambda v: _is_count(v) and v > 0)
 _ARRAY = ("an array of numbers", _is_numbers)
-# the JSON type of each operator parameter
-_OPERATOR_FIELDS = {
-    "factor": ("a number", _is_number),
-    "dim": _COUNT, "rows": _COUNT, "cols": _COUNT,
-    "shape": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_count, v))),
-    "kernel": _ARRAY, "matrix": _ARRAY,
+# the JSON type of every config field, at the top level, in a problem and in
+# an operator, as (description, test); config_value reads each through it
+CONFIG_TYPES = {
+    "problem": ("an object", lambda v: isinstance(v, dict)),
+    "kind": _NAME, "recipe": _NAME, "boundary": _NAME,
+    "recipes": ("a non-empty list of names", lambda v: bool(v) and _is_names(v)),
+    "checks": ("a name or a list of names", lambda v: _is_name(v) or _is_names(v)),
+    "dims": ("one or two integers", lambda v: _is_count(v) or (
+        isinstance(v, list) and 1 <= len(v) <= 2 and all(map(_is_count, v)))),
+    "seed": _COUNT, "dim": _COUNT, "rows": _SIDE, "cols": _SIDE,
+    "lambda": _NUMBER, "sigma": _NUMBER, "factor": _NUMBER,
+    "fixture": _PATH, "image": _PATH, "image_csv": _PATH, "output_dir": _PATH,
+    "y": _ARRAY, "kernel": _ARRAY, "matrix": _ARRAY,
+    "pixels": ("a 2-d array of numbers", lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and all(map(_is_number, row)) for row in v)),
     "pattern": ("an array of numbers or booleans",
                 lambda v: _is_numbers(v, lambda x: isinstance(x, (int, float)))),
+    "shape": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_count, v))),
+    "A": ('an operator, "identity" or an object',
+          lambda v: v in (None, "identity") or isinstance(v, dict)),
 }
+_REQUIRED = object()
+
+
+def config_value(spec: dict, key: str, default=_REQUIRED):
+    """``spec[key]``, or ``default`` when absent, if it has the JSON type that
+    ``CONFIG_TYPES`` gives ``key``; a ValueError naming the key otherwise, and
+    when a field without a default is absent."""
+    what, ok = CONFIG_TYPES[key]
+    value = spec.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"config needs {key!r}: {what}")
+    if not ok(value):
+        raise ValueError(f"{key!r} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 def _operator_from_config(spec, n: int) -> LinearOperator:
     # operator specs go through the linops registry; "dim" defaults to the
     # problem dimension
-    spec = {"kind": "identity"} if spec in (None, "identity") else spec
-    if not isinstance(spec, dict):
-        raise ValueError(f"an operator must be 'identity' or an object, got {json.dumps(spec)}")
-    params = {"dim": n, **spec}
-    kind = params.pop("kind")
-    for key, (what, ok) in _OPERATOR_FIELDS.items():
-        if key in params and not ok(params[key]):
-            raise ValueError(f"operator {key!r} must be {what}, got {json.dumps(params[key])}")
-    return construct_operator(kind, params)
+    params = {"dim": n, **({"kind": "identity"} if spec in (None, "identity") else spec)}
+    for key in params:
+        if key in CONFIG_TYPES:
+            config_value(params, key)
+    return construct_operator(config_value(params, "kind"), params)
 
 
 def build_from_config(spec: dict) -> ProblemInstance:
@@ -482,56 +506,46 @@ def build_from_config(spec: dict) -> ProblemInstance:
 
     ``spec`` carries ``kind`` plus either inline parameters or a ``fixture``
     bundle directory (resolved against the PROXSPLIT_FIXTURES environment
-    variable).
+    variable).  Every field is read through :func:`config_value`.
     """
-    import pathlib
-
-    kind = spec.get("kind")
-    for key in ("fixture", "image", "image_csv"):
-        if not isinstance(spec.get(key, ""), str):
-            raise ValueError(f"{key!r} must be a path, got {json.dumps(spec[key])}")
+    kind = config_value(spec, "kind")
     bundle = None
     if "fixture" in spec:
-        path = pathlib.Path(spec["fixture"])
+        path = pathlib.Path(config_value(spec, "fixture"))
         bundle = datamod.load_fixture(path if path.is_absolute() else datamod.fixture_root() / path)
-    lam = config_number(spec, "lambda", bundle.get("lambda", 0.1) if bundle else 0.1)
+    lam = float(config_value(spec, "lambda", bundle.get("lambda", 0.1) if bundle else 0.1))
 
+    if kind == "tv_inverse":
+        source = spec if bundle is None else bundle
+        rows, cols = (config_value(source, key) for key in ("rows", "cols"))
+        y_clean = np.asarray(config_value(spec, "y") if bundle is None else bundle["y"],
+                             dtype=float)
+        A = _operator_from_config(config_value(spec, "A", None), rows * cols)
+        y_obs = A.apply(y_clean) if y_clean.size == A.in_dim else y_clean
+        return build_tv_inverse(A, y_obs, lam, rows, cols)
     if kind == "lasso":
         if bundle is not None:
             y = np.asarray(bundle["y"], dtype=float)
             A = DenseOperator(bundle["A"]) if "A" in bundle else IdentityOperator(y.size)
         else:
-            y = _config_array(spec, "y")
-            A = _operator_from_config(spec.get("A"), y.size)
+            y = np.asarray(config_value(spec, "y"), dtype=float)
+            A = _operator_from_config(config_value(spec, "A", None), y.size)
         inst = build_lasso(A, y, lam)
-        if bundle is not None and "expected" in bundle:
-            inst.ground_truth = inst.ground_truth or {}
-            inst.ground_truth.update(bundle["expected"])
-        return inst
-
-    if kind in ("tv_denoise", "tvl1"):
+    elif kind in ("tv_denoise", "tvl1"):
         if bundle is not None:
-            rows, cols = int(bundle["rows"]), int(bundle["cols"])
-            grid = ImageGrid(rows, cols, np.asarray(bundle["y"], dtype=float))
+            image = np.reshape(bundle["y"], (config_value(bundle, "rows"),
+                                             config_value(bundle, "cols")))
         elif "image" in spec:
-            grid = datamod.read_image(spec["image"])
+            image = datamod.read_image(config_value(spec, "image"))
         elif "image_csv" in spec:
-            grid = datamod.read_csv_grid(spec["image_csv"])
+            image = read_csv_rows(config_value(spec, "image_csv"), datamod.FixtureError)
         else:
-            grid = ImageGrid.from_array(_config_array(spec, "pixels"))
-        builder = build_tv_denoise if kind == "tv_denoise" else build_tvl1
-        inst = builder(grid, lam)
-        if bundle is not None and "expected" in bundle:
-            inst.ground_truth = bundle["expected"]
-        return inst
-
-    if kind == "tv_inverse":
-        source = spec if bundle is None else bundle
-        rows, cols = (config_count(source, key) for key in ("rows", "cols"))
-        y_clean = (_config_array(spec, "y") if bundle is None
-                   else np.asarray(bundle["y"], dtype=float))
-        A = _operator_from_config(spec.get("A"), rows * cols)
-        y_obs = A.apply(y_clean) if y_clean.size == A.in_dim else y_clean
-        return build_tv_inverse(A, y_obs, lam, rows, cols)
-
-    raise ValueError(f"unknown problem kind {kind!r}")
+            image = config_value(spec, "pixels")
+        inst = (build_tv_denoise if kind == "tv_denoise" else build_tvl1)(image, lam)
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if bundle is not None and "expected" in bundle:
+        # the reference objective that generate stored with a lasso or
+        # tv_denoise bundle
+        inst.ground_truth = {**(inst.ground_truth or {}), **bundle["expected"]}
+    return inst

@@ -607,16 +607,18 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     argmin_x = _augmented_argmin(f, A, gamma)
     argmin_y = _augmented_argmin(g, B, gamma)
     rec = _Recorder(np.concatenate([x, y]), f._value(x) + g._value(y), cfg)
+    By = B._apply(y)
     for _ in range(cfg.max_iter):
-        x_new = argmin_x(b - B._apply(y) - z / gamma)
-        y_new = argmin_y(b - A._apply(x_new) - z / gamma)
-        z_new = z + gamma * (A._apply(x_new) + B._apply(y_new) - b)
-        primal_res = _norm(A._apply(x_new) + B._apply(y_new) - b)
-        state_new = np.concatenate([x_new, y_new])
-        state_old = np.concatenate([x, y])
-        stop = rec.record(state_new, state_old,
+        x_new = argmin_x(b - By - z / gamma)
+        Ax = A._apply(x_new)
+        y_new = argmin_y(b - Ax - z / gamma)
+        # one product with each operator: B y_new is the next iteration's B y
+        By = B._apply(y_new)
+        r = Ax + By - b
+        z_new = z + gamma * r
+        stop = rec.record(np.concatenate([x_new, y_new]), np.concatenate([x, y]),
                           f._value(x_new) + g._value(y_new),
-                          {"primal_residual": primal_res}) or (
+                          {"primal_residual": _norm(r)}) or (
             cfg.stop_at_fixed_point and rec.fixed_point((y_new, y), (z_new, z)))
         x, y, z = x_new, y_new, z_new
         if stop:

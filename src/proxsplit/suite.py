@@ -47,7 +47,7 @@ from .funcs import (
     ZeroFn,
     soft_threshold,
 )
-from .linops import DenseOperator, IdentityOperator, ImageGrid, MaskOperator, ScaleOperator
+from .linops import DenseOperator, IdentityOperator, MaskOperator, ScaleOperator
 from .problems import build_lasso, build_tv_denoise, build_tv_inverse
 from .solvers import (
     ITER_CAP,
@@ -119,8 +119,7 @@ def lasso_dense_fixture(seed: int = 0):
 def tv_denoise_fixture(rows: int = 8, lam: float = 0.1, sigma: float = 0.05,
                        seed: int = 7):
     data = generate_synthetic("step_image", (rows, rows), sigma=sigma, seed=seed)
-    grid = ImageGrid(data["rows"], data["cols"], data["y"])
-    return build_tv_denoise(grid, lam)
+    return build_tv_denoise(data["y"].reshape(data["rows"], data["cols"]), lam)
 
 
 def tv_inverse_fixture(rows: int = 8, lam: float = 0.05, seed: int = 5):

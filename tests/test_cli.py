@@ -11,8 +11,9 @@ import pytest
 
 import proxsplit
 from proxsplit import cli
+from proxsplit import data as datamod
 from proxsplit.cli import main
-from proxsplit.problems import ProblemInstance, build_from_config
+from proxsplit.problems import CONFIG_TYPES, ProblemInstance, build_from_config
 from proxsplit.solvers import SolverConfig
 
 # SHA-256 of the report.json of ``certify all`` at seed 0.  Like the golden
@@ -600,13 +601,24 @@ class TestMalformedConfigTypes:
         ("solve", {"problem": {"kind": "lasso", "y": [1.0, 2.0],
                                "A": {"kind": "dense_matrix", "matrix": [[1.0, 0.0], [True, 1.0]]}},
                    "recipe": "fb"}, "'matrix'"),
+        ("solve", {"problem": LASSO, "recipe": "fb", "output_dir": 5}, "'output_dir'"),
+        ("solve", {"problem": 5, "recipe": "fb"}, "'problem'"),
+        ("solve", {"problem": {"kind": "tv_denoise", "image_csv": 5}, "recipe": "cp"},
+         "'image_csv'"),
+        ("generate", {"kind": "step_image", "dims": 4, "sigma": [0.1]}, "'sigma'"),
+        ("solve", {"problem": {"kind": "tv_denoise", "pixels": PIXELS[0]}, "recipe": "cp"},
+         "'pixels'"),
+        ("solve", {"problem": LASSO, "recipe": ""}, "'recipe'"),
+        ("compare", {"problem": LASSO, "recipes": []}, "'recipes'"),
     ], ids=["top_level_array", "checks_number", "seed_array", "dims_null", "dims_empty",
             "generate_lambda_array", "lambda_array", "operator_string", "fixture_number",
             "image_number", "rows_array", "recipe_array", "recipes_string",
             "scale_factor_array", "scale_dim_string", "conv_shape_number",
             "grad2d_rows_string", "lasso_y_object", "pixels_object", "tv_inverse_y_object",
             "tv_inverse_rows_fraction", "certify_seed_fraction", "generate_seed_fraction",
-            "lasso_y_boolean", "pixels_boolean", "kernel_boolean", "matrix_boolean"])
+            "lasso_y_boolean", "pixels_boolean", "kernel_boolean", "matrix_boolean",
+            "output_dir_number", "problem_number", "image_csv_number", "generate_sigma_array",
+            "pixels_1d", "recipe_empty", "recipes_empty"])
     def test_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path / "run.json", config)
         out = tmp_path / "run"
@@ -616,6 +628,27 @@ class TestMalformedConfigTypes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_bundle_grid_must_match_its_pixels(self, tmp_path, capsys):
+        # a tv_denoise bundle's y is reshaped to rows x cols: 4 x 4 != 12
+        data = datamod.generate_synthetic("step_image", (3, 4), sigma=0.1, seed=1)
+        datamod.write_fixture(tmp_path / "step", {**data, "rows": 4})
+        cfg = write_config(tmp_path / "run.json", {
+            "problem": {"kind": "tv_denoise", "fixture": str(tmp_path / "step")},
+            "recipe": "cp"})
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_readme_lists_every_typed_field(self):
+        # README's config-type paragraph names every key of the type table
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        # the bullet runs to the next bullet, blank line or end of file
+        bullet = readme[readme.index("The config file must hold"):]
+        paragraph = bullet.split("\n- ")[0].split("\n\n")[0]
+        missing = [key for key in CONFIG_TYPES if f"`{key}`" not in paragraph]
+        assert not missing
 
 
 class TestFailedRunLeavesNoOutput:

@@ -39,7 +39,7 @@ import pytest
 from proxsplit.cli import _write_trace_csv
 from proxsplit.data import generate_synthetic
 from proxsplit.funcs import BoxIndicator, CallableSmooth, HardThreshold, Quadratic, ZeroFn
-from proxsplit.linops import DenseOperator, Grad2D, IdentityOperator, ImageGrid
+from proxsplit.linops import DenseOperator, Grad2D, IdentityOperator
 from proxsplit.problems import (
     build_from_config,
     build_poisson_editing,
@@ -75,7 +75,7 @@ def _recipe(inst, name, cfg=CFG):
 
 def _tvl1():
     data = generate_synthetic("step_image", (8, 8), sigma=0.1, seed=3)
-    return build_tvl1(ImageGrid(8, 8, data["y"]), 0.3)
+    return build_tvl1(data["y"].reshape(8, 8), 0.3)
 
 
 def _tv_inverse_conv():
@@ -90,7 +90,7 @@ def _tv_inverse_conv():
 
 def _poisson():
     rows = cols = 8
-    target = ImageGrid.from_array(np.linspace(0.0, 1.0, rows * cols).reshape(rows, cols))
+    target = np.linspace(0.0, 1.0, rows * cols).reshape(rows, cols)
     source = generate_synthetic("step_image", (rows, cols), sigma=0.2, seed=4)["y"]
     omega = np.zeros((rows, cols), dtype=bool)
     omega[2:6, 1:7] = True

@@ -502,30 +502,6 @@ class TestInvariants:
         assert np.allclose(op.T.T.apply(v), op.apply(v))
 
 
-class TestImageGrid:
-    def test_flattening_is_a_bijection(self):
-        from proxsplit.linops import ImageGrid
-
-        rng = np.random.default_rng(2)
-        arr = rng.random((3, 5))
-        grid = ImageGrid.from_array(arr)
-        assert np.array_equal(grid.to_array(), arr)
-        back = ImageGrid(3, 5, grid.to_vector())
-        assert np.array_equal(back.pixels, grid.pixels)
-
-    def test_pixel_count_must_match(self):
-        from proxsplit.linops import ImageGrid
-
-        with pytest.raises(DimensionError):
-            ImageGrid(2, 3, np.zeros(5))
-
-    def test_rejects_unknown_boundary(self):
-        from proxsplit.linops import ImageGrid
-
-        with pytest.raises(ValueError):
-            ImageGrid(2, 2, np.zeros(4), boundary="dirichlet")
-
-
 class TestConjugateGradient:
     def test_solves_spd_system(self):
         rng = np.random.default_rng(4)

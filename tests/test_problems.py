@@ -11,7 +11,7 @@ from proxsplit.data import (
     GaussianStream,
     generate_synthetic,
     load_fixture,
-    read_csv_grid,
+    read_image,
     read_pgm,
     write_csv_rows,
     write_fixture,
@@ -19,9 +19,9 @@ from proxsplit.data import (
 from proxsplit.funcs import AffineGraphIndicator, soft_threshold
 from proxsplit.linops import (
     DenseOperator,
+    DimensionError,
     Grad2D,
     IdentityOperator,
-    ImageGrid,
     MaskOperator,
     ScaleOperator,
     read_csv_rows,
@@ -136,14 +136,13 @@ class TestLasso:
 
 class TestTVDenoise:
     def test_constant_image_is_fixed(self):
-        grid = ImageGrid.from_array(np.full((4, 4), 0.7))
-        inst = build_tv_denoise(grid, 0.3)
+        inst = build_tv_denoise(np.full((4, 4), 0.7), 0.3)
         _, x = inst.run("cp", SolverConfig(max_iter=300))
         assert np.allclose(x, 0.7, atol=1e-8)
 
     def test_step_signal_recipes_agree(self):
         sig = np.array([[0.0, 0.0, 0.1, 0.9, 1.0, 1.0]])
-        inst = build_tv_denoise(ImageGrid.from_array(sig), 0.05)
+        inst = build_tv_denoise(sig, 0.05)
         vals = {}
         for name in inst.recipes:
             _, x = inst.run(name, SolverConfig(max_iter=4000))
@@ -155,7 +154,7 @@ class TestTVDenoise:
     def test_explicit_no_inertia_is_kept(self):
         # "none" is the SolverConfig default; dual_fb defaults to fista_t
         data = generate_synthetic("step_image", (4, 4), sigma=0.1, seed=1)
-        inst = build_tv_denoise(ImageGrid(4, 4, data["y"]), 0.1)
+        inst = build_tv_denoise(data["y"].reshape(4, 4), 0.1)
         trace, _ = inst.run("dual_fb", SolverConfig(inertia="none", max_iter=20))
         assert trace.meta["config"].inertia == "none"
         assert "inertia_coef" not in trace.extras
@@ -166,14 +165,14 @@ class TestTVDenoise:
         rng = np.random.default_rng(3)
         img = rng.standard_normal((4, 4))
         img -= img.mean()
-        inst = build_tv_denoise(ImageGrid.from_array(img), 50.0)
+        inst = build_tv_denoise(img, 50.0)
         _, x = inst.run("cp", SolverConfig(max_iter=4000))
         assert np.max(np.abs(x - img.mean())) <= 1e-3
 
     def test_16x16_recipes_agree(self):
         # top of the supported desk-scale range
         data = generate_synthetic("step_image", (16, 16), sigma=0.05, seed=3)
-        inst = build_tv_denoise(ImageGrid(16, 16, data["y"]), 0.1)
+        inst = build_tv_denoise(data["y"].reshape(16, 16), 0.1)
         vals = {}
         for name in ("cp", "condat", "dual_fb"):
             _, x = inst.run(name, SolverConfig(max_iter=8000))
@@ -195,8 +194,7 @@ class TestTVDenoise:
 
     def test_dual_recovery_matches_primal(self):
         data = generate_synthetic("step_image", (6, 6), sigma=0.05, seed=2)
-        grid = ImageGrid(6, 6, data["y"])
-        inst = build_tv_denoise(grid, 0.1)
+        inst = build_tv_denoise(data["y"].reshape(6, 6), 0.1)
         _, x_cp = inst.run("cp", SolverConfig(max_iter=6000))
         _, x_dual = inst.run("dual_fb", SolverConfig(max_iter=6000))
         assert np.max(np.abs(x_cp - x_dual)) <= 1e-4
@@ -257,13 +255,12 @@ class TestDualityGap:
         ("poisson_editing", "projected_gradient"),
     ])
     def test_recipes_without_a_gap_reject_gap_tol(self, build, recipe):
-        grid = ImageGrid(4, 4, generate_synthetic("step_image", (4, 4), sigma=0.1,
-                                                  seed=1)["y"])
+        grid = generate_synthetic("step_image", (4, 4), sigma=0.1, seed=1)["y"].reshape(4, 4)
         inst = {
             "tvl1": lambda: build_tvl1(grid, 0.3),
             "tv_inverse": tv_inverse_fixture,
             "wavelet_reg": lambda: build_wavelet_reg(
-                IdentityOperator(16), grid.to_vector(), 0.1, IdentityOperator(16)),
+                IdentityOperator(16), grid.ravel(), 0.1, IdentityOperator(16)),
             "poisson_editing": lambda: build_poisson_editing(
                 np.zeros(32), grid, np.arange(16) % 3 == 0),
         }[build]()
@@ -276,8 +273,7 @@ class TestDualityGap:
 class TestTVInverse:
     def test_identity_reduces_to_denoise(self):
         data = generate_synthetic("step_image", (5, 5), sigma=0.05, seed=4)
-        grid = ImageGrid(5, 5, data["y"])
-        den = build_tv_denoise(grid, 0.08)
+        den = build_tv_denoise(data["y"].reshape(5, 5), 0.08)
         inv = build_tv_inverse(IdentityOperator(25), data["y"], 0.08, 5, 5)
         _, x_den = den.run("cp", SolverConfig(max_iter=5000))
         _, x_inv = inv.run("cp2", SolverConfig(max_iter=5000))
@@ -335,15 +331,14 @@ class TestTVInverse:
 
 class TestTVL1:
     def test_constant_image_fixed(self):
-        grid = ImageGrid.from_array(np.full((3, 3), 0.4))
-        inst = build_tvl1(grid, 0.5)
+        inst = build_tvl1(np.full((3, 3), 0.4), 0.5)
         _, x = inst.run("cp", SolverConfig(max_iter=500))
         assert np.allclose(x, 0.4, atol=1e-6)
 
     def test_two_pixel_grid_oracle(self):
         y = np.array([[0.0, 1.0]])
         lam = 0.3
-        inst = build_tvl1(ImageGrid.from_array(y), lam)
+        inst = build_tvl1(y, lam)
         _, x = inst.run("cp", SolverConfig(max_iter=20000))
         # brute-force oracle over a fine 2-d grid
         g = np.linspace(-0.5, 1.5, 801)
@@ -355,7 +350,7 @@ class TestTVL1:
 
     def test_recipes_agree(self):
         data = generate_synthetic("step_image", (4, 4), sigma=0.1, seed=8)
-        inst = build_tvl1(ImageGrid(4, 4, data["y"]), 0.2)
+        inst = build_tvl1(data["y"].reshape(4, 4), 0.2)
         _, x_cp = inst.run("cp", SolverConfig(max_iter=8000))
         _, x_dr = inst.run("dr_split", SolverConfig(max_iter=8000))
         best = min(inst.objective(x_cp), inst.objective(x_dr))
@@ -365,18 +360,18 @@ class TestTVL1:
 
 class TestPoissonEditing:
     def test_source_equals_target_is_fixed(self):
-        target = ImageGrid.from_array(np.linspace(0, 1, 16).reshape(4, 4))
+        target = np.linspace(0, 1, 16).reshape(4, 4)
         grad = Grad2D(4, 4)
         omega = np.zeros(16, dtype=bool)
         omega[[5, 6, 9, 10]] = True
-        inst = build_poisson_editing(grad.apply(target.pixels), target, omega)
+        inst = build_poisson_editing(grad.apply(target.ravel()), target, omega)
         _, x = inst.run("projected_gradient", SolverConfig(max_iter=500))
-        assert np.allclose(x, target.pixels, atol=1e-8)
+        assert np.allclose(x, target.ravel(), atol=1e-8)
 
     def test_interior_matches_linear_system_oracle(self):
         rows = cols = 5
         rng = np.random.default_rng(9)
-        target = ImageGrid.from_array(np.zeros((rows, cols)))
+        target = np.zeros((rows, cols))
         source = rng.standard_normal(rows * cols)
         grad = Grad2D(rows, cols)
         s_grad = grad.apply(source)
@@ -391,7 +386,7 @@ class TestPoissonEditing:
         G = np.stack([grad.apply(e) for e in np.eye(rows * cols)], axis=1)
         Gm = G[M2]
         free = np.where(omega)[0]
-        target_vec = target.pixels.copy()
+        target_vec = target.ravel().copy()
         rhs = s_grad[M2] - Gm @ np.where(omega, 0.0, target_vec)
         sol, *_ = np.linalg.lstsq(Gm[:, free], rhs, rcond=None)
         expected = target_vec.copy()
@@ -399,17 +394,35 @@ class TestPoissonEditing:
         assert np.max(np.abs(x - expected)) <= 1e-5
 
     def test_empty_interior_returns_target(self):
-        target = ImageGrid.from_array(np.ones((3, 3)))
+        target = np.ones((3, 3))
         grad = Grad2D(3, 3)
         omega = np.zeros(9, dtype=bool)
         inst = build_poisson_editing(np.zeros(grad.out_dim), target, omega)
         _, x = inst.run("projected_gradient", SolverConfig(max_iter=2))
-        assert np.array_equal(x, target.pixels)
+        assert np.array_equal(x, target.ravel())
 
     def test_full_mask_warns(self):
-        target = ImageGrid.from_array(np.ones((3, 3)))
+        target = np.ones((3, 3))
         with pytest.warns(UserWarning):
             build_poisson_editing(np.zeros(18), target, np.ones(9, dtype=bool))
+
+
+@pytest.mark.parametrize("image", [np.zeros(4), np.zeros((1, 2, 2))], ids=["1d", "3d"])
+@pytest.mark.parametrize("build", [
+    lambda image: build_tv_denoise(image, 0.1),
+    lambda image: build_tvl1(image, 0.1),
+    lambda image: build_poisson_editing(np.zeros(8), image, np.zeros(4, dtype=bool)),
+], ids=["tv_denoise", "tvl1", "poisson_editing"])
+def test_builders_reject_a_non_2d_image(build, image):
+    with pytest.raises(DimensionError):
+        build(image)
+
+
+def test_builders_copy_the_image():
+    image = np.full((3, 3), 0.5)
+    inst = build_tv_denoise(image, 0.1)
+    image[0, 0] = 9.0
+    assert np.array_equal(inst.metadata["y"], np.full(9, 0.5))
 
 
 class TestWaveletReg:
@@ -531,20 +544,19 @@ def _write_pgm(path, img):
 class TestImageIO:
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        grid = ImageGrid.from_array(rng.random((3, 5)))
+        img = rng.random((3, 5))
         path = tmp_path / "img.csv"
-        write_csv_rows(path, grid.to_array())
-        back = read_csv_grid(path)
-        assert np.array_equal(back.pixels, grid.pixels)
+        write_csv_rows(path, img)
+        assert np.array_equal(read_image(path), img)
 
     def test_pgm_roundtrip_quantized(self, tmp_path):
         rng = np.random.default_rng(2)
-        grid = ImageGrid.from_array(rng.random((4, 6)))
+        img = rng.random((4, 6))
         path = tmp_path / "img.pgm"
-        _write_pgm(path, grid.to_array())
+        _write_pgm(path, img)
         back = read_pgm(path)
-        assert back.rows == 4 and back.cols == 6
-        assert np.max(np.abs(back.pixels - grid.pixels)) <= 1.0 / 255.0
+        assert back.shape == (4, 6)
+        assert np.max(np.abs(back - img)) <= 1.0 / 255.0
 
     def test_truncated_pgm_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -570,13 +582,13 @@ class TestImageIO:
         _write_pgm(path, np.random.default_rng(4).random((4, 6)))
         inst = build_from_config({"kind": "tv_denoise", "image": str(path), "lambda": 0.1})
         assert (inst.metadata["rows"], inst.metadata["cols"]) == (4, 6)
-        assert inst.metadata["y"].tobytes() == read_pgm(path).pixels.tobytes()
+        assert inst.metadata["y"].tobytes() == read_pgm(path).tobytes()
 
     def test_non_rectangular_csv_rejected(self, tmp_path):
         path = tmp_path / "img.csv"
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(FixtureError):
-            read_csv_grid(path)
+            read_image(path)
 
 
 class TestFixtureBundles:
@@ -723,7 +735,7 @@ class TestObjectiveConsistency:
     def test_shared_probe_point(self):
         # the same evaluator serves every recipe: probing is recipe-free
         data = generate_synthetic("step_image", (4, 4), sigma=0.1, seed=11)
-        inst = build_tv_denoise(ImageGrid(4, 4, data["y"]), 0.15)
+        inst = build_tv_denoise(data["y"].reshape(4, 4), 0.15)
         probe = data["y"] * 0.5
         v = inst.objective(probe)
         grad = inst.metadata["grad"]
