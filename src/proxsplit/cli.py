@@ -128,6 +128,8 @@ def cmd_solve(config: dict, out_dir) -> int:
         summary["expected_objective"] = float(inst.ground_truth["objective"])
         summary["objective_error"] = abs(summary["objective"]
                                          - summary["expected_objective"])
+    if "expected_objective_skipped" in inst.metadata:
+        summary["expected_objective_skipped"] = inst.metadata["expected_objective_skipped"]
     datamod.write_json(out / "summary.json", summary)
     _write_resolved(out, config, {"solver": dataclasses.asdict(trace.meta["config"])})
     return EXIT_DIVERGED if trace.termination == DIVERGED else EXIT_OK
@@ -238,7 +240,10 @@ def cmd_generate(config: dict, out_dir, seed_override=None) -> int:
     # the objective to about 12 digits
     trace, x = inst.run(reference, SolverConfig(max_iter=20_000, gap_tol=1e-12))
     data["lambda"] = lam
-    datamod.write_fixture(out, data, expected={"objective": inst.objective(x)})
+    datamod.write_fixture(out, data, expected={
+        "objective": inst.objective(x), "recipe": reference,
+        "termination": trace.termination, "iterations": trace.n_iter,
+        "gap": trace.meta["gap"]})
     _write_resolved(out, config, {**resolved, "lambda": lam})
     print(f"wrote {kind} fixture to {out}")
     return EXIT_OK

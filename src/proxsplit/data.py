@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from .linops import read_csv_rows
+from .linops import DenseOperator, gram_eigh, read_csv_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment
@@ -220,13 +220,22 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+# the stored np.linalg.eigh output (eigenvalues, eigenvectors) for the Gram
+# matrix of a bundle's A
+GRAM_FILES = ("A_gram_values.npy", "A_gram_vectors.npy")
+
+
 def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.Path:
     """Persist a synthetic-data dict as a fixture bundle.
 
     The manifest stores scalars; each array payload goes to ``<key>.csv`` next
     to it, and to a binary cache ``<key>.npy`` holding the array that reading
-    the CSV back returns.  The manifest's ``cache`` record holds the byte size
-    and CRC-32 of both files.
+    the CSV back returns.  A matrix ``A`` also gets its spectral factors,
+    computed from that array by the code a solve would run: its norm bound
+    ``DenseOperator(A).norm()`` as the manifest's ``A_norm``, and
+    :func:`~proxsplit.linops.gram_eigh` as the two ``GRAM_FILES``.  The
+    manifest's ``cache`` record holds the byte size and CRC-32 of every
+    ``.csv`` and ``.npy`` file.
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,15 +257,22 @@ def write_fixture(out_dir, data: dict, expected: dict | None = None) -> pathlib.
             manifest["files"][key] = csv
             manifest["cache"][csv] = _file_check(out / csv)
             manifest["cache"][npy] = _file_check(out / npy)
+    if "A" in data:
+        A = np.load(out / "A.npy", allow_pickle=False)
+        manifest["A_norm"] = DenseOperator(A).norm()
+        for name, array in zip(GRAM_FILES, gram_eigh(A)):
+            np.save(out / name, array, allow_pickle=False)
+            manifest["cache"][name] = _file_check(out / name)
     if expected:
         manifest["expected"] = expected
     write_json(out / "manifest.json", manifest)
     return out
 
 
-def _read_payload(csv: pathlib.Path, npy: pathlib.Path, cache: dict) -> np.ndarray:
-    """A payload as ``read_csv_rows`` returns it, from its ``.npy`` cache when
-    both files still match the manifest's ``cache`` record.
+def _read_payload(csv: pathlib.Path, npy: pathlib.Path, cache: dict) -> tuple[np.ndarray, bool]:
+    """A payload as ``read_csv_rows`` returns it, and whether it came from
+    its ``.npy`` cache, which it does when both files still match the
+    manifest's ``cache`` record.
 
     The CSV is the source of truth: an edited CSV, a missing, changed or
     unreadable ``.npy`` or a bundle without a record means the CSV is parsed.
@@ -266,13 +282,43 @@ def _read_payload(csv: pathlib.Path, npy: pathlib.Path, cache: dict) -> np.ndarr
     try:
         if (npy.name in cache and cache.get(csv.name) == _file_check(csv)
                 and cache[npy.name] == _file_check(npy)):
-            return np.load(npy, allow_pickle=False)
+            return np.load(npy, allow_pickle=False), True
     except (OSError, ValueError, EOFError):
         pass
-    return read_csv_rows(csv, FixtureError)
+    return read_csv_rows(csv, FixtureError), False
+
+
+def _gram_factors(bundle: pathlib.Path, cache: dict, norm):
+    # (norm, loader) while the manifest holds A's norm and both GRAM_FILES
+    # match their records, else None; the loader reads the files when called
+    paths = [bundle / name for name in GRAM_FILES]
+    try:
+        if not (isinstance(norm, float)
+                and all(cache.get(path.name) == _file_check(path) for path in paths)):
+            return None
+    except OSError:
+        return None
+
+    def load():
+        try:
+            return tuple(np.load(path, allow_pickle=False) for path in paths)
+        except (OSError, ValueError, EOFError):
+            return None
+    return norm, load
 
 
 def load_fixture(bundle_dir) -> dict:
+    """Read a bundle back: the manifest's scalars, and each payload as its
+    CSV reads, from the ``.npy`` cache where that is checked (see
+    :func:`_read_payload`).
+
+    A matrix ``A`` comes with ``A_factors``: when ``A`` was read from its
+    cache, the manifest holds ``A_norm`` and both ``GRAM_FILES`` match their
+    records, the pair (norm bound, loader) for ``DenseOperator``'s
+    ``cached_norm`` and ``stored_eigh``; otherwise None, and a solve
+    computes both.  The loader reads the files only when called, so a
+    solve that needs no Gram eigenbasis never loads them.
+    """
     bundle = pathlib.Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
@@ -282,12 +328,15 @@ def load_fixture(bundle_dir) -> dict:
     data = dict(manifest)
     files = data.pop("files", {})
     cache = data.pop("cache", {})
+    norm = data.pop("A_norm", None)
     for key, fname in files.items():
         path = bundle / fname
         if not path.exists():
             raise FixtureError(f"bundle {bundle} is missing payload {fname}")
-        rows = _read_payload(path, bundle / f"{key}.npy", cache)
-        if key != "A":
+        rows, cached = _read_payload(path, bundle / f"{key}.npy", cache)
+        if key == "A":
+            data["A_factors"] = _gram_factors(bundle, cache, norm) if cached else None
+        else:
             # every other payload is a vector, one entry per line
             if rows.shape[1] != 1:
                 raise FixtureError(f"vector file {path} has {rows.shape[1]} columns, not one")

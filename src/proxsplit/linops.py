@@ -11,8 +11,9 @@ a closed form has no norm.  Two spectral hooks describe the Gram matrix
   (circular convolution, periodic gradient), the DCT-II of the grid
   (Neumann gradient) or a dense matrix's own eigenbasis, summed over the
   blocks of a stack that share one.  A dense matrix runs its one ``eigh`` on
-  the first call and keeps the result; a sum calls it only when the other
-  terms leave that eigenbasis shared.  :func:`proxsplit.funcs.gram_solver`
+  the first call and keeps the result, or reads a stored one (see
+  :class:`Eigenbasis`); a sum calls it only when the other terms leave that
+  eigenbasis shared.  :func:`proxsplit.funcs.gram_solver`
   reads it once per solver it builds and divides by it; building an oracle
   reads only the class attribute ``diagonal_gram``, and factors nothing.
 - ``gram_symbol()`` gives eigenvalues on the DFT grid that bound ``K*K`` from
@@ -203,15 +204,48 @@ class GramSpectrum(NamedTuple):
         return p.ravel()
 
 
-def _smaller_gram(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    # the smaller of M M^T and M^T M (M^T M when square), and whether it is M M^T
-    wide = m.shape[0] < m.shape[1]
-    return (m @ m.T if wide else m.T @ m), wide
+def _smaller_gram(m: np.ndarray) -> np.ndarray:
+    # the smaller of M M^T and M^T M (M^T M when square)
+    return m @ m.T if m.shape[0] < m.shape[1] else m.T @ m
+
+
+def gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``np.linalg.eigh`` output for the smaller Gram matrix of ``m``:
+    what :class:`Eigenbasis` factors, and what a fixture bundle stores.
+
+    For a wide ``m`` the eigenvectors are column-major, the layout that
+    the basis's ``vectors[:, keep]`` yields: a stored copy then loads in the
+    layout the basis keeps, needs no copy of its own, and runs the same BLAS
+    products as a fresh one, so both round alike.
+    """
+    lam, vectors = np.linalg.eigh(_smaller_gram(m))
+    return lam, np.asfortranarray(vectors) if m.shape[0] < m.shape[1] else vectors
+
+
+def _factors_fit(m: np.ndarray, lam, vectors) -> bool:
+    # stored eigh output (lam, vectors) of the smaller Gram matrix G of m
+    # must have its shapes and reproduce G v for one fixed probe v to within
+    # sqrt(eps) ||m||_F^2 ||v||, far above eigh's rounding of about
+    # r eps ||G||; the factors of another matrix miss by about ||G|| ||v||
+    r = min(m.shape)
+    if not (lam.shape == (r,) and vectors.shape == (r, r)
+            and lam.dtype == vectors.dtype == np.float64):
+        return False
+    v = np.cos(np.arange(r, dtype=float))
+    gv = m @ (m.T @ v) if m.shape[0] < m.shape[1] else m.T @ (m @ v)
+    miss = np.linalg.norm(gv - vectors @ (lam * (vectors.T @ v)))
+    return bool(miss <= math.sqrt(EPS) * np.vdot(m, m) * np.linalg.norm(v))
 
 
 class Eigenbasis:
     """The eigenbasis of M*M for a dense M, from one ``np.linalg.eigh`` of the
     smaller of M*M and MM*, run when the basis is built.
+
+    The operator's ``stored_eigh``, when set, returns that ``eigh`` output
+    as computed earlier (a fixture bundle stores it), or None.  Stored output
+    is used only when it has the right shapes and reproduces the Gram matrix
+    on a probe vector (:func:`_factors_fit`); otherwise ``eigh`` runs.
+    Fresh and stored output then go through the same steps.
 
     Eigenvalues within the eigensolver's rounding of zero (at most
     r * eps * lambda_max for an r x r Gram matrix) are set to 0, so a singular
@@ -225,13 +259,16 @@ class Eigenbasis:
 
     def __init__(self, op: DenseOperator):
         self.op = op
-        gram, self.wide = _smaller_gram(op.matrix)
-        lam, vectors = np.linalg.eigh(gram)
-        del gram
+        m = op.matrix
+        self.wide = m.shape[0] < m.shape[1]
+        stored = op.stored_eigh() if op.stored_eigh is not None else None
+        lam, vectors = stored if stored is not None and _factors_fit(m, *stored) else gram_eigh(m)
         lam[lam <= lam[-1] * lam.size * EPS] = 0.0
         if self.wide:
             keep = lam > 0
-            lam, vectors = np.append(lam[keep], 0.0), vectors[:, keep]
+            lam = np.append(lam[keep], 0.0)
+            if not keep.all():
+                vectors = vectors[:, keep]
         self.eigenvalues, self.vectors = lam, vectors
 
     def solve(self, rhs: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -392,9 +429,16 @@ class ScaleOperator(LinearOperator):
 
 
 class DenseOperator(LinearOperator):
+    """An m x n matrix.
+
+    ``stored_eigh``, a callable with no arguments, returns
+    :func:`gram_eigh` of the matrix as computed earlier, or None; the first
+    :meth:`gram_spectrum` call checks and uses it (see :class:`Eigenbasis`).
+    """
+
     kind = "dense_matrix"
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, stored_eigh=None):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionError("dense operator needs a 2-d matrix")
@@ -402,6 +446,7 @@ class DenseOperator(LinearOperator):
             raise ValueError("matrix entries must be finite")
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
+        self.stored_eigh = stored_eigh
         self._spectrum = None
 
     def _apply(self, x):
@@ -418,7 +463,7 @@ class DenseOperator(LinearOperator):
         most max(m, n) u ||M||_F^2 in the 2-norm and ``eigvalsh`` by about
         r u ||G||, with u = eps / 2 and ||G|| <= ||M||_F^2 = trace G.
         """
-        gram, _ = _smaller_gram(self.matrix)
+        gram = _smaller_gram(self.matrix)
         pad = (self.in_dim + self.out_dim) * EPS * np.trace(gram)
         return _ceil_sqrt(Fraction(max(np.linalg.eigvalsh(gram)[-1], 0.0)) + Fraction(pad))
 

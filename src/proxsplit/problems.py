@@ -501,6 +501,10 @@ def _operator_from_config(spec, n: int) -> LinearOperator:
     return construct_operator(config_value(params, "kind"), params)
 
 
+# the problem kind whose reference generate stores with a bundle of each data kind
+_REFERENCE_PROBLEMS = {"sparse_vector": "lasso", "step_image": "tv_denoise"}
+
+
 def build_from_config(spec: dict) -> ProblemInstance:
     """Build a problem instance from a JSON-style config dict.
 
@@ -526,7 +530,13 @@ def build_from_config(spec: dict) -> ProblemInstance:
     if kind == "lasso":
         if bundle is not None:
             y = np.asarray(bundle["y"], dtype=float)
-            A = DenseOperator(bundle["A"]) if "A" in bundle else IdentityOperator(y.size)
+            if "A" in bundle:
+                # the bundle's stored norm and Gram factors, when checked
+                norm, stored_eigh = bundle["A_factors"] or (None, None)
+                A = DenseOperator(bundle["A"], stored_eigh)
+                A.cached_norm = norm
+            else:
+                A = IdentityOperator(y.size)
         else:
             y = np.asarray(config_value(spec, "y"), dtype=float)
             A = _operator_from_config(config_value(spec, "A", None), y.size)
@@ -545,7 +555,13 @@ def build_from_config(spec: dict) -> ProblemInstance:
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
     if bundle is not None and "expected" in bundle:
-        # the reference objective that generate stored with a lasso or
-        # tv_denoise bundle
-        inst.ground_truth = {**(inst.ground_truth or {}), **bundle["expected"]}
+        # the reference that generate stored with a lasso or tv_denoise
+        # bundle answers only its own problem kind and lambda
+        solved = _REFERENCE_PROBLEMS.get(bundle.get("kind"))
+        if (solved, bundle.get("lambda")) == (kind, lam):
+            inst.ground_truth = {**(inst.ground_truth or {}), **bundle["expected"]}
+        else:
+            inst.metadata["expected_objective_skipped"] = (
+                f"the bundle's reference solves {solved or bundle.get('kind')} at lambda "
+                f"{bundle.get('lambda')}, not {kind} at lambda {lam}")
     return inst

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import proxsplit
 from proxsplit import cli
 from proxsplit import data as datamod
 from proxsplit.cli import main
+from proxsplit.linops import DenseOperator, gram_eigh
 from proxsplit.problems import CONFIG_TYPES, ProblemInstance, build_from_config
 from proxsplit.solvers import SolverConfig
 
@@ -881,13 +883,16 @@ class TestResolvedConfig:
     def test_lasso_computes_the_norm_only_for_a_stepsize(
             self, tmp_path, lasso_fixture_dir, monkeypatch, recipe, norms):
         # dr solves with the Gram eigenbasis and never needs ||A||, which a
-        # dense matrix bounds through eigvalsh
+        # dense matrix bounds through eigvalsh; the bundle's A goes inline,
+        # since a bundle's stored norm skips eigvalsh (TestGramFactorCache)
+        bundle = datamod.load_fixture(lasso_fixture_dir)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(a.shape) or eigvalsh(a))
         cfg = write_config(tmp_path / "solve.json", {
-            "problem": {"kind": "lasso", "fixture": str(lasso_fixture_dir)},
+            "problem": {"kind": "lasso", "y": bundle["y"].tolist(), "lambda": 0.15,
+                        "A": {"kind": "dense_matrix", "matrix": bundle["A"].tolist()}},
             "recipe": recipe, "solver": {"max_iter": 5}})
         assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == norms
@@ -1038,7 +1043,8 @@ class TestGenerate:
         assert main(["generate", str(out / "resolved_config.json"),
                      "--out", str(again)]) == 0
         for name in ("manifest.json", "A.csv", "x_true.csv", "y.csv",
-                     "A.npy", "x_true.npy", "y.npy", "resolved_config.json"):
+                     "A.npy", "x_true.npy", "y.npy", "A_gram_values.npy",
+                     "A_gram_vectors.npy", "resolved_config.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -1049,6 +1055,171 @@ class TestGenerate:
         main(["generate", cfg, "--out", str(out1)])
         main(["generate", cfg, "--out", str(out2), "--seed", "2"])
         assert (out1 / "y.csv").read_bytes() != (out2 / "y.csv").read_bytes()
+
+
+def _run(problem, tmp_path, command, recipe):
+    """(trace.csv or comparison.csv, summary.json without its wall-time line)
+    of one 300-iteration run"""
+    key = "recipes" if command == "compare" else "recipe"
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    out = tmp_path / f"{command}-{'-'.join(recipe) if command == 'compare' else recipe}"
+    cfg = write_config(tmp_path / f"{out.name}.json", {
+        "problem": problem, key: recipe, "solver": {"max_iter": 300}})
+    assert main([command, cfg, "--out", str(out)]) == 0
+    summary = (out / "summary.json").read_text().splitlines(keepends=True)
+    csv = out / ("comparison.csv" if command == "compare" else "trace.csv")
+    return csv.read_bytes(), "".join(l for l in summary if '"wall_time_seconds"' not in l)
+
+
+def _count_eigensolvers(monkeypatch) -> list:
+    # the name of each np.linalg.eigh and eigvalsh call, in call order
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name, **k:
+                            calls.append(_n) or _s(*a, **k))
+    return calls
+
+
+def _without_factor_files(bundle, out):
+    # a copy of the bundle whose norm and Gram factors a solve computes
+    shutil.copytree(bundle, out)
+    for name in datamod.GRAM_FILES:
+        (out / name).unlink()
+    return out
+
+
+@pytest.fixture(scope="module", params=[(32, 64), (64, 32)], ids=["wide", "tall"])
+def factor_bundle(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp("factors")
+    cfg = write_config(out / "gen.json", {"kind": "lasso", "dims": list(request.param),
+                                          "sigma": 0.01, "lambda": 0.1, "seed": 3})
+    assert main(["generate", cfg, "--out", str(out / "bundle")]) == 0
+    return out / "bundle"
+
+
+# each run, with the eigensolver calls it makes when it computes A's factors
+FACTOR_RUNS = [pytest.param("solve", "fb", ["eigvalsh"], id="fb"),
+               pytest.param("solve", "fista", ["eigvalsh"], id="fista"),
+               pytest.param("solve", "dr", ["eigh"], id="dr"),
+               pytest.param("compare", ["fista", "dr"], ["eigvalsh", "eigh"], id="compare")]
+
+
+class TestGramFactorCache:
+    """A bundle's A carries its norm bound and the eigh output of its Gram
+    matrix, bitwise equal to what a solve would compute."""
+
+    def test_stored_factors_equal_fresh_ones(self, factor_bundle):
+        bundle = datamod.load_fixture(factor_bundle)
+        A = bundle["A"]
+        norm, load = bundle["A_factors"]
+        assert norm == DenseOperator(A).norm()
+        wide = A.shape[0] < A.shape[1]
+        fresh = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+        for stored, computed in zip(load(), fresh, strict=True):
+            assert stored.dtype == computed.dtype and stored.shape == computed.shape
+            assert stored.tobytes() == computed.tobytes()
+
+    @pytest.mark.parametrize("command, recipe, computing", FACTOR_RUNS)
+    def test_outputs_do_not_depend_on_the_factor_files(
+            self, factor_bundle, tmp_path, monkeypatch, command, recipe, computing):
+        bare = _without_factor_files(factor_bundle, tmp_path / "bare")
+        calls = _count_eigensolvers(monkeypatch)
+        stored = _run({"kind": "lasso", "fixture": str(factor_bundle)},
+                      tmp_path / "stored", command, recipe)
+        assert calls == []
+        computed = _run({"kind": "lasso", "fixture": str(bare)},
+                        tmp_path / "computed", command, recipe)
+        assert calls == computing
+        assert stored == computed
+
+    @pytest.mark.parametrize("command, recipe, computing", FACTOR_RUNS[1:])
+    def test_a_bundle_run_calls_no_eigensolver(self, lasso32, tmp_path, monkeypatch,
+                                               command, recipe, computing):
+        bundle = datamod.load_fixture(lasso32)
+        inline = {"kind": "lasso", "y": bundle["y"].tolist(), "lambda": 0.1,
+                  "A": {"kind": "dense_matrix", "matrix": bundle["A"].tolist()}}
+        calls = _count_eigensolvers(monkeypatch)
+        _run({"kind": "lasso", "fixture": str(lasso32)}, tmp_path / "bundle", command, recipe)
+        assert calls == []
+        _run(inline, tmp_path / "inline", command, recipe)
+        assert calls == computing
+
+    @pytest.mark.parametrize("damage", ["csv_edit", "truncated_vectors", "missing_record",
+                                        "other_matrix"])
+    def test_damaged_factors_are_computed(self, factor_bundle, tmp_path, monkeypatch, damage):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(factor_bundle, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        vectors = bundle / "A_gram_vectors.npy"
+        if damage == "csv_edit":
+            # same size: A is parsed from the CSV, so neither factor is used
+            text = (bundle / "A.csv").read_text()
+            i = next(i for i, ch in enumerate(text) if ch in "12345678")
+            (bundle / "A.csv").write_text(text[:i] + str(int(text[i]) + 1) + text[i + 1:])
+        elif damage == "truncated_vectors":
+            vectors.write_bytes(vectors.read_bytes()[:-9])
+        elif damage == "missing_record":
+            del manifest["cache"][vectors.name]
+        else:
+            # the eigenvectors of another matrix, in a valid file that its
+            # record matches: the norm is still A's, but the vectors fail the
+            # probe of the Gram matrix and eigh runs
+            np.save(vectors, gram_eigh(np.load(bundle / "A.npy") + 1.0)[1])
+            manifest["cache"][vectors.name] = datamod._file_check(vectors)
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        bare = _without_factor_files(bundle, tmp_path / "bare")
+        calls = _count_eigensolvers(monkeypatch)
+        damaged = [_run({"kind": "lasso", "fixture": str(bundle)}, tmp_path / "damaged",
+                        "solve", recipe) for recipe in ("fista", "dr")]
+        assert calls == ([] if damage == "other_matrix" else ["eigvalsh"]) + ["eigh"]
+        assert damaged == [_run({"kind": "lasso", "fixture": str(bare)}, tmp_path / "computed",
+                                "solve", recipe) for recipe in ("fista", "dr")]
+
+
+class TestBundleReference:
+    """A bundle's reference objective is reported only for the problem and
+    lambda it was computed for."""
+
+    def test_another_lambda_writes_no_expected_objective(self, lasso32, tmp_path):
+        _run({"kind": "lasso", "fixture": str(lasso32), "lambda": 0.5}, tmp_path,
+             "solve", "fista")
+        summary = json.loads((tmp_path / "solve-fista" / "summary.json").read_text())
+        assert "expected_objective" not in summary and "objective_error" not in summary
+        assert summary["expected_objective_skipped"] == (
+            "the bundle's reference solves lasso at lambda 0.1, not lasso at lambda 0.5")
+
+    def test_tvl1_on_a_tv_denoise_bundle_writes_no_expected_objective(self, tmp_path):
+        gen = write_config(tmp_path / "gen.json", {"kind": "tv_denoise", "dims": [8, 8],
+                                                   "sigma": 0.1, "seed": 7, "lambda": 0.1})
+        assert main(["generate", gen, "--out", str(tmp_path / "tv8")]) == 0
+        _run({"kind": "tvl1", "fixture": str(tmp_path / "tv8")}, tmp_path, "solve", "cp")
+        summary = json.loads((tmp_path / "solve-cp" / "summary.json").read_text())
+        assert "expected_objective" not in summary and "objective_error" not in summary
+        assert summary["expected_objective_skipped"] == (
+            "the bundle's reference solves tv_denoise at lambda 0.1, not tvl1 at lambda 0.1")
+
+    def test_the_bundle_lambda_reports_the_reference(self, lasso32, tmp_path):
+        implied = _run({"kind": "lasso", "fixture": str(lasso32)}, tmp_path / "implied",
+                       "solve", "fista")
+        explicit = _run({"kind": "lasso", "fixture": str(lasso32), "lambda": 0.1},
+                        tmp_path / "explicit", "solve", "fista")
+        assert implied == explicit
+        summary = json.loads((tmp_path / "implied" / "solve-fista" / "summary.json").read_text())
+        assert {"expected_objective", "objective_error"} <= set(summary)
+        assert "expected_objective_skipped" not in summary
+
+    def test_tv_denoise_reference_stops_at_a_certified_gap(self, tmp_path):
+        gen = write_config(tmp_path / "gen.json", {"kind": "tv_denoise", "dims": [8, 8],
+                                                   "sigma": 0.1, "seed": 7, "lambda": 0.1})
+        assert main(["generate", gen, "--out", str(tmp_path / "tv8")]) == 0
+        expected = json.loads((tmp_path / "tv8" / "manifest.json").read_text())["expected"]
+        assert (expected["recipe"], expected["termination"]) == ("cp", "tol_reached")
+        assert 0 < expected["iterations"] < 20_000
+        # the gap bounds P(x) - P*, and a long dual_fb run is above P* by far less
+        inst = build_from_config({"kind": "tv_denoise", "fixture": str(tmp_path / "tv8")})
+        _, x = inst.run("dual_fb", SolverConfig(max_iter=20_000))
+        assert abs(expected["objective"] - inst.objective(x)) <= expected["gap"]
 
 
 class TestFixtureEnvVar:

@@ -18,6 +18,8 @@ from proxsplit.linops import (
     as_vector,
     conjugate_gradient,
     construct_operator,
+    gram_eigh,
+    gram_spectrum_sum,
     read_csv_rows,
 )
 
@@ -455,6 +457,41 @@ class TestDenseGramSpectrum:
             q = stack.gram_spectrum().solve(np.ones(3))
             assert np.allclose(m.T @ (m @ q) + 4.0 * q, np.ones(3), atol=1e-12)
         assert calls == [1]
+
+
+    def test_rank_deficient_wide_matrix_solves(self):
+        # a 3x5 matrix of rank 2: M M^T has one eigenvalue within rounding
+        # of zero, which the basis drops along with its eigenvector
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
+        op = DenseOperator(m)
+        assert np.count_nonzero(op.gram_spectrum().eigenvalues) == 2
+        rhs = rng.standard_normal(5)
+        p = gram_spectrum_sum([(1.0, op)], ridge=0.5).solve(rhs)
+        assert np.allclose(m.T @ (m @ p) + 0.5 * p, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 7), (7, 4)])
+    def test_stored_eigh_replaces_the_factorization(self, monkeypatch, shape):
+        m = np.random.default_rng(10).standard_normal(shape)
+        fresh = gram_spectrum_sum([(1.0, DenseOperator(m))], ridge=0.5)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        stored = gram_eigh(m)
+        rhs = np.linspace(-1.0, 1.0, shape[1])
+        op = DenseOperator(m, stored_eigh=lambda: stored)
+        spectrum = gram_spectrum_sum([(1.0, op)], ridge=0.5)
+        assert calls == [1]  # gram_eigh above, none in the operator
+        assert spectrum.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert spectrum.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+        # the factors of another matrix, or none, mean one eigh of its own
+        other = gram_eigh(m + 1.0)
+        for given in (other, None):
+            calls.clear()
+            op = DenseOperator(m, stored_eigh=lambda: given)
+            spectrum = gram_spectrum_sum([(1.0, op)], ridge=0.5)
+            assert calls == [1]
+            assert spectrum.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
 
 
 class TestAdjointConsistencyCheck:
