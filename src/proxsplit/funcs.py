@@ -40,13 +40,19 @@ FEAS_TOL = 1e-8
 
 
 def soft_threshold(x, t):
-    """Componentwise shrinkage toward zero by ``t`` (scalar or array)."""
+    """Componentwise shrinkage toward zero by ``t`` (scalar or array), in a
+    new array; ``L1Norm._prox_into`` runs the same steps in a given one."""
     x = np.asarray(x, dtype=float)
-    # sign(x) * max(|x| - t, 0) with the last two steps in place: one
-    # temporary fewer, which sets the peak memory of a 256^2 TV split
-    m = np.asarray(np.abs(x) - t)
-    np.maximum(m, 0.0, out=m)
-    return np.multiply(np.sign(x), m, out=m)
+    return _soft_threshold_into(x, t, np.empty(np.broadcast(x, t).shape))
+
+
+def _soft_threshold_into(x, t, out):
+    # sign(x) * max(|x| - t, 0) in the formula's operand order, into ``out``,
+    # which may be x: sign(x) is taken first
+    s = np.sign(x)
+    np.subtract(np.abs(x, out=out), t, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(s, out, out=out)
 
 
 def gram_solver(terms, ridge: float):
@@ -60,11 +66,12 @@ def gram_solver(terms, ridge: float):
     once.  Conjugate gradient (absolute residual 1e-10) otherwise: for
     compositions, stacks without a shared basis such as a circular blur over
     a Neumann gradient, and a singular system at ridge 0.  Each consumer
-    builds its solver on its first solve and keeps it.
+    builds its solver on its first solve and keeps it, and hands it a fresh
+    ``rhs``, which the identity basis divides in place.
     """
     spectrum = gram_spectrum_sum(terms, ridge)
     if spectrum is not None and (ridge > 0 or np.all(spectrum.eigenvalues > 0)):
-        return spectrum.solve
+        return spectrum._solve_in_place
 
     def gram(p):
         # unit weights (graph projections, unit-scale quadratics) skip a pass
@@ -123,7 +130,11 @@ class ProxFn:
     """Proper l.s.c. function oracle: value (may be +inf) and prox.
 
     Subclasses implement ``_value`` and ``_prox``; ``value`` and ``prox``
-    validate their argument against ``dim`` first.
+    validate their argument against ``dim`` first.  ``_prox`` returns an
+    array that the caller owns and may write into.  ``_prox_into(x, gamma,
+    out)`` may write the prox into ``out``, an array like x (or x) that the
+    caller owns and drops; by default it returns ``_prox``'s array.  A class
+    that writes into ``out`` defines ``_prox`` through ``_prox_into``.
     """
 
     convex = True
@@ -148,6 +159,9 @@ class ProxFn:
     def _prox(self, x, gamma: float) -> np.ndarray:
         raise NotImplementedError
 
+    def _prox_into(self, x, gamma: float, out) -> np.ndarray:
+        return self._prox(x, gamma)
+
     def conjugate(self) -> "ProxFn":
         """Convex conjugate; default falls back to the Moreau identity."""
         return ConjugateProx(self)
@@ -156,8 +170,8 @@ class ProxFn:
 class ZeroFn(SmoothFn, ProxFn):
     """The zero function: gradient 0, prox = identity.
 
-    The prox returns its argument itself, not a copy; no solver loop writes
-    into the array it passes or gets back.
+    The prox returns its argument itself, not a copy; a loop writes into a
+    prox's result only when it formed the argument for that call.
     """
 
     lipschitz = 0.0
@@ -232,7 +246,8 @@ class Quadratic(SmoothFn, ProxFn):
         return self._lip
 
     def _value(self, x):
-        return self._value_from(self.A._apply(x))
+        # Id x is x, without the copy IdentityOperator._apply makes
+        return self._value_from(x if isinstance(self.A, IdentityOperator) else self.A._apply(x))
 
     def _grad(self, x):
         return self._grad_from(self.A._apply(x))
@@ -287,7 +302,10 @@ class L1Norm(ProxFn):
         return self.weight * float(np.abs(x).sum())
 
     def _prox(self, x, gamma):
-        return soft_threshold(x, self.weight * gamma)
+        return self._prox_into(x, gamma, np.empty_like(x))
+
+    def _prox_into(self, x, gamma, out):
+        return _soft_threshold_into(x, self.weight * gamma, out)
 
     def conjugate(self):
         return LinfBallIndicator(self.weight)
@@ -346,7 +364,10 @@ class LinfBallIndicator(ProxFn):
         return 0.0 if top <= self.radius + tol else np.inf
 
     def _prox(self, x, gamma):
-        return np.clip(x, -self.radius, self.radius)
+        return self._prox_into(x, gamma, np.empty_like(x))
+
+    def _prox_into(self, x, gamma, out):
+        return np.clip(x, -self.radius, self.radius, out=out)
 
     def conjugate(self):
         return L1Norm(self.radius)
@@ -420,9 +441,11 @@ class ConsensusIndicator(ProxFn):
 class SeparableProx(ProxFn):
     """Blockwise sum of prox-capable functions over a partition of indices.
 
-    A block whose indices run contiguously upward is held as a slice, so
-    reading it is a view and writing it a slice store; any other block is
-    gathered and scattered through its index array.
+    A block is an index list or a ``slice``.  A block whose indices run
+    contiguously upward is held as a slice, so reading it is a view and
+    writing it a slice store, into which ``_prox_into`` lets the block's
+    function write; any other block is gathered and scattered through its
+    index array.  The blocks are disjoint, so ``out`` may be x.
     """
 
     def __init__(self, parts, dim: int):
@@ -430,18 +453,25 @@ class SeparableProx(ProxFn):
         self.parts = []
         seen = np.zeros(self.dim, dtype=bool)
         for fn, idx in parts:
-            idx = np.asarray(idx, dtype=int)
-            if idx.ndim != 1 or idx.size == 0:
+            if isinstance(idx, slice):
+                start, stop, step = idx.indices(self.dim)
+                idx = slice(start, stop) if step == 1 else np.arange(start, stop, step)
+            else:
+                idx = np.asarray(idx, dtype=int)
+                if idx.ndim != 1 or idx.size == 0:
+                    raise ValueError("each block needs a nonempty index list")
+                start = int(idx[0])
+                if start >= 0 and np.array_equal(idx, np.arange(start, start + idx.size)):
+                    idx = slice(start, start + idx.size)
+            size = idx.stop - idx.start if isinstance(idx, slice) else idx.size
+            if size <= 0:
                 raise ValueError("each block needs a nonempty index list")
             if np.any(seen[idx]):
                 raise ValueError("overlapping blocks in separable prox")
-            if fn.dim not in (None, idx.size):
+            if fn.dim not in (None, size):
                 raise DimensionError(
-                    f"a block of {idx.size} indices holds a function of length {fn.dim}")
+                    f"a block of {size} indices holds a function of length {fn.dim}")
             seen[idx] = True
-            start = int(idx[0])
-            if start >= 0 and np.array_equal(idx, np.arange(start, start + idx.size)):
-                idx = slice(start, start + idx.size)
             self.parts.append((fn, idx))
         if not np.all(seen):
             raise ValueError("blocks do not cover all coordinates")
@@ -451,9 +481,21 @@ class SeparableProx(ProxFn):
         return float(sum(fn._value(x[idx]) for fn, idx in self.parts))
 
     def _prox(self, x, gamma):
-        out = np.empty_like(x)
+        return self._prox_into(x, gamma, np.empty_like(x))
+
+    def _prox_into(self, x, gamma, out):
+        # each block's result is dropped before the next block runs
         for fn, idx in self.parts:
-            out[idx] = fn._prox(x[idx], gamma)
+            if isinstance(idx, slice):
+                view = out[idx]
+                p = fn._prox_into(x[idx], gamma, view)
+                if p is not view:
+                    view[...] = p
+                del p
+            else:
+                part = x[idx]
+                out[idx] = fn._prox_into(part, gamma, part)
+                del part
         return out
 
 

@@ -203,6 +203,13 @@ class GramSpectrum(NamedTuple):
             p = _idct(_idct(X.T).T)
         return p.ravel()
 
+    def _solve_in_place(self, rhs: np.ndarray) -> np.ndarray:
+        """:meth:`solve` for a caller that drops ``rhs``: the identity basis
+        divides it in place and returns it."""
+        if self.basis == IDENTITY_BASIS:
+            return np.divide(rhs, self.eigenvalues, out=rhs)
+        return self.solve(rhs)
+
 
 def _smaller_gram(m: np.ndarray) -> np.ndarray:
     # the smaller of M M^T and M^T M (M^T M when square)

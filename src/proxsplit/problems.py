@@ -119,19 +119,45 @@ def _recipe(solve, extract=None, **defaults):
     return run
 
 
-def _duality_gap(objective, dual_bound, pair):
-    """Gap callable for a solver: ``pair`` maps the solver's state to a
-    (primal point x, dual point p), and the gap is P(x) - D(p)."""
-    def gap(*state):
-        x, p = pair(*state)
-        return objective(x) - dual_bound(p)
+class _DualityGap:
+    """Gap callable for a solver: ``primal`` and ``dual`` map the solver's
+    state to the primal point x and the dual point p, and the gap is
+    P(x) - D(p); ``_from_objective`` is given P(x) (see ``solvers._Recorder``)."""
 
-    return gap
+    def __init__(self, objective, dual_bound, primal, dual):
+        self.objective, self.dual_bound = objective, dual_bound
+        self.primal, self.dual = primal, dual
+
+    def __call__(self, *state):
+        return self.objective(self.primal(*state)) - self.dual_bound(self.dual(*state))
+
+    def _from_objective(self, value, *state):
+        return value - self.dual_bound(self.dual(*state))
+
+
+class _SplitGap(_DualityGap):
+    """The ROF gap of a shadow point w = (x, z) of the split z = grad x in
+    ``dr_split`` and ``ppxa``: the dual point is -u_z, clipped in place by
+    ``clip_owned``; ``_of_shadow`` forms only that block of u."""
+
+    def __init__(self, objective, dual_bound, n: int, clip_owned):
+        super().__init__(objective, dual_bound, lambda w, u: w[:n],
+                         lambda w, u: clip_owned(-u[n:]))
+        self.n, self.clip_owned = n, clip_owned
+
+    def _of_shadow(self, w, x, gamma):
+        # -(x_z - w_z)/gamma in one buffer: the bytes of -u[n:]
+        n = self.n
+        p = np.subtract(x[n:], w[n:])
+        np.divide(p, gamma, out=p)
+        np.negative(p, out=p)
+        return self.objective(w[:n]) - self.dual_bound(self.clip_owned(p))
 
 
 def _half_residual_bound(y, adjoint):
     """D(p) = 1/2 ||y||^2 - 1/2 ||y - adjoint(p)||^2, the dual bound shared by
-    ROF (adjoint = grad*, clipped to the ball) and LASSO (adjoint = Id)."""
+    ROF (adjoint = grad*, on a dual point clipped to the ball) and LASSO
+    (adjoint = Id)."""
     half_yy = 0.5 * float(y @ y)
 
     def bound(p):
@@ -172,8 +198,8 @@ def build_lasso(A: LinearOperator, y, lam: float,
         c = float(np.max(np.abs(A._adjoint(r)), initial=0.0))
         return r if c <= lam else r * (lam / c)
 
-    gap = _duality_gap(objective, _half_residual_bound(y, lambda theta: theta),
-                       lambda x, *_: (x, scaled_residual(x)))
+    gap = _DualityGap(objective, _half_residual_bound(y, lambda theta: theta),
+                      lambda x, *_: x, lambda x, *_: scaled_residual(x))
     names = ["fb", "fista", "fista_beta"] + (["vfista"] if f.strong_convexity > 0 else [])
     recipes = _fb_recipes(f, g, x0, names, gap)
     recipes["dr"] = _recipe(lambda cfg: douglas_rachford(f, g, x0, cfg, gap),
@@ -212,7 +238,7 @@ def _tv_split_and_saddle(grad, y, data_fit, tv: L1Norm, objective, max_iter: int
     saddle-point form ``cp``, each with its duality gap if the model has
     one.  Returns the recipes and the saddle problem."""
     n = grad.in_dim
-    split_fn = SeparableProx([(data_fit, np.arange(n)), (tv, np.arange(n, 3 * n))], 3 * n)
+    split_fn = SeparableProx([(data_fit, slice(0, n)), (tv, slice(n, 3 * n))], 3 * n)
     graph = AffineGraphIndicator(grad)
     saddle = SaddleProblem(K=grad, g=data_fit, f_conj=tv.conjugate(),
                            f_primal=tv, primal_objective=objective)
@@ -248,16 +274,19 @@ def build_tv_denoise(image, lam: float) -> ProblemInstance:
     objective = _tv_objective(data_fit, grad, float(lam))
 
     # ROF dual: x = y - grad* p for p in the ball ||p||_inf <= lam; clipping
-    # keeps the bound valid at iterates outside the ball
-    dual = _half_residual_bound(y, lambda p: grad._adjoint(np.clip(p, -lam, lam)))
-    cp_gap, condat_gap, dual_fb_gap, split_gap = (
-        _duality_gap(objective, dual, pair) for pair in (
-            lambda x, p: (x, p),
-            lambda x, us: (x, us[0]),
-            lambda p: (y + grad._adjoint(p), -p),
-            # the shadow point (x, z) of dr_split and ppxa, and u in the normal
-            # cone of the graph there: -u_z is the multiplier of z = grad x
-            lambda w, u: (w[:n], -u[n:])))
+    # keeps the bound valid at iterates outside the ball (in place only on
+    # a dual point the gap formed itself)
+    dual = _half_residual_bound(y, grad._adjoint)
+    clip_owned = lambda p: np.clip(p, -lam, lam, out=p)
+    cp_gap = _DualityGap(objective, dual, lambda x, p: x,
+                         lambda x, p: np.clip(p, -lam, lam))
+    condat_gap = _DualityGap(objective, dual, lambda x, us: x,
+                             lambda x, us: np.clip(us[0], -lam, lam))
+    dual_fb_gap = _DualityGap(objective, dual, lambda p: y + grad._adjoint(p),
+                              lambda p: clip_owned(-p))
+    # the shadow point (x, z) of dr_split and ppxa, and u in the normal cone
+    # of the graph there: -u_z is the multiplier of z = grad x
+    split_gap = _SplitGap(objective, dual, n, clip_owned)
 
     recipes, saddle = _tv_split_and_saddle(grad, y, data_fit, tv, objective, 3000,
                                            split_gap, cp_gap)
@@ -307,8 +336,8 @@ def build_tv_inverse(A: LinearOperator, y, lam: float, rows: int, cols: int) -> 
 
     K = StackOperator([A, grad])
     conj_parts = SeparableProx(
-        [(Quadratic(IdentityOperator(A.out_dim), -y), np.arange(A.out_dim)),
-         (LinfBallIndicator(lam), np.arange(A.out_dim, A.out_dim + grad.out_dim))],
+        [(Quadratic(IdentityOperator(A.out_dim), -y), slice(0, A.out_dim)),
+         (LinfBallIndicator(lam), slice(A.out_dim, K.out_dim))],
         K.out_dim)
     saddle = SaddleProblem(K=K, g=ZeroFn(), f_conj=conj_parts,
                            primal_objective=objective)

@@ -154,16 +154,22 @@ def _same_bytes(a, b) -> bool:
 class _Recorder:
     """The rows of one run.  It keeps a reference to ``x0``, the validated
     start, which no loop writes to, and copies it into ``trace.x0`` in
-    :meth:`finish`, after the final gap; a kept history copies it at once."""
+    :meth:`finish`, after the final gap; a kept history copies it at once.
 
-    def __init__(self, x0, objective0, cfg: SolverConfig, gap=None):
-        # ``gap`` maps the state a solver passes to record/finish to the
-        # duality gap of the point it would return
+    ``gap`` maps the state a loop passes to the duality gap of the point it
+    would return.  When each row's objective is P(x) of that point bit for
+    bit (``row_is_gap_point``), a gap's ``_from_objective(value, *state)``
+    gets the row's value instead of evaluating P again.
+    """
+
+    def __init__(self, x0, objective0, cfg: SolverConfig, gap=None,
+                 row_is_gap_point: bool = False):
         if cfg.gap_tol > 0 and gap is None:
             raise ConfigError("gap_tol needs a closed-form duality gap, "
                               "and this run has none")
         self.cfg = cfg
         self.gap = gap
+        self.gap_from_row = getattr(gap, "_from_objective", None) if row_is_gap_point else None
         self.x0 = x0
         self.objective0 = float(objective0)
         self.obj = []
@@ -201,7 +207,8 @@ class _Recorder:
                 self.extras.setdefault(key, []).append(float(val))
         gap = None
         if self.cfg.gap_tol > 0:
-            gap = float(self.gap(*gap_args))
+            gap = float(self.gap(*gap_args) if self.gap_from_row is None
+                        else self.gap_from_row(objective, *gap_args))
             self.extras.setdefault("gap", []).append(gap)
         if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
@@ -311,8 +318,11 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
     # Quadratic f also gives A x_n (see forward_backward)
     x = _start(x0, f.dim, g.dim)
     A = f.A if isinstance(f, Quadratic) else None
+    # without an explicit objective an inertial row recombines A x_n, which
+    # is then not P(x_n) bit for bit
     rec = _Recorder(x, objective(x) if objective is not None
-                    else f._value(x) + g._value(x), cfg, gap)
+                    else f._value(x) + g._value(x), cfg, gap,
+                    row_is_gap_point=objective is not None or coefs is None)
     j_prev = rec.objective0
     x_prev = x_prev2 = x
     extras = row_coef = None
@@ -476,12 +486,15 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     The reported solution is the shadow sequence y_n.  ``gap(y, u)`` is the
     duality gap of a shadow point y given u = (x - y)/gamma, an element of
     the subdifferential of g at y; it is evaluated at the shadow point the
-    run would return.
+    run would return.  A gap may offer ``gap._of_shadow(y, x, gamma)``, the
+    same value from the part of u it reads, which the loop then calls.
 
-    Everything row n reads from x_n, y_n and z_n (split gap, objective at
-    y_n, step residual, fixed-point byte tests) is computed, and those three
-    dropped, before the projection y_{n+1} = prox_{gamma g}(x_{n+1}); while
-    it runs, the loop holds only x_{n+1} and the start.
+    2 y_n - x_n is formed in one buffer, which f's ``_prox_into`` may write
+    z_n into, and z_n - y_n goes into z_n's buffer.  Everything row n
+    reads from x_n, y_n and z_n (split gap, objective at y_n, step residual,
+    fixed-point byte tests) is computed, and those three dropped, before the
+    projection y_{n+1} = prox_{gamma g}(x_{n+1}); while it runs, the loop
+    holds only x_{n+1} and the start.
     """
     cfg = (cfg or SolverConfig()).resolved()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
@@ -492,16 +505,22 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     # y is always a g-prox point, where a feasible prox makes g vanish
     g_value = (lambda z: 0.0) if g.feasible_prox else g._value
     objective = lambda z: f._value(z) + g_value(z)
-    shadow_gap = None if gap is None else lambda y, x: gap(y, (x - y) / gamma)
+    of_shadow = getattr(gap, "_of_shadow", None)
+    if of_shadow is not None:
+        shadow_gap = lambda y, x: of_shadow(y, x, gamma)
+    else:
+        shadow_gap = None if gap is None else lambda y, x: gap(y, (x - y) / gamma)
     y = g._prox(x, gamma)
     rec = _Recorder(x, objective(y), cfg, shadow_gap)
     for n in range(1, cfg.max_iter + 1):
-        z = f._prox(2.0 * y - x, gamma)
-        step = z - y
-        split_gap = _norm(step)
+        z = np.multiply(2.0, y)
+        np.subtract(z, x, out=z)
+        z = f._prox_into(z, gamma, z)
         # mu_n multiplies z - y, so x alone may stand still while z - y does not
         settled = cfg.stop_at_fixed_point and _same_bytes(z, y)
+        step = np.subtract(z, y, out=z)
         del z
+        split_gap = _norm(step)
         value = objective(y)
         del y
         # x_{n+1} = x_n + mu_n (z_n - y_n), then its step from x_n, both in
@@ -552,7 +571,7 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
         link = AffineGraphIndicator(ops[0] if len(ops) == 1 else StackOperator(ops))
     X0 = np.concatenate([x] + [op.apply(x) for op in ops])
     offsets = np.cumsum([0, d] + [op.out_dim for op in ops])
-    terms = SeparableProx([(fn, np.arange(a, b)) for (fn, _), a, b
+    terms = SeparableProx([(fn, slice(a, b)) for (fn, _), a, b
                            in zip(norm_parts, offsets[:-1], offsets[1:])], offsets[-1])
     trace = douglas_rachford(terms, link, X0, cfg, gap)
     trace.extras.pop("split_gap", None)
@@ -658,10 +677,13 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     xbar = x
     obj = prob._primal_objective or (lambda z: None)
     obj0 = obj(x)
-    rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg, gap)
+    rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg, gap,
+                    row_is_gap_point=obj0 is not None)
     dual_iterates = [y.copy()] if cfg.keep_iterates else []
     for _ in range(cfg.max_iter):
-        y_new = prob.f_conj._prox(y + sigma * prob.K._apply(xbar), sigma)
+        v = y + sigma * prob.K._apply(xbar)
+        y_new = prob.f_conj._prox_into(v, sigma, v)
+        del v
         x_new = prob.g._prox(x - tau * prob.K._adjoint(y_new), tau)
         xbar_new = 2.0 * x_new - x if extrapolate else x_new
         extras = {"dual_residual": _norm(y_new - y)}
@@ -753,7 +775,7 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     if objective is None:
         objective = lambda z: f._value(z) + g._value(z)
 
-    rec = _Recorder(x, objective(x), cfg, gap)
+    rec = _Recorder(x, objective(x), cfg, gap, row_is_gap_point=True)
     for _ in range(cfg.max_iter):
         drift = np.zeros_like(x)
         for (_, op), u in zip(terms, us):

@@ -30,6 +30,7 @@ from proxsplit.linops import (
     ScaleOperator,
     StackOperator,
     conjugate_gradient,
+    gram_spectrum_sum,
 )
 
 
@@ -411,6 +412,103 @@ class TestSoftThreshold:
         fn = L1Norm(lam)
         oracle = scalar_prox_oracle(lambda z: lam * abs(z), x, gamma)
         assert abs(fn.prox(np.array([x]), gamma)[0] - oracle) <= 2e-3
+
+
+# signed zeros, NaNs of both signs, infinities, and finite values on both
+# sides of a threshold of 1
+SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.25, 0.5, -1.0])
+
+
+def _special_inputs():
+    # 0-d inputs, one-element arrays (NumPy may swap the operands of an
+    # in-place commutative ufunc there) and the whole row
+    return ([np.array(v) for v in SPECIALS] + [SPECIALS[i:i + 1].copy() for i in
+                                              range(SPECIALS.size)] + [SPECIALS.copy()])
+
+
+class TestBufferKernels:
+    # each prox that writes into a buffer the caller owns, the argument
+    # itself included, has the bytes of the allocating formula
+
+    @staticmethod
+    def _into(fn, x, gamma, aliased):
+        x = x.copy()
+        out = x if aliased else np.full_like(x, 7.0)
+        with np.errstate(invalid="ignore"):
+            p = fn._prox_into(x, gamma, out)
+        assert p is out
+        return p
+
+    @pytest.mark.parametrize("aliased", [True, False])
+    def test_soft_threshold(self, aliased):
+        for x in _special_inputs():
+            for gamma in (0.0, 1.0, np.inf):
+                # the formula on a 1-d array: on 0-d operands NumPy takes its
+                # scalar path, whose product of two NaNs has another sign
+                v = x.reshape(-1)
+                with np.errstate(invalid="ignore"):
+                    expected = (np.sign(v) * np.maximum(np.abs(v) - 0.5 * gamma, 0.0)
+                                ).reshape(x.shape)
+                    assert soft_threshold(x, 0.5 * gamma).tobytes() == expected.tobytes()
+                    assert L1Norm(0.5)._prox(x, gamma).tobytes() == expected.tobytes()
+                p = self._into(L1Norm(0.5), x, gamma, aliased)
+                assert p.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("aliased", [True, False])
+    def test_ball_clip(self, aliased):
+        for x in _special_inputs():
+            for radius in (0.0, 1.0, np.inf):
+                expected = np.clip(x, -radius, radius)
+                ball = LinfBallIndicator(radius)
+                assert self._into(ball, x, 0.3, aliased).tobytes() == expected.tobytes()
+                assert ball._prox(x, 0.3).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spectrum", [
+        lambda n: IdentityOperator(n).gram_spectrum(),
+        lambda n: gram_spectrum_sum([(0.7, ScaleOperator(-2.0, n))], 1.0),
+        lambda n: gram_spectrum_sum([(0.7, MaskOperator(np.arange(n) % 2 == 0))], 1.0),
+    ], ids=["identity", "scale", "mask"])
+    def test_identity_basis_solve(self, spectrum):
+        for rhs in _special_inputs():
+            spec = spectrum(rhs.size)
+            if rhs.ndim == 0 and not isinstance(spec.eigenvalues, float):
+                continue  # an array of eigenvalues is shaped like a 1-d input
+            kept = rhs.copy()
+            expected = spec.solve(rhs)
+            assert rhs.tobytes() == kept.tobytes()  # the public solve keeps rhs
+            p = spec._solve_in_place(rhs)
+            assert p is rhs and p.tobytes() == expected.tobytes()
+
+    def test_separable_prox_into_its_argument(self):
+        # slice blocks write into their views of the output, gathered ones
+        # into their own copies, so the output may be the argument itself
+        rng = np.random.default_rng(6)
+        x = np.concatenate([SPECIALS, rng.standard_normal(10)])
+        blocks = [(L1Norm(0.5), slice(0, 4)),
+                  (LinfBallIndicator(1.0), [9, 5, 7]),
+                  (Quadratic(IdentityOperator(3), rng.standard_normal(3)), slice(4, 10, 2)),
+                  (Quadratic(IdentityOperator(4), rng.standard_normal(4)), np.arange(10, 14)),
+                  (L1Norm(0.2), [15, 14, 17, 16]),
+                  (ZeroFn(), [19, 18])]
+        fn = SeparableProx(blocks, 20)
+        assert [type(idx) for _, idx in fn.parts] == [slice, np.ndarray, np.ndarray, slice,
+                                                      np.ndarray, np.ndarray]
+        expected = np.empty(20)
+        with np.errstate(invalid="ignore"):
+            for part, idx in blocks:
+                expected[idx] = part._prox(x[idx], 0.7)
+            assert fn._prox(x, 0.7).tobytes() == expected.tobytes()
+        for aliased in (True, False):
+            assert self._into(fn, x, 0.7, aliased).tobytes() == expected.tobytes()
+
+    def test_separable_prox_takes_slices(self):
+        fn = SeparableProx([(L1Norm(1.0), slice(2, None)), (ZeroFn(), slice(0, 2))], 5)
+        assert [idx for _, idx in fn.parts] == [slice(2, 5), slice(0, 2)]
+        for bad in (slice(2, 2), slice(3, 1)):
+            with pytest.raises(ValueError, match="nonempty"):
+                SeparableProx([(L1Norm(1.0), bad), (ZeroFn(), slice(0, 5))], 5)
+        with pytest.raises(ValueError, match="overlapping"):
+            SeparableProx([(L1Norm(1.0), slice(0, 3)), (ZeroFn(), slice(2, 5))], 5)
 
 
 class TestIndicators:

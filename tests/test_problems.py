@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from proxsplit import data as datamod
+from proxsplit import data as datamod, problems
 from proxsplit.data import (
     FixtureError,
     GaussianStream,
@@ -248,6 +248,50 @@ class TestDualityGap:
         assert max(unclipped) > p_ref
         values = np.append(trace.objective[1:], inst.objective(x))
         assert np.all(trace.extras["gap"] >= values - p_ref - 1e-14)
+
+    @pytest.mark.parametrize("recipe", ["dr_split", "ppxa"])
+    def test_split_gap_of_the_z_block_is_the_full_u_gap(self, recipe, monkeypatch):
+        # the split gap forms -u_z = -(x_z - y_z)/gamma alone; without that
+        # path the loop forms all of u = (x - y)/gamma and the gap reads its
+        # z block: the same bytes, in every row and at the end
+        inst = tv_denoise_fixture()
+        cfg = SolverConfig(gamma=0.7, gap_tol=1e-13, max_iter=60)
+        z_block, x_z = inst.run(recipe, cfg)
+        monkeypatch.delattr(problems._SplitGap, "_of_shadow")
+        full_u, x_u = inst.run(recipe, cfg)
+        assert z_block.n_iter == full_u.n_iter == 60
+        assert np.unique(z_block.extras["gap"]).size > 50
+        assert z_block.extras["gap"].tobytes() == full_u.extras["gap"].tobytes()
+        assert np.float64(z_block.meta["gap"]).tobytes() == np.float64(full_u.meta["gap"]).tobytes()
+        assert x_z.tobytes() == x_u.tobytes()
+
+    @pytest.mark.parametrize("fixture,recipe,reused", [
+        ("tv_denoise", "cp", True), ("tv_denoise", "condat", True),
+        ("tv_denoise", "dual_fb", True), ("lasso", "fb", True),
+        # a recombined row (fista) and a row one iteration behind its gap
+        # point (dr_split) evaluate P again
+        ("lasso", "fista", False), ("tv_denoise", "dr_split", False),
+    ])
+    def test_gap_reuses_the_recorded_objective(self, fixture, recipe, reused, monkeypatch):
+        # where a row holds P(x) of the gap's point bit for bit, the gap
+        # takes it and skips one forward product per row, with equal bytes
+        def counted(inst):
+            op = inst.metadata["grad"] if fixture == "tv_denoise" else inst.metadata["f"].A
+            apply, calls = op._apply, []
+            op._apply = lambda x: calls.append(1) or apply(x)
+            trace, x = inst.run(recipe, SolverConfig(gap_tol=1e-13, max_iter=40))
+            return trace, x, len(calls)
+
+        build = tv_denoise_fixture if fixture == "tv_denoise" else lambda: lasso_dense_fixture(3)
+        trace, x, calls = counted(build())
+        monkeypatch.delattr(problems._DualityGap, "_from_objective")
+        direct, x_direct, direct_calls = counted(build())
+        assert trace.n_iter == direct.n_iter == 40
+        assert direct_calls - calls == (trace.n_iter if reused else 0)
+        for column in ("objective", "residual"):
+            assert getattr(trace, column).tobytes() == getattr(direct, column).tobytes()
+        assert trace.extras["gap"].tobytes() == direct.extras["gap"].tobytes()
+        assert x.tobytes() == x_direct.tobytes()
 
     @pytest.mark.parametrize("build,recipe", [
         ("tvl1", "cp"), ("tvl1", "dr_split"), ("tv_inverse", "condat"),
