@@ -122,7 +122,7 @@ def check_lyapunov_gd(trace: SolverTrace, L: float, x_star, f_star: float,
         s_vals.append(n * (path[n] - f_star) + dist)
     margins = [s_vals[n] - s_vals[n + 1] + _slack(s_vals[n])
                for n in range(len(s_vals) - 1)]
-    d0 = 0.5 * L * float(np.sum((trace.x0 - x_star) ** 2))
+    d0 = 0.5 * L * float(np.sum((trace.iterates[0] - x_star) ** 2))
     bound_margins = [d0 / n - (path[n] - f_star) + _slack(d0)
                      for n in range(1, len(path))]
     details = [{"property": "lyapunov_monotone", "worst": float(np.min(margins))},
@@ -653,7 +653,6 @@ def ascending_trace(n: int = 20) -> SolverTrace:
     """Objective that goes up: the descent certificate must flag it."""
     obj = np.linspace(1.0, 2.0, n)
     return SolverTrace(
-        x0=np.zeros(1),
         objective0=0.5,
         objective=obj,
         residual=np.full(n, 0.1),

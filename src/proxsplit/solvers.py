@@ -13,6 +13,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import weakref
+from fractions import Fraction
+
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
@@ -95,9 +98,13 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverTrace:
-    """Per-iteration record stream of one solver run."""
+    """Per-iteration record stream of one solver run.
 
-    x0: np.ndarray
+    ``x`` is the returned point and never shares memory with the caller's
+    start.  The start itself is not kept: ``objective0`` is its objective,
+    and a run with ``keep_iterates`` holds a copy of it in ``iterates[0]``.
+    """
+
     objective0: float
     objective: np.ndarray
     residual: np.ndarray
@@ -152,9 +159,11 @@ def _same_bytes(a, b) -> bool:
 
 
 class _Recorder:
-    """The rows of one run.  It keeps a reference to ``x0``, the validated
-    start, which no loop writes to, and copies it into ``trace.x0`` in
-    :meth:`finish`, after the final gap; a kept history copies it at once.
+    """The rows of one run.  It keeps only a weak reference to ``x0``, the
+    validated start, so a loop that drops the start frees it; a kept history
+    copies it at once.  :meth:`finish` hands the trace the array the loop
+    formed, and copies it only when it is the start itself: after no
+    iteration, or when a prox returned its argument (``ZeroFn``).
 
     ``gap`` maps the state a loop passes to the duality gap of the point it
     would return.  When each row's objective is P(x) of that point bit for
@@ -170,7 +179,7 @@ class _Recorder:
         self.cfg = cfg
         self.gap = gap
         self.gap_from_row = getattr(gap, "_from_objective", None) if row_is_gap_point else None
-        self.x0 = x0
+        self.start = weakref.ref(x0)
         self.objective0 = float(objective0)
         self.obj = []
         self.res = []
@@ -240,15 +249,17 @@ class _Recorder:
         meta = meta or {}
         if self.gap is not None:
             meta["gap"] = float(self.gap(*gap_args))
+        x = np.asarray(x_final, dtype=float)
+        if x is self.start():
+            x = x.copy()
         return SolverTrace(
-            x0=self.x0.copy(),
             objective0=self.objective0,
             objective=np.array(self.obj),
             residual=np.array(self.res),
             extras={k: np.array(v) for k, v in self.extras.items()},
             iterates=self.iterates,
             termination=self.termination,
-            x=np.array(x_final, dtype=float),
+            x=x,
             meta=meta,
         )
 
@@ -494,7 +505,8 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
     reads from x_n, y_n and z_n (split gap, objective at y_n, step residual,
     fixed-point byte tests) is computed, and those three dropped, before the
     projection y_{n+1} = prox_{gamma g}(x_{n+1}); while it runs, the loop
-    holds only x_{n+1} and the start.
+    holds only x_{n+1}.  The loop keeps no name for the start, so a start
+    nothing else holds is freed in the first iteration.
     """
     cfg = (cfg or SolverConfig()).resolved()
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
@@ -502,6 +514,7 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         raise ConfigError("douglas_rachford needs gamma > 0")
     mu = _relaxation_sequence(cfg.relaxation, 1.0, 0.0, 2.0, "mu")
     x = _start(x0, f.dim, g.dim)
+    del x0
     # y is always a g-prox point, where a feasible prox makes g vanish
     g_value = (lambda z: 0.0) if g.feasible_prox else g._value
     objective = lambda z: f._value(z) + g_value(z)
@@ -569,11 +582,12 @@ def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
         link = ConsensusIndicator(len(norm_parts), d)
     else:
         link = AffineGraphIndicator(ops[0] if len(ops) == 1 else StackOperator(ops))
-    X0 = np.concatenate([x] + [op.apply(x) for op in ops])
     offsets = np.cumsum([0, d] + [op.out_dim for op in ops])
     terms = SeparableProx([(fn, slice(a, b)) for (fn, _), a, b
                            in zip(norm_parts, offsets[:-1], offsets[1:])], offsets[-1])
-    trace = douglas_rachford(terms, link, X0, cfg, gap)
+    # the product-space start goes to the loop unnamed, which then frees it
+    trace = douglas_rachford(terms, link, np.concatenate([x] + [op.apply(x) for op in ops]),
+                             cfg, gap)
     trace.extras.pop("split_gap", None)
     trace.x = trace.x[:d].copy()
     return trace
@@ -645,6 +659,14 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     return rec.finish(x, meta={"y": y, "z": z})
 
 
+def _exact(*values) -> list:
+    """Each float as the rational it stores, for a step guard that must not
+    round; a non-finite operand is a :class:`ConfigError`."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"stepsize guard operands must be finite, got {values}")
+    return [Fraction(float(v)) for v in values]
+
+
 def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
     L = K.norm()
     if cfg.sigma is None or cfg.tau is None:
@@ -658,7 +680,8 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
         sigma, tau = cfg.sigma, cfg.tau
     if sigma <= 0 or tau <= 0:
         raise ConfigError("primal-dual stepsizes must be positive")
-    if tau * sigma * L * L >= 1.0:
+    t, s, norm = _exact(tau, sigma, L)
+    if t * s * norm ** 2 >= 1:
         raise ConfigError(
             f"stepsize product tau*sigma*||K||^2 = {tau * sigma * L * L:.6f} >= 1 "
             f"(operator norm bound {L:.6f})"
@@ -686,15 +709,17 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         del v
         x_new = prob.g._prox(x - tau * prob.K._adjoint(y_new), tau)
         xbar_new = 2.0 * x_new - x if extrapolate else x_new
+        # everything the row reads from x_n, xbar_n and y_n, before the
+        # objective product runs without them
         extras = {"dual_residual": _norm(y_new - y)}
-        stop = rec.record(x_new, x, obj(x_new), extras, (x_new, y_new)) or (
-            cfg.stop_at_fixed_point and _same_bytes(xbar_new, xbar)
-            and rec.fixed_point((x_new, x), (y_new, y)))
-        xbar = xbar_new
+        residual = _norm(x_new - x)
+        settled = (cfg.stop_at_fixed_point and _same_bytes(xbar_new, xbar)
+                   and _same_bytes(x_new, x) and _same_bytes(y_new, y))
+        x, xbar, y = x_new, xbar_new, y_new
         if dual_iterates:
-            dual_iterates.append(y_new.copy())
-        x, y = x_new, y_new
-        if stop:
+            dual_iterates.append(y.copy())
+        if rec.record(x, None, obj(x), extras, (x, y), residual) or (
+                settled and rec.fixed_point()):
             break
     return rec.finish(x, {
         "y": y,
@@ -713,9 +738,10 @@ def chambolle_pock(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None = None,
         x_{n+1} = prox_{tau g}(x_n - tau K* y_{n+1})
         xbar_{n+1} = 2 x_{n+1} - x_n
 
-    Requires tau*sigma*||K||^2 < 1.  With ``keep_iterates`` the trace stores
-    both primal and dual iterates, from which ergodic averages can be formed
-    (see :func:`proxsplit.certify.cp_gap_certificate`).  ``gap(x, y)`` is the
+    Requires tau*sigma*||K||^2 < 1, tested exactly on the float operands.
+    With ``keep_iterates`` the trace stores both primal and dual iterates,
+    from which ergodic averages can be formed (see
+    :func:`proxsplit.certify.cp_gap_certificate`).  ``gap(x, y)`` is the
     duality gap of the pair, used by :class:`SolverConfig` ``gap_tol``.
     """
     return _primal_dual_loop(prob, x0, y0, cfg, True, gap)
@@ -738,7 +764,8 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     Solves min f(x) + g(x) + sum_i h_i(L_i x); ``terms`` is a list of
     ``(h_conj, L_i)`` pairs where ``h_conj`` is the conjugate-side prox
     oracle of h_i (build it with ``fn.conjugate()`` when only the primal is
-    known).  Stepsizes must satisfy tau*(L/2 + sigma*||sum L_i* L_i||) < 1;
+    known).  Stepsizes must satisfy tau*(L/2 + sigma*||sum L_i* L_i||) < 1,
+    tested exactly on the float operands;
     the dual updates within one iteration are independent.  ``gap(x, us)``
     is the duality gap of x with the dual blocks ``us``.
     """
@@ -748,7 +775,8 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     L = f.lipschitz
     # without terms the coupling is the zero operator
     stack = StackOperator([op for _, op in terms]) if terms else ScaleOperator(0.0, x.size)
-    gram_norm = stack.norm() ** 2
+    op_norm = stack.norm()
+    gram_norm = op_norm ** 2
     sigma = cfg.sigma
     tau = cfg.tau if cfg.tau is not None else cfg.gamma
     if sigma is None or tau is None:
@@ -763,7 +791,8 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
             tau = 0.95 / (L / 2.0 + sigma * gram_norm) if (L > 0 or gram_norm > 0) else 1.0
     if sigma <= 0 or tau <= 0:
         raise ConfigError("condat stepsizes must be positive")
-    if tau * (L / 2.0 + sigma * gram_norm) >= 1.0:
+    t, s, lip, norm = _exact(tau, sigma, L, op_norm)
+    if t * (lip / 2 + s * norm ** 2) >= 1:
         raise ConfigError(
             f"stepsize check tau*(L/2 + sigma*||sum Li* Li||) = "
             f"{tau * (L / 2.0 + sigma * gram_norm):.6f} >= 1"

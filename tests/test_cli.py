@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -835,31 +836,59 @@ class TestNumericalFailureExitCode:
         assert not (tmp_path / "cert").exists()
 
 
+# Linux starts a child's ru_maxrss at its spawner's high-water mark, which
+# survives fork and exec: a command spawned by this test process reads the
+# test process's own peak once that is the larger.  A bare launcher
+# interpreter spawns the command instead and prints its exit code and
+# ru_maxrss (KiB), whose floor is then the launcher's own few MiB.
+_PEAK_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable] + sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kib(args, env=None):
+    """Exit code, stderr and peak RSS in KiB of ``python *args``."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, *args],
+                          capture_output=True, env=env)
+    code, peak = proc.stdout.split()[-2:]
+    return int(code), proc.stderr.decode(), int(peak)
+
+
 class TestPeakMemory:
+    def test_a_child_reads_its_own_peak_not_the_test_process(self):
+        # this process touches 128 MiB and frees it; its high-water mark
+        # stays, and a bare child must not read it
+        ballast = np.ones(16 * 2 ** 20)
+        del ballast
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        code, err, peak = _peak_rss_kib(["-c", "pass"])
+        assert code == 0, err
+        assert own >= 128 * 1024
+        assert peak < 64 * 1024, (peak, own)
+
     @pytest.mark.parametrize("recipe", ["cp", "dr_split"])
     def test_peak_rss_does_not_grow_with_the_iteration_count(self, tmp_path, recipe):
         # the CLI keeps freed arrays in its heap, and its peak RSS still does
-        # not grow with the iteration count; each run is a child interpreter,
-        # whose own ru_maxrss (KiB on Linux) os.wait4 reads
+        # not grow with the iteration count
         gen = write_config(tmp_path / "gen.json",
                            {"kind": "step_image", "dims": [128, 128], "sigma": 0.1, "seed": 7})
         assert main(["generate", gen, "--out", str(tmp_path / "step128")]) == 0
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         peak = {}
         for iters in (200, 2000):
             cfg = write_config(tmp_path / f"{iters}.json", {
                 "problem": {"kind": "tv_denoise", "fixture": str(tmp_path / "step128"),
                             "lambda": 0.1},
                 "recipe": recipe, "solver": {"max_iter": iters}})
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "proxsplit.cli", "solve", cfg,
-                 "--out", str(tmp_path / str(iters))],
-                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC})
-            with proc.stderr:
-                err = proc.stderr.read()
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == 0, err.decode()
-            peak[iters] = usage.ru_maxrss
+            code, err, peak[iters] = _peak_rss_kib(
+                ["-m", "proxsplit.cli", "solve", cfg, "--out", str(tmp_path / str(iters))],
+                {**os.environ, "PYTHONPATH": SRC})
+            assert code == 0, err
+            # the solve's own peak, not this process's
+            assert peak[iters] != own, (peak, own)
         assert abs(peak[2000] - peak[200]) < 2048, peak
 
 
