@@ -153,6 +153,12 @@ def _norm(v) -> float:
     return math.sqrt(float(np.vdot(v, v)))
 
 
+def _unless_start(v, start: weakref.ref):
+    # ``v``, copied when it is the start ``start`` refers to, so a run that
+    # returns a start does not hand its caller the caller's own array
+    return v.copy() if v is start() else v
+
+
 def _same_bytes(a, b) -> bool:
     # bytes, not values: +0.0 == -0.0, and the sign of a zero can reach the output
     return a.tobytes() == b.tobytes()
@@ -249,9 +255,7 @@ class _Recorder:
         meta = meta or {}
         if self.gap is not None:
             meta["gap"] = float(self.gap(*gap_args))
-        x = np.asarray(x_final, dtype=float)
-        if x is self.start():
-            x = x.copy()
+        x = _unless_start(np.asarray(x_final, dtype=float), self.start)
         return SolverTrace(
             objective0=self.objective0,
             objective=np.array(self.obj),
@@ -551,7 +555,7 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         if rec.record(x, None, value, {"split_gap": split_gap}, (y, x), residual) or (
                 settled and rec.fixed_point()):
             break
-    return rec.finish(y, {"governing": x}, (y, x))
+    return rec.finish(y, {"governing": _unless_start(x, rec.start)}, (y, x))
 
 
 def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
@@ -635,6 +639,7 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     # x starts at 0, so only the length of f is checked against A
     x = _start(np.zeros(A.in_dim), f.dim)
     y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
+    y_start = weakref.ref(y)
     z = np.zeros(A.out_dim)
 
     argmin_x = _augmented_argmin(f, A, gamma)
@@ -656,7 +661,7 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
         x, y, z = x_new, y_new, z_new
         if stop:
             break
-    return rec.finish(x, meta={"y": y, "z": z})
+    return rec.finish(x, meta={"y": _unless_start(y, y_start), "z": z})
 
 
 def _exact(*values) -> list:
@@ -697,6 +702,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     sigma, tau, op_norm = _validate_pd_steps(cfg, prob.K)
     x = _start(x0, prob.K.in_dim, prob.g.dim)
     y = _start(y0, prob.K.out_dim, prob.f_conj.dim)
+    y_start = weakref.ref(y)
     xbar = x
     obj = prob._primal_objective or (lambda z: None)
     obj0 = obj(x)
@@ -722,7 +728,7 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
                 settled and rec.fixed_point()):
             break
     return rec.finish(x, {
-        "y": y,
+        "y": _unless_start(y, y_start),
         "sigma": sigma,
         "tau": tau,
         "operator_norm": op_norm,
@@ -800,6 +806,7 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     if u0s is None:
         u0s = [np.zeros(op.out_dim) for _, op in terms]
     us = [_start(u, op.out_dim, h_conj.dim) for u, (h_conj, op) in zip(u0s, terms)]
+    u_starts = [weakref.ref(u) for u in us]
 
     if objective is None:
         objective = lambda z: f._value(z) + g._value(z)
@@ -818,5 +825,6 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         us = us_new
         if stop:
             break
-    return rec.finish(x, {"duals": us, "sigma": sigma, "tau": tau,
+    return rec.finish(x, {"duals": [_unless_start(u, s) for u, s in zip(us, u_starts)],
+                          "sigma": sigma, "tau": tau,
                           "operator_norm": stack.norm()}, (x, us))

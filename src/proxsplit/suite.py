@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+import sys
+import threading
 
 import numpy as np
 
@@ -548,16 +551,157 @@ def _map_checks(names: list[str], seed: int) -> list[list[CheckReport]]:
     # and so does a caller with other threads, which a fork could deadlock
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(names), cpus)
-    if workers > 1:
-        import multiprocessing
-        import threading
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_run_check, names, [seed] * len(names)))
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _fork_map(names, seed, workers)
     return [_run_check(name, seed) for name in names]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    # ``size`` bytes from a pipe, or fewer once every writer has closed it
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _fork_map(names: list[str], seed: int, workers: int) -> list[list[CheckReport]]:
+    """The reports of each check in ``names``, run on ``workers`` children
+    of a bare ``os.fork``, so the suite loads no process-pool machinery.
+
+    A worker reads the index of a check from its own task pipe, runs the
+    check, writes its worker number to the shared ``ready`` pipe (a 4-byte
+    write, below ``PIPE_BUF``, so two workers' numbers never interleave),
+    then the pickled outcome, length first, to its own result pipe.  The
+    parent reads ``ready`` to learn which worker is free, collects that
+    outcome and hands the worker the next index, or closes its task pipe,
+    which ends it.  After a failure no further check starts, and the failure
+    of the first check in ``names`` order is raised with its type.  A worker
+    that ends without a result fails its check with a :class:`RuntimeError`.
+    Every worker is reaped; an exception in the parent, such as
+    ``KeyboardInterrupt``, kills them first.
+    """
+    ready, ready_w = os.pipe()
+    own = {ready, ready_w}      # the parent's open pipe ends
+    pids, tasks, results = [], [], []
+    running = {}                # worker number -> index of the check it runs
+    outcomes = [None] * len(names)
+    lost = []                   # (index, pid) of each check whose worker died
+
+    def hand(worker, index):
+        running[worker] = index
+        try:
+            os.write(tasks[worker], index.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # the worker is dead, and its check is lost once ``ready`` closes
+
+    def close(fd):
+        own.remove(fd)
+        os.close(fd)
+
+    try:
+        for worker in range(workers):
+            task_r, task_w = os.pipe()
+            own.update((task_r, task_w))
+            result_r, result_w = os.pipe()
+            own.update((result_r, result_w))
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                _work(names, seed, worker, own - {task_r, result_w, ready_w},
+                      task_r, result_w, ready_w)
+            pids.append(pid)
+            tasks.append(task_w)
+            results.append(result_r)
+            close(task_r)
+            close(result_w)
+        close(ready_w)
+        for worker in range(workers):
+            hand(worker, worker)
+        upcoming, failed = workers, False
+        while running:
+            head = _read(ready, 4)
+            if not head:
+                # every worker has ended, so the ones still running died
+                lost.extend((index, pids[worker]) for worker, index in running.items())
+                break
+            worker = int.from_bytes(head, "little")
+            index = running.pop(worker)
+            size = int.from_bytes(_read(results[worker], 8), "little")
+            payload = _read(results[worker], size)
+            if size == 0 or len(payload) < size:
+                lost.append((index, pids[worker]))
+                failed = True
+                continue
+            outcomes[index] = pickle.loads(payload)
+            failed = failed or not outcomes[index][0]
+            if upcoming < len(names) and not failed:
+                hand(worker, upcoming)
+                upcoming += 1
+            else:
+                close(tasks[worker])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for fd in list(own):
+            close(fd)
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in pids}
+    for index, pid in lost:
+        outcomes[index] = (False, RuntimeError(
+            f"the worker running check {names[index]!r} ended without a result "
+            f"(exit code {os.waitstatus_to_exitcode(statuses[pid])})"), None)
+    # checks run in ``names`` order, so every one before a failure has an outcome
+    reports = []
+    for ok, value, trace in outcomes:
+        if not ok and trace is not None:
+            raise value from RuntimeError(f"in the worker:\n{trace}")
+        if not ok:
+            raise value
+        reports.append(value)
+    return reports
+
+
+def _work(names, seed, worker, inherited, task, result, ready):
+    # a forked worker's life; it never returns into the caller's frames
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while head := _read(task, 4):
+            name = names[int.from_bytes(head, "little")]
+            try:
+                outcome = (True, _run_check(name, seed), None)
+            except Exception as exc:
+                import traceback  # only on a failure, so a passing run never loads it
+                outcome = (False, exc, "".join(traceback.format_exception(exc)))
+            try:
+                payload = pickle.dumps(outcome)
+                pickle.loads(payload)  # what loads here loads in the parent
+            except Exception as exc:
+                what = "its reports" if outcome[0] else repr(outcome[1])
+                payload = pickle.dumps((False, RuntimeError(
+                    f"check {name!r}: its worker cannot send {what} "
+                    f"({type(exc).__name__}: {exc})"), outcome[2]))
+            os.write(ready, worker.to_bytes(4, "little"))
+            _write(result, len(payload).to_bytes(8, "little") + payload)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def run_checks(names, seed: int = 0) -> list[CheckReport]:

@@ -404,6 +404,21 @@ class TestCertify:
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
+    def test_forked_workers_load_no_process_pool(self, tmp_path):
+        # two checks on two usable CPUs run on bare forked workers, so a
+        # fresh interpreter's certify loads neither multiprocessing nor
+        # concurrent.futures
+        write_config(tmp_path / "cert.json", {"checks": ["km:rotation", "descent:gd"]})
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from proxsplit.cli import main\n"
+                "assert main(['certify', 'cert.json', '--out', 'cert']) == 0\n"
+                "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+                "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     def test_small_subset_passes(self, tmp_path):
         cfg = write_config(tmp_path / "cert.json", {
             "checks": ["rate:gd_linear", "km:rotation", "equiv:dr_cp"],
@@ -814,6 +829,8 @@ class TestNumericalFailureExitCode:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert ("conjugate gradient stalled" if failure == "cg"
                 else "sufficient-decrease violated") in lines[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker has been reaped
 
     def test_runtime_warning_in_a_pooled_worker_fails_the_run(self, tmp_path, monkeypatch):
         # tier-1 turns RuntimeWarnings into errors (pyproject.toml), and forked
@@ -834,6 +851,8 @@ class TestNumericalFailureExitCode:
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             main(["certify", cfg, "--out", str(tmp_path / "cert")])
         assert not (tmp_path / "cert").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # Linux starts a child's ru_maxrss at its spawner's high-water mark, which

@@ -1050,6 +1050,31 @@ class TestTraceContract:
         assert trace.x.tobytes() == np.array([3.0]).tobytes()
         assert not np.shares_memory(trace.x, start)
 
+    @pytest.mark.parametrize("iters", [0, 5])
+    @pytest.mark.parametrize("run", [
+        lambda s, n: chambolle_pock(SaddleProblem(IdentityOperator(3), half_square(3),
+                                                  LinfBallIndicator(0.3)),
+                                    np.ones(3), s, SolverConfig(max_iter=n)).meta["y"],
+        lambda s, n: arrow_hurwicz(SaddleProblem(IdentityOperator(3), half_square(3),
+                                                 LinfBallIndicator(0.3)),
+                                   np.ones(3), s, SolverConfig(max_iter=n)).meta["y"],
+        lambda s, n: condat(half_square(3), ZeroFn(), [(LinfBallIndicator(0.3),
+                                                        IdentityOperator(3))],
+                            np.ones(3), [s], SolverConfig(max_iter=n)).meta["duals"][0],
+        lambda s, n: admm(half_square(3), ZeroFn(), IdentityOperator(3),
+                          ScaleOperator(-1.0, 3), np.zeros(3), s,
+                          SolverConfig(max_iter=n)).meta["y"],
+        lambda s, n: douglas_rachford(L1Norm(0.3), half_square(3), s,
+                                      SolverConfig(max_iter=n)).meta["governing"],
+    ], ids=["cp", "arrow_hurwicz", "condat", "admm", "dr_governing"])
+    def test_a_returned_dual_never_shares_memory_with_its_start(self, run, iters):
+        # a dual start, or DR's governing start, is returned after no
+        # iteration, and then copied like x
+        start = np.array([0.1, -0.2, 0.05])
+        returned = run(start, iters)
+        assert not np.shares_memory(returned, start)
+        assert start.tobytes() == np.array([0.1, -0.2, 0.05]).tobytes()
+
     def test_objective_path_includes_start(self):
         trace = gradient_descent(half_square(), [2.0],
                                  SolverConfig(gamma=0.5, max_iter=4))

@@ -1,6 +1,7 @@
 import json
-import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -41,6 +42,12 @@ def test_controls_expandable_and_failing():
     assert reports and all(not r.passed for r in reports)
 
 
+def assert_no_child_left():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture()
 def cpus(monkeypatch):
     # how many CPUs run_checks sees as usable
@@ -55,7 +62,7 @@ def test_pooled_reports_equal_the_in_process_ones(cpus):
     cpus(2)
     pooled = [r.to_dict() for r in run_checks(["all"], seed=3)]
     assert json.dumps(pooled, sort_keys=True) == json.dumps(alone, sort_keys=True)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("usable,other_thread,forked", [(2, False, True), (1, False, False),
@@ -86,7 +93,105 @@ def test_pooled_workers_run_patched_checks(cpus, monkeypatch, usable, other_thre
     assert [r.check for r in reports] == ["descent:gd/descent_inequality",
                                           "km:rotation/patched"]
     assert (reports[1].instance, reports[1].worst_margin) == (str(forked), 4.0)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.fixture()
+def deadline():
+    # a hung run_checks fails the test after 60 s instead of holding the run;
+    # a forked worker does not inherit the pending alarm
+    def expire(signum, frame):
+        raise TimeoutError("run_checks hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class Unloadable(Exception):
+    # pickles by name, but unpickling calls __init__ with one argument
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize("failure", ["exit", "unpicklable", "unloadable"])
+def test_a_worker_that_cannot_report_names_its_check(cpus, monkeypatch, deadline, failure):
+    class Unpicklable(Exception):
+        pass  # local, so pickle cannot find it by name
+
+    def check(seed):
+        if failure == "exit":
+            os._exit(3)
+        raise (Unpicklable("lost") if failure == "unpicklable" else Unloadable(1, 2))
+
+    monkeypatch.setitem(suite.CHECKS, "km:rotation", check)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="check 'km:rotation'") as info:
+        run_checks(["descent:gd", "km:rotation"], seed=4)
+    assert {"exit": "exit code 3", "unpicklable": "Unpicklable('lost')",
+            "unloadable": "Unloadable('1 and 2')"}[failure] in str(info.value)
+    assert_no_child_left()
+
+
+def test_the_first_failure_in_names_order_is_raised(cpus, monkeypatch, deadline, tmp_path):
+    # the later check fails first; the earlier one's exception is raised
+    # with its type, and a check after a failure does not start
+    def slow(seed):
+        time.sleep(0.5)
+        raise ValueError("the earlier check")
+
+    def fast(seed):
+        raise KeyError("the later check")
+
+    monkeypatch.setitem(suite.CHECKS, "descent:gd", slow)
+    monkeypatch.setitem(suite.CHECKS, "km:rotation", fast)
+    monkeypatch.setitem(suite.CHECKS, "rate:gd_linear",
+                        lambda seed: (tmp_path / "started").touch())
+    cpus(2)
+    with pytest.raises(ValueError, match="the earlier check") as info:
+        run_checks(["descent:gd", "km:rotation", "rate:gd_linear"], seed=4)
+    assert "in the worker" in str(info.value.__cause__)
+    assert not (tmp_path / "started").exists()
+    assert_no_child_left()
+
+
+def test_more_workers_than_cores_keep_names_order(cpus, monkeypatch, deadline):
+    # four workers share the ready pipe on any host, over 16 checks of
+    # uneven length; the reports still come back in names order
+    names = sorted(CHECKS)[:16]
+    for i, name in enumerate(names):
+        monkeypatch.setitem(suite.CHECKS, name, lambda seed, i=i: (
+            time.sleep(0.01 * (i % 3)),
+            CheckReport(f"r{i}", str(os.getpid()), True, float(seed), 0))[1])
+    cpus(4)
+    reports = run_checks(names, seed=1)
+    assert [r.check for r in reports] == [f"{name}/r{i}" for i, name in enumerate(names)]
+    workers = {r.instance for r in reports}
+    assert len(workers) == 4 and str(os.getpid()) not in workers
+    assert_no_child_left()
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_workers(cpus, monkeypatch):
+    # KeyboardInterrupt in the parent while both workers run a 30 s check
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(suite.CHECKS, "descent:gd", lambda seed: time.sleep(30))
+    monkeypatch.setitem(suite.CHECKS, "km:rotation", lambda seed: time.sleep(30))
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_checks(["descent:gd", "km:rotation"], seed=4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
 
 
 def test_admm_consensus_stops_at_its_fixed_point(monkeypatch):
