@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from .linops import DenseOperator, gram_eigh, read_csv_rows
+from .linops import DenseOperator, gram_eigh
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment
@@ -81,7 +81,10 @@ SYNTHETIC_KINDS = ("step_image", "ramp", "sparse_vector", "blur_kernel", "mask_p
 
 def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> dict:
     """Deterministic synthetic data: ground truth, operator parameters when
-    applicable, and the noisy observation y = A x + sigma * noise."""
+    applicable, and the noisy observation y = A x + sigma * noise.
+
+    ``dims`` is one or two positive integers, one standing for both sides;
+    anything else is a :class:`FixtureError`."""
     stream = GaussianStream(seed)
     if kind == "step_image":
         rows, cols = _as_dims(dims)
@@ -99,10 +102,7 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
         return {"kind": kind, "rows": rows, "cols": cols, "x_true": x_true,
                 "y": y, "sigma": sigma, "seed": seed}
     if kind == "sparse_vector":
-        if isinstance(dims, (tuple, list)) and len(dims) == 2:
-            m, n = int(dims[0]), int(dims[1])
-        else:
-            m = n = int(dims if np.isscalar(dims) else dims[0])
+        m, n = _as_dims(dims)
         density = 0.1
         k = int(round(density * n))
         x_true = np.zeros(n)
@@ -118,16 +118,17 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
         return {"kind": kind, "m": m, "n": n, "x_true": x_true, "A": A,
                 "y": y, "sigma": sigma, "seed": seed, "nnz": k}
     if kind == "blur_kernel":
-        width = int(dims if np.isscalar(dims) else dims[0])
-        if width < 1 or width % 2 == 0:
-            raise FixtureError("blur kernel width must be odd and positive")
+        width = _as_dims(dims)[0]
+        if width % 2 == 0:
+            raise FixtureError("blur kernel width must be odd")
         half = width // 2
         t = np.arange(-half, half + 1, dtype=float)
         k = np.exp(-0.5 * (t / max(half, 1)) ** 2)
         k /= k.sum()
         return {"kind": kind, "kernel": k, "seed": seed}
     if kind == "mask_pattern":
-        n = int(np.prod(_as_dims(dims))) if isinstance(dims, (tuple, list)) else int(dims)
+        rows, cols = _as_dims(dims)
+        n = rows * cols if isinstance(dims, (tuple, list)) else rows
         keep = max(1, n // 2)
         order = np.argsort(stream.uniforms(n))
         pattern = np.zeros(n, dtype=bool)
@@ -137,11 +138,13 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
 
 
 def _as_dims(dims):
-    if np.isscalar(dims):
-        return int(dims), int(dims)
-    if len(dims) == 1:
-        return int(dims[0]), int(dims[0])
-    return int(dims[0]), int(dims[1])
+    # one or two positive integers as two sides, one side standing for both
+    sides = list(dims) if isinstance(dims, (tuple, list)) else [dims]
+    if not (1 <= len(sides) <= 2 and all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+            for s in sides)):
+        raise FixtureError(f"dims must be one or two positive integers, got {dims!r}")
+    return int(sides[0]), int(sides[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,22 @@ def read_pgm(path) -> np.ndarray:
     return arr.reshape(rows, cols)
 
 
+def read_csv_rows(path) -> np.ndarray:
+    """Read a comma-separated file, one row per line, as a 2-d float array.
+
+    Blank lines are skipped; an empty file, rows of different widths or a
+    token that is not a number raise :class:`FixtureError` naming the file.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise FixtureError(f"empty CSV file: {path}")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise FixtureError(f"malformed CSV file {path}: {exc}") from None
+
+
 def write_csv_rows(path, rows) -> None:
     """Write a 2-d array one row per line, or a 1-d array one entry per line,
     in shortest round-trip decimals."""
@@ -196,7 +215,7 @@ def read_image(path) -> np.ndarray:
     """Read an image as a 2-d array: binary PGM when the suffix is .pgm in any
     letter case, CSV otherwise."""
     path = pathlib.Path(path)
-    return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_rows(path, FixtureError)
+    return read_pgm(path) if path.suffix.lower() == ".pgm" else read_csv_rows(path)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +304,7 @@ def _read_payload(csv: pathlib.Path, npy: pathlib.Path, cache: dict) -> tuple[np
             return np.load(npy, allow_pickle=False), True
     except (OSError, ValueError, EOFError):
         pass
-    return read_csv_rows(csv, FixtureError), False
+    return read_csv_rows(csv), False
 
 
 def _gram_factors(bundle: pathlib.Path, cache: dict, norm):

@@ -792,19 +792,3 @@ def construct_operator(kind: str, params: dict) -> LinearOperator:
         raise ValueError(f"unknown operator kind {kind!r}") from None
     return factory(params)
 
-
-def read_csv_rows(path, error=ValueError) -> np.ndarray:
-    """Read a comma-separated file, one row per line, as a 2-d float array.
-
-    Blank lines are skipped; an empty file, rows of different widths or a
-    token that is not a number raise ``error`` naming the file.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise error(f"empty CSV file: {path}")
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise error(f"malformed CSV file {path}: {exc}") from None
-

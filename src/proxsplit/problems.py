@@ -49,7 +49,6 @@ from .linops import (
     StackOperator,
     as_vector,
     construct_operator,
-    read_csv_rows,
 )
 from .solvers import (
     SolverConfig,
@@ -462,6 +461,10 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_side(value) -> bool:
+    return _is_count(value) and value > 0
+
+
 def _is_numbers(value, leaf=_is_number) -> bool:
     # a JSON number (or another ``leaf``), or arrays of them nested to any depth
     if isinstance(value, list):
@@ -481,7 +484,7 @@ _NAME = ("a name", _is_name)
 _PATH = ("a path", lambda v: isinstance(v, str))
 _NUMBER = ("a number", _is_number)
 _COUNT = ("an integer", _is_count)
-_SIDE = ("a positive integer", lambda v: _is_count(v) and v > 0)
+_SIDE = ("a positive integer", _is_side)
 _ARRAY = ("an array of numbers", _is_numbers)
 # the JSON type of every config field, at the top level, in a problem and in
 # an operator, as (description, test); config_value reads each through it
@@ -490,8 +493,8 @@ CONFIG_TYPES = {
     "kind": _NAME, "recipe": _NAME, "boundary": _NAME,
     "recipes": ("a non-empty list of names", lambda v: bool(v) and _is_names(v)),
     "checks": ("a name or a list of names", lambda v: _is_name(v) or _is_names(v)),
-    "dims": ("one or two integers", lambda v: _is_count(v) or (
-        isinstance(v, list) and 1 <= len(v) <= 2 and all(map(_is_count, v)))),
+    "dims": ("one or two positive integers", lambda v: _is_side(v) or (
+        isinstance(v, list) and 1 <= len(v) <= 2 and all(map(_is_side, v)))),
     "seed": _COUNT, "dim": _COUNT, "rows": _SIDE, "cols": _SIDE,
     "lambda": _NUMBER, "sigma": _NUMBER, "factor": _NUMBER,
     "fixture": _PATH, "image": _PATH, "image_csv": _PATH, "output_dir": _PATH,
@@ -577,7 +580,7 @@ def build_from_config(spec: dict) -> ProblemInstance:
         elif "image" in spec:
             image = datamod.read_image(config_value(spec, "image"))
         elif "image_csv" in spec:
-            image = read_csv_rows(config_value(spec, "image_csv"), datamod.FixtureError)
+            image = datamod.read_csv_rows(config_value(spec, "image_csv"))
         else:
             image = config_value(spec, "pixels")
         inst = (build_tv_denoise if kind == "tv_denoise" else build_tvl1)(image, lam)

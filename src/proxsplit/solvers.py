@@ -48,9 +48,11 @@ class SolverConfig:
     of the primal-dual schemes.  ``relaxation`` is the averaging parameter
     (mu for Douglas-Rachford, lambda for Krasnosel'skii-Mann): a constant, or
     ``"harmonic"`` for 1/(n+2).  ``keep_iterates`` stores the primal
-    iterates x_0..x_n in ``trace.iterates`` (and the dual ones of the
-    primal-dual schemes in ``meta["dual_iterates"]``); by default only the
-    final point is kept.
+    iterates x_0..x_n in ``trace.iterates``; :func:`chambolle_pock` and
+    :func:`arrow_hurwicz` also store their dual ones in
+    ``meta["dual_iterates"]``, and :func:`condat`, :func:`admm` and
+    :func:`douglas_rachford` store none.  By default only the final point
+    is kept.
     ``stop_at_fixed_point`` ends a run with ``tol_reached`` once everything
     its next iteration reads is bitwise unchanged, since every later
     iteration would repeat it: x for gradient descent, the proximal point
@@ -153,23 +155,19 @@ def _norm(v) -> float:
     return math.sqrt(float(np.vdot(v, v)))
 
 
-def _unless_start(v, start: weakref.ref):
-    # ``v``, copied when it is the start ``start`` refers to, so a run that
-    # returns a start does not hand its caller the caller's own array
-    return v.copy() if v is start() else v
-
-
 def _same_bytes(a, b) -> bool:
     # bytes, not values: +0.0 == -0.0, and the sign of a zero can reach the output
     return a.tobytes() == b.tobytes()
 
 
 class _Recorder:
-    """The rows of one run.  It keeps only a weak reference to ``x0``, the
-    validated start, so a loop that drops the start frees it; a kept history
-    copies it at once.  :meth:`finish` hands the trace the array the loop
-    formed, and copies it only when it is the start itself: after no
-    iteration, or when a prox returned its argument (``ZeroFn``).
+    """The rows of one run, and the one place that decides its stop.
+
+    It keeps only weak references to the run's validated starts (``x0`` and
+    ``starts``: the dual starts, ADMM's y), so a loop that drops a start
+    frees it; a kept history copies ``x0`` at once.  :meth:`owned` copies a
+    returned array only when it is one of those starts: after no iteration,
+    or when a prox returned its argument (``ZeroFn``).
 
     ``gap`` maps the state a loop passes to the duality gap of the point it
     would return.  When each row's objective is P(x) of that point bit for
@@ -178,14 +176,14 @@ class _Recorder:
     """
 
     def __init__(self, x0, objective0, cfg: SolverConfig, gap=None,
-                 row_is_gap_point: bool = False):
+                 row_is_gap_point: bool = False, starts=()):
         if cfg.gap_tol > 0 and gap is None:
             raise ConfigError("gap_tol needs a closed-form duality gap, "
                               "and this run has none")
         self.cfg = cfg
         self.gap = gap
         self.gap_from_row = getattr(gap, "_from_objective", None) if row_is_gap_point else None
-        self.start = weakref.ref(x0)
+        self.starts = [weakref.ref(v) for v in (x0, *starts)]
         self.objective0 = float(objective0)
         self.obj = []
         self.res = []
@@ -194,25 +192,26 @@ class _Recorder:
         self.iterates = [x0.copy()] if cfg.keep_iterates else []
         self.termination = ITER_CAP
 
-    def record(self, x_new, x_prev, objective, extras=None, gap_args=(),
-               _residual=None) -> bool:
+    def record(self, x_new, objective, residual, extras=None, gap_args=(),
+               settled=False) -> bool:
         """Append one iteration; returns True when the run should stop.
 
-        ``objective=None`` marks solvers that do not track an objective
-        (e.g. fixed-point iterations); the divergence guard then only sees
-        the iterates.  A +inf objective is a legal infeasible iterate, not
-        divergence.  With ``cfg.gap_tol > 0`` the gap of ``gap_args`` is
-        evaluated and recorded; it is never evaluated otherwise.
+        ``residual`` is the step ||x_new - x|| from the loop's previous
+        point x.  ``objective=None`` marks solvers that do not track an
+        objective (e.g. fixed-point iterations); the divergence guard then
+        only sees the iterates.  A +inf objective is a legal infeasible
+        iterate, not divergence.  With ``cfg.gap_tol > 0`` the gap of
+        ``gap_args`` is evaluated and recorded; it is never evaluated
+        otherwise.  ``settled`` is the loop's fixed-point test, True only
+        under ``cfg.stop_at_fixed_point``.  The stops are tried in one
+        order: divergence, then the gap, then ``settled``.
 
-        ``x_prev`` is always finite: it is the start point, validated at the
-        solver's entry, or the ``x_new`` of the previous record, which
-        passed this check.  So a NaN or infinite entry of ``x_new`` makes
-        ``d @ d`` NaN or +inf, and ``x_new`` is scanned for one only when
-        the step residual is not finite.  A loop that has already dropped
-        ``x_prev`` passes the residual ||x_new - x_prev|| as ``_residual``.
+        x is always finite: it is the start point, validated at the solver's
+        entry, or the ``x_new`` of the previous record, which passed this
+        check.  So a NaN or infinite entry of ``x_new`` makes the residual
+        NaN or +inf, and ``x_new`` is scanned for one only when the residual
+        is not finite.
         """
-        residual = (_norm(np.asarray(x_new) - np.asarray(x_prev)) if _residual is None
-                    else _residual)
         tracked = objective is not None
         objective = float(objective) if tracked else float("nan")
         self.obj.append(objective)
@@ -227,27 +226,24 @@ class _Recorder:
             self.extras.setdefault("gap", []).append(gap)
         if self.iterates:
             self.iterates.append(np.array(x_new, dtype=float))
-        # NaN and -inf diverge, and so does a finite value past the cap
-        if tracked and (objective > DIVERGENCE_CAP if math.isfinite(objective)
-                        else not (math.isinf(objective) and objective > 0)):
+        # a NaN or -inf objective diverges, and so does a finite one past the
+        # cap or a non-finite entry of x_new
+        if (tracked and (objective > DIVERGENCE_CAP if math.isfinite(objective)
+                         else not (math.isinf(objective) and objective > 0))
+                or not math.isfinite(residual) and not np.isfinite(x_new).all()):
             self.termination = DIVERGED
-            return True
-        if not math.isfinite(residual) and not np.isfinite(x_new).all():
-            self.termination = DIVERGED
-            return True
         # a run that tracks no objective stops at an absolute gap
-        if gap is not None and gap <= self.cfg.gap_tol * (
+        elif settled or gap is not None and gap <= self.cfg.gap_tol * (
                 1.0 + (abs(objective) if tracked else 0.0)):
             self.termination = TOL_REACHED
-            return True
-        return False
+        else:
+            return False
+        return True
 
-    def fixed_point(self, *pairs) -> bool:
-        """Stop with tol_reached when every (new, old) pair is bitwise equal."""
-        if all(_same_bytes(new, old) for new, old in pairs):
-            self.termination = TOL_REACHED
-            return True
-        return False
+    def owned(self, v):
+        """``v``, copied when it is one of the run's starts, so a run that
+        returns a start does not hand its caller the caller's own array."""
+        return v.copy() if any(v is start() for start in self.starts) else v
 
     def finish(self, x_final, meta=None, gap_args=()) -> SolverTrace:
         """The trace; ``meta["gap"]`` holds the gap of ``gap_args``, the final
@@ -255,7 +251,6 @@ class _Recorder:
         meta = meta or {}
         if self.gap is not None:
             meta["gap"] = float(self.gap(*gap_args))
-        x = _unless_start(np.asarray(x_final, dtype=float), self.start)
         return SolverTrace(
             objective0=self.objective0,
             objective=np.array(self.obj),
@@ -263,7 +258,7 @@ class _Recorder:
             extras={k: np.array(v) for k, v in self.extras.items()},
             iterates=self.iterates,
             termination=self.termination,
-            x=x,
+            x=self.owned(np.asarray(x_final, dtype=float)),
             meta=meta,
         )
 
@@ -302,14 +297,15 @@ def proximal_point(g: ProxFn, x0, cfg: SolverConfig | None = None) -> SolverTrac
     if gamma <= 0:
         raise ConfigError("proximal point needs gamma > 0")
     x = _start(x0, g.dim)
-    rec = _Recorder(x, g._value(x), cfg)
+    value = g._value(x)
+    rec = _Recorder(x, value, cfg)
     for _ in range(cfg.max_iter):
         x_new = g._prox(x, gamma)
-        val_old, val_new = g._value(x), g._value(x_new)
-        margin = val_old - val_new - float(np.sum((x - x_new) ** 2)) / (2 * gamma)
-        stop = rec.record(x_new, x, val_new, {"prox_decrease_margin": margin}) or (
-            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x)))
-        x = x_new
+        value_new = g._value(x_new)
+        margin = value - value_new - float(np.sum((x - x_new) ** 2)) / (2 * gamma)
+        stop = rec.record(x_new, value_new, _norm(x_new - x), {"prox_decrease_margin": margin},
+                          settled=cfg.stop_at_fixed_point and _same_bytes(x_new, x))
+        x, value = x_new, value_new
         if stop:
             break
     return rec.finish(x)
@@ -350,7 +346,8 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
         else:
             c = next(coefs)
             y = x + c * (x - x_prev)
-        if A is not None:
+        # the last pass reads A y only for an objective it forms from A x
+        if A is not None and (objective is None or not last):
             w = A._apply(y)
             if objective is None:
                 # y equal to x in value, not in bytes: y = x + c (+0) turns a -0 of
@@ -379,9 +376,9 @@ def _prox_gradient_loop(f: SmoothFn, g: ProxFn, x0, cfg: SolverConfig,
                 j_prev = value
             # inertia also reads x_prev; once x - x_prev is zero, its
             # n-dependent coefficient multiplies zero
-            if rec.record(x, x_prev, value, extras, (x,)) or (
-                    cfg.stop_at_fixed_point and rec.fixed_point(
-                        (x, x_prev), (x_prev, x_prev if coefs is None else x_prev2))):
+            settled = cfg.stop_at_fixed_point and _same_bytes(x, x_prev) and (
+                coefs is None or _same_bytes(x_prev, x_prev2))
+            if rec.record(x, value, _norm(x - x_prev), extras, (x,), settled):
                 break
         if last:
             break
@@ -480,10 +477,11 @@ def krasnoselskii_mann(T, x0, cfg: SolverConfig | None = None) -> SolverTrace:
     rec = _Recorder(x, float("nan"), cfg)
     for n in range(1, cfg.max_iter + 1):
         tx = np.asarray(T(x), dtype=float)
-        fp_res = _norm(tx - x)
-        x_new = x + lam(n - 1) * (tx - x)
-        stop = rec.record(x_new, x, None, {"fixed_point_residual": fp_res}) or (
-            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), (tx, x)))
+        d = tx - x
+        x_new = x + lam(n - 1) * d
+        stop = rec.record(x_new, None, _norm(x_new - x), {"fixed_point_residual": _norm(d)},
+                          settled=cfg.stop_at_fixed_point and _same_bytes(x_new, x)
+                          and _same_bytes(tx, x))
         x = x_new
         if stop:
             break
@@ -552,10 +550,9 @@ def douglas_rachford(f: ProxFn, g: ProxFn, x0,
         # the shadow point of x_{n+1}: next iteration's y, or the result
         y = g._prox(x, gamma)
         # both fixed-point pairs were compared before the projection
-        if rec.record(x, None, value, {"split_gap": split_gap}, (y, x), residual) or (
-                settled and rec.fixed_point()):
+        if rec.record(x, value, residual, {"split_gap": split_gap}, (y, x), settled):
             break
-    return rec.finish(y, {"governing": _unless_start(x, rec.start)}, (y, x))
+    return rec.finish(y, {"governing": rec.owned(x)}, (y, x))
 
 
 def ppxa(parts, x0, cfg: SolverConfig | None = None, gap=None) -> SolverTrace:
@@ -639,12 +636,13 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
     # x starts at 0, so only the length of f is checked against A
     x = _start(np.zeros(A.in_dim), f.dim)
     y = _start(np.zeros(B.in_dim) if y0 is None else y0, B.in_dim, g.dim)
-    y_start = weakref.ref(y)
     z = np.zeros(A.out_dim)
 
     argmin_x = _augmented_argmin(f, A, gamma)
     argmin_y = _augmented_argmin(g, B, gamma)
-    rec = _Recorder(np.concatenate([x, y]), f._value(x) + g._value(y), cfg)
+    # the trace's iterates are the pairs (x, y)
+    xy = np.concatenate([x, y])
+    rec = _Recorder(xy, f._value(x) + g._value(y), cfg, starts=(y,))
     By = B._apply(y)
     for _ in range(cfg.max_iter):
         x_new = argmin_x(b - By - z / gamma)
@@ -654,14 +652,15 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
         By = B._apply(y_new)
         r = Ax + By - b
         z_new = z + gamma * r
-        stop = rec.record(np.concatenate([x_new, y_new]), np.concatenate([x, y]),
-                          f._value(x_new) + g._value(y_new),
-                          {"primal_residual": _norm(r)}) or (
-            cfg.stop_at_fixed_point and rec.fixed_point((y_new, y), (z_new, z)))
-        x, y, z = x_new, y_new, z_new
+        xy_new = np.concatenate([x_new, y_new])
+        stop = rec.record(xy_new, f._value(x_new) + g._value(y_new), _norm(xy_new - xy),
+                          {"primal_residual": _norm(r)},
+                          settled=cfg.stop_at_fixed_point and _same_bytes(y_new, y)
+                          and _same_bytes(z_new, z))
+        x, y, z, xy = x_new, y_new, z_new, xy_new
         if stop:
             break
-    return rec.finish(x, meta={"y": _unless_start(y, y_start), "z": z})
+    return rec.finish(x, meta={"y": rec.owned(y), "z": z})
 
 
 def _exact(*values) -> list:
@@ -702,12 +701,11 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
     sigma, tau, op_norm = _validate_pd_steps(cfg, prob.K)
     x = _start(x0, prob.K.in_dim, prob.g.dim)
     y = _start(y0, prob.K.out_dim, prob.f_conj.dim)
-    y_start = weakref.ref(y)
     xbar = x
     obj = prob._primal_objective or (lambda z: None)
     obj0 = obj(x)
     rec = _Recorder(x, obj0 if obj0 is not None else float("nan"), cfg, gap,
-                    row_is_gap_point=obj0 is not None)
+                    row_is_gap_point=obj0 is not None, starts=(y,))
     dual_iterates = [y.copy()] if cfg.keep_iterates else []
     for _ in range(cfg.max_iter):
         v = y + sigma * prob.K._apply(xbar)
@@ -724,11 +722,10 @@ def _primal_dual_loop(prob: SaddleProblem, x0, y0, cfg: SolverConfig | None,
         x, xbar, y = x_new, xbar_new, y_new
         if dual_iterates:
             dual_iterates.append(y.copy())
-        if rec.record(x, None, obj(x), extras, (x, y), residual) or (
-                settled and rec.fixed_point()):
+        if rec.record(x, obj(x), residual, extras, (x, y), settled):
             break
     return rec.finish(x, {
-        "y": _unless_start(y, y_start),
+        "y": rec.owned(y),
         "sigma": sigma,
         "tau": tau,
         "operator_norm": op_norm,
@@ -806,12 +803,11 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
     if u0s is None:
         u0s = [np.zeros(op.out_dim) for _, op in terms]
     us = [_start(u, op.out_dim, h_conj.dim) for u, (h_conj, op) in zip(u0s, terms)]
-    u_starts = [weakref.ref(u) for u in us]
 
     if objective is None:
         objective = lambda z: f._value(z) + g._value(z)
 
-    rec = _Recorder(x, objective(x), cfg, gap, row_is_gap_point=True)
+    rec = _Recorder(x, objective(x), cfg, gap, row_is_gap_point=True, starts=us)
     for _ in range(cfg.max_iter):
         drift = np.zeros_like(x)
         for (_, op), u in zip(terms, us):
@@ -819,12 +815,13 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
         x_new = g._prox(x - tau * f._grad(x) - tau * drift, tau)
         us_new = [h_conj._prox(u + sigma * op._apply(2.0 * x_new - x), sigma)
                   for (h_conj, op), u in zip(terms, us)]
-        stop = rec.record(x_new, x, objective(x_new), None, (x_new, us_new)) or (
-            cfg.stop_at_fixed_point and rec.fixed_point((x_new, x), *zip(us_new, us)))
+        stop = rec.record(x_new, objective(x_new), _norm(x_new - x), None, (x_new, us_new),
+                          cfg.stop_at_fixed_point and _same_bytes(x_new, x) and all(
+                              map(_same_bytes, us_new, us)))
         x = x_new
         us = us_new
         if stop:
             break
-    return rec.finish(x, {"duals": [_unless_start(u, s) for u, s in zip(us, u_starts)],
+    return rec.finish(x, {"duals": [rec.owned(u) for u in us],
                           "sigma": sigma, "tau": tau,
                           "operator_norm": stack.norm()}, (x, us))

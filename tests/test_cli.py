@@ -647,6 +647,18 @@ class TestMalformedConfigTypes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["step_image", "sparse_vector", "lasso", "tv_denoise"])
+    @pytest.mark.parametrize("dims", [[0, 4], [4, -1], 0], ids=["zero_side", "negative_side",
+                                                                "zero"])
+    def test_generate_needs_positive_dims(self, tmp_path, capsys, kind, dims):
+        # a bundle with an empty side is one no command can load
+        cfg = write_config(tmp_path / "gen.json", {"kind": kind, "dims": dims})
+        out = tmp_path / "bundle"
+        assert main(["generate", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'dims'" in err
+        assert not out.exists()
+
     def test_bundle_grid_must_match_its_pixels(self, tmp_path, capsys):
         # a tv_denoise bundle's y is reshaped to rows x cols: 4 x 4 != 12
         data = datamod.generate_synthetic("step_image", (3, 4), sigma=0.1, seed=1)

@@ -20,7 +20,6 @@ from proxsplit.linops import (
     construct_operator,
     gram_eigh,
     gram_spectrum_sum,
-    read_csv_rows,
 )
 
 
@@ -562,15 +561,3 @@ class TestConjugateGradient:
         assert (back.residual, back.iterations) == (1e-3, 50)
         assert str(back) == str(err)
 
-
-class TestCsvMatrix:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n3.5,-4.0\n")
-        assert np.array_equal(read_csv_rows(path), [[1.0, 2.0], [3.5, -4.0]])
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n3.5\n")
-        with pytest.raises(ValueError):
-            read_csv_rows(path)

@@ -7,10 +7,12 @@ import pytest
 
 from proxsplit import data as datamod, problems
 from proxsplit.data import (
+    SYNTHETIC_KINDS,
     FixtureError,
     GaussianStream,
     generate_synthetic,
     load_fixture,
+    read_csv_rows,
     read_image,
     read_pgm,
     write_csv_rows,
@@ -24,7 +26,6 @@ from proxsplit.linops import (
     IdentityOperator,
     MaskOperator,
     ScaleOperator,
-    read_csv_rows,
 )
 from proxsplit.problems import (
     build_from_config,
@@ -530,6 +531,14 @@ class TestSynthetic:
         with pytest.raises(FixtureError):
             generate_synthetic("fractal", 8)
 
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    @pytest.mark.parametrize("dims", [(4, 5, 6), (), (0, 4), [4, -1], 0, 4.0, True, "4"],
+                             ids=["three", "empty", "zero_side", "negative_side", "zero",
+                                  "float", "bool", "string"])
+    def test_dims_are_one_or_two_positive_integers(self, kind, dims):
+        with pytest.raises(FixtureError, match="dims"):
+            generate_synthetic(kind, dims)
+
     def test_gaussian_stream_moments(self):
         stream = GaussianStream(0)
         draws = stream.normals(20000)
@@ -583,6 +592,19 @@ def _write_pgm(path, img):
     rows, cols = img.shape
     path.write_bytes(f"P5\n{cols} {rows}\n255\n".encode("ascii")
                      + np.round(img * 255.0).astype(np.uint8).tobytes())
+
+
+class TestCsvMatrix:
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.5,-4.0\n")
+        assert np.array_equal(read_csv_rows(path), [[1.0, 2.0], [3.5, -4.0]])
+
+    def test_ragged_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.5\n")
+        with pytest.raises(ValueError):
+            read_csv_rows(path)
 
 
 class TestImageIO:
@@ -692,9 +714,9 @@ class TestFixtureBundles:
         out = write_fixture(tmp_path / "bundle", data)
         reads = []
 
-        def counted(path, error=ValueError):
+        def counted(path):
             reads.append(pathlib.Path(path).name)
-            return read_csv_rows(path, error)
+            return read_csv_rows(path)
 
         monkeypatch.setattr(datamod, "read_csv_rows", counted)
         cached = load_fixture(out)

@@ -21,6 +21,7 @@ from proxsplit.funcs import (
     ZeroFn,
 )
 from proxsplit.linops import (
+    AdjointOperator,
     DenseOperator,
     DimensionError,
     Grad2D,
@@ -38,7 +39,9 @@ from proxsplit.solvers import (
     DecreaseViolation,
     SolverConfig,
     _fista_t_coefs,
+    _norm,
     _Recorder,
+    _same_bytes,
     admm,
     arrow_hurwicz,
     chambolle_pock,
@@ -67,6 +70,11 @@ def half_square(dim=1):
 def anisotropic():
     return Quadratic(DenseOperator(np.diag([1.0, np.sqrt(10.0)])),
                      np.zeros(2), strong_convexity=1.0)
+
+
+def _record(rec, x_new, x_prev, objective):
+    # one row whose residual is the step from x_prev, as a loop forms it
+    return rec.record(x_new, objective, _norm(x_new - x_prev))
 
 
 class TestGradientDescent:
@@ -152,6 +160,15 @@ class TestProximalPoint:
     def test_decrease_margin_nonnegative(self):
         trace = proximal_point(L1Norm(1.0), [3.7], SolverConfig(max_iter=10))
         assert np.all(trace.extras["prox_decrease_margin"] >= -1e-12)
+
+    def test_one_value_per_iterate(self, monkeypatch):
+        # g(x_n) is carried to the next margin, not evaluated again
+        calls = []
+        original = L1Norm._value
+        monkeypatch.setattr(L1Norm, "_value", lambda self, x: calls.append(1) or original(self, x))
+        trace = proximal_point(L1Norm(1.0), [10.0], SolverConfig(gamma=1.0, max_iter=5))
+        assert trace.n_iter == 5
+        assert len(calls) == 6
 
 
 class TestForwardBackward:
@@ -298,6 +315,18 @@ class TestOneForwardProduct:
         # objective0, one per iteration, and the last row's direct product
         assert calls == {"_apply": 52, "_adjoint": 50}
 
+    def test_an_explicit_objective_skips_the_last_product(self, monkeypatch):
+        # dual_fb reports objective(x) directly, so its record-only last pass
+        # forms no A y
+        inst = tv_denoise_fixture()
+        calls = []
+        original = AdjointOperator._apply
+        monkeypatch.setattr(AdjointOperator, "_apply",
+                            lambda self, v: calls.append(1) or original(self, v))
+        trace, _ = inst.run("dual_fb", SolverConfig(max_iter=10))
+        assert trace.n_iter == 10
+        assert len(calls) == 10
+
     @pytest.mark.parametrize("fixture", [lasso_dense_fixture, lasso_diag_fixture])
     def test_plain_rows_are_the_direct_objective(self, fixture):
         f, g, x0 = _lasso(fixture)
@@ -429,6 +458,14 @@ class TestKrasnoselskiiMann:
     def test_relaxation_range(self):
         with pytest.raises(ConfigError):
             krasnoselskii_mann(lambda v: v, [1.0], SolverConfig(relaxation=1.5))
+
+    def test_forms_tx_minus_x_once(self):
+        # Tx - x overflows here, and numpy reports each subtraction that does
+        calls = []
+        with np.errstate(all="call", call=lambda kind, flag: calls.append(kind)):
+            trace = krasnoselskii_mann(lambda v: -v, [-1e308], SolverConfig(max_iter=5))
+        assert trace.termination == DIVERGED and trace.n_iter == 1
+        assert calls == ["overflow"]
 
     def test_harmonic_and_callable_relaxation(self):
         mat = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -619,6 +656,17 @@ class TestADMM:
         trace = admm(f, g, A, ScaleOperator(-1.0, 2), np.zeros(2),
                      cfg=SolverConfig(gamma=1.0, max_iter=3000))
         assert trace.extras["primal_residual"][-1] <= 1e-8
+
+    def test_one_concatenation_per_iteration(self, monkeypatch):
+        # (x, y) is formed once per iterate and is the next step's previous point
+        calls = []
+        original = np.concatenate
+        monkeypatch.setattr(np, "concatenate", lambda *a, **k: calls.append(1) or original(*a, **k))
+        trace = admm(L1Norm(1.0), Quadratic(IdentityOperator(1), np.array([3.0])),
+                     IdentityOperator(1), ScaleOperator(-1.0, 1), np.zeros(1),
+                     cfg=SolverConfig(gamma=1.0, max_iter=7))
+        assert trace.n_iter == 7
+        assert len(calls) == 8
 
     def test_rejects_unsupported_structure(self):
         with pytest.raises(ConfigError):
@@ -913,8 +961,8 @@ class TestTraceContract:
         # are no SolverConfig fields
         assert DIVERGENCE_CAP == 1e12
         rec = _Recorder(np.zeros(1), 0.0, SolverConfig())
-        assert not rec.record(np.ones(1), np.zeros(1), DIVERGENCE_CAP)
-        assert rec.record(np.ones(1), np.ones(1), 2.0 * DIVERGENCE_CAP)
+        assert not _record(rec, np.ones(1), np.zeros(1), DIVERGENCE_CAP)
+        assert _record(rec, np.ones(1), np.ones(1), 2.0 * DIVERGENCE_CAP)
         assert rec.termination == DIVERGED
         for field in ("seed", "objective_tol", "divergence_cap", "rho", "beta",
                       "bt_shrink", "residual_tol"):
@@ -1208,9 +1256,11 @@ class TestStopAtFixedPoint:
 
     def test_signed_zeros_differ(self):
         rec = _Recorder(np.zeros(1), 0.0, SolverConfig())
-        assert not rec.fixed_point((np.array([0.0]), np.array([-0.0])))
+        assert not rec.record(np.array([0.0]), 0.0, 0.0,
+                              settled=_same_bytes(np.array([0.0]), np.array([-0.0])))
         assert rec.termination == ITER_CAP
-        assert rec.fixed_point((np.array([-0.0]), np.array([-0.0])))
+        assert rec.record(np.array([-0.0]), 0.0, 0.0,
+                          settled=_same_bytes(np.array([-0.0]), np.array([-0.0])))
         assert rec.termination == TOL_REACHED
 
 
@@ -1316,8 +1366,8 @@ class TestRecorderFiniteness:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_entry_diverges_at_that_step(self, bad, objective):
         rec = _Recorder(np.zeros(3), 0.0, SolverConfig())
-        assert not rec.record(np.ones(3), np.zeros(3), objective)
-        assert rec.record(np.array([1.0, bad, 1.0]), np.ones(3), objective)
+        assert not _record(rec, np.ones(3), np.zeros(3), objective)
+        assert _record(rec, np.array([1.0, bad, 1.0]), np.ones(3), objective)
         assert rec.termination == DIVERGED
         trace = rec.finish(np.ones(3))
         assert trace.n_iter == 2
@@ -1329,10 +1379,27 @@ class TestRecorderFiniteness:
         rec = _Recorder(np.zeros(2), 0.0, SolverConfig())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert not rec.record(np.full(2, 1e200), np.full(2, -1e200), objective)
-            assert not rec.record(np.full(2, 1.0), np.full(2, 1e200), objective)
+            assert not _record(rec, np.full(2, 1e200), np.full(2, -1e200), objective)
+            assert not _record(rec, np.full(2, 1.0), np.full(2, 1e200), objective)
         assert rec.termination == ITER_CAP
         assert rec.finish(np.ones(2)).residual[0] == np.inf
+
+    @pytest.mark.parametrize("row", [(np.array([1.0, np.nan]), 1.0),
+                                     (np.ones(2), np.nan),
+                                     (np.ones(2), 2.0 * DIVERGENCE_CAP)],
+                             ids=["nan_entry", "nan_objective", "above_cap"])
+    def test_divergence_comes_before_a_settled_row(self, row):
+        rec = _Recorder(np.zeros(2), 0.0, SolverConfig(stop_at_fixed_point=True))
+        x_new, objective = row
+        assert rec.record(x_new, objective, _norm(x_new), settled=True)
+        assert rec.termination == DIVERGED
+
+    def test_a_settled_row_reaches_tol(self):
+        rec = _Recorder(np.zeros(2), 0.0, SolverConfig(stop_at_fixed_point=True))
+        assert not rec.record(np.ones(2), 1.0, _norm(np.ones(2)))
+        assert rec.record(np.ones(2), 1.0, 0.0, settled=True)
+        assert rec.termination == TOL_REACHED
+        assert rec.finish(np.ones(2)).n_iter == 2
 
 
 class TestValidationOutsideTheLoop:
