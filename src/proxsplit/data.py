@@ -9,6 +9,7 @@ draw from it too, so no part of proxsplit loads NumPy's random module.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import zlib
@@ -83,8 +84,11 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
     """Deterministic synthetic data: ground truth, operator parameters when
     applicable, and the noisy observation y = A x + sigma * noise.
 
-    ``dims`` is one or two positive integers, one standing for both sides;
-    anything else is a :class:`FixtureError`."""
+    ``dims`` is one or two positive integers, anything else a
+    :class:`FixtureError`.  An image or a sparse vector reads them as two
+    sides, one standing for both; a blur kernel takes one odd width, bare or
+    as ``[w]``; a mask pattern has ``n`` entries for ``n`` or ``[n]`` and
+    r·c for ``[r, c]``."""
     stream = GaussianStream(seed)
     if kind == "step_image":
         rows, cols = _as_dims(dims)
@@ -118,17 +122,16 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
         return {"kind": kind, "m": m, "n": n, "x_true": x_true, "A": A,
                 "y": y, "sigma": sigma, "seed": seed, "nnz": k}
     if kind == "blur_kernel":
-        width = _as_dims(dims)[0]
-        if width % 2 == 0:
-            raise FixtureError("blur kernel width must be odd")
-        half = width // 2
+        sides = _as_sides(dims)
+        if len(sides) != 1 or sides[0] % 2 == 0:
+            raise FixtureError(f"blur kernel dims must be one odd width, got {dims!r}")
+        half = sides[0] // 2
         t = np.arange(-half, half + 1, dtype=float)
         k = np.exp(-0.5 * (t / max(half, 1)) ** 2)
         k /= k.sum()
         return {"kind": kind, "kernel": k, "seed": seed}
     if kind == "mask_pattern":
-        rows, cols = _as_dims(dims)
-        n = rows * cols if isinstance(dims, (tuple, list)) else rows
+        n = math.prod(_as_sides(dims))
         keep = max(1, n // 2)
         order = np.argsort(stream.uniforms(n))
         pattern = np.zeros(n, dtype=bool)
@@ -137,14 +140,20 @@ def generate_synthetic(kind: str, dims, sigma: float = 0.0, seed: int = 0) -> di
     raise FixtureError(f"unknown synthetic kind {kind!r}")
 
 
-def _as_dims(dims):
-    # one or two positive integers as two sides, one side standing for both
+def _as_sides(dims) -> list[int]:
+    # one or two positive integers, bare or in a list
     sides = list(dims) if isinstance(dims, (tuple, list)) else [dims]
     if not (1 <= len(sides) <= 2 and all(
             isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
             for s in sides)):
         raise FixtureError(f"dims must be one or two positive integers, got {dims!r}")
-    return int(sides[0]), int(sides[-1])
+    return [int(s) for s in sides]
+
+
+def _as_dims(dims):
+    # two sides, one standing for both
+    sides = _as_sides(dims)
+    return sides[0], sides[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ reject bad oracles.
 from __future__ import annotations
 
 import dataclasses
+import io
 import os
 import pickle
 import sys
@@ -556,114 +557,73 @@ def _map_checks(names: list[str], seed: int) -> list[list[CheckReport]]:
     return [_run_check(name, seed) for name in names]
 
 
-def _read(fd: int, size: int) -> bytearray:
-    # ``size`` bytes from a pipe, or fewer once every writer has closed it
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _fork_map(names: list[str], seed: int, workers: int) -> list[list[CheckReport]]:
     """The reports of each check in ``names``, run on ``workers`` children
     of a bare ``os.fork``, so the suite loads no process-pool machinery.
 
-    A worker reads the index of a check from its own task pipe, runs the
-    check, writes its worker number to the shared ``ready`` pipe (a 4-byte
-    write, below ``PIPE_BUF``, so two workers' numbers never interleave),
-    then the pickled outcome, length first, to its own result pipe.  The
-    parent reads ``ready`` to learn which worker is free, collects that
-    outcome and hands the worker the next index, or closes its task pipe,
-    which ends it.  After a failure no further check starts, and the failure
-    of the first check in ``names`` order is raised with its type.  A worker
-    that ends without a result fails its check with a :class:`RuntimeError`.
-    Every worker is reaped; an exception in the parent, such as
-    ``KeyboardInterrupt``, kills them first.
+    Before the fork the parent writes every check's index, 4 bytes each, to
+    one task pipe and closes its write end.  A worker takes the next index
+    with one 4-byte read until EOF, so a free worker starts the next check at
+    once.  It writes a pickle stream to its own result pipe: the index before
+    each check and the outcome after it.  After a failure it empties the task
+    pipe, so no further check starts.  The parent reads each result pipe to
+    EOF in turn; no worker waits on another, so one whose results outgrow its
+    pipe only waits for its turn.  The failure of the first check in
+    ``names`` order is raised with its type, and a check whose worker ended
+    without its outcome fails with a :class:`RuntimeError`.  Every worker is
+    reaped; an exception in the parent, such as ``KeyboardInterrupt``, kills
+    them first.
     """
-    ready, ready_w = os.pipe()
-    own = {ready, ready_w}      # the parent's open pipe ends
-    pids, tasks, results = [], [], []
-    running = {}                # worker number -> index of the check it runs
-    outcomes = [None] * len(names)
-    lost = []                   # (index, pid) of each check whose worker died
-
-    def hand(worker, index):
-        running[worker] = index
-        try:
-            os.write(tasks[worker], index.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # the worker is dead, and its check is lost once ``ready`` closes
-
-    def close(fd):
-        own.remove(fd)
-        os.close(fd)
-
+    # at most 23 distinct names, 92 bytes, so this write never blocks
+    task, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(len(names))))
+    os.close(fill)
+    pids, results, streams = [], [], []
     try:
-        for worker in range(workers):
-            task_r, task_w = os.pipe()
-            own.update((task_r, task_w))
-            result_r, result_w = os.pipe()
-            own.update((result_r, result_w))
+        for _ in range(workers):
+            result, sent = os.pipe()
+            results.append(result)
             sys.stdout.flush()
             sys.stderr.flush()
-            pid = os.fork()
-            if pid == 0:
-                _work(names, seed, worker, own - {task_r, result_w, ready_w},
-                      task_r, result_w, ready_w)
+            try:
+                if (pid := os.fork()) == 0:
+                    _work(names, seed, task, sent, results)
+            finally:
+                os.close(sent)
             pids.append(pid)
-            tasks.append(task_w)
-            results.append(result_r)
-            close(task_r)
-            close(result_w)
-        close(ready_w)
-        for worker in range(workers):
-            hand(worker, worker)
-        upcoming, failed = workers, False
-        while running:
-            head = _read(ready, 4)
-            if not head:
-                # every worker has ended, so the ones still running died
-                lost.extend((index, pids[worker]) for worker, index in running.items())
-                break
-            worker = int.from_bytes(head, "little")
-            index = running.pop(worker)
-            size = int.from_bytes(_read(results[worker], 8), "little")
-            payload = _read(results[worker], size)
-            if size == 0 or len(payload) < size:
-                lost.append((index, pids[worker]))
-                failed = True
-                continue
-            outcomes[index] = pickle.loads(payload)
-            failed = failed or not outcomes[index][0]
-            if upcoming < len(names) and not failed:
-                hand(worker, upcoming)
-                upcoming += 1
-            else:
-                close(tasks[worker])
+        for result in results:
+            with open(result, "rb", closefd=False) as stream:
+                streams.append(stream.read())
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL
         raise
     finally:
-        for fd in list(own):
-            close(fd)
-        statuses = {pid: os.waitpid(pid, 0)[1] for pid in pids}
-    for index, pid in lost:
-        outcomes[index] = (False, RuntimeError(
-            f"the worker running check {names[index]!r} ended without a result "
-            f"(exit code {os.waitstatus_to_exitcode(statuses[pid])})"), None)
-    # checks run in ``names`` order, so every one before a failure has an outcome
+        for fd in [task, *results]:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    outcomes = [None] * len(names)
+    ended = {}  # index of the check a worker died in (None: unnamed) -> exit code
+    for data, code in zip(streams, codes):
+        stream, records = io.BytesIO(data), []
+        try:
+            while stream.tell() < len(data):
+                records.append(pickle.load(stream))
+        except (EOFError, pickle.UnpicklingError):
+            pass  # an outcome cut off by the worker's death
+        for index, outcome in zip(records[::2], records[1::2]):
+            outcomes[index] = outcome
+        if len(records) % 2 or code:
+            ended[records[-1] if len(records) % 2 else None] = code
+    # every check before the first failure was taken, so a missing outcome
+    # there is a worker's death, in the check it named or before naming one
     reports = []
-    for ok, value, trace in outcomes:
+    for index, outcome in enumerate(outcomes):
+        if outcome is None:
+            raise RuntimeError(
+                f"the worker running check {names[index]!r} ended without a result "
+                f"(exit code {ended.get(index, ended.get(None))})")
+        ok, value, trace = outcome
         if not ok and trace is not None:
             raise value from RuntimeError(f"in the worker:\n{trace}")
         if not ok:
@@ -672,29 +632,36 @@ def _fork_map(names: list[str], seed: int, workers: int) -> list[list[CheckRepor
     return reports
 
 
-def _work(names, seed, worker, inherited, task, result, ready):
+def _work(names, seed, task, sent, inherited):
     # a forked worker's life; it never returns into the caller's frames
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        while head := _read(task, 4):
-            name = names[int.from_bytes(head, "little")]
-            try:
-                outcome = (True, _run_check(name, seed), None)
-            except Exception as exc:
-                import traceback  # only on a failure, so a passing run never loads it
-                outcome = (False, exc, "".join(traceback.format_exception(exc)))
-            try:
-                payload = pickle.dumps(outcome)
-                pickle.loads(payload)  # what loads here loads in the parent
-            except Exception as exc:
-                what = "its reports" if outcome[0] else repr(outcome[1])
-                payload = pickle.dumps((False, RuntimeError(
-                    f"check {name!r}: its worker cannot send {what} "
-                    f"({type(exc).__name__}: {exc})"), outcome[2]))
-            os.write(ready, worker.to_bytes(4, "little"))
-            _write(result, len(payload).to_bytes(8, "little") + payload)
+        with open(sent, "wb") as out:
+            while head := os.read(task, 4):
+                index = int.from_bytes(head, "little")
+                pickle.dump(index, out)
+                out.flush()
+                try:
+                    outcome = (True, _run_check(names[index], seed), None)
+                except Exception as exc:
+                    import traceback  # only on a failure, so a passing run never loads it
+                    outcome = (False, exc, "".join(traceback.format_exception(exc)))
+                try:
+                    payload = pickle.dumps(outcome)
+                    pickle.loads(payload)  # what loads here loads in the parent
+                except Exception as exc:
+                    what = "its reports" if outcome[0] else repr(outcome[1])
+                    outcome = (False, RuntimeError(
+                        f"check {names[index]!r}: its worker cannot send {what} "
+                        f"({type(exc).__name__}: {exc})"), outcome[2])
+                    payload = pickle.dumps(outcome)
+                out.write(payload)
+                if not outcome[0]:
+                    # 4096 is a multiple of 4, so no other worker gets part of an index
+                    while os.read(task, 4096):
+                        pass
         code = 0
     finally:
         try:
@@ -709,11 +676,15 @@ def run_checks(names, seed: int = 0) -> list[CheckReport]:
 
     With two or more usable CPUs the checks run in forked worker processes,
     one per CPU; the reports are the same, in the same order, as in process.
+    A report depends only on the name and the seed, so a name listed twice
+    runs once, and every repeat gets its reports.
     """
     names = expand_checks(names)
+    distinct = list(dict.fromkeys(names))
+    runs = dict(zip(distinct, _map_checks(distinct, seed)))
     reports = []
-    for name, out in zip(names, _map_checks(names, seed)):
-        for rep in out:
+    for name in names:
+        for rep in runs[name]:
             rep.check = f"{name}/{rep.check}" if not rep.check.startswith(name) else rep.check
             reports.append(rep)
     return reports

@@ -405,15 +405,16 @@ class TestCertify:
         assert proc.returncode == 0, proc.stderr
 
     def test_forked_workers_load_no_process_pool(self, tmp_path):
-        # two checks on two usable CPUs run on bare forked workers, so a
-        # fresh interpreter's certify loads neither multiprocessing nor
-        # concurrent.futures
+        # two checks on two usable CPUs run on bare forked workers, which the
+        # parent reads in turn, so a fresh interpreter's certify loads none of
+        # multiprocessing, concurrent.futures, select and selectors
         write_config(tmp_path / "cert.json", {"checks": ["km:rotation", "descent:gd"]})
         code = ("import os, sys\n"
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "from proxsplit.cli import main\n"
                 "assert main(['certify', 'cert.json', '--out', 'cert']) == 0\n"
-                "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+                "loaded = {'multiprocessing', 'concurrent.futures', 'select', 'selectors'}"
+                " & set(sys.modules)\n"
                 "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
@@ -461,6 +462,20 @@ class TestCertify:
         assert main(["certify", str(out / "resolved_config.json"),
                      "--out", str(again)]) == 3
         assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+    # a repeated name runs once and its reports fill every repeat, so the
+    # report keeps the bytes it had when each repeat ran again
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+    def test_repeated_names_keep_their_report(self, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        cfg = write_config(tmp_path / "cert.json", {
+            "checks": ["km:rotation", "equiv:dr_cp", "km:rotation", "controls",
+                       "control:fake_convex"], "seed": 2})
+        out = tmp_path / "cert"
+        assert main(["certify", cfg, "--out", str(out)]) == 3
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == "053b53d4dd0af05d6a9a1da945711c096c64b5a6d7ca4c52374760570d4cfb0e"
 
     # forked workers, one per usable CPU, write the report that one CPU writes
     # in process; tier-1 turns RuntimeWarnings into errors (pyproject.toml),

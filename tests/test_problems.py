@@ -539,6 +539,22 @@ class TestSynthetic:
         with pytest.raises(FixtureError, match="dims"):
             generate_synthetic(kind, dims)
 
+    @pytest.mark.parametrize("dims", [[7, 9], (5, 3), [7, 7]])
+    def test_blur_kernel_takes_one_width(self, dims):
+        with pytest.raises(FixtureError, match="one odd width"):
+            generate_synthetic("blur_kernel", dims)
+
+    def test_blur_kernel_width_bare_or_listed(self):
+        bare = generate_synthetic("blur_kernel", 7)["kernel"]
+        assert generate_synthetic("blur_kernel", [7])["kernel"].tobytes() == bare.tobytes()
+
+    @pytest.mark.parametrize("dims,n", [(6, 6), ([6], 6), ((6,), 6), ([2, 3], 6), ([4, 4], 16)])
+    def test_mask_pattern_has_one_entry_per_cell(self, dims, n):
+        data = generate_synthetic("mask_pattern", dims, seed=3)
+        assert data["n"] == data["pattern"].size == n
+        assert data["pattern"].tobytes() == generate_synthetic(
+            "mask_pattern", n, seed=3)["pattern"].tobytes()
+
     def test_gaussian_stream_moments(self):
         stream = GaussianStream(0)
         draws = stream.normals(20000)

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -158,7 +159,7 @@ def test_the_first_failure_in_names_order_is_raised(cpus, monkeypatch, deadline,
 
 
 def test_more_workers_than_cores_keep_names_order(cpus, monkeypatch, deadline):
-    # four workers share the ready pipe on any host, over 16 checks of
+    # four workers share the task pipe on any host, over 16 checks of
     # uneven length; the reports still come back in names order
     names = sorted(CHECKS)[:16]
     for i, name in enumerate(names):
@@ -170,6 +171,53 @@ def test_more_workers_than_cores_keep_names_order(cpus, monkeypatch, deadline):
     assert [r.check for r in reports] == [f"{name}/r{i}" for i, name in enumerate(names)]
     workers = {r.instance for r in reports}
     assert len(workers) == 4 and str(os.getpid()) not in workers
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_before_naming_its_check_names_it(cpus, monkeypatch, deadline):
+    # the worker dies between taking index 1 and writing it to its stream,
+    # so its check has neither an index record nor an outcome
+    dump = pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, file: os._exit(5) if obj == 1
+                        else dump(obj, file))
+    cpus(2)
+    with pytest.raises(RuntimeError, match="check 'km:rotation'.*exit code 5"):
+        run_checks(["descent:gd", "km:rotation"], seed=4)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("usable", [1, 2])
+def test_a_name_listed_twice_runs_once(cpus, monkeypatch, tmp_path, usable):
+    # the count goes to a file, since a forked worker's calls never reach
+    # the parent's memory
+    def check(seed):
+        with open(tmp_path / "calls", "a") as fh:
+            fh.write("x")
+        return CheckReport("patched", "once", True, float(seed), 0)
+
+    monkeypatch.setitem(suite.CHECKS, "km:rotation", check)
+    cpus(usable)
+    reports = run_checks(["km:rotation", "descent:gd", "km:rotation"], seed=4)
+    assert (tmp_path / "calls").read_text() == "x"
+    assert [r.check for r in reports] == ["km:rotation/patched", "descent:gd/descent_inequality",
+                                          "km:rotation/patched"]
+    assert_no_child_left()
+
+
+def test_results_larger_than_a_pipe_arrive_whole(cpus, monkeypatch, deadline):
+    # each report carries about 300 KiB of distinct details, more than a
+    # pipe holds, so a worker waits on the parent until its turn to be read
+    names = ["descent:gd", "km:rotation", "rate:gd_linear"]
+    for i, name in enumerate(names):
+        details = [f"{i}:{j:07d}" * 100 for j in range(300)]
+        monkeypatch.setitem(suite.CHECKS, name, lambda seed, i=i, details=details:
+                            CheckReport(f"r{i}", "big", True, float(seed), 0, details))
+    cpus(1)
+    alone = [r.to_dict() for r in run_checks(names, seed=2)]
+    cpus(2)
+    forked = [r.to_dict() for r in run_checks(names, seed=2)]
+    assert len(json.dumps(forked[0]["details"])) >= 256 * 1024
+    assert forked == alone
     assert_no_child_left()
 
 
