@@ -2,16 +2,16 @@
 
     proxsplit solve|certify|compare|generate <config.json> [--out DIR] [--seed N]
 
-``--seed`` applies to ``certify`` and ``generate``; the solvers are
-deterministic, so ``solve`` and ``compare`` reject it.  Exit codes: 0
-success, 1 config error, 2 divergence or numerical failure, 3 certification
-failure.  Every command writes the config that ran, as
+Each option is given as ``--opt value`` or ``--opt=value``.  ``--seed``
+applies to ``certify`` and ``generate``; the solvers are deterministic, so
+``solve`` and ``compare`` reject it.  Exit codes: 0 success, 1 config error
+or malformed command line, 2 divergence or numerical failure, 3
+certification failure.  Every command writes the config that ran, as
 ``resolved_config.json`` next to its outputs, so running it again reproduces
 them.
 """
 from __future__ import annotations
 
-import argparse
 import ctypes
 import dataclasses
 import json
@@ -277,35 +277,60 @@ def _retain_freed_arrays() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+_HANDLERS = {"solve": cmd_solve, "certify": cmd_certify, "compare": cmd_compare,
+             "generate": cmd_generate}
+_USAGE = "usage: proxsplit {solve,certify,compare,generate} CONFIG [--out DIR] [--seed N]"
+
+
+def _read_argv(argv):
+    """The command line as (command, config, out, seed), an absent option
+    None; ValueError names what is malformed."""
+    positional, options = [], {"--out": None, "--seed": None}
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            positional.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise ValueError(f"unknown option {name}")
+        value = value if eq else next(words, "")
+        # a following option is not a value: "--out --seed 3"
+        if not value or not eq and value.startswith("--"):
+            raise ValueError(f"option {name} needs a value")
+        options[name] = value
+    if len(positional) != 2 or positional[0] not in _HANDLERS:
+        raise ValueError(f"expected one of {', '.join(_HANDLERS)} and a config file, "
+                         f"got {positional}")
+    seed = options["--seed"]
+    try:
+        return (*positional, options["--out"], None if seed is None else int(seed))
+    except ValueError:
+        raise ValueError(f"--seed must be an integer, got {seed!r}") from None
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="proxsplit",
-        description="first-order splitting solvers with numerical certification")
-    parser.add_argument("command",
-                        choices=["solve", "certify", "compare", "generate"])
-    parser.add_argument("config", help="path to a JSON config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed override for certify and generate")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return EXIT_OK
+    try:
+        command, config_path, out, seed = _read_argv(argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nproxsplit: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     _retain_freed_arrays()
 
     try:
-        config = _load_config(args.config)
+        config = _load_config(config_path)
         # the config's output_dir is checked even when --out overrides it
         configured = config_value(config, "output_dir", ".")
-        out_dir = args.out or configured
-        handler = {
-            "solve": cmd_solve,
-            "certify": cmd_certify,
-            "compare": cmd_compare,
-            "generate": cmd_generate,
-        }[args.command]
-        if args.command in ("certify", "generate"):
-            return handler(config, out_dir, args.seed)
-        if args.seed is not None:
-            raise ValueError(f"{args.command} takes no --seed: its solvers are deterministic")
-        return handler(config, out_dir)
+        out_dir = out or configured
+        if command in ("certify", "generate"):
+            return _HANDLERS[command](config, out_dir, seed)
+        if seed is not None:
+            raise ValueError(f"{command} takes no --seed: its solvers are deterministic")
+        return _HANDLERS[command](config, out_dir)
     except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

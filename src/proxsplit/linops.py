@@ -38,7 +38,6 @@ vector.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -368,7 +367,7 @@ class LinearOperator:
             raise NotImplementedError(
                 f"{type(self).__name__} has no closed-form norm: "
                 "define _norm_bound or gram_symbol")
-        return _ceil_sqrt(np.max(symbol), _symbol_error(symbol))
+        return _ceil_sqrt(*_ratio(np.max(symbol)), _symbol_error(symbol))
 
     def gram_symbol(self) -> np.ndarray | float | None:
         """Eigenvalues of K*K on the DFT grid of the input, or an upper bound
@@ -472,7 +471,8 @@ class DenseOperator(LinearOperator):
         """
         gram = _smaller_gram(self.matrix)
         pad = (self.in_dim + self.out_dim) * EPS * np.trace(gram)
-        return _ceil_sqrt(Fraction(max(np.linalg.eigvalsh(gram)[-1], 0.0)) + Fraction(pad))
+        (a, b), (c, d) = _ratio(max(np.linalg.eigvalsh(gram)[-1], 0.0)), _ratio(pad)
+        return _ceil_sqrt(a * d + c * b, b * d)
 
     def gram_spectrum(self):
         # one eigh, on the first call; construction factors nothing
@@ -586,7 +586,7 @@ class Grad2D(LinearOperator):
         def top(n):
             k, period = (n - 1, 2 * n) if self.boundary == NEUMANN else (n // 2, n)
             return 4 * np.sin(4 * np.arctan(LONG(1)) * k / period) ** 2
-        return _ceil_sqrt(top(self.rows) + top(self.cols), 8 * LONG_EPS)
+        return _ceil_sqrt(*_ratio(top(self.rows) + top(self.cols)), 8 * LONG_EPS)
 
     def gram_symbol(self):
         # exact for periodic boundaries; for Neumann an upper bound, since a
@@ -605,21 +605,26 @@ class Grad2D(LinearOperator):
         return GramSpectrum(DCT, grid, path(self.rows)[:, None] + path(self.cols)[None, :])
 
 
-def _ceil_sqrt(square, rel_error: float = 0.0) -> float:
-    """sqrt(square) rounded to nearest, then raised ulp by ulp until
-    r^2 >= square * (1 + rel_error) in exact rational arithmetic.
+def _ratio(v) -> tuple[int, int]:
+    """A finite float or long double as integers (p, q), q a power of two."""
+    return LONG(v).as_integer_ratio()
 
-    ``square`` is a float, long double or Fraction, evaluated with a
-    relative error of at most ``rel_error``; the result is never below the
-    true root, at most about one ulp above the tightest such float, and
-    exact when the root is.
+
+def _ceil_sqrt(p: int, q: int, rel_error: float = 0.0) -> float:
+    """sqrt(p/q) rounded to nearest, then raised ulp by ulp until
+    r^2 >= (p/q) * (1 + rel_error), compared exactly in integers.
+
+    The square p/q, q > 0, is evaluated with a relative error of at most
+    ``rel_error``; the result is never below the true root, at most about
+    one ulp above the tightest such float, and exact when the root is.
     """
-    if not isinstance(square, Fraction):
-        square = Fraction(*LONG(square).as_integer_ratio())
-    square *= 1 + Fraction(rel_error)
-    r = math.sqrt(square)
-    while Fraction(r) ** 2 < square:
+    a, b = _ratio(rel_error)
+    p, q = p * (b + a), q * b
+    r = math.sqrt(p / q)
+    rp, rq = r.as_integer_ratio()
+    while rp * rp * q < p * rq * rq:
         r = math.nextafter(r, math.inf)
+        rp, rq = r.as_integer_ratio()
     return r
 
 
@@ -716,10 +721,14 @@ class StackOperator(LinearOperator):
         return out
 
     def _norm_bound(self):
-        bound = _ceil_sqrt(sum(Fraction(op.norm()) ** 2 for op in self.ops))
+        # the sum of the squared block norms; every denominator is a power
+        # of two, so the largest squared is a multiple of each squared
+        ratios = [_ratio(op.norm()) for op in self.ops]
+        q = max(b for _, b in ratios) ** 2
+        bound = _ceil_sqrt(sum(a * a * (q // (b * b)) for a, b in ratios), q)
         symbol = self.gram_symbol()
         if symbol is not None:
-            bound = min(bound, _ceil_sqrt(np.max(symbol), _symbol_error(symbol)))
+            bound = min(bound, _ceil_sqrt(*_ratio(np.max(symbol)), _symbol_error(symbol)))
         return bound
 
     def gram_symbol(self):
@@ -752,7 +761,8 @@ class ComposedOperator(LinearOperator):
         return self.inner._adjoint(self.outer._adjoint(y))
 
     def _norm_bound(self):
-        return _ceil_sqrt((Fraction(self.outer.norm()) * Fraction(self.inner.norm())) ** 2)
+        (a, b), (c, d) = _ratio(self.outer.norm()), _ratio(self.inner.norm())
+        return _ceil_sqrt((a * c) ** 2, (b * d) ** 2)
 
 
 class AdjointOperator(LinearOperator):

@@ -14,14 +14,13 @@ import dataclasses
 import itertools
 import math
 import weakref
-from fractions import Fraction
 
 import numpy as np
 
 from .funcs import (AffineGraphIndicator, ConsensusIndicator, ProxFn, Quadratic,
                     SaddleProblem, SeparableProx, SmoothFn, ZeroFn, gram_solver)
 from .linops import (DimensionError, IdentityOperator, LinearOperator, ScaleOperator,
-                     StackOperator, as_vector)
+                     StackOperator, _ratio, as_vector)
 
 TOL_REACHED = "tol_reached"
 ITER_CAP = "iter_cap"
@@ -664,11 +663,11 @@ def admm(f: ProxFn, g: ProxFn, A: LinearOperator, B: LinearOperator, b,
 
 
 def _exact(*values) -> list:
-    """Each float as the rational it stores, for a step guard that must not
-    round; a non-finite operand is a :class:`ConfigError`."""
+    """Each float as integers (p, q), p/q its exact value, for a step guard
+    that must not round; a non-finite operand is a :class:`ConfigError`."""
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"stepsize guard operands must be finite, got {values}")
-    return [Fraction(float(v)) for v in values]
+    return [_ratio(float(v)) for v in values]
 
 
 def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
@@ -684,8 +683,8 @@ def _validate_pd_steps(cfg: SolverConfig, K: LinearOperator):
         sigma, tau = cfg.sigma, cfg.tau
     if sigma <= 0 or tau <= 0:
         raise ConfigError("primal-dual stepsizes must be positive")
-    t, s, norm = _exact(tau, sigma, L)
-    if t * s * norm ** 2 >= 1:
+    (t, tq), (s, sq), (n, nq) = _exact(tau, sigma, L)
+    if t * s * n * n >= tq * sq * nq * nq:
         raise ConfigError(
             f"stepsize product tau*sigma*||K||^2 = {tau * sigma * L * L:.6f} >= 1 "
             f"(operator norm bound {L:.6f})"
@@ -794,8 +793,8 @@ def condat(f: SmoothFn, g: ProxFn, terms, x0, u0s=None,
             tau = 0.95 / (L / 2.0 + sigma * gram_norm) if (L > 0 or gram_norm > 0) else 1.0
     if sigma <= 0 or tau <= 0:
         raise ConfigError("condat stepsizes must be positive")
-    t, s, lip, norm = _exact(tau, sigma, L, op_norm)
-    if t * (lip / 2 + s * norm ** 2) >= 1:
+    (t, tq), (s, sq), (lip, lq), (n, nq) = _exact(tau, sigma, L, op_norm)
+    if t * (lip * sq * nq * nq + 2 * lq * s * n * n) >= 2 * tq * lq * sq * nq * nq:
         raise ConfigError(
             f"stepsize check tau*(L/2 + sigma*||sum Li* Li||) = "
             f"{tau * (L / 2.0 + sigma * gram_norm):.6f} >= 1"

@@ -420,6 +420,27 @@ class TestCertify:
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
+    def test_commands_load_no_argument_parser_or_fractions(self, tmp_path):
+        # reading the command line and the exact step guards need neither
+        # argparse (with gettext and locale) nor fractions (with decimal)
+        write_config(tmp_path / "cert.json", {"checks": []})
+        write_config(tmp_path / "solve.json", {
+            "problem": {"kind": "tv_inverse", "rows": 3, "cols": 3, "y": PIXELS[0] * 3,
+                        "A": {"kind": "scale", "factor": 0.5}},
+            "recipe": "condat", "solver": {"max_iter": 5}})
+        code = ("import sys\n"
+                "from proxsplit.cli import main\n"
+                "assert main(['certify', 'cert.json', '--out', 'cert']) == 0\n"
+                "assert main(['solve', 'solve.json', '--out=solve']) == 0\n"
+                "assert main(['solve', 'solve.json', '--seed', 'x']) == 1\n"
+                "loaded = {'argparse', 'gettext', 'locale', 'fractions', 'decimal',"
+                " 'multiprocessing', 'concurrent.futures', 'select', 'selectors'}"
+                " & set(sys.modules)\n"
+                "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     def test_small_subset_passes(self, tmp_path):
         cfg = write_config(tmp_path / "cert.json", {
             "checks": ["rate:gd_linear", "km:rotation", "equiv:dr_cp"],
@@ -757,6 +778,51 @@ class TestRemovedSolverFields:
         assert len(solver) == 9
         assert set(solver) == {"gamma", "sigma", "tau", "inertia", "relaxation", "max_iter",
                                "gap_tol", "keep_iterates", "stop_at_fixed_point"}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["bogus", "cert.json"],
+        [],
+        ["certify"],
+        ["certify", "cert.json", "extra"],
+        ["certify", "cert.json", "--bogus", "3"],
+        ["certify", "cert.json", "--out"],
+        ["certify", "cert.json", "--out="],
+        ["certify", "cert.json", "--out", "--seed", "3"],
+        ["certify", "cert.json", "--seed", "abc"],
+        ["certify", "cert.json", "--seed=1.5"],
+        # argparse took a prefix of an option for the option
+        ["certify", "cert.json", "--se", "3"],
+    ], ids=["unknown_command", "nothing", "missing_config", "extra_positional",
+            "unknown_option", "no_value", "empty_value", "option_for_value", "seed_not_int",
+            "seed_not_int_joined", "prefix"])
+    def test_malformed_command_line_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        # 2 is for divergence and numerical failure, never for a typo
+        write_config(tmp_path / "cert.json", {"checks": ["km:rotation"]})
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: proxsplit") and error.startswith("proxsplit: error:")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["cert.json"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["certify", "cert.json", "-h"]])
+    def test_help_exits_zero(self, monkeypatch, capsys, argv):
+        # with no argv, main reads sys.argv as the console script does
+        monkeypatch.setattr(sys, "argv", ["proxsplit", *argv])
+        assert main() == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: proxsplit") and "--seed N" in captured.out
+        assert captured.err == ""
+
+    def test_options_take_either_form(self, tmp_path):
+        cfg = write_config(tmp_path / "cert.json", {"checks": ["km:rotation", "descent:gd"]})
+        assert main(["certify", cfg, "--seed", "4", "--out", str(tmp_path / "a")]) == 0
+        assert main(["certify", cfg, f"--out={tmp_path / 'b'}", "--seed=4"]) == 0
+        reports = [(tmp_path / side / "report.json").read_bytes() for side in "ab"]
+        assert reports[0] == reports[1] and json.loads(reports[0])["seed"] == 4
 
 
 class TestDivergenceExitCode:

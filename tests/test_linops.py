@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from proxsplit import linops
 from proxsplit.certify import adjoint_report
 from proxsplit.linops import (
     CGError,
@@ -421,6 +425,96 @@ class TestClosedFormNorms:
         f = np.kron(np.fft.fft(np.eye(4)), np.fft.fft(np.eye(5))) / np.sqrt(20)
         upper = (f.conj().T @ np.diag(op.gram_symbol().ravel()) @ f).real
         assert np.linalg.eigvalsh(upper - m.T @ m)[0] >= -1e-12
+
+
+# finite positive floats, subnormals and the ends of the range included
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | st.sampled_from(
+    [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308])
+# the least positive normal float
+TINY = Fraction(2.2250738585072014e-308)
+
+
+def ceil_sqrt_reference(square: Fraction, rel_error: float = 0.0) -> float:
+    # linops._ceil_sqrt written with fractions.Fraction
+    square *= 1 + Fraction(rel_error)
+    r = math.sqrt(square)
+    while Fraction(r) ** 2 < square:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class KnownNorm(LinearOperator):
+    """A 1x1 operator known only by its norm, with no Gram symbol."""
+
+    def __init__(self, norm):
+        super().__init__(1, 1)
+        self.cached_norm = norm
+
+
+class TestExactRatios:
+    """Every norm bound equals the one computed with Fractions, bit for bit.
+
+    A square below the normal range is left out unless it is a float: the
+    float start of ``_ceil_sqrt`` then loses its precision, and the search
+    up from it does not end in reasonable time, with either helper.
+    """
+
+    @given(POSITIVE, POSITIVE, st.floats(min_value=0.0, max_value=1.0))
+    @example(1.0, 3.0, 8 * linops.LONG_EPS)
+    @example(5e-324, 1.0, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_ceil_sqrt(self, a, b, rel_error):
+        # a float, a long double and an unreduced ratio
+        long = linops.LONG(a) / linops.LONG(b)
+        exact = Fraction(a) / Fraction(b)
+        for p, q in [linops._ratio(a), linops._ratio(long),
+                     (exact.numerator * 4, exact.denominator * 4)]:
+            square = Fraction(p, q)
+            # below the normal range the float start is exact only when the
+            # square is a float
+            if square < TINY and (rel_error or Fraction(p / q) != square):
+                continue
+            assert (outcome(linops._ceil_sqrt, p, q, rel_error)
+                    == outcome(ceil_sqrt_reference, square, rel_error))
+
+    @given(st.floats(min_value=5e-324, max_value=1e150), st.integers(0, 10 ** 6))
+    @example(1e-160, 0)
+    @example(1e150, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_dense_bound(self, scale, seed):
+        op = DenseOperator(scale * np.random.default_rng(seed).standard_normal((3, 4)))
+        gram = linops._smaller_gram(op.matrix)
+        pad = (op.in_dim + op.out_dim) * linops.EPS * np.trace(gram)
+        reference = ceil_sqrt_reference(
+            Fraction(max(np.linalg.eigvalsh(gram)[-1], 0.0)) + Fraction(pad))
+        assert op._norm_bound() == reference
+
+    @given(st.lists(POSITIVE, min_size=1, max_size=4))
+    @example([1e-300, 1e-10])
+    @example([1e150, 1e154])
+    @settings(max_examples=200, deadline=None)
+    def test_stack_bound(self, norms):
+        square = sum(Fraction(v) ** 2 for v in norms)
+        assume(square >= TINY)
+        op = StackOperator([KnownNorm(v) for v in norms])
+        assert outcome(op._norm_bound) == outcome(ceil_sqrt_reference, square)
+
+    @given(POSITIVE, POSITIVE)
+    @example(5e-324, 1e300)
+    @example(1e300, 1e300)
+    @settings(max_examples=200, deadline=None)
+    def test_composed_bound(self, a, b):
+        square = (Fraction(a) * Fraction(b)) ** 2
+        assume(square >= TINY)
+        op = ComposedOperator(KnownNorm(a), KnownNorm(b))
+        assert outcome(op._norm_bound) == outcome(ceil_sqrt_reference, square)
 
 
 class TestDenseGramSpectrum:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import sys
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxsplit.funcs import (
     BoxIndicator,
@@ -28,6 +30,7 @@ from proxsplit.linops import (
     IdentityOperator,
     LinearOperator,
     ScaleOperator,
+    StackOperator,
 )
 from proxsplit.problems import build_lasso
 from proxsplit.solvers import (
@@ -42,6 +45,7 @@ from proxsplit.solvers import (
     _norm,
     _Recorder,
     _same_bytes,
+    _validate_pd_steps,
     admm,
     arrow_hurwicz,
     chambolle_pock,
@@ -768,6 +772,28 @@ def _largest_float_below(limit: Fraction) -> float:
     return tau
 
 
+def _floats_beside(limit: Fraction) -> tuple:
+    # the largest float below the limit and the next one up, when the limit
+    # is inside the float range
+    if limit >= Fraction(sys.float_info.max):
+        return ()
+    below = _largest_float_below(limit)
+    return below, math.nextafter(below, math.inf)
+
+
+def _refuses(run, *args, **kwargs) -> bool:
+    try:
+        run(*args, **kwargs)
+    except ConfigError:
+        return True
+    return False
+
+
+# finite positive floats, subnormals and the ends of the range included
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | st.sampled_from(
+    [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308])
+
+
 class TestSoundStepsizeGuards:
     def test_chambolle_pock_rejects_steps_valid_only_for_the_estimate(self):
         inst, cfg = tv8_just_above_power_estimate()
@@ -824,6 +850,38 @@ class TestSoundStepsizeGuards:
         assert run(tau).meta["tau"] == tau
         with pytest.raises(ConfigError):
             run(float(np.nextafter(tau, 1.0)))
+
+    # the guards against their Fraction forms: on each drawn step and on
+    # the floats on either side of the exact limit it leaves for tau
+    @given(POSITIVE, POSITIVE, POSITIVE)
+    @example(0.043366478335465905, 1.0077140919300402, 4.783593380034321)
+    @example(0.4264327389949093, 0.2933061135285487, 2.827575255377068)
+    @example(1.0, 0.25, 2.0)  # tau*sigma*||K||^2 is exactly 1
+    @example(1e-300, 5e-324, 1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_primal_dual_guard_matches_fractions(self, tau, sigma, norm):
+        K = ScaleOperator(norm, 1)
+        limit = 1 / (Fraction(sigma) * Fraction(norm) ** 2)
+        for t in (tau, *_floats_beside(limit)):
+            refused = _refuses(_validate_pd_steps, SolverConfig(tau=t, sigma=sigma), K)
+            assert refused == (t <= 0 or Fraction(t) >= limit)
+
+    # the norm is a one-block stack's, whose bound squares it: kept where
+    # that square is a normal float
+    @given(POSITIVE, POSITIVE, POSITIVE, st.floats(min_value=1e-150, max_value=1e150))
+    @example(0.9850651559628559, 0.36012999928609557, 1.0, 1.1960296738157263)
+    @example(1.0, 0.5, 1.0, 1.0)  # tau*(L/2 + sigma*||K||^2) is exactly 1
+    @example(1e300, 5e-324, 1e-300, 1e150)
+    @settings(max_examples=300, deadline=None)
+    def test_condat_guard_matches_fractions(self, tau, sigma, lip, c):
+        op = ScaleOperator(c, 1)
+        f = CallableSmooth(lambda x: 0.0, np.zeros_like, lip)
+        norm = StackOperator([op]).norm()
+        limit = 1 / (Fraction(lip) / 2 + Fraction(sigma) * Fraction(norm) ** 2)
+        for t in (tau, *_floats_beside(limit)):
+            refused = _refuses(condat, f, ZeroFn(), [(LinfBallIndicator(1.0), op)], [0.0],
+                               cfg=SolverConfig(sigma=sigma, tau=t, max_iter=0))
+            assert refused == (t <= 0 or Fraction(t) >= limit)
 
     @pytest.mark.parametrize("steps", [{"sigma": float("nan"), "tau": 0.1},
                                        {"sigma": 0.1, "tau": float("inf")}])
